@@ -131,8 +131,9 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig) -> Cr
     """Run the full cross-fitting estimator on one pattern.
 
     If the pattern already carries fold marks compatible with ``cfg.n_folds``
-    they are honored; otherwise the pattern is thinned with a seed stream
-    derived from ``cfg.seed``.  Deterministic given (pattern, cfg).
+    they are honored (a fold they leave empty raises InsufficientPointsError
+    before anything is fitted); otherwise the pattern is thinned with a seed
+    stream derived from ``cfg.seed``.  Deterministic given (pattern, cfg).
     """
     if pattern.count() == 0:
         raise InsufficientPointsError("cannot cross-fit an empty pattern")
@@ -147,6 +148,10 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig) -> Cr
     else:
         if pattern.marks is not None and pattern.marks.max(initial=1) <= cfg.n_folds:
             marked = pattern
+            empty = np.setdiff1d(np.arange(1, cfg.n_folds + 1), pattern.marks)
+            if empty.size:
+                raise InsufficientPointsError(
+                    f"fold marks leave fold(s) {empty.tolist()} of {cfg.n_folds} empty")
         else:
             marked = v_fold_thin(pattern, cfg.n_folds, seeds[0])
         v_count = cfg.n_folds

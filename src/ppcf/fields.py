@@ -103,6 +103,8 @@ class GridField:
         values = np.asarray(values, dtype=float)
         if values.size != nx * ny:
             raise ValueError(f"expected {nx * ny} values, got {values.size}")
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteFieldError("field values must be finite")
         self.window = window
         self.nx = int(nx)
         self.ny = int(ny)
@@ -250,8 +252,6 @@ def apply_pointwise(a: GridField, f) -> GridField:
             raise TypeError
     except (TypeError, ValueError):
         out = np.vectorize(f, otypes=[float])(a.values)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError("pointwise transform produced a non-finite value")
     return GridField(a.window, a.nx, a.ny, out)
 
 

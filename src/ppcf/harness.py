@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +42,8 @@ from .inference import (
     estimate_pcf,
     lfd_values,
     pcf_correction,
+    sandwich_terms,
+    semi_sandwich_terms,
     wald_report,
 )
 from .model import (
@@ -239,78 +241,43 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         spec, eta_full, surface, pattern, seeds = simulate_scenario_inputs(s, rep)
         if pattern.count() == 0:
             return {"rep": rep, "ok": False, "error": "empty pattern"}
-        w = s.the_window()
-        area = w.area()
-        grid_n = s.the_grid_n()
-        kernel = s.kernel()
         variants = _variants_for(s)
-        quad = build_quadrature(pattern, grid_n)
-        Y, Z = spec.covariates_at(quad.nodes)
+        quad = build_quadrature(pattern, s.the_grid_n())
         record = {"rep": rep, "ok": True, "n_points": pattern.count(), "estimators": {}}
 
-        pcf_estimated = None
         # per estimator: (full coefficient vector, S over all coords, a vectors)
-        results: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        fits: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        lam_fns = []        # fitted intensities, semi first, for the PCF plug-in
 
         if "semi" in s.estimators:
             cfg = CrossFitConfig(
-                n_folds=s.folds, seed=seeds[2] ^ 0x9E3779B9, kernel=kernel,
-                grid_n=grid_n, approximation=s.approximation,
+                n_folds=s.folds, seed=seeds[2] ^ 0x9E3779B9, kernel=s.kernel(),
+                grid_n=s.the_grid_n(), approximation=s.approximation,
                 skip_thinning=s.skip_thinning)
-            res = cross_fit(spec, pattern, cfg)
-            theta = res.theta_hat
-            eta_fn = res.eta_hat
-            gamma = eta_fn(Z)
-            lam = spec.lambda_values(theta, Y, gamma)
-            inf_nf = NuisanceFit(spec, pattern, quad, kernel, scale=1.0)
-            nu = lfd_values(inf_nf, theta, eta_fn, Z)
-            vec = Y + nu
-            S = np.einsum("j,ja,jb->ab", quad.weights * lam, vec, vec)
-            S = 0.5 * (S + S.T)
-            a = (quad.weights * lam)[:, None] * vec
-            if "estimated" in variants:
-                def semi_lam_fn(pts, _theta=theta, _eta=eta_fn, _spec=spec):
-                    Yp, Zp = _spec.covariates_at(pts)
-                    return _spec.lambda_values(_theta, Yp, _eta(Zp))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    pcf_estimated = estimate_pcf(pattern, semi_lam_fn)
-            results["semi"] = (theta, S, a)
+            res, fits["semi"], lam_fn = _fit_semi(spec, pattern, quad, cfg)
+            lam_fns.append(lam_fn)
             record["fold_convergence"] = {"semi": sum(f.converged for f in res.per_fold)}
 
+        k = spec.k
         for name, form in (("para", "linear"), ("oracle", ("oracle", eta_full))):
             if name not in s.estimators:
                 continue
             pf = fit_parametric_baseline_full(spec, pattern, quad, form)
-            lam = pf.lambda_nodes
-            X = pf.design
-            S_full = np.einsum("j,ja,jb->ab", quad.weights * lam, X, X)
-            S_full = 0.5 * (S_full + S_full.T)
-            a_full = (quad.weights * lam)[:, None] * X
-            results[name] = (pf.coef, S_full, a_full)
-            if pcf_estimated is None and "estimated" in variants:
-                def para_lam_fn(pts, _pf=pf, _spec=spec, _form=form, _eta=eta_full):
-                    Yp, Zp = _spec.covariates_at(pts)
-                    if _form == "linear":
-                        Xp = np.column_stack([Yp, np.ones(Yp.shape[0]), Zp])
-                        return np.exp(Xp @ _pf.coef)
-                    return np.exp(Yp @ _pf.coef + _eta(Zp))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    pcf_estimated = estimate_pcf(pattern, para_lam_fn)
+            fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design))
+            eta_fn = eta_full if name == "oracle" else (lambda Z, c=pf.coef: c[k] + Z @ c[k + 1:])
+            lam_fns.append(_intensity_fn(spec, pf.theta, eta_fn))
 
-        k = spec.k
-        for name, (coef, S_full, a_full) in results.items():
-            reports = {}
-            for vname in variants:
-                pcf = _resolve_pcf(vname, pcf_estimated)
-                Sigma_full = S_full + pcf_correction(quad, a_full, pcf)
-                rep_full = wald_report(coef, S_full, Sigma_full, area, pcf=pcf)
-                # keep only the target-parameter block
-                reports[vname] = _project_report(rep_full, k, pcf)
+        pcf_estimated = None
+        if "estimated" in variants:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pcf_estimated = estimate_pcf(pattern, lam_fns[0])
+        pcfs = {v: _resolve_pcf(v, pcf_estimated) for v in variants}
+        reports = _wald_reports(fits, pcfs, quad, k)
+        for name, (coef, _, _) in fits.items():
             record["estimators"][name] = {
                 "theta": float(np.atleast_1d(coef)[0]),
-                "variants": _variant_summary(reports),
+                "variants": _variant_summary(reports[name]),
             }
         return record
     except (NonConvergenceError, SingularHessianError, SingularSensitivityError,
@@ -319,11 +286,53 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _project_report(rep_full: FitReport, k: int, pcf: PcfModel) -> FitReport:
-    ci = {lvl: arr[:k] for lvl, arr in rep_full.ci.items()}
-    return FitReport(theta_hat=rep_full.theta_hat[:k], S_hat=rep_full.S_hat,
-                     Sigma_hat=rep_full.Sigma_hat, se=rep_full.se[:k], ci=ci,
-                     pcf=pcf, diagnostics=rep_full.diagnostics)
+def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig):
+    """Cross-fit theta; return the result, its (theta, S, a) and the fitted intensity.
+
+    The least favorable direction is estimated on the full pattern with the
+    fold kernel and the full-pattern quadrature ``quad``.
+    """
+    res = cross_fit(spec, pattern, cfg)
+    theta, eta_fn = res.theta_hat, res.eta_hat
+    nf = NuisanceFit(spec, pattern, quad, cfg.resolve_kernel(spec), scale=1.0)
+    S, a = semi_sandwich_terms(spec, theta, eta_fn,
+                               lambda Z: lfd_values(nf, theta, eta_fn, Z), quad)
+    return res, (theta, S, a), _intensity_fn(spec, theta, eta_fn)
+
+
+def _intensity_fn(spec: ModelSpec, theta, eta_fn):
+    """The fitted intensity u -> lambda(u), the plug-in of the PCF fit."""
+
+    def lam_fn(pts):
+        Yp, Zp = spec.covariates_at(pts)
+        return spec.lambda_values(theta, Yp, eta_fn(Zp))
+
+    return lam_fn
+
+
+def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: int,
+                  levels=(0.9, 0.95), diagnostics: Optional[Dict] = None
+                  ) -> Dict[str, Dict[str, FitReport]]:
+    """Wald reports per estimator and PCF variant from each estimator's (coef, S, a).
+
+    The a-vectors of all estimators are stacked column-wise, so every variant
+    takes one PCF double sum; each estimator reads its own diagonal block, and
+    its reports keep only the first ``k`` (target) coordinates.
+    """
+    stacked = np.hstack([a for _, _, a in fits.values()])
+    ends = np.cumsum([a.shape[1] for _, _, a in fits.values()])
+    area = quad.window.area()
+    reports: Dict[str, Dict[str, FitReport]] = {name: {} for name in fits}
+    for vname, pcf in pcfs.items():
+        corr = pcf_correction(quad, stacked, pcf)
+        for (name, (coef, S, _)), end in zip(fits.items(), ends):
+            lo = end - S.shape[0]
+            full = wald_report(coef, S, S + corr[lo:end, lo:end], area, levels=levels,
+                               pcf=pcf, diagnostics=diagnostics)
+            reports[name][vname] = replace(
+                full, theta_hat=full.theta_hat[:k], se=full.se[:k],
+                ci={lvl: arr[:k] for lvl, arr in full.ci.items()})
+    return reports
 
 
 def _worker(args):
@@ -545,7 +554,6 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
             raise WindowMismatchError("pattern points fall outside the grid window")
         pattern = PointPattern(win, pattern.points, pattern.marks)
     if pattern.count() == 0:
-        from .errors import InsufficientPointsError
         raise InsufficientPointsError("pattern file contains no points")
 
     spec = log_linear_model(y_fields, z_fields)
@@ -559,23 +567,8 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
         kernel_order=int(cfg["kernel_order"]), bandwidth_c0=float(cfg["bandwidth_c0"]),
         grid_n=int(cfg["grid_n"]), approximation=cfg["approx"],
         skip_thinning=bool(cfg["skip_thinning"]))
-    result = cross_fit(spec, pattern, run_cfg)
-    theta = result.theta_hat
-    eta_fn = result.eta_hat
-
     quad = build_quadrature(pattern, int(cfg["grid_n"]))
-    Y, Z = spec.covariates_at(quad.nodes)
-    gamma = eta_fn(Z)
-    lam = spec.lambda_values(theta, Y, gamma)
-    inf_nf = NuisanceFit(spec, pattern, quad, run_cfg.resolve_kernel(spec), scale=1.0)
-    nu = lfd_values(inf_nf, theta, eta_fn, Z)
-    vec = Y + nu
-    S = np.einsum("j,ja,jb->ab", quad.weights * lam, vec, vec)
-    S = 0.5 * (S + S.T)
-
-    def lam_fn(pts):
-        Yp, Zp = spec.covariates_at(pts)
-        return spec.lambda_values(theta, Yp, eta_fn(Zp))
+    result, semi, lam_fn = _fit_semi(spec, pattern, quad, run_cfg)
 
     if cfg["pcf"] == "none":
         pcf = PcfModel("poisson")
@@ -588,8 +581,6 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
         pcf = estimate_pcf(pattern, lam_fn)
     else:
         raise ValueError(f"unknown pcf mode {cfg['pcf']!r}")
-    a = (quad.weights * lam)[:, None] * vec
-    Sigma = S + pcf_correction(quad, a, pcf)
 
     diagnostics = {
         "fold_convergence": [f.converged for f in result.per_fold],
@@ -597,12 +588,11 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
         "clip_counts": [f.nuisance.diagnostics["clip_count"] for f in result.per_fold
                         if f.nuisance is not None],
     }
-    report = wald_report(theta, S, Sigma, win.area(), levels=tuple(cfg["levels"]),
-                         pcf=pcf, diagnostics=diagnostics)
+    report = _wald_reports({"semi": semi}, {"fit": pcf}, quad, spec.k,
+                           levels=tuple(cfg["levels"]), diagnostics=diagnostics)["semi"]["fit"]
 
     if out_prefix is not None:
-        out_prefix = str(out_prefix)
-        _write_fit_outputs(report, spec, pattern, eta_fn, cfg, out_prefix)
+        _write_fit_outputs(report, spec, pattern, result.eta_hat, cfg, str(out_prefix))
     return report
 
 

@@ -1,14 +1,18 @@
 """Asymptotic variance estimation and second-order (PCF) plug-ins.
 
-The sandwich variance of theta-hat is S^-1 Sigma S^-1.  Under the log-linear
-link the sensitivity matrix is the weighted outer-product sum
+The sandwich variance of theta-hat is S^-1 Sigma S^-1.  Every estimator gets
+its terms from :func:`sandwich_terms`: with v_j the gradient of log lambda at
+quadrature node j (y_j + nu(z_j) for the semiparametric fit under the
+log-linear link, see :func:`semi_sandwich_terms`; the design row for the
+parametric baselines),
 
-    S = sum_j w_j (y_j + nu(z_j))^{x2} lambda_j
+    S = sum_j w_j lambda_j v_j v_j^T,    a_j = w_j lambda_j v_j,
+    Sigma = S + sum_{i,j} a_i a_j^T [g(d_ij) - 1].
 
-and Sigma adds a double sum over node pairs weighted by (g(d) - 1).  The pair
-correlation g is Poisson (g = 1) or LGCP-exponential
+The pair correlation g is Poisson (g = 1) or LGCP-exponential
 (g(r) = exp(sigma2 * exp(-r/phi))), fitted by minimum contrast on the
-inhomogeneous K-function when not known.
+inhomogeneous K-function when not known.  The harness stacks the a-vectors of
+all its estimators column-wise, so each PCF variant costs one double sum.
 
 The double sum is truncated at the radius where |g - 1| < 1e-6 (capped at half
 the shorter window side) and evaluated exactly by splitting the quadrature
@@ -129,7 +133,7 @@ def lfd_values(nf: NuisanceFit, theta_hat, eta_hat, Z) -> np.ndarray:
     return np.vstack([estimate_lfd(nf, theta_hat, eta_hat, z) for z in Z])
 
 
-# -- sensitivity and covariance ------------------------------------------------
+# -- sandwich terms ----------------------------------------------------------------
 
 
 def _gradient_vectors(spec: ModelSpec, theta_hat, gamma, nu, Y):
@@ -143,17 +147,25 @@ def _gradient_vectors(spec: ModelSpec, theta_hat, gamma, nu, Y):
     return (p.dpsi_dt(t, gamma)[:, None] * grad + p.dpsi_dg(t, gamma)[:, None] * nu) / lam[:, None]
 
 
-def sensitivity_hat(spec: ModelSpec, theta_hat, eta_hat, nu_hat,
-                    quad: QuadratureScheme) -> np.ndarray:
-    """S-hat = sum_j w_j {gradient_j}^{x2} lambda_j on the quadrature scheme."""
+def sandwich_terms(quad: QuadratureScheme, lam, grads):
+    """(S, a): S = sum_j w_j lam_j v_j v_j^T (symmetrised), a_j = w_j lam_j v_j, v = grads."""
+    a = (quad.weights * lam)[:, None] * grads
+    s = grads.T @ a
+    return 0.5 * (s + s.T), a
+
+
+def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: QuadratureScheme):
+    """Sandwich terms (S, a) of the semiparametric estimator on the quadrature scheme.
+
+    ``eta_hat`` and ``nu_hat`` are callables on (m, q) covariate arrays or their
+    values at the nodes.
+    """
     theta_hat = np.asarray(theta_hat, dtype=float)
     Y, Z = spec.covariates_at(quad.nodes)
     gamma = np.asarray(eta_hat(Z), dtype=float) if callable(eta_hat) else np.asarray(eta_hat)
     nu = np.asarray(nu_hat(Z), dtype=float) if callable(nu_hat) else np.asarray(nu_hat)
     lam = spec.lambda_values(theta_hat, Y, gamma)
-    vec = _gradient_vectors(spec, theta_hat, gamma, nu, Y)
-    s = np.einsum("j,ja,jb->ab", quad.weights * lam, vec, vec)
-    return 0.5 * (s + s.T)
+    return sandwich_terms(quad, lam, _gradient_vectors(spec, theta_hat, gamma, nu, Y))
 
 
 def _pair_kernel(pcf: PcfModel, dist, r_trunc):
@@ -232,21 +244,6 @@ def pcf_double_sum_brute(quad: QuadratureScheme, a_vectors: np.ndarray,
         r_trunc = pcf.truncation_radius(quad.window)
         g = np.where(dist <= r_trunc, g, 0.0)
     return np.einsum("ia,ij,jb->ab", a_vectors, g, a_vectors)
-
-
-def covariance_hat(spec: ModelSpec, theta_hat, eta_hat, nu_hat,
-                   quad: QuadratureScheme, pcf: PcfModel) -> np.ndarray:
-    """Sigma-hat = S-hat + truncated pair-correlation double sum."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    Y, Z = spec.covariates_at(quad.nodes)
-    gamma = np.asarray(eta_hat(Z), dtype=float) if callable(eta_hat) else np.asarray(eta_hat)
-    nu = np.asarray(nu_hat(Z), dtype=float) if callable(nu_hat) else np.asarray(nu_hat)
-    lam = spec.lambda_values(theta_hat, Y, gamma)
-    vec = _gradient_vectors(spec, theta_hat, gamma, nu, Y)
-    s = np.einsum("j,ja,jb->ab", quad.weights * lam, vec, vec)
-    s = 0.5 * (s + s.T)
-    a = (quad.weights * lam)[:, None] * vec
-    return s + pcf_correction(quad, a, pcf)
 
 
 # -- K-function and minimum contrast -------------------------------------------

@@ -493,23 +493,3 @@ class NuisanceFit:
             d_out[idx] = self.eta_dtheta(theta, z)
             D_out[idx] = self.eta_d2theta(theta, z)
         return g_out, d_out, D_out
-
-
-# module-level wrappers mirroring the operation vocabulary
-
-
-def kernel_objective(nf: NuisanceFit, theta, gamma, z) -> float:
-    """Kernel-weighted per-z pseudo-likelihood objective in gamma."""
-    return nf.objective(theta, gamma, z)
-
-
-def fit_eta(nf: NuisanceFit, theta, z) -> float:
-    return nf.fit_eta(theta, z)
-
-
-def eta_dtheta(nf: NuisanceFit, theta, z) -> np.ndarray:
-    return nf.eta_dtheta(theta, z)
-
-
-def eta_d2theta(nf: NuisanceFit, theta, z) -> np.ndarray:
-    return nf.eta_d2theta(theta, z)

@@ -1,8 +1,9 @@
 """Disk cache for the heavy Monte Carlo scenario runs used by the test suite.
 
 Scenario runs are deterministic given (scenario, parallelism-independent
-reduction), so their records can be reused across test modules and sessions.
-Delete tests/.mc_cache to force recomputation after code changes.
+reduction) and the package source, so their records can be reused across test
+modules and sessions.  The key hashes the scenario fields together with the
+contents of every ``ppcf`` source file, so any code change forces a cold run.
 """
 
 import hashlib
@@ -10,14 +11,26 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import ppcf
 from ppcf.harness import Scenario, TableRow, run_scenario_records
 
 CACHE_DIR = Path(__file__).parent / ".mc_cache"
 
 
+def _source_digest() -> str:
+    """sha256 over the sorted ``ppcf/**/*.py`` files (relative path and contents)."""
+    root = Path(ppcf.__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def run_scenario_cached(s: Scenario, parallelism: int = 2):
-    """(rows per estimator, raw records), cached on disk by scenario content."""
-    key_src = json.dumps(asdict(s), sort_keys=True, default=str)
+    """(rows per estimator, raw records), cached on disk by scenario and source."""
+    key_src = json.dumps({"scenario": asdict(s), "source": _source_digest()},
+                         sort_keys=True, default=str)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     path = CACHE_DIR / f"{key}.json"
     if path.exists():
@@ -26,7 +39,7 @@ def run_scenario_cached(s: Scenario, parallelism: int = 2):
         return rows, payload["records"]
     rows, records = run_scenario_records(s, parallelism=parallelism)
     CACHE_DIR.mkdir(exist_ok=True)
-    payload = {"scenario": json.loads(key_src),
+    payload = {**json.loads(key_src),
                "rows": {est: asdict(row) for est, row in rows.items()},
                "records": records}
     path.write_text(json.dumps(payload))

@@ -13,10 +13,10 @@ from scipy.stats import chi2
 from mc_cache import run_scenario_cached
 
 from ppcf.fields import GrfSpec, make_window, simulate_grf
-from ppcf.harness import Scenario
-from ppcf.inference import PcfModel, pcf_correction, pcf_double_sum_brute, covariance_hat, sensitivity_hat, lfd_values
+from ppcf.harness import Scenario, _wald_reports
+from ppcf.inference import PcfModel, pcf_correction, pcf_double_sum_brute, semi_sandwich_terms, lfd_values
 from ppcf.model import build_quadrature, hessian, intensity_surface, log_linear_model, pseudo_loglik, score
-from ppcf.nuisance import KernelSpec, NuisanceFit, fit_eta
+from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_poisson, v_fold_thin
 
 W1 = make_window(0, 0, 1, 1)
@@ -193,7 +193,7 @@ def test_criterion_04_closed_form_nuisance():
     for _ in range(50):
         theta = np.array([float(rng.uniform(-0.5, 0.8))])
         zv = np.array([float(rng.uniform(z_lo, z_hi))])
-        closed = fit_eta(nf, theta, zv)
+        closed = nf.fit_eta(theta, zv)
         golden = golden_argmax_longdouble(nf, theta, zv)
         worst = max(worst, abs(closed - golden))
     ok = worst <= 1e-8
@@ -248,11 +248,13 @@ def test_criterion_09_sigma_equals_s_for_poisson_pcf():
     nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45, "gaussian"))
     theta = np.array([0.31])
     nu = lambda Z: lfd_values(nf, theta, eta, Z)
-    S = sensitivity_hat(spec, theta, eta, nu, quad)
+    S, a = semi_sandwich_terms(spec, theta, eta, nu, quad)
+    # the production path: stacked PCF double sum per variant, then Wald reports
+    pcfs = {"poisson": PcfModel("poisson"), "zero": PcfModel("lgcp-exponential", 0.0, 0.2)}
+    reports = _wald_reports({"semi": (theta, S, a)}, pcfs, quad, spec.k)["semi"]
     worst = 0.0
-    for pcf in (PcfModel("poisson"), PcfModel("lgcp-exponential", 0.0, 0.2)):
-        Sigma = covariance_hat(spec, theta, eta, nu, quad, pcf)
-        worst = max(worst, float(np.max(np.abs(Sigma - S)) / np.max(np.abs(S))))
+    for rep in reports.values():
+        worst = max(worst, float(np.max(np.abs(rep.Sigma_hat - S)) / np.max(np.abs(S))))
     ok = worst <= 1e-12
     _report(9, "Sigma-hat equals S-hat when g = 1", ok, f"worst rel dev {worst:.2e}")
 

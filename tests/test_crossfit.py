@@ -91,26 +91,55 @@ def test_skip_thinning_requires_log_linear():
         cross_fit(gen, pattern, CrossFitConfig(seed=1, skip_thinning=True, grid_n=16))
 
 
-def test_partial_fold_failure_tolerated():
-    # fold 3 is empty: its fit diverges, but two of three folds converge
+def _fail_fold_solves(monkeypatch, failing):
+    """Make the per-fold profile solve raise NonConvergenceError on the given calls (1-based)."""
+    import ppcf.crossfit
+    real = ppcf.crossfit.profile_maximize
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) in failing:
+            raise NonConvergenceError("injected fold failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ppcf.crossfit, "profile_maximize", flaky)
+
+
+def test_partial_fold_failure_tolerated(monkeypatch):
+    # fold 3's solve fails, but two of three folds converge
     spec, pattern = _make_case(29)
-    marks = np.random.default_rng(0).integers(1, 3, size=pattern.count())
-    marked = pattern.with_marks(marks)
+    _fail_fold_solves(monkeypatch, {3})
     cfg = CrossFitConfig(n_folds=3, seed=2, grid_n=32, bandwidth_c0=0.45,)
-    res = cross_fit(spec, marked, cfg)
+    res = cross_fit(spec, pattern, cfg)
     assert sum(f.converged for f in res.per_fold) >= 2
     assert not res.per_fold[2].converged
     assert np.isfinite(res.theta_hat).all()
 
 
-def test_all_folds_failed_raises():
+def test_all_folds_failed_raises(monkeypatch):
     spec, pattern = _make_case(31)
-    # every point in fold 1: fold 1 trains on an empty complement and fold 2
-    # fits an empty sub-pattern
-    marked = pattern.with_marks(np.ones(pattern.count(), dtype=int))
+    _fail_fold_solves(monkeypatch, {1, 2})
     cfg = CrossFitConfig(n_folds=2, seed=2, grid_n=16, bandwidth_c0=0.45,)
-    with pytest.raises(NonConvergenceError):
-        cross_fit(spec, marked, cfg)
+    with pytest.raises(NonConvergenceError, match="all folds failed"):
+        cross_fit(spec, pattern, cfg)
+
+
+@pytest.mark.parametrize("n_folds, labels, empty", [(3, (1, 2), r"\[3\]"),
+                                                    (2, (1,), r"\[2\]")])
+def test_honored_marks_with_empty_fold_rejected(monkeypatch, n_folds, labels, empty):
+    # marks that leave a fold empty are rejected before anything is fitted
+    import ppcf.crossfit
+    spec, pattern = _make_case(29)
+    marks = np.random.default_rng(0).choice(labels, size=pattern.count())
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fold was fitted")
+
+    monkeypatch.setattr(ppcf.crossfit, "build_quadrature", no_fit)
+    cfg = CrossFitConfig(n_folds=n_folds, seed=2, grid_n=16, bandwidth_c0=0.45)
+    with pytest.raises(InsufficientPointsError, match=empty):
+        cross_fit(spec, pattern.with_marks(marks), cfg)
 
 
 def test_eta_aggregate_is_fold_mean():

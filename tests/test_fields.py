@@ -175,6 +175,13 @@ def test_apply_pointwise_nonfinite():
         apply_pointwise(f, lambda z: np.log(z))
 
 
+def test_grid_file_nonfinite_value_rejected(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("2 2 0.0 0.0 1.0 1.0\n0.0 1.0\nnan 2.0\n")
+    with pytest.raises(NonFiniteFieldError):
+        read_grid_file(path)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 10_000))
 def test_grid_file_roundtrip(nx, ny, seed):

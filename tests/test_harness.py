@@ -1,14 +1,16 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ppcf.cli import main as cli_main
 from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import InsufficientPointsError, WindowMismatchError
-from ppcf.fields import read_grid_file, write_grid_file
+from ppcf.fields import make_window, read_grid_file, write_grid_file
 from ppcf.harness import (
     Scenario,
+    _wald_reports,
     emit_scenario_files,
     fit_file,
     read_table_csv,
@@ -18,6 +20,9 @@ from ppcf.harness import (
     run_table,
     simulate_scenario_inputs,
 )
+from ppcf.inference import PcfModel, sandwich_terms
+from ppcf.model import build_quadrature
+from ppcf.process import PointPattern
 
 
 def test_scenario_validation():
@@ -84,6 +89,23 @@ def test_oracle_estimator_coverage():
     row = rows["oracle"]
     assert 89.0 <= row.cp95 <= 99.5
     assert abs(row.bias_x100) < 2.0
+
+
+def test_stacked_wald_reports_match_separate_estimators():
+    # one double sum over the stacked a-vectors gives each estimator its own block
+    rng = np.random.default_rng(8)
+    quad = build_quadrature(PointPattern(make_window(0, 0, 1, 1), rng.uniform(size=(40, 2))), 16)
+    fits = {}
+    for name, p in (("semi", 1), ("para", 3), ("oracle", 1)):
+        S, a = sandwich_terms(quad, np.full(quad.m(), 50.0), rng.normal(size=(quad.m(), p)))
+        fits[name] = (rng.normal(size=p), S, a)
+    pcfs = {"known": PcfModel("lgcp-exponential", sigma2=0.2, phi=0.05)}
+    stacked = _wald_reports(fits, pcfs, quad, 1)
+    for name, fit in fits.items():
+        alone = _wald_reports({name: fit}, pcfs, quad, 1)[name]["known"]
+        assert np.allclose(stacked[name]["known"].Sigma_hat, alone.Sigma_hat, rtol=1e-10, atol=0)
+        assert stacked[name]["known"].se.shape == (1,)
+        assert np.allclose(stacked[name]["known"].se, alone.se, rtol=1e-10, atol=0)
 
 
 def test_fit_file_roundtrip_bit_exact(tmp_path):

@@ -8,17 +8,16 @@ from ppcf.errors import InsufficientPointsError, SingularSensitivityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
     PcfModel,
-    covariance_hat,
     estimate_lfd,
     estimate_pcf,
     lfd_values,
     pcf_correction,
     pcf_double_sum_brute,
-    sensitivity_hat,
+    semi_sandwich_terms,
     wald_report,
 )
 from ppcf.model import build_quadrature, intensity_surface, log_linear_model
-from ppcf.nuisance import KernelSpec, NuisanceFit, eta_dtheta
+from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_lgcp, simulate_poisson
 
 W1 = make_window(0, 0, 1, 1)
@@ -48,6 +47,13 @@ def fitted_instance():
     return spec, pattern, quad, nf, eta
 
 
+def _sandwich(instance, theta, pcf):
+    """(S, Sigma) from the semi-path sandwich terms and one PCF double sum."""
+    spec, pattern, quad, nf, eta = instance
+    S, a = semi_sandwich_terms(spec, theta, eta, lambda Z: lfd_values(nf, theta, eta, Z), quad)
+    return S, S + pcf_correction(quad, a, pcf)
+
+
 # -- least favorable direction ----------------------------------------------------
 
 
@@ -74,7 +80,7 @@ def test_lfd_agrees_with_eta_dtheta(fitted_instance):
     theta = np.array([0.31])
     for zv in (-0.4, 0.0, 0.55):
         nu = estimate_lfd(nf, theta, eta, [zv])
-        d = eta_dtheta(nf, theta, [zv])
+        d = nf.eta_dtheta(theta, [zv])
         assert np.allclose(nu, d, atol=1e-10)
 
 
@@ -96,7 +102,7 @@ def test_sensitivity_degenerate_design_is_singular():
     quad = build_quadrature(pattern, 16)
     eta = lambda Z: np.full(Z.shape[0], 4.0)
     nu = lambda Z: np.full((Z.shape[0], 1), -1.7)
-    S = sensitivity_hat(spec, np.array([0.0]), eta, nu, quad)
+    S, _ = semi_sandwich_terms(spec, np.array([0.0]), eta, nu, quad)
     assert np.allclose(S, 0.0, atol=1e-12)
     with pytest.raises(SingularSensitivityError):
         wald_report(np.array([0.0]), S, S, 1.0)
@@ -111,7 +117,7 @@ def test_sensitivity_linear_x_integral():
     vals = []
     for g in (16, 32, 64, 128):
         quad = build_quadrature(pattern, g)
-        vals.append(sensitivity_hat(spec, np.zeros(1), eta, nu, quad)[0, 0])
+        vals.append(semi_sandwich_terms(spec, np.zeros(1), eta, nu, quad)[0][0, 0])
     target = c / 3.0
     errs = [abs(v - target) for v in vals]
     assert errs[-1] < errs[0]
@@ -133,10 +139,10 @@ def test_sensitivity_extensive_in_area():
     nu = lambda Z: np.zeros((Z.shape[0], 1))
     spec1 = log_linear_model([f1], [_const_field(W1, 0.0)])
     spec2 = log_linear_model([f2], [GridField(w2, 9, 9, np.zeros((9, 9)))])
-    s1 = sensitivity_hat(spec1, np.array([0.25]), eta, nu,
-                         build_quadrature(PointPattern(W1, np.empty((0, 2))), 32))[0, 0]
-    s2 = sensitivity_hat(spec2, np.array([0.25]), eta, nu,
-                         build_quadrature(PointPattern(w2, np.empty((0, 2))), 64))[0, 0]
+    s1 = semi_sandwich_terms(spec1, np.array([0.25]), eta, nu,
+                             build_quadrature(PointPattern(W1, np.empty((0, 2))), 32))[0][0, 0]
+    s2 = semi_sandwich_terms(spec2, np.array([0.25]), eta, nu,
+                             build_quadrature(PointPattern(w2, np.empty((0, 2))), 64))[0][0, 0]
     assert abs(s2 - 4.0 * s1) < 1e-8 * abs(s2)
 
 
@@ -144,14 +150,11 @@ def test_sensitivity_extensive_in_area():
 
 
 def test_covariance_equals_sensitivity_for_poisson(fitted_instance):
-    spec, pattern, quad, nf, eta = fitted_instance
     theta = np.array([0.3])
-    nu = lambda Z: lfd_values(nf, theta, eta, Z)
-    S = sensitivity_hat(spec, theta, eta, nu, quad)
-    Sigma = covariance_hat(spec, theta, eta, nu, quad, PcfModel("poisson"))
+    S, Sigma = _sandwich(fitted_instance, theta, PcfModel("poisson"))
     assert np.allclose(Sigma, S, rtol=1e-12, atol=0)
-    Sigma0 = covariance_hat(spec, theta, eta, nu, quad,
-                            PcfModel("lgcp-exponential", sigma2=0.0, phi=0.2))
+    _, Sigma0 = _sandwich(fitted_instance, theta,
+                          PcfModel("lgcp-exponential", sigma2=0.0, phi=0.2))
     assert np.allclose(Sigma0, S, rtol=1e-12, atol=0)
 
 
@@ -167,12 +170,8 @@ def test_pcf_correction_matches_brute_force_truncated():
 
 
 def test_loewner_order_for_clustering_pcf(fitted_instance):
-    spec, pattern, quad, nf, eta = fitted_instance
-    theta = np.array([0.3])
-    nu = lambda Z: lfd_values(nf, theta, eta, Z)
-    S = sensitivity_hat(spec, theta, eta, nu, quad)
-    Sigma = covariance_hat(spec, theta, eta, nu, quad,
-                           PcfModel("lgcp-exponential", sigma2=0.3, phi=0.1))
+    S, Sigma = _sandwich(fitted_instance, np.array([0.3]),
+                         PcfModel("lgcp-exponential", sigma2=0.3, phi=0.1))
     eigs = np.linalg.eigvalsh(Sigma - S)
     assert eigs.min() >= -1e-8 * np.trace(S)
 
@@ -240,12 +239,8 @@ def test_wald_poisson_bound_identity():
 
 
 def test_sandwich_symmetric_psd(fitted_instance):
-    spec, pattern, quad, nf, eta = fitted_instance
-    theta = np.array([0.3])
-    nu = lambda Z: lfd_values(nf, theta, eta, Z)
-    S = sensitivity_hat(spec, theta, eta, nu, quad)
-    Sigma = covariance_hat(spec, theta, eta, nu, quad,
-                           PcfModel("lgcp-exponential", sigma2=0.2, phi=0.2))
+    S, Sigma = _sandwich(fitted_instance, np.array([0.3]),
+                         PcfModel("lgcp-exponential", sigma2=0.2, phi=0.2))
     s_inv = np.linalg.inv(S)
     cov = s_inv @ Sigma @ s_inv
     assert np.allclose(cov, cov.T, atol=1e-12)

@@ -11,10 +11,6 @@ from ppcf.nuisance import (
     NuisanceFit,
     _golden_max,
     default_bandwidth,
-    eta_d2theta,
-    eta_dtheta,
-    fit_eta,
-    kernel_objective,
 )
 from ppcf.process import constant_surface, simulate_poisson
 
@@ -90,7 +86,7 @@ def test_objective_shape_y_independent():
     quad = build_quadrature(pattern, 16)
     nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
     gammas = np.linspace(2.0, 7.0, 41)
-    vals = np.array([kernel_objective(nf, np.zeros(1), g, [1.0]) for g in gammas])
+    vals = np.array([nf.objective(np.zeros(1), g, [1.0]) for g in gammas])
     second = np.diff(vals, 2)
     assert np.all(second < 0)
     assert vals.argmax() not in (0, len(vals) - 1)
@@ -101,7 +97,7 @@ def test_objective_matches_direct_recomputation(fitted):
     theta = np.array([0.21])
     gamma = 5.1
     z = np.array([0.4])
-    val = kernel_objective(nf, theta, gamma, z)
+    val = nf.objective(theta, gamma, z)
     # independent recomputation with plain python sums
     h = nf.kernel.bandwidth
     zs = float(nf.standardize(z)[0])
@@ -126,7 +122,7 @@ def test_fit_eta_constant_truth():
         quad = build_quadrature(pattern, 24)
         nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
         for zv in np.linspace(0.2, 0.8, 5):
-            errs.append(fit_eta(nf, np.zeros(1), [zv]) - math.log(c))
+            errs.append(nf.fit_eta(np.zeros(1), [zv]) - math.log(c))
     errs = np.array(errs)
     assert np.all(np.abs(errs) < 0.25)
     assert abs(errs.mean()) < 0.05
@@ -164,7 +160,7 @@ def test_closed_form_matches_golden_section(fitted):
     for _ in range(10):
         theta = np.array([rng.uniform(-0.5, 0.8)])
         z = np.array([rng.uniform(z_lo, z_hi)])
-        closed = fit_eta(nf, theta, z)
+        closed = nf.fit_eta(theta, z)
         golden = golden_argmax_longdouble(nf, theta, z)
         worst = max(worst, abs(closed - golden))
     assert worst <= 1e-8
@@ -176,7 +172,7 @@ def test_fit_eta_uniform_kernel_limit(fitted):
     quad = build_quadrature(pattern, 16)
     wide = NuisanceFit(spec, pattern, quad, KernelSpec(2, 1e4, "gaussian"))
     theta = np.array([0.3])
-    vals = [fit_eta(wide, theta, [zv]) for zv in (-0.5, 0.0, 0.7)]
+    vals = [wide.fit_eta(theta, [zv]) for zv in (-0.5, 0.0, 0.7)]
     assert max(vals) - min(vals) < 1e-6
     _, Z = spec.covariates_at(quad.nodes)
     Y, _ = spec.covariates_at(quad.nodes)
@@ -190,16 +186,16 @@ def test_eta_dtheta_constant_y():
     quad = build_quadrature(pattern, 16)
     nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
     for theta in (np.array([0.0]), np.array([0.4])):
-        d = eta_dtheta(nf, theta, [1.0])
+        d = nf.eta_dtheta(theta, [1.0])
         assert np.allclose(d, [-2.5], atol=1e-12)
-        dd = eta_d2theta(nf, theta, [1.0])
+        dd = nf.eta_d2theta(theta, [1.0])
         assert np.allclose(dd, [[0.0]], atol=1e-12)
 
 
 def test_eta_dtheta_zero_theta_is_kernel_mean(fitted):
     spec, pattern, nf = fitted
     z = np.array([0.1])
-    d = eta_dtheta(nf, np.zeros(1), z)
+    d = nf.eta_dtheta(np.zeros(1), z)
     _, k_nodes, _ = nf._point_weights(z)
     tilt = nf.weights * k_nodes
     expected = -(tilt @ nf.Y_nodes) / tilt.sum()
@@ -212,9 +208,9 @@ def test_eta_dtheta_matches_finite_differences(fitted):
     for _ in range(6):
         theta = np.array([rng.uniform(-0.3, 0.6)])
         z = np.array([rng.uniform(-0.6, 0.6)])
-        d = eta_dtheta(nf, theta, z)
+        d = nf.eta_dtheta(theta, z)
         step = 1e-4
-        fd = (fit_eta(nf, theta + step, z) - fit_eta(nf, theta - step, z)) / (2 * step)
+        fd = (nf.fit_eta(theta + step, z) - nf.fit_eta(theta - step, z)) / (2 * step)
         assert abs(d[0] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
@@ -224,9 +220,9 @@ def test_eta_d2theta_matches_finite_differences(fitted):
     for _ in range(4):
         theta = np.array([rng.uniform(-0.3, 0.6)])
         z = np.array([rng.uniform(-0.6, 0.6)])
-        dd = eta_d2theta(nf, theta, z)
+        dd = nf.eta_d2theta(theta, z)
         step = 1e-4
-        fd = (eta_dtheta(nf, theta + step, z) - eta_dtheta(nf, theta - step, z)) / (2 * step)
+        fd = (nf.eta_dtheta(theta + step, z) - nf.eta_dtheta(theta - step, z)) / (2 * step)
         assert abs(dd[0, 0] - fd[0]) <= 1e-3 * max(1.0, abs(fd[0]))
         assert dd[0, 0] <= 1e-12  # negative tilted covariance
 
@@ -236,11 +232,11 @@ def test_bulk_curve_matches_exact_path(fitted):
     theta = np.array([0.25])
     _, Z = spec.covariates_at(pattern.points[:40])
     bulk = nf.eta_at(theta, Z)
-    exact = np.array([fit_eta(nf, theta, z) for z in Z])
+    exact = np.array([nf.fit_eta(theta, z) for z in Z])
     # linear interpolation on a 512-cell grid vs the exact kernel sums
     assert np.max(np.abs(bulk - exact)) < 5e-4
     g, d, D2 = nf.eta_all(theta, Z)
-    d_exact = np.array([eta_dtheta(nf, theta, z)[0] for z in Z])
+    d_exact = np.array([nf.eta_dtheta(theta, z)[0] for z in Z])
     assert np.max(np.abs(d[:, 0] - d_exact)) < 5e-3
 
 
@@ -249,7 +245,7 @@ def test_zero_mass_error_for_compact_kernel(fitted):
     quad = build_quadrature(pattern, 16)
     nf4 = NuisanceFit(spec, pattern, quad, KernelSpec(4, 0.05, "quartic"))
     with pytest.raises(ZeroMassError):
-        kernel_objective(nf4, np.zeros(1), 5.0, [50.0])
+        nf4.objective(np.zeros(1), 5.0, [50.0])
 
 
 def test_clip_counter_zero_on_interior_grid(fitted):
@@ -258,7 +254,7 @@ def test_clip_counter_zero_on_interior_grid(fitted):
     _, Z = spec.covariates_at(pattern.points)
     lo, hi = np.quantile(Z[:, 0], [0.1, 0.9])
     for zv in np.linspace(lo, hi, 25):
-        fit_eta(nf, np.array([0.3]), [zv])
+        nf.fit_eta(np.array([0.3]), [zv])
     assert nf.diagnostics["clip_count"] == 0
 
 
@@ -317,7 +313,7 @@ def test_eta_dtheta_consistent_with_lfd_oracle():
         for zv in zg:
             kw = np.exp(-0.5 * ((Zl[:, 0] - zv) / 0.12) ** 2)
             oracle = -(kw * tilt * Yl[:, 0]).sum() / (kw * tilt).sum()
-            errs.append(abs(eta_dtheta(nf, theta, [zv])[0] - oracle))
+            errs.append(abs(nf.eta_dtheta(theta, [zv])[0] - oracle))
         return float(np.mean(errs))
 
     e1 = [one(W1, 128, 48, 7000 + 11 * r) for r in range(25)]
