@@ -73,10 +73,9 @@ class CrossFitConfig:
     def resolve_kernel(self, spec: ModelSpec) -> KernelSpec:
         if self.kernel is not None:
             return self.kernel
-        base = "gaussian" if self.kernel_order == 2 else "quartic"
         h = default_bandwidth(spec.window.area(), spec.q, spec.k,
                               self.kernel_order, self.m_smoothness, self.bandwidth_c0)
-        return KernelSpec(order=self.kernel_order, bandwidth=h, base=base)
+        return KernelSpec(order=self.kernel_order, bandwidth=h)
 
 
 @dataclass

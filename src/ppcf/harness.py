@@ -25,8 +25,10 @@ import yaml
 from .crossfit import CrossFitConfig, cross_fit
 from .errors import (
     BoundViolationError,
+    DecompositionError,
     InsufficientPointsError,
     NonConvergenceError,
+    NonFiniteFieldError,
     NonpositiveIntensityError,
     ScenarioInfeasibleError,
     SingularHessianError,
@@ -121,12 +123,11 @@ class Scenario:
         return self.grid_n if self.grid_n is not None else GRID_N[self.window]
 
     def kernel(self) -> KernelSpec:
-        base = "gaussian" if self.kernel_order == 2 else "quartic"
         h = self.bandwidth
         if h is None:
             h = default_bandwidth(self.the_window().area(), q=1, k=1,
                                   l=self.kernel_order, m=2, c0=self.bandwidth_c0)
-        return KernelSpec(order=self.kernel_order, bandwidth=h, base=base)
+        return KernelSpec(order=self.kernel_order, bandwidth=h)
 
 
 @dataclass
@@ -282,7 +283,8 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         return record
     except (NonConvergenceError, SingularHessianError, SingularSensitivityError,
             BoundViolationError, InsufficientPointsError, NonpositiveIntensityError,
-            ZeroMassError, ZeroDenominatorError) as exc:
+            ZeroMassError, ZeroDenominatorError, DecompositionError,
+            NonFiniteFieldError) as exc:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -559,9 +561,7 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
     spec = log_linear_model(y_fields, z_fields)
     kernel = None
     if cfg["bandwidth"] is not None:
-        base = "gaussian" if cfg["kernel_order"] == 2 else "quartic"
-        kernel = KernelSpec(order=cfg["kernel_order"], bandwidth=float(cfg["bandwidth"]),
-                            base=base)
+        kernel = KernelSpec(order=cfg["kernel_order"], bandwidth=float(cfg["bandwidth"]))
     run_cfg = CrossFitConfig(
         n_folds=int(cfg["folds"]), seed=int(cfg["seed"]), kernel=kernel,
         kernel_order=int(cfg["kernel_order"]), bandwidth_c0=float(cfg["bandwidth_c0"]),

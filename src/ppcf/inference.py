@@ -34,11 +34,7 @@ from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 from scipy.stats import norm
 
-from .errors import (
-    InsufficientPointsError,
-    SingularSensitivityError,
-    ZeroDenominatorError,
-)
+from .errors import InsufficientPointsError, SingularSensitivityError
 from .model import ModelSpec, QuadratureScheme
 from .nuisance import NuisanceFit
 from .process import PointPattern
@@ -90,47 +86,12 @@ class PcfModel:
 # -- least favorable direction ------------------------------------------------
 
 
-def estimate_lfd(nf: NuisanceFit, theta_hat, eta_hat, z) -> np.ndarray:
-    """Plug-in least-favorable-direction nu-hat(z) from weighted kernel regression.
-
-    ``eta_hat`` is the aggregated curve (callable on (n, q) arrays) or a scalar
-    value at this z.  Log-linear links use the tilted-mean form; general links
-    the ratio of the kernel objective's mixed second derivatives.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    z_arr = np.asarray(z, dtype=float).reshape(1, -1)
-    gamma = float(eta_hat(z_arr)[0]) if callable(eta_hat) else float(eta_hat)
-    if nf.spec.link == "log-linear":
-        _, k_nodes, _ = nf._point_weights(z)
-        tilt = nf.weights * k_nodes * np.exp(nf.Y_nodes @ theta_hat + gamma)
-        denom = float(np.sum(tilt))
-        if denom <= 0.0:
-            raise ZeroDenominatorError(f"tilted kernel mass vanished at z={z}")
-        return -(tilt @ nf.Y_nodes) / denom
-    _, g_gg, g_tg = nf.objective_partials(theta_hat, gamma, z)
-    if abs(g_gg) < 1e-300:
-        raise ZeroDenominatorError(f"curvature in gamma vanished at z={z}")
-    return -g_tg / g_gg
-
-
 def lfd_values(nf: NuisanceFit, theta_hat, eta_hat, Z) -> np.ndarray:
-    """nu-hat at many z at once; grid-accelerated for 1-d log-linear fits."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if nf.spec.link == "log-linear" and nf._grid is not None:
-        ay = np.exp(nf.Y_nodes @ theta_hat)
-        den = nf._KW @ ay
-        nu_grid = np.zeros((nf._grid.shape[0], nf.k))
-        ok = den > 0
-        for c in range(nf.k):
-            num = nf._KW @ (ay * nf.Y_nodes[:, c])
-            nu_grid[ok, c] = -num[ok] / den[ok]
-        zs = (Z[:, 0] - nf._mu[0]) / nf._sd[0]
-        return np.column_stack([np.interp(zs, nf._grid, nu_grid[:, c])
-                                for c in range(nf.k)])
-    return np.vstack([estimate_lfd(nf, theta_hat, eta_hat, z) for z in Z])
+    """Plug-in least favorable direction nu-hat at many z: the unclamped theta-derivative
+    of the kernel curve, which needs eta_hat(z) under general links only."""
+    Z = np.asarray(Z, dtype=float).reshape(-1, nf.q)
+    gamma = None if nf.spec.link == "log-linear" else eta_hat(Z)
+    return nf.raw_dtheta(theta_hat, Z, gamma)
 
 
 # -- sandwich terms ----------------------------------------------------------------

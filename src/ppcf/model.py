@@ -286,6 +286,29 @@ def _loglik_arrays(spec, theta, Y, gamma, weights, is_data, scale):
     return float(np.sum(np.log(data_lam)) - np.sum(weights * lam))
 
 
+def _dlog_lambda(spec, theta, Y, gamma, d, d2, want_hessian):
+    """General link: lambda and its first/second theta-derivatives along
+    theta -> (theta, eta_theta), raw and of log lambda: (lam, dlam, dlog, d2lam, d2log)."""
+    t = spec.tau(theta, Y)
+    g = spec.tau_grad(theta, Y)                                # (m, k)
+    p = spec.psi
+    lam = p.psi(t, gamma)
+    lt = p.dpsi_dt(t, gamma)
+    lg = p.dpsi_dg(t, gamma)
+    dlam = lt[:, None] * g + lg[:, None] * d                   # (m, k)
+    dlog = dlam / lam[:, None]
+    if not want_hessian:
+        return lam, dlam, dlog, None, None
+    gd = g[:, :, None] * d[:, None, :]
+    d2lam = (p.d2psi_dtt(t, gamma)[:, None, None] * g[:, :, None] * g[:, None, :]
+             + p.d2psi_dtg(t, gamma)[:, None, None] * (gd + gd.transpose(0, 2, 1))
+             + p.d2psi_dgg(t, gamma)[:, None, None] * d[:, :, None] * d[:, None, :]
+             + lt[:, None, None] * spec.tau_hess(theta, Y)
+             + lg[:, None, None] * d2)
+    d2log = d2lam / lam[:, None, None] - dlog[:, :, None] * dlog[:, None, :]
+    return lam, dlam, dlog, d2lam, d2log
+
+
 def _score_hessian_arrays(spec, theta, Y, gamma, d_gamma, d2_gamma, weights,
                           is_data, scale, want_hessian):
     """Total derivative of the quadrature objective along theta -> (theta, eta_theta)."""
@@ -304,30 +327,13 @@ def _score_hessian_arrays(spec, theta, Y, gamma, d_gamma, d2_gamma, weights,
         hess = hess - np.einsum("j,jab->ab", wl, d2_gamma)
         return score, hess
 
-    t = spec.tau(theta, Y)
-    g = spec.tau_grad(theta, Y)                                # (m, k)
-    p = spec.psi
-    lam = p.psi(t, gamma)
+    lam, dlam, dlog, d2lam, d2log = _dlog_lambda(spec, theta, Y, gamma, d_gamma, d2_gamma,
+                                                 want_hessian)
     if np.any(scale * lam[is_data] <= 0):
         raise NonpositiveIntensityError("scaled intensity nonpositive at a data point")
-    lt = p.dpsi_dt(t, gamma)
-    lg = p.dpsi_dg(t, gamma)
-    dlam = lt[:, None] * g + lg[:, None] * d_gamma             # (m, k)
-    dlog = dlam / lam[:, None]
     score = dlog[is_data].sum(axis=0) - scale * (weights[:, None] * dlam).sum(axis=0)
     if not want_hessian:
         return score, None
-    ltt = p.d2psi_dtt(t, gamma)
-    ltg = p.d2psi_dtg(t, gamma)
-    lgg = p.d2psi_dgg(t, gamma)
-    H = spec.tau_hess(theta, Y)                                # (m, k, k)
-    gd = g[:, :, None] * d_gamma[:, None, :]
-    d2lam = (ltt[:, None, None] * g[:, :, None] * g[:, None, :]
-             + ltg[:, None, None] * (gd + gd.transpose(0, 2, 1))
-             + lgg[:, None, None] * d_gamma[:, :, None] * d_gamma[:, None, :]
-             + lt[:, None, None] * H
-             + lg[:, None, None] * d2_gamma)
-    d2log = d2lam / lam[:, None, None] - dlog[:, :, None] * dlog[:, None, :]
     hess = d2log[is_data].sum(axis=0) - scale * np.einsum("j,jab->ab", weights, d2lam)
     return score, hess
 
@@ -473,19 +479,7 @@ def _logistic_score_hessian(spec, theta, Y, gamma, d, d2, rho, scale, sign_data)
         dlog = Y + d
         d2log = d2
     else:
-        t = spec.tau(theta, Y)
-        p = spec.psi
-        lam_raw = p.psi(t, gamma)
-        g = spec.tau_grad(theta, Y)
-        dlam = p.dpsi_dt(t, gamma)[:, None] * g + p.dpsi_dg(t, gamma)[:, None] * d
-        dlog = dlam / lam_raw[:, None]
-        gd = g[:, :, None] * d[:, None, :]
-        d2lam = (p.d2psi_dtt(t, gamma)[:, None, None] * g[:, :, None] * g[:, None, :]
-                 + p.d2psi_dtg(t, gamma)[:, None, None] * (gd + gd.transpose(0, 2, 1))
-                 + p.d2psi_dgg(t, gamma)[:, None, None] * d[:, :, None] * d[:, None, :]
-                 + p.dpsi_dt(t, gamma)[:, None, None] * spec.tau_hess(theta, Y)
-                 + p.dpsi_dg(t, gamma)[:, None, None] * d2)
-        d2log = d2lam / lam_raw[:, None, None] - dlog[:, :, None] * dlog[:, None, :]
+        lam_raw, _, dlog, _, d2log = _dlog_lambda(spec, theta, Y, gamma, d, d2, True)
         lam = scale * lam_raw
     p_node = lam / (lam + rho)
     if sign_data:

@@ -8,34 +8,40 @@ process with intensity (V-1)/V * lambda), the modeled intensity carries that
 thinning fraction, which is what makes the fitted curve unbiased; the stored
 ``scale`` is its reciprocal V/(V-1).
 
-Under the log-linear link the per-z maximizer has the closed form
+One batched evaluator serves every link and nuisance dimension: it builds the
+kernel rows of a batch of z as plain signed sums and solves every row at once.
+Under the log-linear link
 
     gamma(z) = log( scale * sum_train K_h(z_u - z)
                     / sum_j w_j K_h(z_j - z) exp(theta . y_j) )
 
-whose theta-derivatives are tilted kernel moments of y.  General links fall
-back to golden-section search and implicit differentiation.
-
-Nuisance covariates are standardized by training moments before kernel
-evaluation; bandwidths are in standardized units.  Kernel weights are
-renormalized by their total quadrature mass at each z, which keeps the
-objective scale stable near the boundary of the covariate support (the ratio
-estimators are unaffected).
+and its theta-derivatives, minus the tilted kernel mean and covariance of y,
+come from one product of the rows with [a, a y, a y y^T], a_j = exp(theta . y_j).
+General links run a bracketed Newton iteration on the gamma-score, implicit
+differentiation for the first theta-derivative and a central difference of it
+for the second.  One smooth clamp maps raw values into ``eta_range``.  For q = 1
+the evaluator runs at the nodes of a fixed grid and the curve is interpolated
+linearly; for q >= 2 it runs at the query points, in chunks of bounded size.
+Covariates are standardized by training moments (bandwidths in those units).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InsufficientPointsError, ZeroDenominatorError, ZeroMassError
+from .errors import (InsufficientPointsError, NonConvergenceError, ZeroDenominatorError,
+                     ZeroMassError)
 from .model import ModelSpec, QuadratureScheme
 from .process import PointPattern
 
-_GOLDEN_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CHUNK_ELEMS = 1 << 16        # entries of one (rows, n + m, q) kernel temporary
+_NEWTON_TOL = 1e-12           # relative step at which a row's Newton iteration stops
+_NEWTON_MAX_ITER = 200
+_FD_STEP = 1e-4               # theta step of the general-link second derivative
 
 
 def _gaussian(t):
@@ -58,9 +64,14 @@ class KernelSpec:
 
     order: int
     bandwidth: float
-    base: str = "gaussian"
+    base: Optional[str] = None       # None: the one base kernel of this order
 
     def __post_init__(self):
+        if self.base is None:
+            bases = [name for name, (_, order, _) in _KERNELS.items() if order == self.order]
+            if not bases:
+                raise ValueError(f"no kernel of order {self.order}")
+            object.__setattr__(self, "base", bases[0])
         if self.base not in _KERNELS:
             raise ValueError(f"unknown kernel base {self.base!r}")
         fn, native_order, support = _KERNELS[self.base]
@@ -89,12 +100,12 @@ class KernelSpec:
         return _KERNELS[self.base][0](t)
 
     def product(self, diffs):
-        """K_h(z) = h^-q * prod_i k(z_i / h) for standardized differences (n, q)."""
+        """K_h(z) = h^-q * prod_i k(z_i / h) for standardized differences (..., q)."""
         diffs = np.asarray(diffs, dtype=float)
         if diffs.ndim == 1:
             diffs = diffs[:, None]
-        q = diffs.shape[1]
-        return np.prod(self.k1(diffs / self.bandwidth), axis=1) / self.bandwidth ** q
+        q = diffs.shape[-1]
+        return np.prod(self.k1(diffs / self.bandwidth), axis=-1) / self.bandwidth ** q
 
 
 def default_bandwidth(window_area: float, q: int, k: int, l: int, m: int,
@@ -148,37 +159,40 @@ def _soft_clip(g, lo, hi, tau):
     return s2, first, second
 
 
-def _golden_max(f, lo, hi, tol=1e-10, scan=32):
-    """Golden-section maximizer on [lo, hi] after a coarse scan for the bracket."""
-    xs = np.linspace(lo, hi, scan)
-    vals = np.array([f(x) for x in xs])
-    i = int(np.nanargmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, scan - 1)]
-    c = b - _GOLDEN_INVPHI * (b - a)
-    d = a + _GOLDEN_INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+class _Rows(NamedTuple):
+    """Kernel rows of a batch of z, each divided by the max-abs of its node part."""
+
+    train: np.ndarray    # (B,) training kernel sums, or (B, n) rows where needed
+    KW: np.ndarray       # (B, m) w_j K_h(z_j - z)
+    mass: np.ndarray     # (B,) sum_j w_j K_h(z_j - z)
+
+
+def _tilted_moments(KW, ay, Y, order):
+    """(mass, -mean, -covariance) of y under each kernel row tilted by ay, from the
+    one product KW @ [ay, ay y, ay y(x)y]; zero mean and covariance where the mass
+    is not positive, no covariance below ``order`` 2."""
+    m, k = Y.shape
+    blocks = [np.ones((m, 1)), Y, (Y[:, :, None] * Y[:, None, :]).reshape(m, k * k)]
+    M = KW @ (ay[:, None] * np.hstack(blocks[:order + 1]))
+    den = M[:, 0]
+    M = M / np.where(den > 0, den, np.inf)[:, None]
+    mu = M[:, 1:1 + k]
+    if order < 2:
+        return den, -mu, None
+    return den, -mu, mu[:, :, None] * mu[:, None, :] - M[:, 1 + k:].reshape(-1, k, k)
+
+
+def _interp(x, xp, fp):
+    """np.interp of every trailing column of fp (len(xp), ...) at x."""
+    cols = [np.interp(x, xp, c) for c in fp.reshape(xp.shape[0], -1).T]
+    return np.column_stack(cols).reshape((x.shape[0],) + fp.shape[1:])
 
 
 class NuisanceFit:
     """Kernel estimate of the curve theta -> eta_theta(.) trained on one pattern.
 
-    Exact per-point evaluators (`fit_eta`, `eta_dtheta`, ...) share their kernel
-    sums with a bulk grid backend (1-d nuisance covariate only) that evaluates
-    the curve and its theta-derivatives at many z per optimizer iteration; the
-    grid curve is linearly interpolated, so it is itself a smooth function of
-    theta and differentiation commutes with interpolation.
-    """
+    ``eta_at``/``eta_all``, the profile optimizer's interface, evaluate at the query
+    points (``exact``) when q >= 2 and at cached grid nodes when q = 1."""
 
     def __init__(self, spec: ModelSpec, train: PointPattern, quad: QuadratureScheme,
                  kernel: KernelSpec, scale: float = 1.0,
@@ -188,7 +202,6 @@ class NuisanceFit:
         if scale < 1.0:
             raise ValueError("scale is V/(V-1) >= 1 (1 when trained on the full pattern)")
         self.spec = spec
-        self.train = train
         self.quad = quad
         self.kernel = kernel
         self.scale = float(scale)
@@ -205,6 +218,7 @@ class NuisanceFit:
         self._sd = np.where(sd > 1e-12 * np.maximum(1.0, np.abs(self._mu)), sd, 1.0)
         self._Zs_train = (Z_train - self._mu) / self._sd
         self._Zs_nodes = (Z_nodes - self._mu) / self._sd
+        self._Zs_all = np.vstack([self._Zs_train, self._Zs_nodes])
 
         n = train.count()
         area = spec.window.area()
@@ -219,277 +233,216 @@ class NuisanceFit:
             lo = min(self._Zs_train.min(), self._Zs_nodes.min())
             hi = max(self._Zs_train.max(), self._Zs_nodes.max())
             pad = 0.05 * max(hi - lo, 1e-9)
-            grid = np.linspace(lo - pad, hi + pad, int(grid_size))
-            with np.errstate(divide="ignore"):
-                diff_train = self._Zs_train[:, 0][None, :] - grid[:, None]
-                kt = self.kernel.k1(diff_train / kernel.bandwidth) / kernel.bandwidth
-                # log of the training kernel sum, stable in the far tails
-                log_kt = np.log(kt)
-                mt = log_kt.max(axis=1)
-                safe_mt = np.where(np.isfinite(mt), mt, 0.0)
-                self._logN_grid = safe_mt + np.log(
-                    np.exp(log_kt - safe_mt[:, None]).sum(axis=1))
-                diff_nodes = self._Zs_nodes[:, 0][None, :] - grid[:, None]
-                kw = (self.kernel.k1(diff_nodes / kernel.bandwidth) / kernel.bandwidth
-                      * self.weights[None, :])
-                # rescale each row by its peak so tilted sums never underflow to 0
-                log_kw = np.log(kw)
-                mw = log_kw.max(axis=1)
-                safe_mw = np.where(np.isfinite(mw), mw, 0.0)
-                self._KW = np.exp(log_kw - safe_mw[:, None])
-            self._logKW_rowmax = safe_mw
-            self._grid_supported = np.isfinite(mw)
-            self._grid = grid
+            self._grid = np.linspace(lo - pad, hi + pad, int(grid_size))
+            self._grid_rows = _Rows(*self._rows(self._grid[:, None], lambda _, r: r, strict=False))
 
-    # -- exact per-point kernel sums --------------------------------------
+    def standardize(self, Z):
+        return (np.asarray(Z, dtype=float).reshape(-1, self.q) - self._mu) / self._sd
 
-    def standardize(self, z):
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if z.shape[0] != self.q:
-            raise ValueError(f"z must have length {self.q}")
-        return (z - self._mu) / self._sd
+    def _rows(self, Zs, fn, full=False, strict=True):
+        """fn(slice, rows) over chunks of standardized query points Zs (B, q), stacked.
 
-    def _point_weights(self, z):
-        """Raw kernel weights against training points and quadrature nodes."""
-        zs = self.standardize(z)
-        k_train = self.kernel.product(self._Zs_train - zs[None, :])
-        k_nodes = self.kernel.product(self._Zs_nodes - zs[None, :])
-        mass = float(np.sum(self.weights * k_nodes))
-        if mass <= 0.0:
-            raise ZeroMassError(f"no quadrature kernel mass at z={z} (bandwidth too small)")
-        return k_train, k_nodes, mass
+        Rows are plain signed kernel sums over their node part's max-abs (tilted sums
+        cannot underflow), the training part summed unless ``full`` or general.
+        ``strict``: raise where there is no quadrature kernel mass."""
+        n = self._Zs_train.shape[0]
+        full = full or self.spec.link == "general"
+        step = max(1, _CHUNK_ELEMS // (self._Zs_all.shape[0] * self.q))
+        outs = []
+        for s in range(0, Zs.shape[0], step):
+            K = self.kernel.product(self._Zs_all[None, :, :] - Zs[s:s + step, None, :])
+            KW = K[:, n:] * self.weights
+            peak = np.abs(KW).max(axis=1)
+            peak[peak == 0] = 1.0
+            KT = K[:, :n] / peak[:, None]
+            KW /= peak[:, None]
+            mass = KW.sum(axis=1)
+            if strict and np.any(mass <= 0):
+                raise ZeroMassError("no quadrature kernel mass at a query point "
+                                    "(bandwidth too small)")
+            outs.append(fn(slice(s, s + step), _Rows(KT if full else KT.sum(axis=1), KW, mass)))
+        return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*outs))
 
-    # -- objective ---------------------------------------------------------
-
-    def thinning_fraction(self) -> float:
-        return 1.0 / self.scale
-
-    def objective(self, theta, gamma, z) -> float:
-        theta = np.asarray(theta, dtype=float)
-        k_train, k_nodes, mass = self._point_weights(z)
-        c = self.thinning_fraction()
-        p = self.spec.psi
-        active = k_train > 0
+    def _objective(self, theta, gamma, rows):
+        c, p = 1.0 / self.scale, self.spec.psi
+        g = gamma[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t_train = self.spec.tau(theta, self.Y_train[active])
-            log_term = np.log(c * p.psi(t_train, gamma))
-            data = np.sum(k_train[active] * log_term)
-            t_nodes = self.spec.tau(theta, self.Y_nodes)
-            integral = np.sum(self.weights * k_nodes * c * p.psi(t_nodes, gamma))
-        val = (data - integral) / mass
-        return float(val) if np.isfinite(val) else -np.inf
+            log_term = np.log(c * p.psi(self.spec.tau(theta, self.Y_train), g))
+            data = np.where(rows.train != 0, rows.train * log_term, 0.0).sum(axis=1)
+            val = data - c * (rows.KW * p.psi(self.spec.tau(theta, self.Y_nodes), g)).sum(axis=1)
+        return np.where(np.isfinite(val), val, -np.inf)
 
-    def objective_partials(self, theta, gamma, z):
-        """(d/dgamma, d2/dgamma2, d2/dtheta dgamma) of the kernel objective."""
-        theta = np.asarray(theta, dtype=float)
-        k_train, k_nodes, mass = self._point_weights(z)
-        c = self.thinning_fraction()
-        p = self.spec.psi
+    def objective(self, theta, gamma, Z):
+        """Kernel objective per unit quadrature kernel mass at query points Z (B, q)."""
+        Zs = self.standardize(Z)
+        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), Zs.shape[:1])
+        per_mass = lambda sl, rows: (self._objective(theta, gamma[sl], rows) / rows.mass,)
+        return self._rows(Zs, per_mass, full=True)[0]
+
+    def _partials(self, theta, gamma, rows, mixed=False):
+        """Each row's dG/dgamma, d2G/dgamma2 and, with ``mixed``, d2G/dtheta dgamma."""
+        c, p = 1.0 / self.scale, self.spec.psi
+        g = gamma[:, None]
         t_tr = self.spec.tau(theta, self.Y_train)
         t_nd = self.spec.tau(theta, self.Y_nodes)
-        v_tr = p.psi(t_tr, gamma)
-        v_nd = p.psi(t_nd, gamma)
-        dg_tr = p.dpsi_dg(t_tr, gamma)
-        dg_nd = p.dpsi_dg(t_nd, gamma)
-        wk = self.weights * k_nodes
-        g_g = np.sum(k_train * dg_tr / v_tr) - c * np.sum(wk * dg_nd)
-        g_gg = (np.sum(k_train * (p.d2psi_dgg(t_tr, gamma) / v_tr - (dg_tr / v_tr) ** 2))
-                - c * np.sum(wk * p.d2psi_dgg(t_nd, gamma)))
-        grad_tr = self.spec.tau_grad(theta, self.Y_train)
-        grad_nd = self.spec.tau_grad(theta, self.Y_nodes)
-        mixed_tr = (p.d2psi_dtg(t_tr, gamma) * v_tr - p.dpsi_dt(t_tr, gamma) * dg_tr) / v_tr ** 2
-        g_tg = ((k_train * mixed_tr) @ grad_tr
-                - c * (wk * p.d2psi_dtg(t_nd, gamma)) @ grad_nd)
-        return g_g / mass, g_gg / mass, g_tg / mass
+        v_tr = p.psi(t_tr, g)
+        v_tr = np.where(v_tr > 0, v_tr, np.nan)      # no log Psi: NaN partials
+        r_tr = p.dpsi_dg(t_tr, g) / v_tr
+        g_g = (rows.train * r_tr).sum(axis=1) - c * (rows.KW * p.dpsi_dg(t_nd, g)).sum(axis=1)
+        g_gg = ((rows.train * (p.d2psi_dgg(t_tr, g) / v_tr - r_tr ** 2)).sum(axis=1)
+                - c * (rows.KW * p.d2psi_dgg(t_nd, g)).sum(axis=1))
+        if not mixed:
+            return g_g, g_gg
+        mixed_tr = (p.d2psi_dtg(t_tr, g) - p.dpsi_dt(t_tr, g) * r_tr) / v_tr
+        g_tg = ((rows.train * mixed_tr) @ self.spec.tau_grad(theta, self.Y_train)
+                - c * (rows.KW * p.d2psi_dtg(t_nd, g)) @ self.spec.tau_grad(theta, self.Y_nodes))
+        return g_g, g_gg, g_tg
 
-    # -- per-point fit and derivatives -------------------------------------
+    def _newton(self, theta, rows, x0=None):
+        """Each row's argmax of the objective over eta_range; returns (gamma, saturated).
 
-    def _clip(self, gamma: float) -> float:
+        A row whose gamma-score keeps one sign on the range saturates at the bound it
+        points to (the better one if both); the others take Newton steps from ``x0``
+        (or mid-range) inside a shrinking bracket, bisecting when a step leaves it.
+        """
         lo, hi = self.eta_range
-        if gamma < lo:
-            self.diagnostics["clip_count"] += 1
-            return lo
-        if gamma > hi:
-            self.diagnostics["clip_count"] += 1
-            return hi
-        return gamma
+        B = rows.mass.shape[0]
+        s_lo = self._partials(theta, np.full(B, lo), rows)[0]
+        up = self._partials(theta, np.full(B, hi), rows)[0] >= 0
+        both = up & (s_lo <= 0)
+        if both.any():
+            sub = rows._make(r[both] for r in rows)
+            value = lambda g: self._objective(theta, np.full(sub.mass.shape, g), sub)
+            up[both] = value(hi) > value(lo)
+        sat = up | (s_lo <= 0)
+        gamma = np.where(up, hi, lo)
+        act = np.flatnonzero(~sat)
+        a, b = np.full(act.size, lo), np.full(act.size, hi)
+        x = np.full(act.size, 0.5 * (lo + hi)) if x0 is None else np.clip(x0[act], lo, hi)
+        for _ in range(_NEWTON_MAX_ITER):
+            if act.size == 0:
+                return gamma, sat
+            sub = rows if act.size == B else rows._make(r[act] for r in rows)
+            s, s1 = self._partials(theta, x, sub)
+            rising = ~(s <= 0)    # NaN: Psi <= 0 at a training point, gamma too low
+            a, b = np.where(rising, x, a), np.where(rising, b, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = np.where(s == 0, x, x - s / s1)
+            bisect = (s != 0) & ~((x_new > a) & (x_new < b))
+            x_new[bisect] = 0.5 * (a + b)[bisect]
+            gamma[act] = x_new
+            go = np.abs(x_new - x) > _NEWTON_TOL * (1.0 + np.abs(x))
+            act, a, b, x = act[go], a[go], b[go], x_new[go]
+        raise NonConvergenceError(f"nuisance Newton iteration did not converge at "
+                                  f"{act.size} point(s)")
 
-    def fit_eta(self, theta, z) -> float:
-        """Maximizer over gamma; closed form under the log-linear link."""
-        theta = np.asarray(theta, dtype=float)
-        if self.spec.link == "log-linear":
-            k_train, k_nodes, _ = self._point_weights(z)
-            num = float(np.sum(k_train))
-            if num <= 0.0:
-                self.diagnostics["empty_numerator"] += 1
-                return self.eta_range[0]
-            denom = float(np.sum(self.weights * k_nodes * np.exp(self.Y_nodes @ theta)))
-            if denom <= 0.0:
-                raise ZeroDenominatorError(f"tilted kernel mass vanished at z={z}")
-            return self._clip(math.log(self.scale * num / denom))
+    def _implicit_d(self, theta, gamma, rows):
+        """(d, flat): -G_theta,gamma / G_gamma,gamma per row, 0 where G_gamma,gamma = 0."""
+        _, g_gg, g_tg = self._partials(theta, gamma, rows, mixed=True)
+        flat = ~(np.abs(g_gg) >= 1e-300)
+        return -g_tg / np.where(flat, -np.inf, g_gg)[:, None], flat
+
+    def _solve(self, theta, rows, order, strict):
+        """Clamped (gamma, d, D2) on a batch of kernel rows; None beyond ``order``.
+
+        Rows with a non-positive training kernel sum take the floor (counted in
+        ``empty_numerator``); rows without quadrature or tilted mass or curvature in
+        gamma raise if ``strict`` (direct queries), else take the floor (the grid).
+        ``clip_count`` counts rows whose raw gamma lies outside ``eta_range``.
+        """
         lo, hi = self.eta_range
-        return self._clip(_golden_max(lambda g: self.objective(theta, g, z), lo, hi))
-
-    def eta_dtheta(self, theta, z) -> np.ndarray:
-        """d eta_theta(z) / d theta: tilted kernel mean of -y (log-linear) or the
-        implicit-function ratio of mixed second derivatives."""
-        theta = np.asarray(theta, dtype=float)
+        num = rows.train if rows.train.ndim == 1 else rows.train.sum(axis=1)
+        self.diagnostics["empty_numerator"] += int(np.count_nonzero(num <= 0))
+        floor = (num <= 0) | (rows.mass <= 0)
         if self.spec.link == "log-linear":
-            _, k_nodes, _ = self._point_weights(z)
-            tilt = self.weights * k_nodes * np.exp(self.Y_nodes @ theta)
-            denom = float(np.sum(tilt))
-            if denom <= 0.0:
-                raise ZeroDenominatorError(f"tilted kernel mass vanished at z={z}")
-            return -(tilt @ self.Y_nodes) / denom
-        gamma = self.fit_eta(theta, z)
-        _, g_gg, g_tg = self.objective_partials(theta, gamma, z)
-        if abs(g_gg) < 1e-300:
-            raise ZeroDenominatorError(f"curvature in gamma vanished at z={z}")
-        return -g_tg / g_gg
+            den, d_raw, D2_raw = _tilted_moments(rows.KW, np.exp(self.Y_nodes @ theta),
+                                                 self.Y_nodes, order)
+            no_den = (den <= 0) & ~floor
+            if strict and no_den.any():
+                raise ZeroDenominatorError("tilted kernel mass vanished at a query point")
+            flat = floor = floor | no_den
+            gamma_raw = np.log(np.where(floor, 1.0, self.scale * num / np.where(floor, 1.0, den)))
+            outside = ~floor & ((gamma_raw < lo) | (gamma_raw > hi))
+        else:
+            gamma_raw, sat = self._newton(theta, rows)
+            outside, flat, d_raw, D2_raw = sat & ~floor, floor | sat, None, None
+            if order >= 1:
+                d_raw, no_curv = self._implicit_d(theta, gamma_raw, rows)
+                if strict and (no_curv & ~flat).any():
+                    raise ZeroDenominatorError("curvature in gamma vanished at a query point")
+                flat |= no_curv
+                d_raw[flat] = 0.0
+            if order >= 2:
+                def d_at(shift):    # d at theta + shift, Newton warm-started along d
+                    g = self._newton(theta + shift, rows, gamma_raw + d_raw @ shift)[0]
+                    return self._implicit_d(theta + shift, g, rows)[0]
 
-    def eta_d2theta(self, theta, z) -> np.ndarray:
-        """Second theta-derivative: negative tilted covariance of y (log-linear),
-        finite differences of eta_dtheta otherwise."""
+                steps = _FD_STEP * np.eye(self.k)
+                D2_raw = np.stack([(d_at(e) - d_at(-e)) / (2 * _FD_STEP) for e in steps], axis=2)
+                D2_raw = 0.5 * (D2_raw + D2_raw.transpose(0, 2, 1))
+        gamma_raw[floor] = lo
+        self.diagnostics["clip_count"] += int(np.count_nonzero(outside))
+        gamma, chain1, chain2 = _soft_clip(gamma_raw, lo, hi, self._clip_tau)
+        if order < 1:
+            return gamma, None, None
+        d_raw[flat] = 0.0
+        d = chain1[:, None] * d_raw
+        if order < 2:
+            return gamma, d, None
+        D2_raw[flat] = 0.0
+        dd = d_raw[:, :, None] * d_raw[:, None, :]
+        return gamma, d, chain1[:, None, None] * D2_raw + chain2[:, None, None] * dd
+
+    def exact(self, theta, Z, order=2):
+        """(gamma, d, D2) at query points Z (B, q) from their own kernel rows, None
+        beyond ``order``; raises ZeroMassError/ZeroDenominatorError without support."""
         theta = np.asarray(theta, dtype=float)
-        if self.spec.link == "log-linear":
-            _, k_nodes, _ = self._point_weights(z)
-            tilt = self.weights * k_nodes * np.exp(self.Y_nodes @ theta)
-            denom = float(np.sum(tilt))
-            if denom <= 0.0:
-                raise ZeroDenominatorError(f"tilted kernel mass vanished at z={z}")
-            mu = (tilt @ self.Y_nodes) / denom
-            second = np.einsum("j,ja,jb->ab", tilt, self.Y_nodes, self.Y_nodes) / denom
-            return -(second - np.outer(mu, mu))
-        step = 1e-4
-        out = np.empty((self.k, self.k))
-        for i in range(self.k):
-            e = np.zeros(self.k)
-            e[i] = step
-            out[:, i] = (self.eta_dtheta(theta + e, z) - self.eta_dtheta(theta - e, z)) / (2 * step)
-        return 0.5 * (out + out.T)
+        return self._rows(self.standardize(Z),
+                          lambda _, rows: self._solve(theta, rows, order, strict=True))
+
+    def raw_dtheta(self, theta, Z, gamma=None) -> np.ndarray:
+        """Unclamped d eta_theta / d theta at Z (B, q): the plug-in least favorable direction.
+
+        Log-linear: minus the tilted kernel mean of y, free of gamma (off the grid
+        when q = 1).  General links: the implicit ratio at the given ``gamma`` (B,).
+        """
+        theta = np.asarray(theta, dtype=float)
+        log_linear = self.spec.link == "log-linear"
+
+        def one(sl, rows):
+            if log_linear:
+                ay = np.exp(self.Y_nodes @ theta)
+                den, d, _ = _tilted_moments(rows.KW, ay, self.Y_nodes, 1)
+                flat = den <= 0
+            else:
+                d, flat = self._implicit_d(theta, np.asarray(gamma, dtype=float)[sl], rows)
+            if sl is not None and flat.any():        # grid rows (sl None) keep d = 0
+                raise ZeroDenominatorError("no tilted mass or gamma-curvature at a query point")
+            return (d,)
+
+        Zs = self.standardize(Z)
+        if log_linear and self._grid is not None:
+            return _interp(Zs[:, 0], self._grid, one(None, self._grid_rows)[0])
+        return self._rows(Zs, one)[0]
 
     # -- bulk curve interface (used by the profile optimizer) ---------------
 
-    def _grid_curve(self, theta, need_derivs):
+    def _curve(self, theta, Z, order):
         theta = np.asarray(theta, dtype=float)
-        key = (theta.tobytes(), need_derivs)
+        if self._grid is None:
+            return self.exact(theta, Z, order)
+        key = theta.tobytes()
         hit = self._grid_cache.get(key)
-        if hit is not None:
-            return hit
-        if not need_derivs:
-            full = self._grid_cache.get((theta.tobytes(), True))
-            if full is not None:
-                return full
-        lo, hi = self.eta_range
-        if self.spec.link == "log-linear":
-            ay = np.exp(self.Y_nodes @ theta)
-            denom = self._KW @ ay                # scaled by exp(-rowmax), > 0 on support
-            valid = self._grid_supported & np.isfinite(self._logN_grid) & (denom > 0)
-            gamma_raw = np.full(self._grid.shape, lo)
-            gamma_raw[valid] = (math.log(self.scale) + self._logN_grid[valid]
-                                - self._logKW_rowmax[valid] - np.log(denom[valid]))
-            gamma, chain1, chain2 = _soft_clip(gamma_raw, lo, hi, self._clip_tau)
-            if not need_derivs:
-                out = (gamma, None, None)
-                self._grid_cache[key] = out
-                self._trim_cache()
-                return out
-            ym = ay[:, None] * self.Y_nodes
-            first = self._KW @ ym                      # (B, k)
-            mu = np.zeros_like(first)
-            mu[valid] = first[valid] / denom[valid, None]
-            d_raw = -mu
-            B = self._grid.shape[0]
-            D2_raw = np.zeros((B, self.k, self.k))
-            for i in range(self.k):
-                for j in range(i + 1):
-                    sec = self._KW @ (ym[:, i] * self.Y_nodes[:, j])
-                    cov = np.zeros(B)
-                    cov[valid] = sec[valid] / denom[valid] - mu[valid, i] * mu[valid, j]
-                    D2_raw[:, i, j] = -cov
-                    D2_raw[:, j, i] = -cov
-            d_raw[~valid] = 0.0
-            D2_raw[~valid] = 0.0
-            d = chain1[:, None] * d_raw
-            D2 = (chain1[:, None, None] * D2_raw
-                  + chain2[:, None, None] * d_raw[:, :, None] * d_raw[:, None, :])
-            out = (gamma, d, D2)
-        else:
-            B = self._grid.shape[0]
-            gamma = np.empty(B)
-            d = np.zeros((B, self.k))
-            for b in range(B):
-                z = self._grid[b] * self._sd + self._mu
-                try:
-                    gamma[b] = self.fit_eta(theta, z)
-                    if need_derivs:
-                        d[b] = self.eta_dtheta(theta, z)
-                except (ZeroMassError, ZeroDenominatorError):
-                    gamma[b] = lo
-            if not need_derivs:
-                out = (gamma, None, None)
-            else:
-                step = 1e-4
-                D2 = np.zeros((B, self.k, self.k))
-                for i in range(self.k):
-                    e = np.zeros(self.k)
-                    e[i] = step
-                    _, d_p, _ = self._grid_curve_raw_d(theta + e)
-                    _, d_m, _ = self._grid_curve_raw_d(theta - e)
-                    D2[:, :, i] = (d_p - d_m) / (2 * step)
-                D2 = 0.5 * (D2 + D2.transpose(0, 2, 1))
-                out = (gamma, d, D2)
-        self._grid_cache[key] = out
-        self._trim_cache()
-        return out
-
-    def _grid_curve_raw_d(self, theta):
-        B = self._grid.shape[0]
-        gamma = np.empty(B)
-        d = np.zeros((B, self.k))
-        for b in range(B):
-            z = self._grid[b] * self._sd + self._mu
-            try:
-                gamma[b] = self.fit_eta(theta, z)
-                d[b] = self.eta_dtheta(theta, z)
-            except (ZeroMassError, ZeroDenominatorError):
-                gamma[b] = self.eta_range[0]
-        return gamma, d, None
-
-    def _trim_cache(self):
-        while len(self._grid_cache) > 6:
-            self._grid_cache.pop(next(iter(self._grid_cache)))
+        if hit is None or hit[0] < order:
+            hit = self._grid_cache[key] = (order, self._solve(theta, self._grid_rows, order,
+                                                              strict=False))
+            while len(self._grid_cache) > 6:
+                self._grid_cache.pop(next(iter(self._grid_cache)))
+        zs = self.standardize(Z)[:, 0]
+        return tuple(None if v is None else _interp(zs, self._grid, v) for v in hit[1])
 
     def eta_at(self, theta, Z) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        if Z.ndim == 1:
-            Z = Z[:, None]
-        if self._grid is not None:
-            gamma, _, _ = self._grid_curve(theta, need_derivs=False)
-            zs = (Z[:, 0] - self._mu[0]) / self._sd[0]
-            return np.interp(zs, self._grid, gamma)
-        return np.array([self.fit_eta(theta, z) for z in Z])
+        return self._curve(theta, Z, 0)[0]
 
     def eta_all(self, theta, Z):
-        Z = np.asarray(Z, dtype=float)
-        if Z.ndim == 1:
-            Z = Z[:, None]
-        if self._grid is not None:
-            gamma, d, D2 = self._grid_curve(theta, need_derivs=True)
-            zs = (Z[:, 0] - self._mu[0]) / self._sd[0]
-            g_out = np.interp(zs, self._grid, gamma)
-            d_out = np.column_stack([np.interp(zs, self._grid, d[:, i])
-                                     for i in range(self.k)])
-            D_out = np.empty((Z.shape[0], self.k, self.k))
-            for i in range(self.k):
-                for j in range(self.k):
-                    D_out[:, i, j] = np.interp(zs, self._grid, D2[:, i, j])
-            return g_out, d_out, D_out
-        g_out = np.empty(Z.shape[0])
-        d_out = np.empty((Z.shape[0], self.k))
-        D_out = np.empty((Z.shape[0], self.k, self.k))
-        for idx, z in enumerate(Z):
-            g_out[idx] = self.fit_eta(theta, z)
-            d_out[idx] = self.eta_dtheta(theta, z)
-            D_out[idx] = self.eta_d2theta(theta, z)
-        return g_out, d_out, D_out
+        return self._curve(theta, Z, 2)

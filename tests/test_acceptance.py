@@ -193,7 +193,7 @@ def test_criterion_04_closed_form_nuisance():
     for _ in range(50):
         theta = np.array([float(rng.uniform(-0.5, 0.8))])
         zv = np.array([float(rng.uniform(z_lo, z_hi))])
-        closed = nf.fit_eta(theta, zv)
+        closed = nf.exact(theta, zv, 0)[0][0]
         golden = golden_argmax_longdouble(nf, theta, zv)
         worst = max(worst, abs(closed - golden))
     ok = worst <= 1e-8

@@ -165,7 +165,7 @@ def test_logistic_approximation_path():
 
 def test_general_link_cross_fit_smoke():
     # exponential link expressed through the general-link interface; the
-    # golden-section nuisance path must reproduce the log-linear answer
+    # batched Newton nuisance path must reproduce the log-linear answer
     from ppcf.model import LinkFunctions, general_model
     spec, pattern = _make_case(47, rate=250.0)
     e = lambda t, g: np.exp(t + g)

@@ -6,7 +6,12 @@ import pytest
 
 from ppcf.cli import main as cli_main
 from ppcf.crossfit import CrossFitConfig, cross_fit
-from ppcf.errors import InsufficientPointsError, WindowMismatchError
+from ppcf.errors import (
+    DecompositionError,
+    InsufficientPointsError,
+    NonFiniteFieldError,
+    WindowMismatchError,
+)
 from ppcf.fields import make_window, read_grid_file, write_grid_file
 from ppcf.harness import (
     Scenario,
@@ -44,6 +49,18 @@ def test_single_rep_degenerate_row():
     assert abs(row.rmse - abs(theta - 0.3)) < 1e-12
     assert row.reps_converged == 1
     assert row.rmse >= abs(row.bias_x100) / 100.0 - 1e-15
+
+
+@pytest.mark.parametrize("error", [DecompositionError, NonFiniteFieldError])
+def test_field_failure_is_a_failed_replication(monkeypatch, error):
+    import ppcf.harness
+
+    def broken(s, rep):
+        raise error("injected")
+
+    monkeypatch.setattr(ppcf.harness, "simulate_scenario_inputs", broken)
+    rec = run_replication(Scenario(reps=1), 0)
+    assert rec == {"rep": 0, "ok": False, "error": f"{error.__name__}: injected"}
 
 
 def test_records_deterministic_across_parallelism():

@@ -8,7 +8,6 @@ from ppcf.errors import InsufficientPointsError, SingularSensitivityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
     PcfModel,
-    estimate_lfd,
     estimate_pcf,
     lfd_values,
     pcf_correction,
@@ -62,15 +61,15 @@ def test_lfd_constant_y():
     pattern = simulate_poisson(constant_surface(W1, 80.0), seed=2)
     quad = build_quadrature(pattern, 16)
     nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
-    nu = estimate_lfd(nf, np.array([0.2]), lambda Z: np.full(Z.shape[0], 4.0), [0.5])
+    nu = lfd_values(nf, np.array([0.2]), lambda Z: np.full(Z.shape[0], 4.0), [0.5])[0]
     assert np.allclose(nu, [-1.7], atol=1e-12)
 
 
 def test_lfd_zero_theta_is_kernel_mean(fitted_instance):
     spec, pattern, quad, nf, eta = fitted_instance
     z = np.array([0.2])
-    nu = estimate_lfd(nf, np.zeros(1), eta, z)
-    _, k_nodes, _ = nf._point_weights(z)
+    nu = nf.exact(np.zeros(1), z, 1)[1][0]
+    k_nodes = nf.kernel.product(nf._Zs_nodes - nf.standardize(z)[0])
     tilt = nf.weights * k_nodes
     assert np.allclose(nu, -(tilt @ nf.Y_nodes) / tilt.sum(), atol=1e-12)
 
@@ -79,8 +78,8 @@ def test_lfd_agrees_with_eta_dtheta(fitted_instance):
     spec, pattern, quad, nf, eta = fitted_instance
     theta = np.array([0.31])
     for zv in (-0.4, 0.0, 0.55):
-        nu = estimate_lfd(nf, theta, eta, [zv])
-        d = nf.eta_dtheta(theta, [zv])
+        nu = lfd_values(nf, theta, eta, [zv])[0]
+        d = nf.eta_all(theta, [zv])[1][0]
         assert np.allclose(nu, d, atol=1e-10)
 
 
@@ -89,7 +88,7 @@ def test_lfd_values_matches_pointwise(fitted_instance):
     theta = np.array([0.31])
     Z = np.linspace(-0.5, 0.5, 9)[:, None]
     bulk = lfd_values(nf, theta, eta, Z)
-    pointwise = np.vstack([estimate_lfd(nf, theta, eta, z) for z in Z])
+    pointwise = nf.exact(theta, Z, 1)[1]
     assert np.max(np.abs(bulk - pointwise)) < 5e-3
 
 

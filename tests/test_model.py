@@ -8,6 +8,7 @@ from ppcf.errors import NonpositiveIntensityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf  # noqa: F401
 from ppcf.model import (
     FixedCurve,
+    _logistic_score_hessian,
     LinkFunctions,
     build_quadrature,
     fit_parametric_baseline,
@@ -206,10 +207,10 @@ def _softplus_link():
     return LinkFunctions(psi, dt, dg, dtt, dtg, dgg)
 
 
-@pytest.fixture(scope="module")
-def general_spec():
-    y_field = simulate_grf(W1, 24, 24, GrfSpec(1.0, 0.2), seed=31)
-    z_field = simulate_grf(W1, 24, 24, GrfSpec(1.0, 0.2), seed=32)
+def make_general_spec(window=W1):
+    """Softplus link with a quadratic tau over two 24 x 24 random fields on ``window``."""
+    y_field = simulate_grf(window, 24, 24, GrfSpec(1.0, 0.2), seed=31)
+    z_field = simulate_grf(window, 24, 24, GrfSpec(1.0, 0.2), seed=32)
 
     def tau(theta, Y):
         lin = Y @ theta
@@ -225,6 +226,11 @@ def general_spec():
     return general_model([y_field], [z_field], tau, tau_grad, tau_hess, _softplus_link())
 
 
+@pytest.fixture(scope="module")
+def general_spec():
+    return make_general_spec()
+
+
 def test_score_matches_fd_general_link(general_spec):
     rng = np.random.default_rng(44)
     pat = PointPattern(W1, rng.uniform(0, 1, size=(40, 2)))
@@ -238,6 +244,32 @@ def test_score_matches_fd_general_link(general_spec):
     step = 1e-5
     fd_h = (score(general_spec, theta + step, curve, quad, 1.0)
             - score(general_spec, theta - step, curve, quad, 1.0)) / (2 * step)
+    assert np.allclose(h[0, 0], fd_h[0], rtol=1e-4, atol=1e-6)
+
+
+def test_logistic_score_hessian_match_fd_general_link(general_spec):
+    rng = np.random.default_rng(46)
+    pat = PointPattern(W1, rng.uniform(0, 1, size=(40, 2)))
+    dummy = PointPattern(W1, rng.uniform(0, 1, size=(60, 2)))
+    curve = FixedCurve(lambda Z: 2.0 + 0.5 * Z[:, 0], k=1)
+    rho = 60.0
+
+    def score_hessian(theta):
+        parts = []
+        for points, is_data in ((pat, True), (dummy, False)):
+            Y, Z = general_spec.covariates_at(points.points)
+            g, d, d2 = curve.eta_all(theta, Z)
+            parts.append(_logistic_score_hessian(general_spec, theta, Y, g, d, d2, rho, 1.0,
+                                                 is_data))
+        return parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]
+
+    theta = np.array([0.4])
+    step = 1e-5
+    s, h = score_hessian(theta)
+    fd = (logistic_loglik(general_spec, theta + step, curve, pat, dummy, rho)
+          - logistic_loglik(general_spec, theta - step, curve, pat, dummy, rho)) / (2 * step)
+    assert np.allclose(s, fd, rtol=1e-5, atol=1e-7)
+    fd_h = (score_hessian(theta + step)[0] - score_hessian(theta - step)[0]) / (2 * step)
     assert np.allclose(h[0, 0], fd_h[0], rtol=1e-4, atol=1e-6)
 
 

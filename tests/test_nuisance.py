@@ -5,16 +5,42 @@ import pytest
 
 from ppcf.errors import ZeroMassError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
-from ppcf.model import build_quadrature, intensity_surface, log_linear_model
-from ppcf.nuisance import (
-    KernelSpec,
-    NuisanceFit,
-    _golden_max,
-    default_bandwidth,
+from ppcf.model import (
+    LinkFunctions,
+    build_quadrature,
+    general_model,
+    intensity_surface,
+    log_linear_model,
 )
+from ppcf.nuisance import KernelSpec, NuisanceFit, default_bandwidth
 from ppcf.process import constant_surface, simulate_poisson
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 W1 = make_window(0, 0, 1, 1)
+_GOLDEN_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo, hi, tol=1e-10, scan=32):
+    """Golden-section maximizer on [lo, hi] after a coarse scan for the bracket."""
+    xs = np.linspace(lo, hi, scan)
+    vals = np.array([f(x) for x in xs])
+    i = int(np.nanargmax(vals))
+    a = xs[max(i - 1, 0)]
+    b = xs[min(i + 1, scan - 1)]
+    c = b - _GOLDEN_INVPHI * (b - a)
+    d = a + _GOLDEN_INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN_INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN_INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def _const_field(window, value, n=9):
@@ -27,6 +53,14 @@ def _const_field(window, value, n=9):
 def test_kernel_moments_validated():
     KernelSpec(order=2, bandwidth=0.5, base="gaussian")
     KernelSpec(order=4, bandwidth=0.5, base="quartic")
+
+
+def test_kernel_base_defaults_to_its_order():
+    assert KernelSpec(order=2, bandwidth=0.5).base == "gaussian"
+    assert KernelSpec(order=4, bandwidth=0.5).base == "quartic"
+    assert KernelSpec(order=4, bandwidth=0.5) == KernelSpec(4, 0.5, "quartic")
+    with pytest.raises(ValueError):
+        KernelSpec(order=6, bandwidth=0.5)
 
 
 def test_kernel_bad_combinations():
@@ -86,7 +120,7 @@ def test_objective_shape_y_independent():
     quad = build_quadrature(pattern, 16)
     nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
     gammas = np.linspace(2.0, 7.0, 41)
-    vals = np.array([nf.objective(np.zeros(1), g, [1.0]) for g in gammas])
+    vals = nf.objective(np.zeros(1), gammas, np.ones((gammas.size, 1)))
     second = np.diff(vals, 2)
     assert np.all(second < 0)
     assert vals.argmax() not in (0, len(vals) - 1)
@@ -97,10 +131,10 @@ def test_objective_matches_direct_recomputation(fitted):
     theta = np.array([0.21])
     gamma = 5.1
     z = np.array([0.4])
-    val = nf.objective(theta, gamma, z)
+    val = nf.objective(theta, gamma, z)[0]
     # independent recomputation with plain python sums
     h = nf.kernel.bandwidth
-    zs = float(nf.standardize(z)[0])
+    zs = float(nf.standardize(z)[0, 0])
     k_train = [math.exp(-0.5 * ((zt - zs) / h) ** 2) / (h * math.sqrt(2 * math.pi))
                for zt in nf._Zs_train[:, 0]]
     k_nodes = [math.exp(-0.5 * ((zn - zs) / h) ** 2) / (h * math.sqrt(2 * math.pi))
@@ -122,7 +156,7 @@ def test_fit_eta_constant_truth():
         quad = build_quadrature(pattern, 24)
         nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
         for zv in np.linspace(0.2, 0.8, 5):
-            errs.append(nf.fit_eta(np.zeros(1), [zv]) - math.log(c))
+            errs.append(nf.exact(np.zeros(1), [zv], 0)[0][0] - math.log(c))
     errs = np.array(errs)
     assert np.all(np.abs(errs) < 0.25)
     assert abs(errs.mean()) < 0.05
@@ -134,7 +168,9 @@ def golden_argmax_longdouble(nf, theta, z):
     Recomputes the objective with plain extended-precision sums; float64 values
     cannot localize the maximizer beyond ~sqrt(eps * f / f'') ~ 4e-8.
     """
-    k_train, k_nodes, mass = nf._point_weights(z)
+    zs = nf.standardize(z)[0]
+    k_train = nf.kernel.product(nf._Zs_train - zs)
+    k_nodes = nf.kernel.product(nf._Zs_nodes - zs)
     c = np.longdouble(1.0 / nf.scale)
     kt = k_train.astype(np.longdouble)
     kn = (nf.weights * k_nodes).astype(np.longdouble)
@@ -160,7 +196,7 @@ def test_closed_form_matches_golden_section(fitted):
     for _ in range(10):
         theta = np.array([rng.uniform(-0.5, 0.8)])
         z = np.array([rng.uniform(z_lo, z_hi)])
-        closed = nf.fit_eta(theta, z)
+        closed = nf.exact(theta, z, 0)[0][0]
         golden = golden_argmax_longdouble(nf, theta, z)
         worst = max(worst, abs(closed - golden))
     assert worst <= 1e-8
@@ -172,7 +208,7 @@ def test_fit_eta_uniform_kernel_limit(fitted):
     quad = build_quadrature(pattern, 16)
     wide = NuisanceFit(spec, pattern, quad, KernelSpec(2, 1e4, "gaussian"))
     theta = np.array([0.3])
-    vals = [wide.fit_eta(theta, [zv]) for zv in (-0.5, 0.0, 0.7)]
+    vals = [wide.exact(theta, [zv], 0)[0][0] for zv in (-0.5, 0.0, 0.7)]
     assert max(vals) - min(vals) < 1e-6
     _, Z = spec.covariates_at(quad.nodes)
     Y, _ = spec.covariates_at(quad.nodes)
@@ -186,17 +222,17 @@ def test_eta_dtheta_constant_y():
     quad = build_quadrature(pattern, 16)
     nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
     for theta in (np.array([0.0]), np.array([0.4])):
-        d = nf.eta_dtheta(theta, [1.0])
+        _, d, dd = nf.exact(theta, [1.0])
+        d, dd = d[0], dd[0]
         assert np.allclose(d, [-2.5], atol=1e-12)
-        dd = nf.eta_d2theta(theta, [1.0])
         assert np.allclose(dd, [[0.0]], atol=1e-12)
 
 
 def test_eta_dtheta_zero_theta_is_kernel_mean(fitted):
     spec, pattern, nf = fitted
     z = np.array([0.1])
-    d = nf.eta_dtheta(np.zeros(1), z)
-    _, k_nodes, _ = nf._point_weights(z)
+    d = nf.exact(np.zeros(1), z, 1)[1][0]
+    k_nodes = nf.kernel.product(nf._Zs_nodes - nf.standardize(z)[0])
     tilt = nf.weights * k_nodes
     expected = -(tilt @ nf.Y_nodes) / tilt.sum()
     assert np.allclose(d, expected, atol=1e-12)
@@ -208,9 +244,9 @@ def test_eta_dtheta_matches_finite_differences(fitted):
     for _ in range(6):
         theta = np.array([rng.uniform(-0.3, 0.6)])
         z = np.array([rng.uniform(-0.6, 0.6)])
-        d = nf.eta_dtheta(theta, z)
+        d = nf.exact(theta, z, 1)[1][0]
         step = 1e-4
-        fd = (nf.fit_eta(theta + step, z) - nf.fit_eta(theta - step, z)) / (2 * step)
+        fd = (nf.exact(theta + step, z, 0)[0][0] - nf.exact(theta - step, z, 0)[0][0]) / (2 * step)
         assert abs(d[0] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
@@ -220,9 +256,9 @@ def test_eta_d2theta_matches_finite_differences(fitted):
     for _ in range(4):
         theta = np.array([rng.uniform(-0.3, 0.6)])
         z = np.array([rng.uniform(-0.6, 0.6)])
-        dd = nf.eta_d2theta(theta, z)
+        dd = nf.exact(theta, z)[2][0]
         step = 1e-4
-        fd = (nf.eta_dtheta(theta + step, z) - nf.eta_dtheta(theta - step, z)) / (2 * step)
+        fd = (nf.exact(theta + step, z, 1)[1][0] - nf.exact(theta - step, z, 1)[1][0]) / (2 * step)
         assert abs(dd[0, 0] - fd[0]) <= 1e-3 * max(1.0, abs(fd[0]))
         assert dd[0, 0] <= 1e-12  # negative tilted covariance
 
@@ -232,11 +268,11 @@ def test_bulk_curve_matches_exact_path(fitted):
     theta = np.array([0.25])
     _, Z = spec.covariates_at(pattern.points[:40])
     bulk = nf.eta_at(theta, Z)
-    exact = np.array([nf.fit_eta(theta, z) for z in Z])
+    exact = nf.exact(theta, Z, 0)[0]
     # linear interpolation on a 512-cell grid vs the exact kernel sums
     assert np.max(np.abs(bulk - exact)) < 5e-4
     g, d, D2 = nf.eta_all(theta, Z)
-    d_exact = np.array([nf.eta_dtheta(theta, z)[0] for z in Z])
+    d_exact = nf.exact(theta, Z, 1)[1][:, 0]
     assert np.max(np.abs(d[:, 0] - d_exact)) < 5e-3
 
 
@@ -254,8 +290,88 @@ def test_clip_counter_zero_on_interior_grid(fitted):
     _, Z = spec.covariates_at(pattern.points)
     lo, hi = np.quantile(Z[:, 0], [0.1, 0.9])
     for zv in np.linspace(lo, hi, 25):
-        nf.fit_eta(np.array([0.3]), [zv])
+        nf.exact(np.array([0.3]), [zv], 0)
     assert nf.diagnostics["clip_count"] == 0
+
+
+
+# -- the batched evaluator: signed kernels, saturation, general links -------------
+
+
+def test_quartic_grid_matches_exact_path(fitted):
+    # the order-4 kernel is negative in places; the grid sums it like the exact
+    # path.  Its support edges put kinks into the curve, so linear interpolation
+    # converges at first order only: 2048 nodes reach the Gaussian test's 5e-4.
+    spec, pattern, nf = fitted
+    nf4 = NuisanceFit(spec, pattern, nf.quad, KernelSpec(4, 0.45), grid_size=2048)
+    theta = np.array([0.25])
+    _, Z = spec.covariates_at(pattern.points[:40])
+    exact = nf4.exact(theta, Z, 0)[0]
+    assert np.max(np.abs(nf4.eta_at(theta, Z) - exact)) < 5e-4
+
+
+def test_clip_count_counts_grid_saturation(fitted):
+    spec, pattern, nf = fitted
+    theta = np.array([0.3])
+    _, Z = spec.covariates_at(pattern.points)
+    top = float(np.median(nf.eta_at(theta, Z)))
+    cut = NuisanceFit(spec, pattern, nf.quad, nf.kernel, eta_range=(top - 20.0, top))
+    cut.eta_all(theta, Z)
+    assert cut.diagnostics["clip_count"] > 0
+
+
+def test_general_link_newton_matches_golden_section():
+    from test_model import make_general_spec
+    window = make_window(0, 0, 4, 4)
+    spec = make_general_spec(window)
+    pattern = simulate_poisson(constant_surface(window, 4.0), seed=21)
+    quad = build_quadrature(pattern, 16)
+    # Psi = log(e^t + e^gamma) + 0.1 is negative at the low end of eta_range
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
+    ld = np.longdouble
+
+    def golden(theta, z):
+        zs = nf.standardize(z)[0]
+        kt = nf.kernel.product(nf._Zs_train - zs).astype(ld)
+        kn = (nf.weights * nf.kernel.product(nf._Zs_nodes - zs)).astype(ld)
+        lin_t, lin_n = (nf.Y_train @ theta).astype(ld), (nf.Y_nodes @ theta).astype(ld)
+        t_t, t_n = lin_t + ld(0.1) * lin_t ** 2, lin_n + ld(0.1) * lin_n ** 2
+
+        def f(g):
+            g = ld(g)
+            with np.errstate(invalid="ignore"):
+                val = ((kt * np.log(np.logaddexp(t_t, g) + ld(0.1))).sum()
+                       - (kn * (np.logaddexp(t_n, g) + ld(0.1))).sum())
+            return val if np.isfinite(val) else -np.inf
+
+        return float(_golden_max(f, nf.eta_range[0], nf.eta_range[1], tol=1e-11))
+
+    rng = np.random.default_rng(3)
+    _, Zd = spec.covariates_at(pattern.points)
+    z_lo, z_hi = np.quantile(Zd[:, 0], [0.1, 0.9])
+    worst = 0.0
+    for _ in range(10):
+        theta = np.array([rng.uniform(-0.5, 0.8)])
+        z = np.array([rng.uniform(z_lo, z_hi)])
+        worst = max(worst, abs(nf.exact(theta, z, 0)[0][0] - golden(theta, z)))
+    assert worst <= 1e-8
+
+
+def test_exp_link_via_general_matches_closed_form(fitted):
+    spec, pattern, nf = fitted
+    e = lambda t, g: np.exp(t + g)
+    gen = general_model(list(spec.target_fields), list(spec.nuisance_fields),
+                        lambda th, Y: Y @ th, lambda th, Y: np.asarray(Y, float),
+                        lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
+                        LinkFunctions(e, e, e, e, e, e))
+    nf_gen = NuisanceFit(gen, pattern, nf.quad, nf.kernel)
+    theta = np.array([0.25])
+    Zg = (nf._grid * nf._sd[0] + nf._mu[0])[:, None]
+    for method in ("exact", "eta_all"):
+        closed = getattr(nf, method)(theta, Zg)
+        newton = getattr(nf_gen, method)(theta, Zg)
+        for a, b, tol in zip(closed, newton, (1e-9, 1e-9, 1e-6)):
+            assert np.max(np.abs(a - b)) <= tol
 
 
 def _sup_error_after_centering(window, lattice, grid_n, seed, h):
@@ -313,7 +429,7 @@ def test_eta_dtheta_consistent_with_lfd_oracle():
         for zv in zg:
             kw = np.exp(-0.5 * ((Zl[:, 0] - zv) / 0.12) ** 2)
             oracle = -(kw * tilt * Yl[:, 0]).sum() / (kw * tilt).sum()
-            errs.append(abs(nf.eta_dtheta(theta, [zv])[0] - oracle))
+            errs.append(abs(nf.exact(theta, [zv], 1)[1][0, 0] - oracle))
         return float(np.mean(errs))
 
     e1 = [one(W1, 128, 48, 7000 + 11 * r) for r in range(25)]
