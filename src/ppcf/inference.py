@@ -14,10 +14,19 @@ The pair correlation g is Poisson (g = 1) or LGCP-exponential
 inhomogeneous K-function when not known.  The harness stacks the a-vectors of
 all its estimators column-wise, so each PCF variant costs one double sum.
 
-The double sum is truncated at the radius where |g - 1| < 1e-6 (capped at half
-the shorter window side) and evaluated exactly by splitting the quadrature
-nodes into their lattice part (FFT cross-correlation) and data part (direct
-chunked sums).
+The double sum is truncated at the radius r_trunc where |g - 1| < 1e-6 (capped
+at half the shorter window side) and evaluated exactly, with the same kernel
+g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
+
+* lattice-lattice: one FFT cross-correlation of the kernel image over integer
+  lattice offsets with all k columns of a at once;
+* lattice-data: the data nodes are binned into 16 x 16 spatial tiles, and each
+  tile meets only the box of lattice rows and columns within r_trunc of its
+  points (inclusive bounds); every pair outside the box lies beyond r_trunc;
+* data-data: square blocks of data nodes, each unordered block pair once.
+
+No temporary of the two direct blocks holds more than 2^16 pair values
+(512 kB), whatever the number of data nodes.
 """
 
 from __future__ import annotations
@@ -40,6 +49,8 @@ from .nuisance import NuisanceFit
 from .process import PointPattern
 
 _PCF_TRUNC_TOL = 1e-6
+_PAIR_BLOCK = 2 ** 16      # node pairs per kernel temporary (512 kB of float64)
+_TILES = 16                # data tiles per window side in the lattice-data block
 
 
 @dataclass(frozen=True)
@@ -129,9 +140,90 @@ def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: Quadr
     return sandwich_terms(quad, lam, _gradient_vectors(spec, theta_hat, gamma, nu, Y))
 
 
-def _pair_kernel(pcf: PcfModel, dist, r_trunc):
-    g = pcf.pcf(dist) - 1.0
-    return np.where(dist <= r_trunc, g, 0.0)
+def _pcf_minus_one(pcf: PcfModel, r2, r_trunc):
+    """In place: squared distances r2 -> g(r) - 1 (the expression of ``PcfModel.pcf``),
+    0 where r > r_trunc."""
+    r = np.sqrt(r2, out=r2)
+    beyond = r > r_trunc
+    np.divide(r, -pcf.phi, out=r)
+    np.exp(r, out=r)
+    r *= pcf.sigma2
+    np.exp(r, out=r)
+    r -= 1.0
+    r[beyond] = 0.0
+    return r
+
+
+def _lattice_sum(pcf, r_trunc, quad, A_grid):
+    """Lattice-lattice block: one FFT cross-correlation over all k columns."""
+    g = quad.grid_n
+    offs = np.arange(2 * g - 1) - (g - 1)
+    r2 = (offs * (quad.window.height / g))[:, None] ** 2 \
+        + (offs * (quad.window.width / g))[None, :] ** 2
+    kern = _pcf_minus_one(pcf, r2, r_trunc)
+    imgs = A_grid.T.reshape(-1, g, g)
+    conv = fftconvolve(imgs, kern[None], mode="same", axes=(1, 2))
+    return np.einsum("aij,bij->ab", conv, imgs)
+
+
+def _lattice_data_sum(pcf, r_trunc, quad, A_grid, A_data):
+    """sum over data i and lattice j of a_i a_j^T [g(d_ij) - 1], per spatial tile of
+    data nodes over the lattice rows and columns within r_trunc of the tile."""
+    g = quad.grid_n
+    k = A_grid.shape[1]
+    xs = quad.nodes[:g, 0]
+    ys = quad.nodes[:g * g:g, 1]
+    pts = quad.nodes[g * g:]
+    w = quad.window
+    tx = np.clip(((pts[:, 0] - w.x_min) / w.width * _TILES).astype(int), 0, _TILES - 1)
+    ty = np.clip(((pts[:, 1] - w.y_min) / w.height * _TILES).astype(int), 0, _TILES - 1)
+    tile = ty * _TILES + tx
+    order = np.argsort(tile, kind="stable")
+    A_img = A_grid.reshape(g, g, k)
+    buf = np.empty(_PAIR_BLOCK)
+    out = np.zeros((k, k))
+    for idx in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
+        px, py = pts[idx, 0], pts[idx, 1]
+        # inclusive bounds in the arithmetic of the distances below: a lattice
+        # column left out has |x_c - x_p| > r_trunc for every point p of the
+        # tile, hence r > r_trunc and a zero kernel
+        c0 = np.searchsorted(xs - px.min(), -r_trunc, side="left")
+        c1 = np.searchsorted(xs - px.max(), r_trunc, side="right")
+        r0 = np.searchsorted(ys - py.min(), -r_trunc, side="left")
+        r1 = np.searchsorted(ys - py.max(), r_trunc, side="right")
+        if c1 <= c0 or r1 <= r0:
+            continue
+        nx = c1 - c0
+        rows = max(1, _PAIR_BLOCK // nx)
+        for y0 in range(r0, r1, rows):
+            y1 = min(y0 + rows, r1)
+            a_box = A_img[y0:y1, c0:c1].reshape(-1, k)
+            step = max(1, _PAIR_BLOCK // a_box.shape[0])
+            for p0 in range(0, idx.size, step):
+                sel = idx[p0:p0 + step]
+                r2 = buf[:sel.size * a_box.shape[0]].reshape(sel.size, y1 - y0, nx)
+                np.add(np.square(ys[y0:y1] - pts[sel, 1, None])[:, :, None],
+                       np.square(xs[c0:c1] - pts[sel, 0, None])[:, None, :], out=r2)
+                kern = _pcf_minus_one(pcf, r2, r_trunc).reshape(sel.size, -1)
+                out += A_data[sel].T @ (kern @ a_box)
+    return out
+
+
+def _data_sum(pcf, r_trunc, pts, A_data):
+    """Data-data block in square blocks of nodes; the kernel is symmetric, so each
+    off-diagonal block pair is evaluated once."""
+    n = pts.shape[0]
+    b = math.isqrt(_PAIR_BLOCK)
+    out = np.zeros((A_data.shape[1],) * 2)
+    for i0 in range(0, n, b):
+        p_i, a_i = pts[i0:i0 + b], A_data[i0:i0 + b]
+        for j0 in range(i0, n, b):
+            p_j = pts[j0:j0 + b]
+            r2 = np.square(p_i[:, 0, None] - p_j[None, :, 0])
+            r2 += np.square(p_i[:, 1, None] - p_j[None, :, 1])
+            blk = a_i.T @ (_pcf_minus_one(pcf, r2, r_trunc) @ A_data[j0:j0 + b])
+            out += blk if j0 == i0 else blk + blk.T
+    return out
 
 
 def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
@@ -139,72 +231,23 @@ def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
     """Truncated double sum  sum_{i,j} a_i a_j^T [g(d_ij) - 1] over quadrature nodes.
 
     ``a_vectors`` is (m, k).  The lattice block of the scheme is handled by FFT
-    cross-correlation (exact, including the diagonal); lattice-data and
-    data-data blocks by direct chunked sums.
+    cross-correlation (exact, including the diagonal); the lattice-data block
+    by direct sums over each tile of data nodes and the lattice box within the
+    truncation radius of it, and the data-data block by direct sums, both in
+    blocks of at most ``_PAIR_BLOCK`` pairs.
     """
     k = a_vectors.shape[1]
     r_trunc = pcf.truncation_radius(quad.window)
     if r_trunc <= 0.0:
         return np.zeros((k, k))
-    w = quad.window
-    g = quad.grid_n
-    n_grid = g * g
+    n_grid = quad.grid_n ** 2
     A_grid = a_vectors[:n_grid]
     A_data = a_vectors[n_grid:]
-    nodes_data = quad.nodes[n_grid:]
-    dx = w.width / g
-    dy = w.height / g
-
-    # lattice-lattice block via convolution over integer offsets
-    offs_x = (np.arange(2 * g - 1) - (g - 1)) * dx
-    offs_y = (np.arange(2 * g - 1) - (g - 1)) * dy
-    Gimg = _pair_kernel(pcf, np.hypot(offs_y[:, None], offs_x[None, :]), r_trunc)
-    total = np.zeros((k, k))
-    imgs = [A_grid[:, c].reshape(g, g) for c in range(k)]
-    convs = [fftconvolve(img, Gimg, mode="same") for img in imgs]
-    for c in range(k):
-        for cc in range(c + 1):
-            val = float(np.sum(convs[c] * imgs[cc]))
-            total[c, cc] += val
-            if cc != c:
-                total[cc, c] += val
-
-    n_data = A_data.shape[0]
-    if n_data:
-        grid_nodes = quad.nodes[:n_grid]
-        chunk = max(1, int(2e6 // max(n_grid, 1)))
-        cross = np.zeros((k, k))
-        for start in range(0, n_data, chunk):
-            pts = nodes_data[start:start + chunk]
-            dist = np.hypot(pts[:, 0][:, None] - grid_nodes[:, 0][None, :],
-                            pts[:, 1][:, None] - grid_nodes[:, 1][None, :])
-            gv = _pair_kernel(pcf, dist, r_trunc)
-            t = gv @ A_grid                              # (chunk, k)
-            cross += A_data[start:start + chunk].T @ t
-        total += cross + cross.T
-
-        chunk = max(1, int(2e6 // max(n_data, 1)))
-        for start in range(0, n_data, chunk):
-            pts = nodes_data[start:start + chunk]
-            dist = np.hypot(pts[:, 0][:, None] - nodes_data[:, 0][None, :],
-                            pts[:, 1][:, None] - nodes_data[:, 1][None, :])
-            gv = _pair_kernel(pcf, dist, r_trunc)
-            t = gv @ A_data
-            total += A_data[start:start + chunk].T @ t
+    total = _lattice_sum(pcf, r_trunc, quad, A_grid)
+    if A_data.shape[0]:
+        cross = _lattice_data_sum(pcf, r_trunc, quad, A_grid, A_data)
+        total += cross + cross.T + _data_sum(pcf, r_trunc, quad.nodes[n_grid:], A_data)
     return 0.5 * (total + total.T)
-
-
-def pcf_double_sum_brute(quad: QuadratureScheme, a_vectors: np.ndarray,
-                         pcf: PcfModel, truncated: bool = False) -> np.ndarray:
-    """O(m^2) reference double sum (oracle); optionally with the production truncation."""
-    nodes = quad.nodes
-    dist = np.hypot(nodes[:, 0][:, None] - nodes[:, 0][None, :],
-                    nodes[:, 1][:, None] - nodes[:, 1][None, :])
-    g = pcf.pcf(dist) - 1.0
-    if truncated:
-        r_trunc = pcf.truncation_radius(quad.window)
-        g = np.where(dist <= r_trunc, g, 0.0)
-    return np.einsum("ia,ij,jb->ab", a_vectors, g, a_vectors)
 
 
 # -- K-function and minimum contrast -------------------------------------------
@@ -247,13 +290,6 @@ def estimate_pcf(pattern: PointPattern, intensity_hat, r_grid=None) -> PcfModel:
     cum = np.concatenate([[0.0], np.cumsum(contrib[order])])
     k_hat = cum[np.searchsorted(d_sorted, r_grid, side="right")]
 
-    s_fine = np.linspace(0.0, r_max, 513)
-
-    def k_model(sigma2, phi):
-        integrand = 2.0 * math.pi * s_fine * np.exp(sigma2 * np.exp(-s_fine / phi))
-        cumk = np.concatenate([[0.0], cumulative_trapezoid(integrand, s_fine)])
-        return np.interp(r_grid, s_fine, cumk)
-
     k_hat_q = k_hat ** 0.25
 
     def contrast(p):
@@ -263,7 +299,8 @@ def estimate_pcf(pattern: PointPattern, intensity_hat, r_grid=None) -> PcfModel:
         phi = math.exp(log_phi)
         if phi <= 0 or phi > 100 * r_max:
             return 1e300
-        diff = k_hat_q - k_model(sigma2, phi) ** 0.25
+        k_model = PcfModel("lgcp-exponential", sigma2, phi).k_function(r_grid, n_steps=513)
+        diff = k_hat_q - k_model ** 0.25
         return float(np.trapezoid(diff ** 2, r_grid))
 
     best = None

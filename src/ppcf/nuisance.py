@@ -140,8 +140,10 @@ def _sigmoid(x):
 def _soft_clip(g, lo, hi, tau):
     """Smooth double clamp of g into (lo, hi).
 
-    Far from the bounds (|g - bound| >> tau) the map is the identity to the
-    last bit, so interior evaluations agree exactly with the unclamped values;
+    Far from the bounds the map is the identity up to rounding: a value at
+    distance d >> tau from the nearer bound moves by tau * exp(-d / tau) plus at
+    most about two units in the last place of max(|lo|, |hi|) (up to 4.4e-15
+    for bounds (-8, 20)), so most interior values change in their last bits;
     near a bound it saturates smoothly, keeping the curve differentiable in
     theta (a hard clip would put kinks in the profile likelihood).  Returns the
     mapped values and the first/second chain-rule factors.

@@ -14,7 +14,7 @@ from mc_cache import run_scenario_cached
 
 from ppcf.fields import GrfSpec, make_window, simulate_grf
 from ppcf.harness import Scenario, _wald_reports
-from ppcf.inference import PcfModel, pcf_correction, pcf_double_sum_brute, semi_sandwich_terms, lfd_values
+from ppcf.inference import PcfModel, pcf_correction, semi_sandwich_terms, lfd_values
 from ppcf.model import build_quadrature, hessian, intensity_surface, log_linear_model, pseudo_loglik, score
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_poisson, v_fold_thin
@@ -260,6 +260,7 @@ def test_criterion_09_sigma_equals_s_for_poisson_pcf():
 
 
 def test_criterion_10_truncated_double_sum_oracle():
+    from test_inference import pcf_double_sum_brute
     rng = np.random.default_rng(1009)
     pattern = PointPattern(W1, rng.uniform(0, 1, size=(25, 2)))
     quad = build_quadrature(pattern, 13)        # 169 grid + 25 data = 194 nodes

@@ -11,15 +11,29 @@ from ppcf.inference import (
     estimate_pcf,
     lfd_values,
     pcf_correction,
-    pcf_double_sum_brute,
     semi_sandwich_terms,
     wald_report,
 )
-from ppcf.model import build_quadrature, intensity_surface, log_linear_model
+from ppcf.model import QuadratureScheme, build_quadrature, intensity_surface, log_linear_model
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_lgcp, simulate_poisson
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 W1 = make_window(0, 0, 1, 1)
+
+
+def pcf_double_sum_brute(quad: QuadratureScheme, a_vectors: np.ndarray,
+                         pcf: PcfModel, truncated: bool = False) -> np.ndarray:
+    """O(m^2) reference double sum (oracle); optionally with the production truncation."""
+    nodes = quad.nodes
+    dist = np.hypot(nodes[:, 0][:, None] - nodes[:, 0][None, :],
+                    nodes[:, 1][:, None] - nodes[:, 1][None, :])
+    g = pcf.pcf(dist) - 1.0
+    if truncated:
+        r_trunc = pcf.truncation_radius(quad.window)
+        g = np.where(dist <= r_trunc, g, 0.0)
+    return np.einsum("ia,ij,jb->ab", a_vectors, g, a_vectors)
 
 
 def _const_field(window, value, n=9):
@@ -163,6 +177,48 @@ def test_pcf_correction_matches_brute_force_truncated():
     quad = build_quadrature(pattern, 8)
     a = rng.normal(size=(quad.m(), 2))
     pcf = PcfModel("lgcp-exponential", sigma2=0.4, phi=0.07)
+    fast = pcf_correction(quad, a, pcf)
+    brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
+    assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
+
+
+def _offset_window_points():
+    """Corners, edge points and lattice centres of an offset, non-square window
+    (grid 12), then 60 random points."""
+    window = make_window(-1.0, 2.0, 2.0, 3.5)
+    lattice = build_quadrature(PointPattern(window, np.empty((0, 2))), 12).nodes
+    special = np.vstack([
+        [[-1.0, 2.0], [2.0, 2.0], [-1.0, 3.5], [2.0, 3.5]],     # corners
+        [[0.5, 2.0], [2.0, 2.75], [-1.0, 3.1], [1.3, 3.5]],      # edges
+        lattice[[0, 11, 12 * 5 + 3, 12 * 11 + 7, 143]],          # lattice centres
+    ])
+    rng = np.random.default_rng(17)
+    random = np.column_stack([rng.uniform(-1.0, 2.0, 60), rng.uniform(2.0, 3.5, 60)])
+    return window, np.vstack([special, random])
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("n_data", [0, 1, 60])
+@pytest.mark.parametrize("phi", [0.02, 0.005])       # r_trunc 0.27 and 0.068 (cells 0.25 x 0.125)
+def test_pcf_correction_pruned_sum_edge_cases(k, n_data, phi):
+    window, points = _offset_window_points()
+    quad = build_quadrature(PointPattern(window, points[:n_data]), 12)
+    pcf = PcfModel("lgcp-exponential", sigma2=0.8, phi=phi)
+    assert pcf.truncation_radius(window) < 0.2 * window.height     # pruning active
+    a = np.random.default_rng(n_data + k).normal(size=(quad.m(), k))
+    fast = pcf_correction(quad, a, pcf)
+    brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
+    assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
+
+
+def test_pcf_correction_keeps_pairs_at_exactly_r_trunc():
+    # r_trunc hits its cap of half the window side, 4.0; each data node lies
+    # exactly 4.0 from lattice centres in the outermost row or column of its box
+    window = make_window(0.0, 0.0, 8.0, 8.0)
+    pcf = PcfModel("lgcp-exponential", sigma2=1.0, phi=2.0)
+    assert pcf.truncation_radius(window) == 4.0
+    quad = build_quadrature(PointPattern(window, np.array([[4.5, 0.5], [3.5, 7.5]])), 8)
+    a = np.random.default_rng(3).normal(size=(quad.m(), 2))
     fast = pcf_correction(quad, a, pcf)
     brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
     assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
