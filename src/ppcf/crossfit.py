@@ -13,7 +13,7 @@ the whole pattern then serves as both training and fitting data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -26,18 +26,14 @@ from .errors import (
     ZeroDenominatorError,
     ZeroMassError,
 )
-from .model import (
-    ModelSpec,
-    OptimizerOptions,
-    build_quadrature,
-    logistic_profile_maximize,
-    profile_maximize,
-)
+from .model import ModelSpec, build_logistic_scheme, build_quadrature, profile_maximize
 from .nuisance import KernelSpec, NuisanceFit, default_bandwidth
-from .process import PointPattern, constant_surface, fold, fold_complement, simulate_poisson, v_fold_thin
+from .process import PointPattern, fold, fold_complement, v_fold_thin
 
 _FOLD_ERRORS = (NonConvergenceError, SingularHessianError, ZeroMassError,
                 ZeroDenominatorError, NonpositiveIntensityError, InsufficientPointsError)
+# logistic dummy points per data point of the fitted fold
+_DUMMY_INTENSITY_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,7 @@ class CrossFitConfig:
 
     ``kernel=None`` selects a Gaussian/quartic kernel of order ``kernel_order``
     with the rate-rule bandwidth (constant ``bandwidth_c0``, dependence index
-    ``m_smoothness``).  ``skip_thinning`` is valid only for the log-linear link.
+    m = 2).  ``skip_thinning`` is valid only for the log-linear link.
     """
 
     n_folds: int = 2
@@ -54,15 +50,11 @@ class CrossFitConfig:
     kernel: Optional[KernelSpec] = None
     kernel_order: int = 2
     bandwidth_c0: float = 1.0
-    m_smoothness: int = 2
     grid_n: int = 64
     approximation: str = "quadrature"          # or "logistic"
     skip_thinning: bool = False
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
     eta_grid: int = 512
     eta_range: Optional[tuple] = None
-    dummy_intensity_factor: float = 4.0
-    init: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n_folds < 2:
@@ -74,7 +66,7 @@ class CrossFitConfig:
         if self.kernel is not None:
             return self.kernel
         h = default_bandwidth(spec.window.area(), spec.q, spec.k,
-                              self.kernel_order, self.m_smoothness, self.bandwidth_c0)
+                              l=self.kernel_order, m=2, c0=self.bandwidth_c0)
         return KernelSpec(order=self.kernel_order, bandwidth=h)
 
 
@@ -122,10 +114,6 @@ class CrossFitResult:
     config: CrossFitConfig
 
 
-def _uniform_dummy(window, intensity, seed) -> PointPattern:
-    return simulate_poisson(constant_surface(window, intensity), seed)
-
-
 def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig) -> CrossFitResult:
     """Run the full cross-fitting estimator on one pattern.
 
@@ -158,7 +146,6 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig) -> Cr
                    1.0 / v_count, v_count / (v_count - 1.0))
                   for v in range(1, v_count + 1)]
 
-    init = np.zeros(spec.k) if cfg.init is None else np.asarray(cfg.init, dtype=float)
     per_fold: List[FoldFit] = []
     for idx, (v, fit_pat, train_pat, fit_scale, nuis_scale) in enumerate(splits):
         entry = FoldFit(v=v, n_fit=fit_pat.count(), n_train=train_pat.count(),
@@ -171,15 +158,11 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig) -> Cr
                              eta_range=cfg.eta_range, grid_size=cfg.eta_grid)
             entry.nuisance = nf
             if cfg.approximation == "quadrature":
-                fit_quad = build_quadrature(fit_pat, cfg.grid_n)
-                theta_v = profile_maximize(spec, nf, fit_quad, fit_scale, init,
-                                           cfg.optimizer)
+                scheme = build_quadrature(fit_pat, cfg.grid_n)
             else:
-                rho = cfg.dummy_intensity_factor * fit_pat.count() / area
-                dummy = _uniform_dummy(spec.window, rho, seeds[1 + idx])
-                theta_v = logistic_profile_maximize(spec, nf, fit_pat, dummy, rho,
-                                                    fit_scale, init, cfg.optimizer)
-            entry.theta = theta_v
+                scheme = build_logistic_scheme(
+                    fit_pat, _DUMMY_INTENSITY_FACTOR * fit_pat.count() / area, seeds[1 + idx])
+            entry.theta = profile_maximize(spec, nf, scheme, fit_scale, np.zeros(spec.k))
             entry.converged = True
         except _FOLD_ERRORS as exc:
             entry.error = f"{type(exc).__name__}: {exc}"

@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -182,13 +182,6 @@ def scenario_truth_surface(spec: ModelSpec, theta, eta_fn) -> IntensitySurface:
     nonlinear in z (a lattice-node maximum does not: -0.09 z^2 peaks between
     nodes wherever z changes sign).
     """
-    theta = np.asarray(theta, dtype=float)
-    w = spec.window
-
-    def func(pts):
-        Y, Z = spec.covariates_at(pts)
-        return spec.lambda_values(theta, Y, np.asarray(eta_fn(Z), dtype=float))
-
     tau_max = 0.0
     for t_i, f in zip(theta, spec.target_fields):
         tau_max += t_i * (f.values.max() if t_i >= 0 else f.values.min())
@@ -196,7 +189,7 @@ def scenario_truth_surface(spec: ModelSpec, theta, eta_fn) -> IntensitySurface:
     z_grid = np.linspace(z_field.values.min(), z_field.values.max(), 4097)
     eta_max = float(np.max(eta_fn(z_grid[:, None])))
     sup = math.exp(tau_max + eta_max) * 1.05
-    return IntensitySurface(w, func, sup)
+    return IntensitySurface(spec.window, spec.intensity(theta, eta_fn), sup)
 
 
 def _variants_for(s: Scenario) -> List[str]:
@@ -266,7 +259,7 @@ def run_replication(s: Scenario, rep: int) -> Dict:
             pf = fit_parametric_baseline_full(spec, pattern, quad, form)
             fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design))
             eta_fn = eta_full if name == "oracle" else (lambda Z, c=pf.coef: c[k] + Z @ c[k + 1:])
-            lam_fns.append(_intensity_fn(spec, pf.theta, eta_fn))
+            lam_fns.append(spec.intensity(pf.theta, eta_fn))
 
         pcf_estimated = None
         if "estimated" in variants:
@@ -299,17 +292,7 @@ def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig)
     nf = NuisanceFit(spec, pattern, quad, cfg.resolve_kernel(spec), scale=1.0)
     S, a = semi_sandwich_terms(spec, theta, eta_fn,
                                lambda Z: lfd_values(nf, theta, eta_fn, Z), quad)
-    return res, (theta, S, a), _intensity_fn(spec, theta, eta_fn)
-
-
-def _intensity_fn(spec: ModelSpec, theta, eta_fn):
-    """The fitted intensity u -> lambda(u), the plug-in of the PCF fit."""
-
-    def lam_fn(pts):
-        Yp, Zp = spec.covariates_at(pts)
-        return spec.lambda_values(theta, Yp, eta_fn(Zp))
-
-    return lam_fn
+    return res, (theta, S, a), spec.intensity(theta, eta_fn)
 
 
 def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: int,
@@ -382,34 +365,20 @@ def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, T
     return rows, records
 
 
-def run_scenario(s: Scenario, parallelism: int = 1) -> Dict[str, TableRow]:
-    rows, _ = run_scenario_records(s, parallelism)
-    return rows
-
-
 # -- tables ---------------------------------------------------------------------
 
 
 def _table_scenarios(table_id: int, reps: int, base_seed: int) -> List[Tuple[Dict, Scenario]]:
     out = []
-    if table_id == 2:
+    if table_id in (2, 3):
+        process, pcf_mode = ("poisson", "none") if table_id == 2 else ("lgcp", "estimated")
         for window in ("W1", "W2"):
             for covar in ("ind", "dep"):
                 for nuis in ("linear", "poly"):
                     meta = {"window": window, "covar": covar, "nuisance": nuis}
                     out.append((meta, Scenario(window=window, covariates=covar,
-                                               nuisance=nuis, process="poisson",
-                                               pcf_mode="none", reps=reps,
-                                               base_seed=base_seed,
-                                               estimators=("semi",))))
-    elif table_id == 3:
-        for window in ("W1", "W2"):
-            for covar in ("ind", "dep"):
-                for nuis in ("linear", "poly"):
-                    meta = {"window": window, "covar": covar, "nuisance": nuis}
-                    out.append((meta, Scenario(window=window, covariates=covar,
-                                               nuisance=nuis, process="lgcp",
-                                               pcf_mode="estimated", reps=reps,
+                                               nuisance=nuis, process=process,
+                                               pcf_mode=pcf_mode, reps=reps,
                                                base_seed=base_seed,
                                                estimators=("semi",))))
     elif table_id == 4:
@@ -447,15 +416,11 @@ def run_table(table_id: int, reps: int, parallelism: int, out_path,
             entry = dict(meta)
             if table_id == 4:
                 entry["estimator"] = _EST_LABEL[est]
-            entry.update(bias_x100=row.bias_x100, rmse=row.rmse, mean_se=row.mean_se)
-            if table_id == 3:
-                entry.update(mean_se_star=row.mean_se_star)
-            entry.update(cp90=row.cp90)
-            if table_id == 3:
-                entry.update(cp90_star=row.cp90_star)
-            entry.update(cp95=row.cp95)
-            if table_id == 3:
-                entry.update(cp95_star=row.cp95_star)
+            entry.update(bias_x100=row.bias_x100, rmse=row.rmse)
+            for col in ("mean_se", "cp90", "cp95"):
+                entry[col] = getattr(row, col)
+                if table_id == 3:
+                    entry[col + "_star"] = getattr(row, col + "_star")
             entry.update(reps_converged=row.reps_converged)
             rows_out.append(entry)
         for rec in records:

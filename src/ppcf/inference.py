@@ -44,7 +44,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import norm
 
 from .errors import InsufficientPointsError, SingularSensitivityError
-from .model import ModelSpec, QuadratureScheme
+from .model import ModelSpec, QuadratureScheme, _log_derivatives
 from .nuisance import NuisanceFit
 from .process import PointPattern
 
@@ -108,17 +108,6 @@ def lfd_values(nf: NuisanceFit, theta_hat, eta_hat, Z) -> np.ndarray:
 # -- sandwich terms ----------------------------------------------------------------
 
 
-def _gradient_vectors(spec: ModelSpec, theta_hat, gamma, nu, Y):
-    """Full Gateaux gradient of log lambda at the nodes: d/dtheta + d/deta [nu]."""
-    if spec.link == "log-linear":
-        return Y + nu
-    t = spec.tau(theta_hat, Y)
-    p = spec.psi
-    lam = p.psi(t, gamma)
-    grad = spec.tau_grad(theta_hat, Y)
-    return (p.dpsi_dt(t, gamma)[:, None] * grad + p.dpsi_dg(t, gamma)[:, None] * nu) / lam[:, None]
-
-
 def sandwich_terms(quad: QuadratureScheme, lam, grads):
     """(S, a): S = sum_j w_j lam_j v_j v_j^T (symmetrised), a_j = w_j lam_j v_j, v = grads."""
     a = (quad.weights * lam)[:, None] * grads
@@ -130,14 +119,15 @@ def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: Quadr
     """Sandwich terms (S, a) of the semiparametric estimator on the quadrature scheme.
 
     ``eta_hat`` and ``nu_hat`` are callables on (m, q) covariate arrays or their
-    values at the nodes.
+    values at the nodes.  The gradient v_j is the full Gateaux derivative of
+    log lambda, d/dtheta + d/deta [nu].
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     Y, Z = spec.covariates_at(quad.nodes)
     gamma = np.asarray(eta_hat(Z), dtype=float) if callable(eta_hat) else np.asarray(eta_hat)
     nu = np.asarray(nu_hat(Z), dtype=float) if callable(nu_hat) else np.asarray(nu_hat)
-    lam = spec.lambda_values(theta_hat, Y, gamma)
-    return sandwich_terms(quad, lam, _gradient_vectors(spec, theta_hat, gamma, nu, Y))
+    lam, grads, _ = _log_derivatives(spec, theta_hat, Y, gamma, nu)
+    return sandwich_terms(quad, lam, grads)
 
 
 def _pcf_minus_one(pcf: PcfModel, r2, r_trunc):

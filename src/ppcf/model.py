@@ -1,4 +1,4 @@
-"""Intensity model specification, pseudo-log-likelihood machinery, and the profile optimizer.
+"""Intensity model specification, the pseudo-likelihood objective, and the profile optimizer.
 
 The intensity is ``lambda(u) = Psi[tau_theta(y(u)), eta(z(u))]``.  The log-linear
 link fixes ``Psi = exp`` and ``tau_theta(y) = theta . y``; general links supply
@@ -6,10 +6,24 @@ link fixes ``Psi = exp`` and ``tau_theta(y) = theta . y``; general links supply
 second partials in both arguments), which are cross-checked against finite
 differences at construction.
 
-The pseudo-log-likelihood is evaluated on a quadrature scheme built from the
-data points plus a uniform grid, with counting weights (cell area divided by
-the number of nodes in the cell), turning the objective into a weighted Poisson
-regression over the nodes.
+theta is fitted on a scheme of nodes u_j, some of them the data points, by
+maximizing the sum over the nodes of one loss l_j in log lambda_j.  Each scheme
+supplies the value and the derivatives l' and l'' in log lambda:
+
+* quadrature (Berman & Turner 1992): the data points plus a uniform grid, with
+  counting weights w_j (cell area divided by the number of nodes in the cell);
+  l = 1_data log lambda - w lambda, l' = 1_data - w lambda, l'' = -w lambda;
+* logistic (Baddeley, Coeurjolly, Rubak & Waagepetersen 2014): the data points
+  plus uniform dummy points of intensity rho; l = 1_data log lambda
+  - log(lambda + rho) + (1 - 1_data) log rho, and with p = lambda / (lambda + rho),
+  l' = 1_data - p, l'' = -p (1 - p).
+
+With dlog and d2log the first and second theta-derivatives of log lambda along
+theta -> (theta, eta_theta), the score is sum_j l'_j dlog_j and the Hessian is
+sum_j l'_j d2log_j + l''_j dlog_j dlog_j^T.  The profile fit, the parametric
+baselines (dlog = the design row, no d2log term) and the sandwich terms of
+:mod:`ppcf.inference` take lambda and dlog from :func:`_log_derivatives`, the
+one place outside :class:`ModelSpec` that depends on the link.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from .errors import (
     SingularHessianError,
 )
 from .fields import GridField, Window
-from .process import IntensitySurface, PointPattern
+from .process import IntensitySurface, PointPattern, constant_surface, simulate_poisson
 
 
 @dataclass(frozen=True)
@@ -122,16 +136,15 @@ class ModelSpec:
     def lambda_values(self, theta, Y, gamma):
         return self.psi.psi(self.tau(theta, Y), gamma)
 
-    def mixed_theta_eta_log_partial(self, theta, Y, gamma):
-        """d^2 log Psi / (d theta d gamma); identically zero under the log-linear link."""
-        Y = np.asarray(Y, dtype=float)
-        if self.link == "log-linear":
-            return np.zeros((Y.shape[0], self.k))
-        t = self.tau(theta, Y)
-        p = self.psi
-        v = p.psi(t, gamma)
-        mixed_tg = (p.d2psi_dtg(t, gamma) * v - p.dpsi_dt(t, gamma) * p.dpsi_dg(t, gamma)) / v ** 2
-        return self.tau_grad(theta, Y) * mixed_tg[:, None]
+    def intensity(self, theta, eta_fn):
+        """The intensity u -> lambda(u) on (n, 2) points at theta and a z -> eta function."""
+        theta = np.asarray(theta, dtype=float)
+
+        def lam(pts):
+            Y, Z = self.covariates_at(pts)
+            return self.lambda_values(theta, Y, np.asarray(eta_fn(Z), dtype=float))
+
+        return lam
 
     def _validate_derivatives(self):
         rng = np.random.default_rng(12345)
@@ -174,36 +187,9 @@ def general_model(target_fields, nuisance_fields, tau, tau_grad, tau_hess,
                      tau=tau, tau_grad=tau_grad, tau_hess=tau_hess, psi=psi)
 
 
-# -- nuisance-curve protocol ---------------------------------------------
 
 
-class FixedCurve:
-    """A theta-independent nuisance curve (zero theta-derivatives).
-
-    Used for oracle fits and for plugging a plain z -> eta function into the
-    profile machinery.
-    """
-
-    def __init__(self, fn, k: int):
-        self.fn = fn
-        self.k = k
-
-    def eta_at(self, theta, Z):
-        return np.asarray(self.fn(np.asarray(Z, dtype=float)), dtype=float)
-
-    def eta_all(self, theta, Z):
-        g = self.eta_at(theta, Z)
-        n = g.shape[0]
-        return g, np.zeros((n, self.k)), np.zeros((n, self.k, self.k))
-
-
-def _curve_gamma(eta, theta, Z):
-    if hasattr(eta, "eta_at"):
-        return eta.eta_at(theta, Z)
-    return np.asarray(eta(Z), dtype=float)
-
-
-# -- quadrature ------------------------------------------------------------
+# -- node schemes ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -211,8 +197,7 @@ class QuadratureScheme:
     """Data plus grid nodes with counting weights.
 
     The first ``grid_n**2`` nodes are the uniform grid (cell centers, row-major
-    with y varying slowest); data nodes follow.  ``responses`` are the weighted
-    Poisson responses 1(node is data) / w.
+    with y varying slowest); data nodes follow.
     """
 
     window: Window
@@ -221,12 +206,13 @@ class QuadratureScheme:
     is_data: np.ndarray      # (m,) bool
     grid_n: int
 
-    @property
-    def responses(self) -> np.ndarray:
-        return self.is_data.astype(float) / self.weights
-
     def m(self) -> int:
         return self.nodes.shape[0]
+
+    def node_loss(self, lam):
+        """(value, l', l'') of l = 1_data log lambda - w lambda; derivatives in log lambda."""
+        wl = self.weights * lam
+        return float(np.sum(np.log(lam[self.is_data])) - np.sum(wl)), self.is_data - wl, -wl
 
 
 def build_quadrature(pattern: PointPattern, grid_n: int) -> QuadratureScheme:
@@ -257,120 +243,137 @@ def build_quadrature(pattern: PointPattern, grid_n: int) -> QuadratureScheme:
     return QuadratureScheme(w, nodes, weights, is_data, g)
 
 
-# -- pseudo-log-likelihood and derivatives ---------------------------------
+@dataclass(frozen=True)
+class LogisticScheme:
+    """Dummy nodes of a uniform Poisson pattern of intensity ``rho``; data nodes follow."""
+
+    window: Window
+    nodes: np.ndarray        # (m, 2)
+    is_data: np.ndarray      # (m,) bool
+    rho: float
+
+    def node_loss(self, lam):
+        """(value, l', l'') of the logistic log-likelihood of data against dummy nodes;
+        derivatives in log lambda."""
+        p = lam / (lam + self.rho)
+        value = (np.sum(np.log(lam[self.is_data])) - np.sum(np.log(lam + self.rho))
+                 + np.count_nonzero(~self.is_data) * math.log(self.rho))
+        return float(value), self.is_data - p, -p * (1.0 - p)
 
 
-def pseudo_loglik(spec: ModelSpec, theta, eta, quad: QuadratureScheme,
-                  scale: float = 1.0) -> float:
-    """Quadrature approximation of the pseudo-log-likelihood.
-
-    ``eta`` is either a plain callable Z -> gamma or a curve object; ``scale``
-    multiplies the modeled intensity (the thinning fraction of the fitted
-    sub-process).
-    """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    Y, Z = spec.covariates_at(quad.nodes)
-    gamma = _curve_gamma(eta, theta, Z)
-    return _loglik_arrays(spec, theta, Y, gamma, quad.weights, quad.is_data, scale)
+def build_logistic_scheme(pattern: PointPattern, rho: float, seed) -> LogisticScheme:
+    """The pattern's points plus uniform Poisson dummy points of intensity rho drawn with seed."""
+    dummy = simulate_poisson(constant_surface(pattern.window, rho), seed)
+    nodes = np.vstack([dummy.points, pattern.points])
+    is_data = np.arange(nodes.shape[0]) >= dummy.count()
+    return LogisticScheme(pattern.window, nodes, is_data, float(rho))
 
 
-def _loglik_arrays(spec, theta, Y, gamma, weights, is_data, scale):
-    with np.errstate(over="ignore"):
-        lam = scale * spec.lambda_values(theta, Y, gamma)
-    data_lam = lam[is_data]
-    if np.any(data_lam <= 0):
-        raise NonpositiveIntensityError("scaled intensity nonpositive at a data point")
-    if not np.all(np.isfinite(lam)):
-        return -np.inf
-    return float(np.sum(np.log(data_lam)) - np.sum(weights * lam))
+# -- the objective -------------------------------------------------------------
 
 
-def _dlog_lambda(spec, theta, Y, gamma, d, d2, want_hessian):
-    """General link: lambda and its first/second theta-derivatives along
-    theta -> (theta, eta_theta), raw and of log lambda: (lam, dlam, dlog, d2lam, d2log)."""
+def _log_derivatives(spec: ModelSpec, theta, Y, gamma, d, d2=None):
+    """(lambda, dlog, d2log) at the nodes: lambda and the first and second
+    theta-derivatives of log lambda along theta -> (theta, eta_theta), where d
+    and d2 are the curve's theta-derivatives; d2log is None when d2 is."""
+    theta = np.asarray(theta, dtype=float)
+    if spec.link == "log-linear":
+        return np.exp(Y @ theta + gamma), Y + d, d2
     t = spec.tau(theta, Y)
     g = spec.tau_grad(theta, Y)                                # (m, k)
     p = spec.psi
     lam = p.psi(t, gamma)
     lt = p.dpsi_dt(t, gamma)
     lg = p.dpsi_dg(t, gamma)
-    dlam = lt[:, None] * g + lg[:, None] * d                   # (m, k)
-    dlog = dlam / lam[:, None]
-    if not want_hessian:
-        return lam, dlam, dlog, None, None
+    dlog = (lt[:, None] * g + lg[:, None] * d) / lam[:, None]  # (m, k)
+    if d2 is None:
+        return lam, dlog, None
     gd = g[:, :, None] * d[:, None, :]
     d2lam = (p.d2psi_dtt(t, gamma)[:, None, None] * g[:, :, None] * g[:, None, :]
              + p.d2psi_dtg(t, gamma)[:, None, None] * (gd + gd.transpose(0, 2, 1))
              + p.d2psi_dgg(t, gamma)[:, None, None] * d[:, :, None] * d[:, None, :]
              + lt[:, None, None] * spec.tau_hess(theta, Y)
              + lg[:, None, None] * d2)
-    d2log = d2lam / lam[:, None, None] - dlog[:, :, None] * dlog[:, None, :]
-    return lam, dlam, dlog, d2lam, d2log
+    return lam, dlog, d2lam / lam[:, None, None] - dlog[:, :, None] * dlog[:, None, :]
 
 
-def _score_hessian_arrays(spec, theta, Y, gamma, d_gamma, d2_gamma, weights,
-                          is_data, scale, want_hessian):
-    """Total derivative of the quadrature objective along theta -> (theta, eta_theta)."""
-    theta = np.asarray(theta, dtype=float)
-    if spec.link == "log-linear":
-        lam = scale * np.exp(Y @ theta + gamma)
+def _objective(scheme, intensity, derivatives):
+    """(value, score_hessian) of the scheme's summed node loss as functions of theta.
+
+    ``intensity(theta)`` gives lambda at the nodes and ``derivatives(theta)``
+    gives (lambda, dlog, d2log), d2log None where log lambda is linear in theta.
+    The value is -inf where lambda is not finite, or not positive at a data
+    node, so that the line search backs off.
+    """
+    is_data = scheme.is_data
+
+    def value(theta):
+        with np.errstate(over="ignore"):
+            lam = intensity(theta)
+        if not np.all(np.isfinite(lam)) or np.any(lam[is_data] <= 0):
+            return -np.inf
+        return scheme.node_loss(lam)[0]
+
+    def score_hessian(theta):
+        lam, dlog, d2log = derivatives(theta)
         if np.any(lam[is_data] <= 0):
             raise NonpositiveIntensityError("scaled intensity nonpositive at a data point")
-        dlog = Y + d_gamma                                     # (m, k)
-        wl = weights * lam
-        score = dlog[is_data].sum(axis=0) - wl @ dlog
-        if not want_hessian:
-            return score, None
-        hess = d2_gamma[is_data].sum(axis=0)
-        hess = hess - np.einsum("j,ja,jb->ab", wl, dlog, dlog)
-        hess = hess - np.einsum("j,jab->ab", wl, d2_gamma)
-        return score, hess
+        _, l1, l2 = scheme.node_loss(lam)
+        hess = np.einsum("j,ja,jb->ab", l2, dlog, dlog)
+        if d2log is not None:
+            hess += np.einsum("j,jab->ab", l1, d2log)
+        return l1 @ dlog, hess
 
-    lam, dlam, dlog, d2lam, d2log = _dlog_lambda(spec, theta, Y, gamma, d_gamma, d2_gamma,
-                                                 want_hessian)
-    if np.any(scale * lam[is_data] <= 0):
-        raise NonpositiveIntensityError("scaled intensity nonpositive at a data point")
-    score = dlog[is_data].sum(axis=0) - scale * (weights[:, None] * dlam).sum(axis=0)
-    if not want_hessian:
-        return score, None
-    hess = d2log[is_data].sum(axis=0) - scale * np.einsum("j,jab->ab", weights, d2lam)
-    return score, hess
+    return value, score_hessian
 
 
-def score(spec: ModelSpec, theta, eta_curve, quad: QuadratureScheme,
-          scale: float = 1.0) -> np.ndarray:
-    """Analytic profile score, chain rule through the curve's theta-derivative included."""
-    Y, Z = spec.covariates_at(quad.nodes)
-    gamma, d, d2 = eta_curve.eta_all(theta, Z)
-    s, _ = _score_hessian_arrays(spec, theta, Y, gamma, d, d2, quad.weights,
-                                 quad.is_data, scale, want_hessian=False)
-    return s
+def pseudo_likelihood(spec: ModelSpec, eta_curve, scheme, scale: float):
+    """The objective :func:`profile_maximize` maximizes, as (value, score_hessian) of theta.
+
+    ``scheme`` is a :class:`QuadratureScheme` or a :class:`LogisticScheme`;
+    ``eta_curve`` has ``eta_at(theta, Z)`` and ``eta_all(theta, Z)`` (values
+    and first and second theta-derivatives), and score and Hessian are total
+    derivatives along theta -> (theta, eta_theta).  ``scale`` multiplies the
+    modeled intensity (the thinning fraction of the fitted sub-process).
+    """
+    Y, Z = spec.covariates_at(scheme.nodes)
+
+    def intensity(theta):
+        return scale * spec.lambda_values(theta, Y, eta_curve.eta_at(theta, Z))
+
+    def derivatives(theta):
+        lam, dlog, d2log = _log_derivatives(spec, theta, Y, *eta_curve.eta_all(theta, Z))
+        return scale * lam, dlog, d2log
+
+    return _objective(scheme, intensity, derivatives)
 
 
-def hessian(spec: ModelSpec, theta, eta_curve, quad: QuadratureScheme,
-            scale: float = 1.0) -> np.ndarray:
-    Y, Z = spec.covariates_at(quad.nodes)
-    gamma, d, d2 = eta_curve.eta_all(theta, Z)
-    _, h = _score_hessian_arrays(spec, theta, Y, gamma, d, d2, quad.weights,
-                                 quad.is_data, scale, want_hessian=True)
-    return h
+# -- damped Newton ---------------------------------------------------------------
+
+_TOL = 1e-8                  # converged when |score| <= _TOL * |A|
+_MAX_ITER = 100
+_ARMIJO_C = 1e-4
+_MIN_STEP = 1e-12
+_MAX_NEWTON_NORM = 10.0
 
 
-@dataclass
-class OptimizerOptions:
-    tol: float = 1e-8            # converged when |score| <= tol * |A|
-    max_iter: int = 100
-    armijo_c: float = 1e-4
-    min_step: float = 1e-12
-    max_newton_norm: float = 10.0
+def _backtrack(value_fn, theta, direction, base, slope):
+    """Armijo backtracking from theta along direction; None when the step underflows."""
+    t = 1.0
+    while t >= _MIN_STEP:
+        cand = theta + t * direction
+        val = value_fn(cand)
+        if np.isfinite(val) and val >= base + _ARMIJO_C * t * slope:
+            return cand
+        t *= 0.5
+    return None
 
 
-def _newton_maximize(value_fn, score_hess_fn, init, area, opts: OptimizerOptions):
+def _newton_maximize(value_fn, score_hess_fn, init, area):
     """Damped Newton with Armijo backtracking and gradient-ascent fallback."""
     theta = np.asarray(init, dtype=float).copy()
-    tol = opts.tol * area
-    for _ in range(opts.max_iter):
+    tol = _TOL * area
+    for _ in range(_MAX_ITER):
         s, h = score_hess_fn(theta)
         snorm = float(np.linalg.norm(s))
         if snorm <= tol:
@@ -387,8 +390,8 @@ def _newton_maximize(value_fn, score_hess_fn, init, area, opts: OptimizerOptions
         if direction is None:
             direction = s / max(snorm, 1e-300)
         dnorm = float(np.linalg.norm(direction))
-        if dnorm > opts.max_newton_norm:
-            direction = direction * (opts.max_newton_norm / dnorm)
+        if dnorm > _MAX_NEWTON_NORM:
+            direction = direction * (_MAX_NEWTON_NORM / dnorm)
         base = value_fn(theta)
         slope = float(s @ direction)
         if used_newton and dnorm <= 1e-3 and 0.5 * slope <= 1e-9 * (1.0 + abs(base)):
@@ -399,153 +402,29 @@ def _newton_maximize(value_fn, score_hess_fn, init, area, opts: OptimizerOptions
             # uncontrolled move through this branch)
             theta = theta + direction
             continue
-        t = 1.0
-        while t >= opts.min_step:
-            cand = theta + t * direction
-            val = value_fn(cand)
-            if np.isfinite(val) and val >= base + opts.armijo_c * t * slope:
-                theta = cand
-                break
-            t *= 0.5
-        else:
-            if used_newton:
-                # retry this iterate along the raw gradient
-                direction = s / max(snorm, 1e-300)
-                slope = snorm
-                t = 1.0
-                while t >= opts.min_step:
-                    cand = theta + t * direction
-                    val = value_fn(cand)
-                    if np.isfinite(val) and val >= base + opts.armijo_c * t * slope:
-                        theta = cand
-                        break
-                    t *= 0.5
-                else:
-                    raise SingularHessianError(
-                        "line search stalled along both Newton and gradient directions")
-            else:
-                raise SingularHessianError("gradient ascent stalled")
+        new = _backtrack(value_fn, theta, direction, base, slope)
+        if new is None and used_newton:
+            # retry this iterate along the raw gradient
+            new = _backtrack(value_fn, theta, s / max(snorm, 1e-300), base, snorm)
+            if new is None:
+                raise SingularHessianError(
+                    "line search stalled along both Newton and gradient directions")
+        if new is None:
+            raise SingularHessianError("gradient ascent stalled")
+        theta = new
     s, _ = score_hess_fn(theta)
     raise NonConvergenceError(
-        f"no convergence after {opts.max_iter} iterations (|score|={np.linalg.norm(s):.3e})",
+        f"no convergence after {_MAX_ITER} iterations (|score|={np.linalg.norm(s):.3e})",
         theta=theta, score_norm=float(np.linalg.norm(s)))
 
 
-def profile_maximize(spec: ModelSpec, eta_curve, quad: QuadratureScheme,
-                     scale: float, init, opts: Optional[OptimizerOptions] = None) -> np.ndarray:
-    """Maximize the quadrature pseudo-log-likelihood over theta along the fitted curve."""
-    opts = opts or OptimizerOptions()
-    Y, Z = spec.covariates_at(quad.nodes)
-    weights, is_data = quad.weights, quad.is_data
-
-    def value_fn(theta):
-        gamma = eta_curve.eta_at(theta, Z)
-        try:
-            return _loglik_arrays(spec, theta, Y, gamma, weights, is_data, scale)
-        except NonpositiveIntensityError:
-            return -np.inf
-
-    def score_hess_fn(theta):
-        gamma, d, d2 = eta_curve.eta_all(theta, Z)
-        return _score_hessian_arrays(spec, theta, Y, gamma, d, d2, weights,
-                                     is_data, scale, want_hessian=True)
-
-    return _newton_maximize(value_fn, score_hess_fn, init, quad.window.area(), opts)
-
-
-# -- logistic approximation -------------------------------------------------
-
-
-def logistic_loglik(spec: ModelSpec, theta, eta, pattern: PointPattern,
-                    dummy: PointPattern, rho: float, scale: float = 1.0) -> float:
-    """Logistic composite likelihood against uniform dummy points of intensity rho."""
-    if rho <= 0:
-        raise ValueError("dummy intensity rho must be > 0")
-    Yd, Zd = spec.covariates_at(pattern.points)
-    Yu, Zu = spec.covariates_at(dummy.points)
-    lam_d = scale * spec.lambda_values(theta, Yd, _curve_gamma(eta, theta, Zd))
-    lam_u = scale * spec.lambda_values(theta, Yu, _curve_gamma(eta, theta, Zu))
-    if np.any(lam_d <= 0):
-        raise NonpositiveIntensityError("scaled intensity nonpositive at a data point")
-    return float(np.sum(np.log(lam_d / (lam_d + rho)))
-                 + np.sum(np.log(rho / (lam_u + rho))))
-
-
-def _logistic_score_hessian(spec, theta, Y, gamma, d, d2, rho, scale, sign_data):
-    """Score/Hessian contribution of one point set; sign_data selects data vs dummy."""
-    theta = np.asarray(theta, dtype=float)
-    if spec.link == "log-linear":
-        lam = scale * np.exp(Y @ theta + gamma)
-        dlog = Y + d
-        d2log = d2
-    else:
-        lam_raw, _, dlog, _, d2log = _dlog_lambda(spec, theta, Y, gamma, d, d2, True)
-        lam = scale * lam_raw
-    p_node = lam / (lam + rho)
-    if sign_data:
-        coef = 1.0 - p_node
-    else:
-        coef = -p_node
-    s = (coef[:, None] * dlog).sum(axis=0)
-    h = np.einsum("j,jab->ab", coef, d2log)
-    h -= np.einsum("j,ja,jb->ab", p_node * (1 - p_node), dlog, dlog)
-    return s, h
-
-
-def logistic_profile_maximize(spec: ModelSpec, eta_curve, pattern: PointPattern,
-                              dummy: PointPattern, rho: float, scale: float,
-                              init, opts: Optional[OptimizerOptions] = None) -> np.ndarray:
-    opts = opts or OptimizerOptions()
-    Yd, Zd = spec.covariates_at(pattern.points)
-    Yu, Zu = spec.covariates_at(dummy.points)
-
-    def value_fn(theta):
-        try:
-            gd = eta_curve.eta_at(theta, Zd)
-            gu = eta_curve.eta_at(theta, Zu)
-            with np.errstate(over="ignore"):
-                lam_d = scale * spec.lambda_values(theta, Yd, gd)
-                lam_u = scale * spec.lambda_values(theta, Yu, gu)
-            if np.any(lam_d <= 0):
-                return -np.inf
-            val = (np.sum(np.log(lam_d / (lam_d + rho)))
-                   + np.sum(np.log(rho / (lam_u + rho))))
-            return float(val) if np.isfinite(val) else -np.inf
-        except NonpositiveIntensityError:
-            return -np.inf
-
-    def score_hess_fn(theta):
-        gd_val, dd, d2d = eta_curve.eta_all(theta, Zd)
-        gu_val, du, d2u = eta_curve.eta_all(theta, Zu)
-        s1, h1 = _logistic_score_hessian(spec, theta, Yd, gd_val, dd, d2d, rho, scale, True)
-        s2, h2 = _logistic_score_hessian(spec, theta, Yu, gu_val, du, d2u, rho, scale, False)
-        return s1 + s2, h1 + h2
-
-    return _newton_maximize(value_fn, score_hess_fn, init, pattern.window.area(), opts)
+def profile_maximize(spec: ModelSpec, eta_curve, scheme, scale: float, init) -> np.ndarray:
+    """Maximize :func:`pseudo_likelihood` on ``scheme`` over theta along the fitted curve."""
+    value, score_hessian = pseudo_likelihood(spec, eta_curve, scheme, scale)
+    return _newton_maximize(value, score_hessian, init, scheme.window.area())
 
 
 # -- parametric baselines ----------------------------------------------------
-
-
-def _glm_maximize(X, weights, is_data, offset, area, opts: OptimizerOptions, init):
-    """Weighted-Poisson Newton for lambda = exp(X beta + offset); concave in beta."""
-    beta = np.asarray(init, dtype=float).copy()
-
-    def value_fn(b):
-        with np.errstate(over="ignore"):
-            lam = np.exp(X @ b + offset)
-        if not np.all(np.isfinite(lam)):
-            return -np.inf
-        return float(np.sum(np.log(lam[is_data])) - np.sum(weights * lam))
-
-    def score_hess_fn(b):
-        lam = np.exp(X @ b + offset)
-        wl = weights * lam
-        s = X[is_data].sum(axis=0) - wl @ X
-        h = -np.einsum("j,ja,jb->ab", wl, X, X)
-        return s, h
-
-    return _newton_maximize(value_fn, score_hess_fn, beta, area, opts)
 
 
 @dataclass
@@ -557,24 +436,17 @@ class ParametricFit:
     lambda_nodes: np.ndarray   # (m,) fitted intensity at the quadrature nodes
 
 
-def fit_parametric_baseline(spec: ModelSpec, pattern: PointPattern,
-                            quad: QuadratureScheme, nuisance_form,
-                            opts: Optional[OptimizerOptions] = None) -> np.ndarray:
+def fit_parametric_baseline_full(spec: ModelSpec, pattern: PointPattern,
+                                 quad: QuadratureScheme, nuisance_form) -> ParametricFit:
     """Fully parametric reference fits: eta misspecified as linear, or known a priori.
 
     ``nuisance_form`` is ``"linear"`` (fits eta = b0 + beta . z jointly with theta)
     or ``("oracle", f)`` with f a known z -> eta function (fits theta only).
-    Returns theta-hat; use :func:`fit_parametric_baseline_full` for the full fit.
+    lambda = exp(X coef + offset) maximizes the quadrature node loss, with
+    dlog = X.
     """
-    return fit_parametric_baseline_full(spec, pattern, quad, nuisance_form, opts).theta
-
-
-def fit_parametric_baseline_full(spec: ModelSpec, pattern: PointPattern,
-                                 quad: QuadratureScheme, nuisance_form,
-                                 opts: Optional[OptimizerOptions] = None) -> ParametricFit:
     if spec.link != "log-linear":
         raise ValueError("parametric baselines require the log-linear link")
-    opts = opts or OptimizerOptions()
     Y, Z = spec.covariates_at(quad.nodes)
     m = Y.shape[0]
     n = int(quad.is_data.sum())
@@ -590,10 +462,14 @@ def fit_parametric_baseline_full(spec: ModelSpec, pattern: PointPattern,
         init = np.zeros(spec.k)
     else:
         raise ValueError(f"unknown nuisance_form {nuisance_form!r}")
-    coef = _glm_maximize(X, quad.weights, quad.is_data, offset, area, opts, init)
-    lam = np.exp(X @ coef + offset)
+
+    def intensity(coef):
+        return np.exp(X @ coef + offset)
+
+    value, score_hessian = _objective(quad, intensity, lambda coef: (intensity(coef), X, None))
+    coef = _newton_maximize(value, score_hessian, init, area)
     return ParametricFit(theta=coef[: spec.k], coef=coef, design=X, offset=offset,
-                         lambda_nodes=lam)
+                         lambda_nodes=intensity(coef))
 
 
 # -- intensity surfaces -------------------------------------------------------
@@ -606,13 +482,8 @@ def intensity_surface(spec: ModelSpec, theta, eta_fn, safety: float = 1.05,
     The supremum bound is the lattice-node maximum times a safety factor; the
     rejection sampler re-checks it and raises on violation.
     """
-    theta = np.asarray(theta, dtype=float)
     w = spec.window
-
-    def func(pts):
-        Y, Z = spec.covariates_at(pts)
-        return spec.lambda_values(theta, Y, np.asarray(eta_fn(Z), dtype=float))
-
+    func = spec.intensity(theta, eta_fn)
     nx = bound_resolution or max(f.nx for f in spec.target_fields + spec.nuisance_fields)
     ny = bound_resolution or max(f.ny for f in spec.target_fields + spec.nuisance_fields)
     xs = np.linspace(w.x_min, w.x_max, nx)

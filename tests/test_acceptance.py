@@ -15,7 +15,7 @@ from mc_cache import run_scenario_cached
 from ppcf.fields import GrfSpec, make_window, simulate_grf
 from ppcf.harness import Scenario, _wald_reports
 from ppcf.inference import PcfModel, pcf_correction, semi_sandwich_terms, lfd_values
-from ppcf.model import build_quadrature, hessian, intensity_surface, log_linear_model, pseudo_loglik, score
+from ppcf.model import build_quadrature, intensity_surface, log_linear_model, pseudo_likelihood
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_poisson, v_fold_thin
 
@@ -129,7 +129,8 @@ def test_criterion_02_mean_zero_score():
             continue
         quad = build_quadrature(pattern, 64)
         nf = NuisanceFit(spec, pattern, quad, kernel)
-        scores.append(score(spec, np.array([0.3]), nf, quad, 1.0)[0])
+        _, score_hessian = pseudo_likelihood(spec, nf, quad, 1.0)
+        scores.append(score_hessian(np.array([0.3]))[0][0])
     scores = np.array(scores)
     se = scores.std(ddof=1) / math.sqrt(len(scores))
     ok = abs(scores.mean()) <= 3 * se
@@ -157,16 +158,16 @@ def test_criterion_03_gradient_exactness():
                          scale=float(rng.choice([1.0, 2.0])))
         theta = np.array([float(rng.uniform(-0.4, 0.7))])
         scale = float(rng.choice([1.0, 0.5]))
-        s_val = score(spec, theta, nf, quad, scale)[0]
-        h_val = hessian(spec, theta, nf, quad, scale)[0, 0]
+        # the objective profile_maximize runs on
+        value, score_hessian = pseudo_likelihood(spec, nf, quad, scale)
+        s, h = score_hessian(theta)
+        s_val, h_val = s[0], h[0, 0]
         step = 1e-5
-        lp = pseudo_loglik(spec, theta + step,
-                           lambda Z, t=theta + step: nf.eta_at(t, Z), quad, scale)
-        lm = pseudo_loglik(spec, theta - step,
-                           lambda Z, t=theta - step: nf.eta_at(t, Z), quad, scale)
+        lp = value(theta + step)
+        lm = value(theta - step)
         fd_s = (lp - lm) / (2 * step)
-        sp = score(spec, theta + step, nf, quad, scale)[0]
-        sm = score(spec, theta - step, nf, quad, scale)[0]
+        sp = score_hessian(theta + step)[0][0]
+        sm = score_hessian(theta - step)[0][0]
         fd_h = (sp - sm) / (2 * step)
         rel_s = abs(s_val - fd_s) / max(abs(s_val), abs(fd_s), 1.0)
         rel_h = abs(h_val - fd_h) / max(abs(h_val), abs(fd_h), 1.0)
@@ -278,6 +279,7 @@ def test_criterion_10_truncated_double_sum_oracle():
 
 
 def test_criterion_11_quadrature_convergence():
+    from test_model import FixedCurve
     y = simulate_grf(W1, 96, 96, GrfSpec(1.0, 0.2), seed=71)
     z = simulate_grf(W1, 96, 96, GrfSpec(1.0, 0.2), seed=72)
     spec = log_linear_model([y], [z])
@@ -285,7 +287,8 @@ def test_criterion_11_quadrature_convergence():
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=73)
     theta = np.array([0.3])
-    vals = {g: pseudo_loglik(spec, theta, eta, build_quadrature(pattern, g), 1.0)
+    vals = {g: pseudo_likelihood(spec, FixedCurve(eta, k=1), build_quadrature(pattern, g),
+                                 1.0)[0](theta)
             for g in (16, 64, 256, 512)}
     gaps = [abs(vals[g] - vals[512]) for g in (16, 64, 256)]
     rel_final = gaps[-1] / abs(vals[512])

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import minimize_scalar
+
 from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import InsufficientPointsError, NonConvergenceError
 from ppcf.fields import GrfSpec, make_window, simulate_grf
 from ppcf.model import intensity_surface, log_linear_model
-from ppcf.process import PointPattern, simulate_poisson
+from ppcf.process import PointPattern, constant_surface, fold, simulate_poisson
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 W1 = make_window(0, 0, 1, 1)
 
@@ -161,6 +165,38 @@ def test_logistic_approximation_path():
     # deterministic: the dummy pattern seeds derive from cfg.seed
     res2 = cross_fit(spec, pattern, cfg)
     assert np.array_equal(res.theta_hat, res2.theta_hat)
+
+
+def test_logistic_fold_estimates_match_reference_maximizer():
+    # each fold's theta maximizes the logistic likelihood of the fold's points
+    # against the uniform dummy points drawn from the fold's seed, along the
+    # fold's nuisance curve; the reference is that likelihood in plain numpy,
+    # maximized by scipy
+    spec, pattern = _make_case(43, rate=350.0)
+    marks = np.random.default_rng(43).integers(1, 3, size=pattern.count())
+    pattern = pattern.with_marks(marks)
+    cfg = CrossFitConfig(seed=6, grid_n=32, bandwidth_c0=0.45, approximation="logistic")
+    res = cross_fit(spec, pattern, cfg)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(1 + cfg.n_folds)
+    scale = 1.0 / cfg.n_folds
+    for idx, f in enumerate(res.per_fold):
+        pts = fold(pattern, f.v)
+        rho = 4.0 * pts.count() / W1.area()        # four dummy points per data point
+        dummy = simulate_poisson(constant_surface(W1, rho), seeds[1 + idx])
+        Yd, Zd = spec.covariates_at(pts.points)
+        Yu, Zu = spec.covariates_at(dummy.points)
+
+        def neg_loglik(t, nf=f.nuisance):
+            th = np.array([t])
+            lam_d = scale * np.exp(Yd[:, 0] * t + nf.eta_at(th, Zd))
+            lam_u = scale * np.exp(Yu[:, 0] * t + nf.eta_at(th, Zu))
+            return -(np.sum(np.log(lam_d / (lam_d + rho)))
+                     + np.sum(np.log(rho / (lam_u + rho))))
+
+        ref = minimize_scalar(neg_loglik, bounds=(-1.0, 1.5), method="bounded",
+                              options={"xatol": 1e-10})
+        assert ref.success
+        assert abs(f.theta[0] - ref.x) <= 1e-6, (f.v, f.theta[0], ref.x)
 
 
 def test_general_link_cross_fit_smoke():

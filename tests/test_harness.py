@@ -20,7 +20,6 @@ from ppcf.harness import (
     fit_file,
     read_table_csv,
     run_replication,
-    run_scenario,
     run_scenario_records,
     run_table,
     simulate_scenario_inputs,
@@ -41,7 +40,7 @@ def test_scenario_validation():
 
 def test_single_rep_degenerate_row():
     s = Scenario(reps=1, base_seed=321, estimators=("semi",))
-    rows = run_scenario(s, parallelism=1)
+    rows = run_scenario_records(s, parallelism=1)[0]
     row = rows["semi"]
     rec = run_replication(s, 0)
     theta = rec["estimators"]["semi"]["theta"]
@@ -102,7 +101,7 @@ def test_run_table3_has_starred_columns(tmp_path):
 def test_oracle_estimator_coverage():
     s = Scenario(window="W1", covariates="dep", nuisance="poly", reps=150,
                  base_seed=3030, estimators=("oracle",))
-    rows = run_scenario(s, parallelism=2)
+    rows = run_scenario_records(s, parallelism=2)[0]
     row = rows["oracle"]
     assert 89.0 <= row.cp95 <= 99.5
     assert abs(row.bias_x100) < 2.0
@@ -205,7 +204,7 @@ def test_env_seed_overrides_flag(tmp_path):
 def test_lgcp_scenario_runs_and_reports_starred():
     s = Scenario(window="W1", process="lgcp", pcf_mode="estimated", reps=3,
                  base_seed=808, estimators=("semi",))
-    rows = run_scenario(s, parallelism=1)
+    rows = run_scenario_records(s, parallelism=1)[0]
     row = rows["semi"]
     assert row.mean_se_star is not None
     assert row.mean_se > 0 and row.mean_se_star > 0

@@ -7,24 +7,49 @@ from hypothesis import given, settings, strategies as st
 from ppcf.errors import NonpositiveIntensityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf  # noqa: F401
 from ppcf.model import (
-    FixedCurve,
-    _logistic_score_hessian,
     LinkFunctions,
+    LogisticScheme,
+    build_logistic_scheme,
     build_quadrature,
-    fit_parametric_baseline,
+    fit_parametric_baseline_full,
     general_model,
-    hessian,
     intensity_surface,
     log_linear_model,
-    logistic_loglik,
-    logistic_profile_maximize,
     profile_maximize,
-    pseudo_loglik,
-    score,
+    pseudo_likelihood,
 )
 from ppcf.process import PointPattern, constant_surface, simulate_poisson
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 W1 = make_window(0, 0, 1, 1)
+
+
+class FixedCurve:
+    """A theta-independent nuisance curve z -> eta (zero theta-derivatives)."""
+
+    def __init__(self, fn, k: int):
+        self.fn = fn
+        self.k = k
+
+    def eta_at(self, theta, Z):
+        return np.asarray(self.fn(np.asarray(Z, dtype=float)), dtype=float)
+
+    def eta_all(self, theta, Z):
+        g = self.eta_at(theta, Z)
+        n = g.shape[0]
+        return g, np.zeros((n, self.k)), np.zeros((n, self.k, self.k))
+
+
+def objective_value(spec, theta, eta, scheme, scale=1.0):
+    """The production objective at theta for a plain z -> eta function."""
+    value, _ = pseudo_likelihood(spec, FixedCurve(eta, spec.k), scheme, scale)
+    return value(np.asarray(theta, dtype=float))
+
+
+def score_hessian(spec, theta, curve, scheme, scale=1.0):
+    _, score_hess = pseudo_likelihood(spec, curve, scheme, scale)
+    return score_hess(np.asarray(theta, dtype=float))
 
 
 def _const_field(window, value, n=9):
@@ -88,7 +113,7 @@ def test_homogeneous_closed_form(zero_y_model):
     pat = simulate_poisson(constant_surface(W1, c), seed=3)
     quad = build_quadrature(pat, 8)
     eta = lambda Z: np.full(Z.shape[0], math.log(c))
-    val = pseudo_loglik(zero_y_model, np.array([0.0]), eta, quad, scale=1.0)
+    val = objective_value(zero_y_model, [0.0], eta, quad)
     assert abs(val - (pat.count() * math.log(c) - c * W1.area())) < 1e-9
 
 
@@ -96,8 +121,8 @@ def test_scale_shifts_value_predictably(small_model, small_pattern):
     quad = build_quadrature(small_pattern, 16)
     eta = lambda Z: np.full(Z.shape[0], math.log(150.0))
     theta = np.array([0.2])
-    l1 = pseudo_loglik(small_model, theta, eta, quad, 1.0)
-    l_half = pseudo_loglik(small_model, theta, eta, quad, 0.5)
+    l1 = objective_value(small_model, theta, eta, quad, 1.0)
+    l_half = objective_value(small_model, theta, eta, quad, 0.5)
     _, Z = small_model.covariates_at(quad.nodes)
     Y, _ = small_model.covariates_at(quad.nodes)
     lam = small_model.lambda_values(theta, Y, eta(Z))
@@ -131,19 +156,21 @@ def test_scale_invariance_along_fitted_profile(small_model, small_pattern):
 
 
 def test_nonpositive_intensity_error(zero_y_model):
+    # the line search sees -inf; the score path raises
     pat = PointPattern(W1, np.array([[0.5, 0.5]]))
     quad = build_quadrature(pat, 4)
     eta = lambda Z: np.full(Z.shape[0], -np.inf)
+    assert objective_value(zero_y_model, [0.0], eta, quad) == -np.inf
     with pytest.raises(NonpositiveIntensityError):
-        pseudo_loglik(zero_y_model, np.array([0.0]), eta, quad, 1.0)
+        score_hessian(zero_y_model, [0.0], FixedCurve(eta, 1), quad)
 
 
 def test_quadrature_refinement_converges(small_model, small_pattern):
     eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0]
     theta = np.array([0.3])
-    ref = pseudo_loglik(small_model, theta, eta, build_quadrature(small_pattern, 64), 1.0)
-    gaps = [abs(pseudo_loglik(small_model, theta, eta,
-                              build_quadrature(small_pattern, g), 1.0) - ref)
+    ref = objective_value(small_model, theta, eta, build_quadrature(small_pattern, 64))
+    gaps = [abs(objective_value(small_model, theta, eta, build_quadrature(small_pattern, g))
+                - ref)
             for g in (8, 16, 32)]
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -151,31 +178,30 @@ def test_quadrature_refinement_converges(small_model, small_pattern):
 # -- derivatives ---------------------------------------------------------------
 
 
-def _fd_score(spec, curve, quad, scale, theta, step=1e-5):
+def _fd_score(spec, curve, scheme, scale, theta, step=1e-5):
+    value, _ = pseudo_likelihood(spec, curve, scheme, scale)
     k = theta.shape[0]
     out = np.empty(k)
     for i in range(k):
         e = np.zeros(k)
         e[i] = step
-        lp = pseudo_loglik(spec, theta + e, lambda Z, t=theta + e: curve.eta_at(t, Z),
-                           quad, scale)
-        lm = pseudo_loglik(spec, theta - e, lambda Z, t=theta - e: curve.eta_at(t, Z),
-                           quad, scale)
-        out[i] = (lp - lm) / (2 * step)
+        out[i] = (value(theta + e) - value(theta - e)) / (2 * step)
     return out
+
+
+def _fd_hessian(spec, curve, scheme, scale, theta, step=1e-5):
+    return (score_hessian(spec, theta + step, curve, scheme, scale)[0]
+            - score_hessian(spec, theta - step, curve, scheme, scale)[0]) / (2 * step)
 
 
 def test_score_matches_fd_log_linear(small_model, small_pattern):
     quad = build_quadrature(small_pattern, 12)
     curve = FixedCurve(lambda Z: math.log(150.0) + 0.2 * Z[:, 0] - 0.1 * Z[:, 0] ** 2, k=1)
     theta = np.array([0.17])
-    s = score(small_model, theta, curve, quad, 1.0)
+    s, h = score_hessian(small_model, theta, curve, quad)
     fd = _fd_score(small_model, curve, quad, 1.0, theta)
     assert np.allclose(s, fd, rtol=1e-6, atol=1e-6)
-    h = hessian(small_model, theta, curve, quad, 1.0)
-    step = 1e-5
-    fd_h = (score(small_model, theta + step, curve, quad, 1.0)
-            - score(small_model, theta - step, curve, quad, 1.0)) / (2 * step)
+    fd_h = _fd_hessian(small_model, curve, quad, 1.0, theta)
     assert np.allclose(h[0, 0], fd_h[0], rtol=1e-5, atol=1e-6)
 
 
@@ -237,61 +263,34 @@ def test_score_matches_fd_general_link(general_spec):
     quad = build_quadrature(pat, 8)
     curve = FixedCurve(lambda Z: 2.0 + 0.5 * Z[:, 0], k=1)
     theta = np.array([0.4])
-    s = score(general_spec, theta, curve, quad, 1.0)
+    s, h = score_hessian(general_spec, theta, curve, quad)
     fd = _fd_score(general_spec, curve, quad, 1.0, theta)
     assert np.allclose(s, fd, rtol=1e-5, atol=1e-7)
-    h = hessian(general_spec, theta, curve, quad, 1.0)
-    step = 1e-5
-    fd_h = (score(general_spec, theta + step, curve, quad, 1.0)
-            - score(general_spec, theta - step, curve, quad, 1.0)) / (2 * step)
+    fd_h = _fd_hessian(general_spec, curve, quad, 1.0, theta)
     assert np.allclose(h[0, 0], fd_h[0], rtol=1e-4, atol=1e-6)
 
 
-def test_logistic_score_hessian_match_fd_general_link(general_spec):
+@pytest.mark.parametrize("link", ["log-linear", "general"])
+def test_logistic_score_hessian_match_fd(link, small_model, general_spec):
+    spec = small_model if link == "log-linear" else general_spec
     rng = np.random.default_rng(46)
-    pat = PointPattern(W1, rng.uniform(0, 1, size=(40, 2)))
-    dummy = PointPattern(W1, rng.uniform(0, 1, size=(60, 2)))
+    n_data, n_dummy = 40, 60
+    nodes = rng.uniform(0, 1, size=(n_data + n_dummy, 2))
+    scheme = LogisticScheme(W1, nodes, np.arange(n_data + n_dummy) < n_data, 60.0)
     curve = FixedCurve(lambda Z: 2.0 + 0.5 * Z[:, 0], k=1)
-    rho = 60.0
-
-    def score_hessian(theta):
-        parts = []
-        for points, is_data in ((pat, True), (dummy, False)):
-            Y, Z = general_spec.covariates_at(points.points)
-            g, d, d2 = curve.eta_all(theta, Z)
-            parts.append(_logistic_score_hessian(general_spec, theta, Y, g, d, d2, rho, 1.0,
-                                                 is_data))
-        return parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]
-
     theta = np.array([0.4])
-    step = 1e-5
-    s, h = score_hessian(theta)
-    fd = (logistic_loglik(general_spec, theta + step, curve, pat, dummy, rho)
-          - logistic_loglik(general_spec, theta - step, curve, pat, dummy, rho)) / (2 * step)
+    s, h = score_hessian(spec, theta, curve, scheme)
+    fd = _fd_score(spec, curve, scheme, 1.0, theta)
     assert np.allclose(s, fd, rtol=1e-5, atol=1e-7)
-    fd_h = (score_hessian(theta + step)[0] - score_hessian(theta - step)[0]) / (2 * step)
+    fd_h = _fd_hessian(spec, curve, scheme, 1.0, theta)
     assert np.allclose(h[0, 0], fd_h[0], rtol=1e-4, atol=1e-6)
-
-
-def test_mixed_theta_eta_partial_vanishes_log_linear(small_model):
-    rng = np.random.default_rng(0)
-    Y = rng.normal(size=(100, 1))
-    vals = small_model.mixed_theta_eta_log_partial(np.array([0.4]), Y, rng.normal(size=100))
-    assert np.array_equal(vals, np.zeros((100, 1)))
-
-
-def test_mixed_partial_nonzero_for_general_link(general_spec):
-    rng = np.random.default_rng(1)
-    Y = rng.normal(size=(10, 1))
-    vals = general_spec.mixed_theta_eta_log_partial(np.array([0.4]), Y, rng.normal(size=10))
-    assert np.any(np.abs(vals) > 1e-8)
 
 
 def test_score_at_maximum_is_small(small_model, small_pattern):
     quad = build_quadrature(small_pattern, 16)
     curve = FixedCurve(lambda Z: math.log(150.0) + 0.3 * Z[:, 0], k=1)
     theta = profile_maximize(small_model, curve, quad, 1.0, np.zeros(1))
-    s = score(small_model, theta, curve, quad, 1.0)
+    s, _ = score_hessian(small_model, theta, curve, quad)
     assert np.linalg.norm(s) <= 1e-6 * W1.area()
 
 
@@ -341,9 +340,8 @@ def test_golden_grid_scan_brackets_newton_solution(small_model, small_pattern):
     curve = FixedCurve(lambda Z: math.log(150.0) + 0.3 * Z[:, 0], k=1)
     theta = profile_maximize(small_model, curve, quad, 1.0, np.zeros(1))[0]
     grid = np.arange(theta - 0.002, theta + 0.002, 1e-4)
-    vals = [pseudo_loglik(small_model, np.array([t]),
-                          lambda Z, tt=t: curve.eta_at(np.array([tt]), Z), quad, 1.0)
-            for t in grid]
+    value, _ = pseudo_likelihood(small_model, curve, quad, 1.0)
+    vals = [value(np.array([t])) for t in grid]
     best = grid[int(np.argmax(vals))]
     assert abs(best - theta) <= 1e-4
 
@@ -354,19 +352,21 @@ def test_golden_grid_scan_brackets_newton_solution(small_model, small_pattern):
 def test_logistic_balanced_odds(zero_y_model):
     rho = 55.0
     pat = simulate_poisson(constant_surface(W1, rho), seed=5)
-    dummy = simulate_poisson(constant_surface(W1, rho), seed=6)
+    scheme = build_logistic_scheme(pat, rho, seed=6)
     eta = lambda Z: np.full(Z.shape[0], math.log(rho))
-    val = logistic_loglik(zero_y_model, np.array([0.0]), eta, pat, dummy, rho)
-    expected = (pat.count() + dummy.count()) * math.log(0.5)
+    val = objective_value(zero_y_model, [0.0], eta, scheme)
+    expected = scheme.nodes.shape[0] * math.log(0.5)
     assert abs(val - expected) < 1e-9
 
 
 def test_logistic_zero_intensity_at_data_raises(zero_y_model):
-    pat = PointPattern(W1, np.array([[0.5, 0.5]]))
-    dummy = PointPattern(W1, np.array([[0.25, 0.25]]))
+    # the line search sees -inf; the score path raises
+    scheme = LogisticScheme(W1, np.array([[0.25, 0.25], [0.5, 0.5]]),
+                            np.array([False, True]), 1.0)
     eta = lambda Z: np.full(Z.shape[0], -np.inf)
+    assert objective_value(zero_y_model, [0.0], eta, scheme) == -np.inf
     with pytest.raises(NonpositiveIntensityError):
-        logistic_loglik(zero_y_model, np.array([0.0]), eta, pat, dummy, 1.0)
+        score_hessian(zero_y_model, [0.0], FixedCurve(eta, 1), scheme)
 
 
 def test_logistic_approaches_quadrature_for_large_rho(small_model, small_pattern):
@@ -376,10 +376,8 @@ def test_logistic_approaches_quadrature_for_large_rho(small_model, small_pattern
     n = small_pattern.count()
     gaps = []
     for mult, seed in ((4.0, 71), (40.0, 72)):
-        rho = mult * n / W1.area()
-        dummy = simulate_poisson(constant_surface(W1, rho), seed=seed)
-        t = logistic_profile_maximize(small_model, curve, small_pattern, dummy, rho,
-                                      1.0, np.zeros(1))[0]
+        scheme = build_logistic_scheme(small_pattern, mult * n / W1.area(), seed=seed)
+        t = profile_maximize(small_model, curve, scheme, 1.0, np.zeros(1))[0]
         gaps.append(abs(t - theta_quad))
     assert gaps[1] < 1e-2
 
@@ -398,7 +396,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pat = simulate_poisson(surface, seed=90_000 + s)
         quad = build_quadrature(pat, 32)
-        theta_para = fit_parametric_baseline(spec, pat, quad, "linear")[0]
+        theta_para = fit_parametric_baseline_full(spec, pat, quad, "linear").theta[0]
         res = cross_fit(spec, pat, CrossFitConfig(seed=s, grid_n=32, bandwidth_c0=0.45))
         diffs.append(theta_para - res.theta_hat[0])
     diffs = np.array(diffs)
@@ -411,6 +409,16 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
 def test_baseline_oracle_exact_offset(small_model, small_pattern):
     eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0]
     quad = build_quadrature(small_pattern, 24)
-    theta = fit_parametric_baseline(small_model, small_pattern, quad, ("oracle", eta))
+    theta = fit_parametric_baseline_full(small_model, small_pattern, quad, ("oracle", eta)).theta
     assert theta.shape == (1,)
     assert abs(theta[0] - 0.3) < 0.25
+
+
+def test_baseline_oracle_matches_profile_with_fixed_curve(small_model, small_pattern):
+    # one node loss: the oracle design fit and the profile fit along the fixed
+    # curve maximize the same quadrature objective
+    eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0] - 0.05 * Z[:, 0] ** 2
+    quad = build_quadrature(small_pattern, 24)
+    oracle = fit_parametric_baseline_full(small_model, small_pattern, quad, ("oracle", eta))
+    profile = profile_maximize(small_model, FixedCurve(eta, k=1), quad, 1.0, np.zeros(1))
+    assert np.allclose(oracle.theta, profile, rtol=0, atol=1e-8)
