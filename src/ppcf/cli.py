@@ -1,6 +1,8 @@
 """Command-line interface: simulate / fit / table / scenario.
 
-The environment variable ``PPCF_SEED`` overrides ``--seed`` everywhere.
+Each option resolves by one rule: its default < the ``--config`` YAML mapping
+(``fit`` and ``scenario``) < the flag, when given.  The environment variable
+``PPCF_SEED`` counts as a given ``--seed`` and beats the flag, everywhere.
 """
 
 from __future__ import annotations
@@ -9,35 +11,47 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .harness import (
     Scenario,
     emit_scenario_files,
     fit_file,
+    merge_options,
+    row_columns,
     run_scenario_records,
     run_table,
     _write_csv,
 )
 
+# every option flag, declared once; absent, it is None ("not given")
+_OPTION_FLAGS = {
+    "window": dict(choices=("W1", "W2")),
+    "process": dict(choices=("poisson", "lgcp")),
+    "covar": dict(choices=("ind", "dep")),
+    "nuisance": dict(choices=("linear", "poly")),
+    "estimators": dict(type=lambda v: tuple(e.strip() for e in v.split(",") if e.strip()),
+                       help="comma-separated subset of semi,para,oracle"),
+    "seed": dict(type=int),
+    "reps": dict(type=int),
+    "folds": dict(type=int),
+    "bandwidth": dict(type=float),
+    "kernel_order": dict(type=int, choices=(2, 4)),
+    "approx": dict(choices=("quadrature", "logistic")),
+    "skip_thinning": dict(action="store_true"),
+    "pcf": dict(choices=("known", "estimated", "none")),
+    "grid_n": dict(type=int),
+}
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--folds", type=int, default=2)
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--kernel-order", type=int, choices=(2, 4), default=2)
-    p.add_argument("--approx", choices=("quadrature", "logistic"), default="quadrature")
-    p.add_argument("--skip-thinning", action="store_true")
-    p.add_argument("--pcf", choices=("known", "estimated", "none"), default=None)
-    p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--out", type=str, default=None)
 
-
-def _scenario_args(p: argparse.ArgumentParser):
-    p.add_argument("--window", choices=("W1", "W2"), default="W1")
-    p.add_argument("--process", choices=("poisson", "lgcp"), default="poisson")
-    p.add_argument("--covar", choices=("ind", "dep"), default="ind")
-    p.add_argument("--nuisance", choices=("linear", "poly"), default="linear")
+def _options(p: argparse.ArgumentParser, *flags, **renamed):
+    """Attach option flags to ``p``: each sets the option of its own name, or
+    of the name ``renamed`` gives it."""
+    keys = {**{flag: flag for flag in flags}, **renamed}
+    for flag, key in keys.items():
+        p.add_argument("--" + flag.replace("_", "-"), dest=key, default=None,
+                       **_OPTION_FLAGS[flag])
+    p.set_defaults(option_keys=keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="emit pattern and covariate grid files")
-    _scenario_args(p_sim)
-    _add_common(p_sim)
+    _options(p_sim, "window", "process", "nuisance", covar="covariates", seed="base_seed")
     p_sim.add_argument("--rep", type=int, default=0)
     p_sim.add_argument("--out-dir", type=str, required=True)
 
@@ -55,104 +68,77 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("pattern", type=str)
     p_fit.add_argument("--y-grid", action="append", required=True)
     p_fit.add_argument("--z-grid", action="append", required=True)
-    p_fit.add_argument("--config", type=str, default=None)
-    p_fit.add_argument("--grid-n", type=int, default=None)
-    _add_common(p_fit)
+    p_fit.add_argument("--config", type=str, default=None,
+                       help="YAML mapping of fit options; flags override it")
+    _options(p_fit, "folds", "bandwidth", "kernel_order", "skip_thinning", "seed", "approx",
+             "pcf", "grid_n")
+    p_fit.add_argument("--out", type=str, default=None)
 
     p_tab = sub.add_parser("table", help="reproduce a simulation table")
     p_tab.add_argument("--table", type=int, choices=(2, 3, 4), required=True)
-    _add_common(p_tab)
+    _options(p_tab, "reps", seed="base_seed")
+    p_tab.add_argument("--parallelism", type=int, default=1)
+    p_tab.add_argument("--out", type=str, default=None)
 
     p_sc = sub.add_parser("scenario", help="run one simulation scenario")
-    _scenario_args(p_sc)
-    p_sc.add_argument("--estimators", type=str, default="semi",
-                      help="comma-separated subset of semi,para,oracle")
     p_sc.add_argument("--config", type=str, default=None,
                       help="YAML mapping of Scenario fields; flags override it")
-    _add_common(p_sc)
+    _options(p_sc, "window", "process", "nuisance", "estimators", "folds", "bandwidth",
+             "kernel_order", "skip_thinning", "reps", covar="covariates", seed="base_seed",
+             approx="approximation", pcf="pcf_mode")
+    p_sc.add_argument("--parallelism", type=int, default=1)
+    p_sc.add_argument("--out", type=str, default=None)
     return parser
 
 
-def _effective_seed(args) -> int:
+def _given(args) -> dict:
+    """The options given on the command line, by key; ``PPCF_SEED`` as the seed."""
+    given = {key: getattr(args, key) for key in args.option_keys.values()
+             if getattr(args, key) is not None}
     env = os.environ.get("PPCF_SEED")
     if env is not None:
-        return int(env)
-    return args.seed
+        given[args.option_keys["seed"]] = int(env)
+    return given
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seed = _effective_seed(args)
+    given = _given(args)
 
     if args.command == "simulate":
-        s = Scenario(window=args.window, process=args.process, covariates=args.covar,
-                     nuisance=args.nuisance, reps=1, base_seed=seed,
-                     folds=args.folds, bandwidth=args.bandwidth,
-                     kernel_order=args.kernel_order, approximation=args.approx,
-                     skip_thinning=args.skip_thinning)
-        paths = emit_scenario_files(s, args.rep, args.out_dir)
+        paths = emit_scenario_files(Scenario(reps=1, **given), args.rep, args.out_dir)
         print(json.dumps(paths, indent=2))
         return 0
 
     if args.command == "fit":
-        overrides = {
-            "folds": args.folds,
-            "seed": seed,
-            "bandwidth": args.bandwidth,
-            "kernel_order": args.kernel_order,
-            "approx": args.approx,
-            "skip_thinning": args.skip_thinning or None,
-            "pcf": args.pcf,
-            "grid_n": args.grid_n,
-        }
         out_prefix = args.out or "fit"
         report = fit_file(args.pattern, args.y_grid, args.z_grid,
-                          config_path=args.config, out_prefix=out_prefix,
-                          overrides=overrides)
+                          config_path=args.config, out_prefix=out_prefix, overrides=given)
         for i, (t, se) in enumerate(zip(report.theta_hat, report.se)):
-            lo95, hi95 = report.ci[0.95][i]
-            print(f"theta[{i}] = {t:.6f}  se = {se:.6f}  95% CI = ({lo95:.6f}, {hi95:.6f})")
+            cis = "".join(f"  {100 * level:g}% CI = ({arr[i, 0]:.6f}, {arr[i, 1]:.6f})"
+                          for level, arr in report.ci.items())
+            print(f"theta[{i}] = {t:.6f}  se = {se:.6f}{cis}")
         print(f"outputs written with prefix {out_prefix!r}")
         return 0
 
     if args.command == "table":
         out = args.out or f"table{args.table}.csv"
-        rows = run_table(args.table, reps=args.reps, parallelism=args.parallelism,
-                         out_path=out, base_seed=seed)
+        rows = run_table(args.table, out, parallelism=args.parallelism, **given)
         print(f"wrote {len(rows)} rows to {out}")
         return 0
 
     if args.command == "scenario":
-        estimators = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
-        pcf_mode = args.pcf
-        if pcf_mode is None:
-            pcf_mode = "estimated" if args.process == "lgcp" else "none"
-        fields = dict(window=args.window, process=args.process, covariates=args.covar,
-                      nuisance=args.nuisance, pcf_mode=pcf_mode, reps=args.reps,
-                      base_seed=seed, estimators=estimators, folds=args.folds,
-                      bandwidth=args.bandwidth, kernel_order=args.kernel_order,
-                      approximation=args.approx, skip_thinning=args.skip_thinning)
-        if args.config:
-            import yaml
-            with open(args.config) as fh:
-                loaded = yaml.safe_load(fh) or {}
-            if "estimators" in loaded:
-                loaded["estimators"] = tuple(loaded["estimators"])
-            unknown = set(loaded) - set(fields)
-            if unknown:
-                raise SystemExit(f"unknown scenario config keys: {sorted(unknown)}")
-            fields.update(loaded)
-        s = Scenario(**fields)
+        keys = set(args.option_keys.values())
+        defaults = {f.name: f.default for f in fields(Scenario) if f.name in keys}
+        defaults["pcf_mode"] = None          # by default, estimated for lgcp, else none
+        opts = merge_options(defaults, args.config, given)
+        if opts["pcf_mode"] is None:
+            opts["pcf_mode"] = "estimated" if opts["process"] == "lgcp" else "none"
+        s = Scenario(**{**opts, "estimators": tuple(opts["estimators"])})
         rows, _ = run_scenario_records(s, parallelism=args.parallelism)
-        out_rows = []
-        for est, row in rows.items():
-            entry = {"estimator": est, "bias_x100": row.bias_x100, "rmse": row.rmse,
-                     "mean_se": row.mean_se, "cp90": row.cp90, "cp95": row.cp95,
-                     "reps_converged": row.reps_converged}
-            if row.mean_se_star is not None:
-                entry.update(mean_se_star=row.mean_se_star, cp90_star=row.cp90_star,
-                             cp95_star=row.cp95_star)
-            out_rows.append(entry)
+        out_rows = [{"estimator": est, **row_columns(row, starred=row.mean_se_star is not None)}
+                    for est, row in rows.items()]
+        for entry in out_rows:
             print(json.dumps(entry))
         if args.out:
             _write_csv(out_rows, args.out)

@@ -40,21 +40,20 @@ _DUMMY_INTENSITY_FACTOR = 4.0
 class CrossFitConfig:
     """Configuration for one cross-fitting run.
 
-    ``kernel=None`` selects a Gaussian/quartic kernel of order ``kernel_order``
-    with the rate-rule bandwidth (constant ``bandwidth_c0``, dependence index
-    m = 2).  ``skip_thinning`` is valid only for the log-linear link.
+    The kernel is Gaussian (order 2) or quartic (order 4); ``bandwidth=None``
+    selects the rate-rule bandwidth with constant ``bandwidth_c0`` and
+    dependence index m = 2.  ``skip_thinning`` is valid only for the
+    log-linear link.
     """
 
     n_folds: int = 2
     seed: int = 0
-    kernel: Optional[KernelSpec] = None
+    bandwidth: Optional[float] = None
     kernel_order: int = 2
     bandwidth_c0: float = 1.0
     grid_n: int = 64
     approximation: str = "quadrature"          # or "logistic"
     skip_thinning: bool = False
-    eta_grid: int = 512
-    eta_range: Optional[tuple] = None
 
     def __post_init__(self):
         if self.n_folds < 2:
@@ -63,11 +62,11 @@ class CrossFitConfig:
             raise ValueError(f"unknown approximation {self.approximation!r}")
 
     def resolve_kernel(self, spec: ModelSpec) -> KernelSpec:
-        if self.kernel is not None:
-            return self.kernel
-        h = default_bandwidth(spec.window.area(), spec.q, spec.k,
-                              l=self.kernel_order, m=2, c0=self.bandwidth_c0)
-        return KernelSpec(order=self.kernel_order, bandwidth=h)
+        h = self.bandwidth
+        if h is None:
+            h = default_bandwidth(spec.window.area(), spec.q, spec.k,
+                                  l=self.kernel_order, m=2, c0=self.bandwidth_c0)
+        return KernelSpec(order=self.kernel_order, bandwidth=float(h))
 
 
 @dataclass
@@ -154,8 +153,7 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig) -> Cr
             if fit_pat.count() == 0:
                 raise InsufficientPointsError(f"fold {v} holds no points")
             nuis_quad = build_quadrature(train_pat, cfg.grid_n)
-            nf = NuisanceFit(spec, train_pat, nuis_quad, kernel, scale=nuis_scale,
-                             eta_range=cfg.eta_range, grid_size=cfg.eta_grid)
+            nf = NuisanceFit(spec, train_pat, nuis_quad, kernel, scale=nuis_scale)
             entry.nuisance = nf
             if cfg.approximation == "quadrature":
                 scheme = build_quadrature(fit_pat, cfg.grid_n)

@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +54,7 @@ from .model import (
     fit_parametric_baseline_full,
     log_linear_model,
 )
-from .nuisance import KernelSpec, NuisanceFit, default_bandwidth
+from .nuisance import NuisanceFit
 from .process import (
     IntensitySurface,
     PointPattern,
@@ -121,13 +121,6 @@ class Scenario:
 
     def the_grid_n(self) -> int:
         return self.grid_n if self.grid_n is not None else GRID_N[self.window]
-
-    def kernel(self) -> KernelSpec:
-        h = self.bandwidth
-        if h is None:
-            h = default_bandwidth(self.the_window().area(), q=1, k=1,
-                                  l=self.kernel_order, m=2, c0=self.bandwidth_c0)
-        return KernelSpec(order=self.kernel_order, bandwidth=h)
 
 
 @dataclass
@@ -245,7 +238,8 @@ def run_replication(s: Scenario, rep: int) -> Dict:
 
         if "semi" in s.estimators:
             cfg = CrossFitConfig(
-                n_folds=s.folds, seed=seeds[2] ^ 0x9E3779B9, kernel=s.kernel(),
+                n_folds=s.folds, seed=seeds[2] ^ 0x9E3779B9, bandwidth=s.bandwidth,
+                kernel_order=s.kernel_order, bandwidth_c0=s.bandwidth_c0,
                 grid_n=s.the_grid_n(), approximation=s.approximation,
                 skip_thinning=s.skip_thinning)
             res, fits["semi"], lam_fn = _fit_semi(spec, pattern, quad, cfg)
@@ -398,7 +392,19 @@ def _table_scenarios(table_id: int, reps: int, base_seed: int) -> List[Tuple[Dic
 _EST_LABEL = {"semi": "Semi", "para": "Para", "oracle": "Oracle"}
 
 
-def run_table(table_id: int, reps: int, parallelism: int, out_path,
+def row_columns(row: TableRow, starred: bool) -> Dict:
+    """A table row's columns in table order; each starred (known-PCF) column
+    follows its unstarred one."""
+    entry = {"bias_x100": row.bias_x100, "rmse": row.rmse}
+    for col in ("mean_se", "cp90", "cp95"):
+        entry[col] = getattr(row, col)
+        if starred:
+            entry[col + "_star"] = getattr(row, col + "_star")
+    entry["reps_converged"] = row.reps_converged
+    return entry
+
+
+def run_table(table_id: int, out_path, reps: int = 200, parallelism: int = 1,
               base_seed: int = 2024) -> List[Dict]:
     """Reproduce one of the simulation tables at the requested replication count.
 
@@ -412,16 +418,10 @@ def run_table(table_id: int, reps: int, parallelism: int, out_path,
     for meta, scen in scenarios:
         rows, records = run_scenario_records(scen, parallelism)
         for est in scen.estimators:
-            row = rows[est]
             entry = dict(meta)
             if table_id == 4:
                 entry["estimator"] = _EST_LABEL[est]
-            entry.update(bias_x100=row.bias_x100, rmse=row.rmse)
-            for col in ("mean_se", "cp90", "cp95"):
-                entry[col] = getattr(row, col)
-                if table_id == 3:
-                    entry[col + "_star"] = getattr(row, col + "_star")
-            entry.update(reps_converged=row.reps_converged)
+            entry.update(row_columns(rows[est], starred=table_id == 3))
             rows_out.append(entry)
         for rec in records:
             sidecar.append({"table": table_id, **meta, **rec})
@@ -444,70 +444,73 @@ def _write_csv(rows: List[Dict], path) -> None:
                              for k, v in row.items()})
 
 
-def read_table_csv(path) -> List[Dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            parsed = {}
-            for k, v in row.items():
-                if v in ("", "None"):
-                    parsed[k] = None
-                else:
-                    try:
-                        parsed[k] = int(v)
-                    except ValueError:
-                        try:
-                            parsed[k] = float(v)
-                        except ValueError:
-                            parsed[k] = v
-            out.append(parsed)
-        return out
-
-
 # -- file-based fitting -----------------------------------------------------------
 
 
+def merge_options(defaults: Dict, config_path=None, given: Optional[Dict] = None) -> Dict:
+    """Options by precedence: ``defaults`` < the YAML mapping at ``config_path`` <
+    the non-None values of ``given``.  The YAML may set only keys of ``defaults``."""
+    merged = dict(defaults)
+    if config_path is not None:
+        with open(config_path) as fh:
+            loaded = yaml.safe_load(fh) or {}
+        unknown = set(loaded) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        merged.update(loaded)
+    merged.update({key: val for key, val in (given or {}).items() if val is not None})
+    return merged
+
+
+# the ``ppcf fit`` key of each CrossFitConfig field not keyed by its own name;
+# every field is a key, with the field's default
+_FIELD_KEYS = {"n_folds": "folds", "approximation": "approx"}
+# ``ppcf fit`` keys beyond the cross-fitting options, and its own seed default
 _FIT_DEFAULTS = {
-    "folds": 2,
     "seed": 2024,
-    "bandwidth": None,
-    "bandwidth_c0": 1.0,
-    "kernel_order": 2,
-    "approx": "quadrature",
-    "skip_thinning": False,
-    "grid_n": 64,
     "pcf": "none",
     "pcf_sigma2": None,
     "pcf_phi": None,
     "levels": [0.9, 0.95],
-    "eta_dump_points": 200,
 }
+# z values in the ``<out>_eta.csv`` dump of the fitted nuisance curve
+ETA_DUMP_POINTS = 200
 
 
-def load_fit_config(config_path=None, overrides: Optional[Dict] = None) -> Dict:
-    cfg = dict(_FIT_DEFAULTS)
-    if config_path is not None:
-        with open(config_path) as fh:
-            loaded = yaml.safe_load(fh) or {}
-        unknown = set(loaded) - set(_FIT_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def resolve_fit_options(config_path=None, given: Optional[Dict] = None
+                        ) -> Tuple[Dict, CrossFitConfig, Optional[PcfModel]]:
+    """``ppcf fit``'s merged options, their CrossFitConfig and the PCF unless estimated.
+
+    Every option is checked here, so a bad one fails before any file is read.
+    """
+    defaults = {_FIELD_KEYS.get(f.name, f.name): f.default for f in fields(CrossFitConfig)}
+    opts = merge_options({**defaults, **_FIT_DEFAULTS}, config_path, given)
+    cfg = CrossFitConfig(**{f.name: opts[_FIELD_KEYS.get(f.name, f.name)]
+                            for f in fields(CrossFitConfig)})
+    if not all(0.0 < lvl < 1.0 for lvl in opts["levels"]):
+        raise ValueError(f"levels must lie in (0, 1), got {opts['levels']}")
+    pcf = None
+    if opts["pcf"] == "none":
+        pcf = PcfModel("poisson")
+    elif opts["pcf"] == "known":
+        if opts["pcf_sigma2"] is None or opts["pcf_phi"] is None:
+            raise ValueError("pcf=known requires pcf_sigma2 and pcf_phi")
+        pcf = PcfModel("lgcp-exponential", sigma2=float(opts["pcf_sigma2"]),
+                       phi=float(opts["pcf_phi"]))
+    elif opts["pcf"] != "estimated":
+        raise ValueError(f"unknown pcf mode {opts['pcf']!r}")
+    return opts, cfg, pcf
 
 
 def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
              config_path=None, out_prefix=None, overrides: Optional[Dict] = None) -> FitReport:
     """Full pipeline on user files: parse, cross-fit, variance, Wald intervals.
 
-    Writes a one-row summary CSV, a JSON-line record, and a 1-d lattice dump of
-    the fitted nuisance curve when ``out_prefix`` is given.
+    Options merge as in :func:`resolve_fit_options` (``overrides`` are the
+    given values).  Writes a one-row summary CSV, a JSON-line record, and a
+    1-d lattice dump of the fitted nuisance curve when ``out_prefix`` is given.
     """
-    cfg = load_fit_config(config_path, overrides)
+    opts, run_cfg, pcf = resolve_fit_options(config_path, overrides)
     pattern = read_pattern_file(pattern_path)
     y_fields = [read_grid_file(p) for p in y_grid_paths]
     z_fields = [read_grid_file(p) for p in z_grid_paths]
@@ -524,28 +527,10 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
         raise InsufficientPointsError("pattern file contains no points")
 
     spec = log_linear_model(y_fields, z_fields)
-    kernel = None
-    if cfg["bandwidth"] is not None:
-        kernel = KernelSpec(order=cfg["kernel_order"], bandwidth=float(cfg["bandwidth"]))
-    run_cfg = CrossFitConfig(
-        n_folds=int(cfg["folds"]), seed=int(cfg["seed"]), kernel=kernel,
-        kernel_order=int(cfg["kernel_order"]), bandwidth_c0=float(cfg["bandwidth_c0"]),
-        grid_n=int(cfg["grid_n"]), approximation=cfg["approx"],
-        skip_thinning=bool(cfg["skip_thinning"]))
-    quad = build_quadrature(pattern, int(cfg["grid_n"]))
+    quad = build_quadrature(pattern, run_cfg.grid_n)
     result, semi, lam_fn = _fit_semi(spec, pattern, quad, run_cfg)
-
-    if cfg["pcf"] == "none":
-        pcf = PcfModel("poisson")
-    elif cfg["pcf"] == "known":
-        if cfg["pcf_sigma2"] is None or cfg["pcf_phi"] is None:
-            raise ValueError("pcf=known requires pcf_sigma2 and pcf_phi")
-        pcf = PcfModel("lgcp-exponential", sigma2=float(cfg["pcf_sigma2"]),
-                       phi=float(cfg["pcf_phi"]))
-    elif cfg["pcf"] == "estimated":
+    if pcf is None:
         pcf = estimate_pcf(pattern, lam_fn)
-    else:
-        raise ValueError(f"unknown pcf mode {cfg['pcf']!r}")
 
     diagnostics = {
         "fold_convergence": [f.converged for f in result.per_fold],
@@ -554,15 +539,15 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
                         if f.nuisance is not None],
     }
     report = _wald_reports({"semi": semi}, {"fit": pcf}, quad, spec.k,
-                           levels=tuple(cfg["levels"]), diagnostics=diagnostics)["semi"]["fit"]
+                           levels=tuple(opts["levels"]), diagnostics=diagnostics)["semi"]["fit"]
 
     if out_prefix is not None:
-        _write_fit_outputs(report, spec, pattern, result.eta_hat, cfg, str(out_prefix))
+        _write_fit_outputs(report, spec, pattern, result.eta_hat, str(out_prefix))
     return report
 
 
 def _write_fit_outputs(report: FitReport, spec: ModelSpec, pattern: PointPattern,
-                       eta_fn, cfg: Dict, out_prefix: str) -> None:
+                       eta_fn, out_prefix: str) -> None:
     k = report.theta_hat.shape[0]
     row = {}
     for i in range(k):
@@ -591,7 +576,7 @@ def _write_fit_outputs(report: FitReport, spec: ModelSpec, pattern: PointPattern
     if spec.q == 1:
         _, Zd = spec.covariates_at(pattern.points)
         z_lo, z_hi = float(Zd.min()), float(Zd.max())
-        zs = np.linspace(z_lo, z_hi, int(cfg["eta_dump_points"]))
+        zs = np.linspace(z_lo, z_hi, ETA_DUMP_POINTS)
         etas = eta_fn(zs[:, None])
         with open(out_prefix + "_eta.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -358,13 +358,14 @@ _MAX_NEWTON_NORM = 10.0
 
 
 def _backtrack(value_fn, theta, direction, base, slope):
-    """Armijo backtracking from theta along direction; None when the step underflows."""
+    """Armijo backtracking from theta along direction: the accepted point and
+    its value, or None when the step underflows."""
     t = 1.0
     while t >= _MIN_STEP:
         cand = theta + t * direction
         val = value_fn(cand)
         if np.isfinite(val) and val >= base + _ARMIJO_C * t * slope:
-            return cand
+            return cand, val
         t *= 0.5
     return None
 
@@ -373,6 +374,7 @@ def _newton_maximize(value_fn, score_hess_fn, init, area):
     """Damped Newton with Armijo backtracking and gradient-ascent fallback."""
     theta = np.asarray(init, dtype=float).copy()
     tol = _TOL * area
+    base = None                  # value at theta, once evaluated
     for _ in range(_MAX_ITER):
         s, h = score_hess_fn(theta)
         snorm = float(np.linalg.norm(s))
@@ -392,7 +394,8 @@ def _newton_maximize(value_fn, score_hess_fn, init, area):
         dnorm = float(np.linalg.norm(direction))
         if dnorm > _MAX_NEWTON_NORM:
             direction = direction * (_MAX_NEWTON_NORM / dnorm)
-        base = value_fn(theta)
+        if base is None:
+            base = value_fn(theta)
         slope = float(s @ direction)
         if used_newton and dnorm <= 1e-3 and 0.5 * slope <= 1e-9 * (1.0 + abs(base)):
             # predicted gain is below the float resolution of the objective:
@@ -400,7 +403,7 @@ def _newton_maximize(value_fn, score_hess_fn, init, area):
             # step is a contraction here, so take it undamped (the step-norm
             # guard keeps a near-singular Hessian from ever sneaking a big
             # uncontrolled move through this branch)
-            theta = theta + direction
+            theta, base = theta + direction, None
             continue
         new = _backtrack(value_fn, theta, direction, base, slope)
         if new is None and used_newton:
@@ -411,7 +414,7 @@ def _newton_maximize(value_fn, score_hess_fn, init, area):
                     "line search stalled along both Newton and gradient directions")
         if new is None:
             raise SingularHessianError("gradient ascent stalled")
-        theta = new
+        theta, base = new
     s, _ = score_hess_fn(theta)
     raise NonConvergenceError(
         f"no convergence after {_MAX_ITER} iterations (|score|={np.linalg.norm(s):.3e})",

@@ -1,0 +1,195 @@
+"""The option path from flags and YAML to the estimator, and the README's CLI section."""
+
+import argparse
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+import ppcf.cli
+import ppcf.harness
+from ppcf.cli import build_parser, main as cli_main
+from ppcf.crossfit import CrossFitConfig
+from ppcf.harness import Scenario, emit_scenario_files, resolve_fit_options
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class Captured(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def fit_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("data")
+    return emit_scenario_files(Scenario(window="W1", reps=1, base_seed=555), 0, d)
+
+
+def _fit_config(monkeypatch, fit_files, argv, yaml_text=None, tmp_path=None):
+    """The CrossFitConfig ``ppcf fit`` hands to cross_fit."""
+    def capture(spec, pattern, cfg):
+        raise Captured(cfg)
+
+    monkeypatch.setattr(ppcf.harness, "cross_fit", capture)
+    args = ["fit", fit_files["pattern"], "--y-grid", fit_files["y0"],
+            "--z-grid", fit_files["z0"]]
+    if yaml_text is not None:
+        config = tmp_path / "fit.yaml"
+        config.write_text(yaml_text)
+        args += ["--config", str(config)]
+    with pytest.raises(Captured) as caught:
+        cli_main(args + argv)
+    return caught.value.args[0]
+
+
+def _scenario(monkeypatch, argv, yaml_text=None, tmp_path=None) -> Scenario:
+    """The Scenario ``ppcf scenario`` runs."""
+    seen = []
+
+    def capture(s, parallelism=1):
+        seen.append(s)
+        return {}, []
+
+    monkeypatch.setattr(ppcf.cli, "run_scenario_records", capture)
+    args = ["scenario"]
+    if yaml_text is not None:
+        config = tmp_path / "cell.yaml"
+        config.write_text(yaml_text)
+        args += ["--config", str(config)]
+    assert cli_main(args + argv) == 0
+    return seen[0]
+
+
+FIT_YAML = "folds: 3\nseed: 7\nkernel_order: 4\napprox: logistic\ngrid_n: 40\nbandwidth: 0.3\n"
+FIT_FLAGS = ["--folds", "4", "--seed", "11", "--approx", "quadrature", "--bandwidth", "0.2"]
+
+
+def test_fit_option_precedence(monkeypatch, tmp_path, fit_files):
+    # default < YAML < flag, with PPCF_SEED over all
+    def resolved(use_yaml, argv):
+        cfg = _fit_config(monkeypatch, fit_files, argv, FIT_YAML if use_yaml else None,
+                          tmp_path)
+        return (cfg.n_folds, cfg.seed, cfg.kernel_order, cfg.approximation, cfg.grid_n,
+                cfg.bandwidth)
+
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    assert resolved(False, []) == (2, 2024, 2, "quadrature", 64, None)
+    assert resolved(True, []) == (3, 7, 4, "logistic", 40, 0.3)
+    assert resolved(True, FIT_FLAGS) == (4, 11, 4, "quadrature", 40, 0.2)
+    monkeypatch.setenv("PPCF_SEED", "99")
+    assert resolved(True, FIT_FLAGS) == (4, 99, 4, "quadrature", 40, 0.2)
+    assert resolved(False, []) == (2, 99, 2, "quadrature", 64, None)
+
+
+SCENARIO_YAML = ("window: W2\nprocess: lgcp\nreps: 5\nbase_seed: 7\nfolds: 3\n"
+                 "kernel_order: 4\napproximation: logistic\nestimators: [semi, para]\n")
+SCENARIO_FLAGS = ["--window", "W1", "--reps", "3", "--seed", "11", "--approx", "quadrature",
+                  "--pcf", "known", "--estimators", "oracle"]
+
+
+def test_scenario_option_precedence(monkeypatch, tmp_path):
+    # default < YAML < flag, with PPCF_SEED over all; the PCF mode follows
+    # the resolved process unless given
+    def resolved(use_yaml, argv):
+        s = _scenario(monkeypatch, argv, SCENARIO_YAML if use_yaml else None, tmp_path)
+        return (s.window, s.process, s.reps, s.base_seed, s.folds, s.kernel_order,
+                s.approximation, s.estimators, s.pcf_mode)
+
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    assert resolved(False, []) == ("W1", "poisson", 200, 2024, 2, 2, "quadrature",
+                                   ("semi",), "none")
+    assert resolved(True, []) == ("W2", "lgcp", 5, 7, 3, 4, "logistic", ("semi", "para"),
+                                  "estimated")
+    assert resolved(True, SCENARIO_FLAGS) == ("W1", "lgcp", 3, 11, 3, 4, "quadrature",
+                                              ("oracle",), "known")
+    monkeypatch.setenv("PPCF_SEED", "99")
+    assert resolved(True, SCENARIO_FLAGS)[3] == 99
+    assert resolved(False, [])[3] == 99
+
+
+def test_unknown_config_keys_rejected(monkeypatch, tmp_path, fit_files):
+    with pytest.raises(ValueError, match="unknown config keys"):
+        _fit_config(monkeypatch, fit_files, [], "folds: 2\nfold: 3\n", tmp_path)
+    with pytest.raises(ValueError, match="unknown config keys"):
+        _scenario(monkeypatch, [], "covar: dep\n", tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--table", "2", "--folds", "3"],
+    ["table", "--table", "2", "--bandwidth", "0.1"],
+    ["table", "--table", "2", "--kernel-order", "4"],
+    ["table", "--table", "2", "--approx", "logistic"],
+    ["table", "--table", "2", "--skip-thinning"],
+    ["table", "--table", "2", "--pcf", "known"],
+    ["simulate", "--out-dir", "d", "--approx", "logistic"],
+    ["simulate", "--out-dir", "d", "--reps", "5"],
+    ["simulate", "--out-dir", "d", "--folds", "3"],
+    ["simulate", "--out-dir", "d", "--bandwidth", "0.1"],
+    ["simulate", "--out-dir", "d", "--kernel-order", "4"],
+    ["simulate", "--out-dir", "d", "--skip-thinning"],
+    ["simulate", "--out-dir", "d", "--pcf", "none"],
+    ["simulate", "--out-dir", "d", "--parallelism", "2"],
+    ["fit", "p.txt", "--y-grid", "y", "--z-grid", "z", "--reps", "5"],
+    ["fit", "p.txt", "--y-grid", "y", "--z-grid", "z", "--parallelism", "2"],
+])
+def test_flags_a_subcommand_ignores_are_rejected(argv):
+    # (``simulate --out`` still parses: argparse reads it as short for --out-dir)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+# -- the README's CLI section -------------------------------------------------------
+
+
+def _cli_section() -> str:
+    text = README.read_text()
+    start = text.index("\n## CLI\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def _blocks(lang: str):
+    return re.findall(rf"```{lang}\n(.*?)```", _cli_section(), flags=re.S)
+
+
+def _subcommand_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings if s != "--help"} - {"-h"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_commands_parse():
+    commands = [line for block in _blocks("bash")
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ppcf ")]
+    assert {shlex.split(c)[1] for c in commands} == {"simulate", "fit", "table", "scenario"}
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
+
+
+def test_readme_flag_table_matches_parser():
+    rows = re.findall(r"^\| `(\w+)` +\| (.+) \|$", _cli_section(), flags=re.M)
+    documented = {name: set(re.findall(r"--[\w-]+", flags)) for name, flags in rows}
+    assert documented == _subcommand_flags()
+
+
+def test_readme_fit_yaml_loads_through_the_merge(tmp_path):
+    fit_yaml = _blocks("yaml")[0]
+    path = tmp_path / "fit.yaml"
+    path.write_text(fit_yaml)
+    opts, cfg, pcf = resolve_fit_options(path)
+    assert cfg == CrossFitConfig(n_folds=2, seed=7, bandwidth=None, kernel_order=2,
+                                 grid_n=64, approximation="quadrature", skip_thinning=False)
+    assert opts["levels"] == [0.9, 0.95] and pcf.family == "poisson"
+
+
+def test_readme_scenario_yaml_loads_through_the_merge(monkeypatch, tmp_path):
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    scenario_yaml = _blocks("yaml")[1]
+    s = _scenario(monkeypatch, [], scenario_yaml, tmp_path)
+    assert s == Scenario(window="W1", process="lgcp", covariates="dep", nuisance="poly",
+                         estimators=("semi", "para", "oracle"), base_seed=11, reps=50,
+                         approximation="quadrature", pcf_mode="known")

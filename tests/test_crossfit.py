@@ -210,7 +210,7 @@ def test_general_link_cross_fit_smoke():
                         lambda th, Y: np.asarray(Y, float),
                         lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
                         LinkFunctions(e, e, e, e, e, e))
-    cfg = CrossFitConfig(seed=8, grid_n=16, bandwidth_c0=0.45, eta_grid=64)
+    cfg = CrossFitConfig(seed=8, grid_n=16, bandwidth_c0=0.45)
     res_gen = cross_fit(gen, pattern, cfg)
     res_log = cross_fit(spec, pattern, cfg)
     assert abs(res_gen.theta_hat[0] - res_log.theta_hat[0]) < 2e-3

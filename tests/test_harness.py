@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -18,7 +19,6 @@ from ppcf.harness import (
     _wald_reports,
     emit_scenario_files,
     fit_file,
-    read_table_csv,
     run_replication,
     run_scenario_records,
     run_table,
@@ -27,6 +27,27 @@ from ppcf.harness import (
 from ppcf.inference import PcfModel, sandwich_terms
 from ppcf.model import build_quadrature
 from ppcf.process import PointPattern
+
+
+def read_table_csv(path):
+    """Rows of a table CSV with ints, floats and None parsed back."""
+    with open(path, newline="") as fh:
+        out = []
+        for row in csv.DictReader(fh):
+            parsed = {}
+            for k, v in row.items():
+                if v in ("", "None"):
+                    parsed[k] = None
+                else:
+                    try:
+                        parsed[k] = int(v)
+                    except ValueError:
+                        try:
+                            parsed[k] = float(v)
+                        except ValueError:
+                            parsed[k] = v
+            out.append(parsed)
+        return out
 
 
 def test_scenario_validation():
@@ -139,6 +160,40 @@ def test_fit_file_roundtrip_bit_exact(tmp_path):
     assert (tmp_path / "fit_eta.csv").exists()
     eta_rows = (tmp_path / "fit_eta.csv").read_text().strip().splitlines()
     assert len(eta_rows) == 201  # header + 200 grid points
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"pcf": "guessed"}, "unknown pcf mode"),
+    ({"pcf": "known", "pcf_sigma2": 0.2}, "requires pcf_sigma2 and pcf_phi"),
+    ({"levels": [0.9, 1.0]}, "levels must lie in"),
+    ({"levels": [0.0]}, "levels must lie in"),
+    ({"folds": 1}, "n_folds must be >= 2"),
+])
+def test_fit_file_rejects_bad_options_before_reading(monkeypatch, tmp_path, options, message):
+    # no file is read and no fold is fitted: the input paths do not even exist
+    import ppcf.harness
+
+    def fail(*args, **kwargs):
+        raise AssertionError("cross_fit called before the options were checked")
+
+    monkeypatch.setattr(ppcf.harness, "cross_fit", fail)
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(ValueError, match=message):
+        fit_file(missing, [missing], [missing], overrides=options)
+
+
+def test_cli_fit_prints_configured_levels(tmp_path, capsys):
+    s = Scenario(window="W1", reps=1, base_seed=555)
+    paths = emit_scenario_files(s, 0, tmp_path)
+    config = tmp_path / "fit.yaml"
+    config.write_text("levels: [0.8]\ngrid_n: 32\n")
+    rc = cli_main(["fit", paths["pattern"], "--y-grid", paths["y0"], "--z-grid", paths["z0"],
+                   "--config", str(config), "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "80% CI = (" in line and "95%" not in line
+    summary = json.loads((tmp_path / "fit_summary.jsonl").read_text())
+    assert list(summary["ci"]) == ["0.8"]
 
 
 def test_fit_file_empty_pattern(tmp_path):

@@ -297,6 +297,31 @@ def test_score_at_maximum_is_small(small_model, small_pattern):
 # -- profile optimizer ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("curve", ["fixed", "fitted"])
+def test_newton_never_revalues_the_accepted_point(curve, small_model, small_pattern):
+    # the line search hands its accepted value on, so the objective is never
+    # evaluated twice in a row at the same theta; the iterates are unchanged
+    from ppcf.model import _newton_maximize
+    from ppcf.nuisance import KernelSpec, NuisanceFit
+    quad = build_quadrature(small_pattern, 16)
+    if curve == "fixed":
+        eta_curve = FixedCurve(lambda Z: math.log(150.0) + 0.3 * Z[:, 0], k=1)
+    else:
+        eta_curve = NuisanceFit(small_model, small_pattern, quad, KernelSpec(2, 0.45))
+    value, score_hess = pseudo_likelihood(small_model, eta_curve, quad, 1.0)
+    seen = []
+
+    def counting_value(theta):
+        seen.append(np.array(theta, copy=True))
+        return value(theta)
+
+    theta = _newton_maximize(counting_value, score_hess, np.zeros(1), W1.area())
+    assert len(seen) >= 2
+    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    assert np.array_equal(theta, profile_maximize(small_model, eta_curve, quad, 1.0,
+                                                  np.zeros(1)))
+
+
 def test_profile_recovers_truth_with_oracle_curve_w2():
     w2 = make_window(0, 0, 2, 2)
     spec_grf = GrfSpec(1.0, 0.05)
