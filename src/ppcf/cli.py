@@ -55,16 +55,19 @@ def _options(p: argparse.ArgumentParser, *flags, **renamed):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ppcf",
+    # exact flag spellings only: no unique-prefix abbreviations
+    parser = argparse.ArgumentParser(prog="ppcf", allow_abbrev=False,
                                      description="semiparametric spatial point process fitting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="emit pattern and covariate grid files")
+    p_sim = sub.add_parser("simulate", allow_abbrev=False,
+                           help="emit pattern and covariate grid files")
     _options(p_sim, "window", "process", "nuisance", covar="covariates", seed="base_seed")
     p_sim.add_argument("--rep", type=int, default=0)
     p_sim.add_argument("--out-dir", type=str, required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a point pattern file with covariate grids")
+    p_fit = sub.add_parser("fit", allow_abbrev=False,
+                           help="fit a point pattern file with covariate grids")
     p_fit.add_argument("pattern", type=str)
     p_fit.add_argument("--y-grid", action="append", required=True)
     p_fit.add_argument("--z-grid", action="append", required=True)
@@ -74,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
              "pcf", "grid_n")
     p_fit.add_argument("--out", type=str, default=None)
 
-    p_tab = sub.add_parser("table", help="reproduce a simulation table")
+    p_tab = sub.add_parser("table", allow_abbrev=False, help="reproduce a simulation table")
     p_tab.add_argument("--table", type=int, choices=(2, 3, 4), required=True)
     _options(p_tab, "reps", seed="base_seed")
     p_tab.add_argument("--parallelism", type=int, default=1)
     p_tab.add_argument("--out", type=str, default=None)
 
-    p_sc = sub.add_parser("scenario", help="run one simulation scenario")
+    p_sc = sub.add_parser("scenario", allow_abbrev=False, help="run one simulation scenario")
     p_sc.add_argument("--config", type=str, default=None,
                       help="YAML mapping of Scenario fields; flags override it")
     _options(p_sc, "window", "process", "nuisance", "estimators", "folds", "bandwidth",

@@ -60,6 +60,8 @@ class CrossFitConfig:
             raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
         if self.approximation not in ("quadrature", "logistic"):
             raise ValueError(f"unknown approximation {self.approximation!r}")
+        # the kernel's own checks, before any data is read
+        KernelSpec(self.kernel_order, 1.0 if self.bandwidth is None else self.bandwidth)
 
     def resolve_kernel(self, spec: ModelSpec) -> KernelSpec:
         h = self.bandwidth

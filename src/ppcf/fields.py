@@ -111,12 +111,6 @@ class GridField:
         self.values = values.reshape(ny, nx)
         self.values.setflags(write=False)
 
-    def node_xs(self) -> np.ndarray:
-        return np.linspace(self.window.x_min, self.window.x_max, self.nx)
-
-    def node_ys(self) -> np.ndarray:
-        return np.linspace(self.window.y_min, self.window.y_max, self.ny)
-
     def same_lattice(self, other: "GridField") -> bool:
         return self.window == other.window and self.nx == other.nx and self.ny == other.ny
 
@@ -242,17 +236,6 @@ def field_product(a: GridField, b: GridField) -> GridField:
     if not a.same_lattice(b):
         raise LatticeMismatchError("fields must share window and resolution")
     return GridField(a.window, a.nx, a.ny, a.values * b.values)
-
-
-def apply_pointwise(a: GridField, f) -> GridField:
-    """Apply a scalar map to every lattice node."""
-    try:
-        out = np.asarray(f(a.values), dtype=float)
-        if out.shape != a.values.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        out = np.vectorize(f, otypes=[float])(a.values)
-    return GridField(a.window, a.nx, a.ny, out)
 
 
 def write_grid_file(field: GridField, path) -> None:

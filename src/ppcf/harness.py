@@ -278,14 +278,13 @@ def run_replication(s: Scenario, rep: int) -> Dict:
 def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig):
     """Cross-fit theta; return the result, its (theta, S, a) and the fitted intensity.
 
-    The least favorable direction is estimated on the full pattern with the
-    fold kernel and the full-pattern quadrature ``quad``.
+    The least favorable direction is the theta-derivative of the curve fitted on
+    the full pattern with the fold kernel and the full-pattern quadrature ``quad``.
     """
     res = cross_fit(spec, pattern, cfg)
     theta, eta_fn = res.theta_hat, res.eta_hat
     nf = NuisanceFit(spec, pattern, quad, cfg.resolve_kernel(spec), scale=1.0)
-    S, a = semi_sandwich_terms(spec, theta, eta_fn,
-                               lambda Z: lfd_values(nf, theta, eta_fn, Z), quad)
+    S, a = semi_sandwich_terms(spec, theta, eta_fn, lambda Z: lfd_values(nf, theta, Z), quad)
     return res, (theta, S, a), spec.intensity(theta, eta_fn)
 
 

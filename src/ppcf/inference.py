@@ -9,6 +9,10 @@ parametric baselines),
     S = sum_j w_j lambda_j v_j v_j^T,    a_j = w_j lambda_j v_j,
     Sigma = S + sum_{i,j} a_i a_j^T [g(d_ij) - 1].
 
+The least favorable direction nu is the theta-derivative of a kernel curve
+fitted on the full pattern, read from that curve's own evaluation
+(:func:`lfd_values`), so it is flat wherever the clamped curve is.
+
 The pair correlation g is Poisson (g = 1) or LGCP-exponential
 (g(r) = exp(sigma2 * exp(-r/phi))), fitted by minimum contrast on the
 inhomogeneous K-function when not known.  The harness stacks the a-vectors of
@@ -97,12 +101,10 @@ class PcfModel:
 # -- least favorable direction ------------------------------------------------
 
 
-def lfd_values(nf: NuisanceFit, theta_hat, eta_hat, Z) -> np.ndarray:
-    """Plug-in least favorable direction nu-hat at many z: the unclamped theta-derivative
-    of the kernel curve, which needs eta_hat(z) under general links only."""
-    Z = np.asarray(Z, dtype=float).reshape(-1, nf.q)
-    gamma = None if nf.spec.link == "log-linear" else eta_hat(Z)
-    return nf.raw_dtheta(theta_hat, Z, gamma)
+def lfd_values(nf: NuisanceFit, theta_hat, Z) -> np.ndarray:
+    """Plug-in least favorable direction nu-hat at many z (B, q): the theta-derivative
+    d of the fitted kernel curve at theta_hat, from the curve's own evaluation."""
+    return nf.curve(theta_hat, Z, 1)[1]
 
 
 # -- sandwich terms ----------------------------------------------------------------
@@ -118,14 +120,14 @@ def sandwich_terms(quad: QuadratureScheme, lam, grads):
 def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: QuadratureScheme):
     """Sandwich terms (S, a) of the semiparametric estimator on the quadrature scheme.
 
-    ``eta_hat`` and ``nu_hat`` are callables on (m, q) covariate arrays or their
-    values at the nodes.  The gradient v_j is the full Gateaux derivative of
-    log lambda, d/dtheta + d/deta [nu].
+    ``eta_hat`` and ``nu_hat`` are callables on (m, q) covariate arrays.  The
+    gradient v_j is the full Gateaux derivative of log lambda, d/dtheta +
+    d/deta [nu].
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     Y, Z = spec.covariates_at(quad.nodes)
-    gamma = np.asarray(eta_hat(Z), dtype=float) if callable(eta_hat) else np.asarray(eta_hat)
-    nu = np.asarray(nu_hat(Z), dtype=float) if callable(nu_hat) else np.asarray(nu_hat)
+    gamma = np.asarray(eta_hat(Z), dtype=float)
+    nu = np.asarray(nu_hat(Z), dtype=float)
     lam, grads, _ = _log_derivatives(spec, theta_hat, Y, gamma, nu)
     return sandwich_terms(quad, lam, grads)
 
@@ -243,7 +245,7 @@ def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
 # -- K-function and minimum contrast -------------------------------------------
 
 
-def estimate_pcf(pattern: PointPattern, intensity_hat, r_grid=None) -> PcfModel:
+def estimate_pcf(pattern: PointPattern, intensity_hat) -> PcfModel:
     """Fit (sigma2, phi) of the LGCP-exponential PCF by minimum contrast.
 
     The inhomogeneous K-function is estimated with translation edge correction
@@ -256,11 +258,7 @@ def estimate_pcf(pattern: PointPattern, intensity_hat, r_grid=None) -> PcfModel:
         raise InsufficientPointsError(f"PCF estimation needs >= 10 points, got {n}")
     w = pattern.window
     r_max = 0.25 * min(w.width, w.height)
-    if r_grid is None:
-        r_grid = np.linspace(0.0, r_max, 65)[1:]
-    else:
-        r_grid = np.asarray(r_grid, dtype=float)
-        r_max = float(r_grid.max())
+    r_grid = np.linspace(0.0, r_max, 65)[1:]
 
     lam = np.asarray(intensity_hat(pattern.points), dtype=float)
     if np.any(lam <= 0):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -41,7 +41,7 @@ from .errors import (
     SingularHessianError,
 )
 from .fields import GridField, Window
-from .process import IntensitySurface, PointPattern, constant_surface, simulate_poisson
+from .process import PointPattern, constant_surface, simulate_poisson
 
 
 @dataclass(frozen=True)
@@ -474,24 +474,3 @@ def fit_parametric_baseline_full(spec: ModelSpec, pattern: PointPattern,
     return ParametricFit(theta=coef[: spec.k], coef=coef, design=X, offset=offset,
                          lambda_nodes=intensity(coef))
 
-
-# -- intensity surfaces -------------------------------------------------------
-
-
-def intensity_surface(spec: ModelSpec, theta, eta_fn, safety: float = 1.05,
-                      bound_resolution: Optional[int] = None) -> IntensitySurface:
-    """Wrap the model at (theta, eta) as an intensity surface.
-
-    The supremum bound is the lattice-node maximum times a safety factor; the
-    rejection sampler re-checks it and raises on violation.
-    """
-    w = spec.window
-    func = spec.intensity(theta, eta_fn)
-    nx = bound_resolution or max(f.nx for f in spec.target_fields + spec.nuisance_fields)
-    ny = bound_resolution or max(f.ny for f in spec.target_fields + spec.nuisance_fields)
-    xs = np.linspace(w.x_min, w.x_max, nx)
-    ys = np.linspace(w.y_min, w.y_max, ny)
-    gx, gy = np.meshgrid(xs, ys)
-    lattice = np.column_stack([gx.ravel(), gy.ravel()])
-    sup = float(func(lattice).max()) * safety
-    return IntensitySurface(w, func, sup)

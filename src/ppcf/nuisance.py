@@ -19,17 +19,23 @@ and its theta-derivatives, minus the tilted kernel mean and covariance of y,
 come from one product of the rows with [a, a y, a y y^T], a_j = exp(theta . y_j).
 General links run a bracketed Newton iteration on the gamma-score, implicit
 differentiation for the first theta-derivative and a central difference of it
-for the second.  One smooth clamp maps raw values into ``eta_range``.  For q = 1
-the evaluator runs at the nodes of a fixed grid and the curve is interpolated
-linearly; for q >= 2 it runs at the query points, in chunks of bounded size.
-Covariates are standardized by training moments (bandwidths in those units).
+for the second.  One smooth clamp maps raw values into ``eta_range``, the log
+intensities within a factor 1e6 of the training points' mean intensity.  For
+q = 1 the evaluator runs at the nodes of a fixed 512-node grid and the curve
+is interpolated linearly; for q >= 2 it runs at the query points, in chunks of
+bounded size.  Covariates are standardized by training moments (bandwidths in
+those units; the kernel follows from its order: Gaussian for 2, quartic for 4).
+
+The least favorable direction of the sandwich variance is the curve's own
+first theta-derivative d, taken from the same evaluation and the same clamp
+as the curve value (``curve`` at order 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +48,7 @@ _CHUNK_ELEMS = 1 << 16        # entries of one (rows, n + m, q) kernel temporary
 _NEWTON_TOL = 1e-12           # relative step at which a row's Newton iteration stops
 _NEWTON_MAX_ITER = 200
 _FD_STEP = 1e-4               # theta step of the general-link second derivative
+_GRID_SIZE = 512              # nodes of the q = 1 grid the curve is interpolated on
 
 
 def _gaussian(t):
@@ -55,49 +62,27 @@ def _quartic4(t):
     return np.where(inside, (15.0 / 32.0) * (3.0 - 10.0 * t ** 2 + 7.0 * t ** 4), 0.0)
 
 
-_KERNELS = {"gaussian": (_gaussian, 2, 14.0), "quartic": (_quartic4, 4, 1.0)}
+# kernel order -> univariate kernel: Gaussian (order 2), polynomial on [-1, 1] (order 4)
+_KERNELS = {2: _gaussian, 4: _quartic4}
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Product kernel of even order with a scalar bandwidth (standardized z units)."""
+    """Product kernel of even order with a scalar bandwidth (standardized z units);
+    the order picks the univariate kernel from ``_KERNELS``."""
 
     order: int
     bandwidth: float
-    base: Optional[str] = None       # None: the one base kernel of this order
 
     def __post_init__(self):
-        if self.base is None:
-            bases = [name for name, (_, order, _) in _KERNELS.items() if order == self.order]
-            if not bases:
-                raise ValueError(f"no kernel of order {self.order}")
-            object.__setattr__(self, "base", bases[0])
-        if self.base not in _KERNELS:
-            raise ValueError(f"unknown kernel base {self.base!r}")
-        fn, native_order, support = _KERNELS[self.base]
-        if self.order != native_order:
-            raise ValueError(f"{self.base} kernel has order {native_order}, got {self.order}")
+        if self.order not in _KERNELS:
+            raise ValueError(f"no kernel of order {self.order}")
         if not (self.bandwidth > 0):
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        self._check_moments(fn, support)
-
-    def _check_moments(self, fn, support):
-        ts = np.linspace(-support, support, 20001)
-        k = fn(ts)
-        mass = np.trapezoid(k, ts)
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"kernel mass {mass} != 1")
-        for i in range(1, self.order):
-            mom = np.trapezoid(ts ** i * k, ts)
-            if abs(mom) > 1e-6:
-                raise ValueError(f"kernel moment {i} = {mom} != 0")
-        top = np.trapezoid(ts ** self.order * k, ts)
-        if abs(top) <= 1e-6:
-            raise ValueError(f"kernel moment {self.order} vanishes")
 
     def k1(self, t):
         """Univariate kernel value."""
-        return _KERNELS[self.base][0](t)
+        return _KERNELS[self.order](t)
 
     def product(self, diffs):
         """K_h(z) = h^-q * prod_i k(z_i / h) for standardized differences (..., q)."""
@@ -197,8 +182,7 @@ class NuisanceFit:
     points (``exact``) when q >= 2 and at cached grid nodes when q = 1."""
 
     def __init__(self, spec: ModelSpec, train: PointPattern, quad: QuadratureScheme,
-                 kernel: KernelSpec, scale: float = 1.0,
-                 eta_range: Optional[tuple] = None, grid_size: int = 512):
+                 kernel: KernelSpec, scale: float = 1.0):
         if train.count() == 0:
             raise InsufficientPointsError("cannot fit the nuisance on an empty pattern")
         if scale < 1.0:
@@ -222,11 +206,8 @@ class NuisanceFit:
         self._Zs_nodes = (Z_nodes - self._mu) / self._sd
         self._Zs_all = np.vstack([self._Zs_train, self._Zs_nodes])
 
-        n = train.count()
-        area = spec.window.area()
-        if eta_range is None:
-            eta_range = (math.log(1e-6 * n / area), math.log(1e6 * n / area))
-        self.eta_range = (float(eta_range[0]), float(eta_range[1]))
+        n, area = train.count(), spec.window.area()
+        self.eta_range = (math.log(1e-6 * n / area), math.log(1e6 * n / area))
 
         self._grid = None
         self._grid_cache = {}
@@ -235,7 +216,7 @@ class NuisanceFit:
             lo = min(self._Zs_train.min(), self._Zs_nodes.min())
             hi = max(self._Zs_train.max(), self._Zs_nodes.max())
             pad = 0.05 * max(hi - lo, 1e-9)
-            self._grid = np.linspace(lo - pad, hi + pad, int(grid_size))
+            self._grid = np.linspace(lo - pad, hi + pad, _GRID_SIZE)
             self._grid_rows = _Rows(*self._rows(self._grid[:, None], lambda _, r: r, strict=False))
 
     def standardize(self, Z):
@@ -402,34 +383,11 @@ class NuisanceFit:
         return self._rows(self.standardize(Z),
                           lambda _, rows: self._solve(theta, rows, order, strict=True))
 
-    def raw_dtheta(self, theta, Z, gamma=None) -> np.ndarray:
-        """Unclamped d eta_theta / d theta at Z (B, q): the plug-in least favorable direction.
+    # -- bulk curve interface (the profile optimizer and the LFD) ---------------
 
-        Log-linear: minus the tilted kernel mean of y, free of gamma (off the grid
-        when q = 1).  General links: the implicit ratio at the given ``gamma`` (B,).
-        """
-        theta = np.asarray(theta, dtype=float)
-        log_linear = self.spec.link == "log-linear"
-
-        def one(sl, rows):
-            if log_linear:
-                ay = np.exp(self.Y_nodes @ theta)
-                den, d, _ = _tilted_moments(rows.KW, ay, self.Y_nodes, 1)
-                flat = den <= 0
-            else:
-                d, flat = self._implicit_d(theta, np.asarray(gamma, dtype=float)[sl], rows)
-            if sl is not None and flat.any():        # grid rows (sl None) keep d = 0
-                raise ZeroDenominatorError("no tilted mass or gamma-curvature at a query point")
-            return (d,)
-
-        Zs = self.standardize(Z)
-        if log_linear and self._grid is not None:
-            return _interp(Zs[:, 0], self._grid, one(None, self._grid_rows)[0])
-        return self._rows(Zs, one)[0]
-
-    # -- bulk curve interface (used by the profile optimizer) ---------------
-
-    def _curve(self, theta, Z, order):
+    def curve(self, theta, Z, order):
+        """(gamma, d, D2) of the fitted curve at Z (B, q), None beyond ``order``: off
+        the cached grid when q = 1, else from ``exact``."""
         theta = np.asarray(theta, dtype=float)
         if self._grid is None:
             return self.exact(theta, Z, order)
@@ -444,7 +402,7 @@ class NuisanceFit:
         return tuple(None if v is None else _interp(zs, self._grid, v) for v in hit[1])
 
     def eta_at(self, theta, Z) -> np.ndarray:
-        return self._curve(theta, Z, 0)[0]
+        return self.curve(theta, Z, 0)[0]
 
     def eta_all(self, theta, Z):
-        return self._curve(theta, Z, 2)
+        return self.curve(theta, Z, 2)

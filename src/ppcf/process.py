@@ -7,7 +7,7 @@ acceptance step re-checks the bound and raises rather than silently clipping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -106,19 +106,15 @@ def lgcp_surface(base: IntensitySurface, g_field: GridField, sigma2: float) -> I
 
 
 def simulate_lgcp(base: IntensitySurface, grf: GrfSpec, nx: int, ny: int,
-                  seed: int, g_override: Optional[GridField] = None) -> PointPattern:
+                  seed: int) -> PointPattern:
     """Log-Gaussian Cox sample: draw the latent field, then Poisson given it.
 
-    ``g_override`` injects a fixed latent field (testing hook); the variance of
-    ``grf`` still sets the offset, so ``grf.variance == 0`` is rejected.
+    The variance of ``grf`` sets the offset, so ``grf.variance == 0`` is rejected.
     """
     if grf.variance <= 0:
         raise ValueError("LGCP latent variance must be > 0 (offset is -2/sigma^2)")
     seeds = np.random.SeedSequence(seed).spawn(2)
-    if g_override is not None:
-        g_field = g_override
-    else:
-        g_field = simulate_grf(base.window, nx, ny, grf, seeds[0])
+    g_field = simulate_grf(base.window, nx, ny, grf, seeds[0])
     cond = lgcp_surface(base, g_field, grf.variance)
     return simulate_poisson(cond, seeds[1])
 
@@ -154,14 +150,6 @@ def fold_complement(pattern: PointPattern, v: int) -> PointPattern:
         raise ValueError(f"fold index must be >= 1, got {v}")
     keep = pattern.marks != v
     return PointPattern(pattern.window, pattern.points[keep], pattern.marks[keep])
-
-
-def campbell_sum(pattern: PointPattern, f) -> float:
-    """Sum of f(x, y) over the points of the pattern (f vectorized over arrays)."""
-    if pattern.count() == 0:
-        return 0.0
-    vals = np.asarray(f(pattern.points[:, 0], pattern.points[:, 1]), dtype=float)
-    return float(np.sum(vals))
 
 
 def write_pattern_file(pattern: PointPattern, path) -> None:

@@ -24,7 +24,7 @@ def small_model(unit_window):
 @pytest.fixture(scope="session")
 def small_pattern(small_model):
     """A Poisson pattern from the small model at theta = 0.3, eta = log 150 + 0.3 z."""
-    from ppcf.model import intensity_surface
+    from helpers import intensity_surface
     eta = lambda Z: math.log(150.0) + 0.3 * np.asarray(Z)[:, 0]
     surface = intensity_surface(small_model, np.array([0.3]), eta)
     return simulate_poisson(surface, seed=7)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from helpers import intensity_surface
 from mc_cache import run_scenario_cached
 
 from ppcf.fields import GrfSpec, make_window, simulate_grf
 from ppcf.harness import Scenario, _wald_reports
 from ppcf.inference import PcfModel, pcf_correction, semi_sandwich_terms, lfd_values
-from ppcf.model import build_quadrature, intensity_surface, log_linear_model, pseudo_likelihood
+from ppcf.model import build_quadrature, log_linear_model, pseudo_likelihood
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_poisson, v_fold_thin
 
@@ -114,7 +115,7 @@ def test_criterion_01_thinning_laws():
 
 
 def test_criterion_02_mean_zero_score():
-    kernel = KernelSpec(2, 0.45, "gaussian")
+    kernel = KernelSpec(2, 0.45)
     scores = []
     for r in range(500):
         ss = np.random.SeedSequence(77_000 + r)
@@ -154,7 +155,7 @@ def test_criterion_03_gradient_exactness():
             continue
         quad = build_quadrature(pattern, int(rng.integers(8, 24)))
         nf = NuisanceFit(spec, pattern, quad,
-                         KernelSpec(2, float(rng.uniform(0.3, 0.8)), "gaussian"),
+                         KernelSpec(2, float(rng.uniform(0.3, 0.8))),
                          scale=float(rng.choice([1.0, 2.0])))
         theta = np.array([float(rng.uniform(-0.4, 0.7))])
         scale = float(rng.choice([1.0, 0.5]))
@@ -186,7 +187,7 @@ def test_criterion_04_closed_form_nuisance():
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=913)
     quad = build_quadrature(pattern, 32)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45, "gaussian"), scale=2.0)
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45), scale=2.0)
     _, Zd = spec.covariates_at(pattern.points)
     z_lo, z_hi = np.quantile(Zd[:, 0], [0.05, 0.95])
     rng = np.random.default_rng(355)
@@ -246,9 +247,9 @@ def test_criterion_09_sigma_equals_s_for_poisson_pcf():
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=43)
     quad = build_quadrature(pattern, 32)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45, "gaussian"))
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
     theta = np.array([0.31])
-    nu = lambda Z: lfd_values(nf, theta, eta, Z)
+    nu = lambda Z: lfd_values(nf, theta, Z)
     S, a = semi_sandwich_terms(spec, theta, eta, nu, quad)
     # the production path: stacked PCF double sum per variant, then Wald reports
     pcfs = {"poisson": PcfModel("poisson"), "zero": PcfModel("lgcp-exponential", 0.0, 0.2)}

@@ -134,7 +134,17 @@ def test_unknown_config_keys_rejected(monkeypatch, tmp_path, fit_files):
     ["fit", "p.txt", "--y-grid", "y", "--z-grid", "z", "--parallelism", "2"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(argv):
-    # (``simulate --out`` still parses: argparse reads it as short for --out-dir)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "x"],
+    ["fit", "p.txt", "--y-grid", "y", "--z-grid", "z", "--band", "0.1"],
+])
+def test_abbreviated_flags_are_rejected(argv):
+    # only exact spellings: a unique prefix of --out-dir or --bandwidth is an error
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2

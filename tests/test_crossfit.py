@@ -5,10 +5,12 @@ import pytest
 
 from scipy.optimize import minimize_scalar
 
+from helpers import intensity_surface
+
 from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import InsufficientPointsError, NonConvergenceError
 from ppcf.fields import GrfSpec, make_window, simulate_grf
-from ppcf.model import intensity_surface, log_linear_model
+from ppcf.model import log_linear_model
 from ppcf.process import PointPattern, constant_surface, fold, simulate_poisson
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -168,6 +168,8 @@ def test_fit_file_roundtrip_bit_exact(tmp_path):
     ({"levels": [0.9, 1.0]}, "levels must lie in"),
     ({"levels": [0.0]}, "levels must lie in"),
     ({"folds": 1}, "n_folds must be >= 2"),
+    ({"kernel_order": 3}, "no kernel of order 3"),
+    ({"bandwidth": 0}, "bandwidth must be > 0"),
 ])
 def test_fit_file_rejects_bad_options_before_reading(monkeypatch, tmp_path, options, message):
     # no file is read and no fold is fitted: the input paths do not even exist

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import intensity_surface
+
 from ppcf.errors import InsufficientPointsError, SingularSensitivityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
@@ -14,7 +16,7 @@ from ppcf.inference import (
     semi_sandwich_terms,
     wald_report,
 )
-from ppcf.model import QuadratureScheme, build_quadrature, intensity_surface, log_linear_model
+from ppcf.model import QuadratureScheme, build_quadrature, log_linear_model
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_lgcp, simulate_poisson
 
@@ -56,14 +58,14 @@ def fitted_instance():
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=73)
     quad = build_quadrature(pattern, 32)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45, "gaussian"))
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
     return spec, pattern, quad, nf, eta
 
 
 def _sandwich(instance, theta, pcf):
     """(S, Sigma) from the semi-path sandwich terms and one PCF double sum."""
     spec, pattern, quad, nf, eta = instance
-    S, a = semi_sandwich_terms(spec, theta, eta, lambda Z: lfd_values(nf, theta, eta, Z), quad)
+    S, a = semi_sandwich_terms(spec, theta, eta, lambda Z: lfd_values(nf, theta, Z), quad)
     return S, S + pcf_correction(quad, a, pcf)
 
 
@@ -74,8 +76,8 @@ def test_lfd_constant_y():
     spec = log_linear_model([_const_field(W1, 1.7)], [_const_field(W1, 0.5)])
     pattern = simulate_poisson(constant_surface(W1, 80.0), seed=2)
     quad = build_quadrature(pattern, 16)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
-    nu = lfd_values(nf, np.array([0.2]), lambda Z: np.full(Z.shape[0], 4.0), [0.5])[0]
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
+    nu = lfd_values(nf, np.array([0.2]), [0.5])[0]
     assert np.allclose(nu, [-1.7], atol=1e-12)
 
 
@@ -92,7 +94,7 @@ def test_lfd_agrees_with_eta_dtheta(fitted_instance):
     spec, pattern, quad, nf, eta = fitted_instance
     theta = np.array([0.31])
     for zv in (-0.4, 0.0, 0.55):
-        nu = lfd_values(nf, theta, eta, [zv])[0]
+        nu = lfd_values(nf, theta, [zv])[0]
         d = nf.eta_all(theta, [zv])[1][0]
         assert np.allclose(nu, d, atol=1e-10)
 
@@ -101,9 +103,46 @@ def test_lfd_values_matches_pointwise(fitted_instance):
     spec, pattern, quad, nf, eta = fitted_instance
     theta = np.array([0.31])
     Z = np.linspace(-0.5, 0.5, 9)[:, None]
-    bulk = lfd_values(nf, theta, eta, Z)
+    bulk = lfd_values(nf, theta, Z)
     pointwise = nf.exact(theta, Z, 1)[1]
     assert np.max(np.abs(bulk - pointwise)) < 5e-3
+
+
+@pytest.mark.parametrize("case", ["log-linear q=1", "saturated q=1", "log-linear q=2",
+                                  "general"])
+def test_lfd_is_the_curves_own_dtheta(case, fitted_instance):
+    # the LFD is d of the curve the profile fit uses, where that curve is
+    # clamped too
+    theta = np.array([0.31])
+    if case.endswith("q=1"):
+        spec, pattern, quad, nf, _ = fitted_instance
+        Z = np.linspace(-3.0, 3.0, 41)[:, None]
+        if case == "saturated q=1":
+            top = float(np.median(nf.eta_at(theta, Z))) - 0.5
+            nf = NuisanceFit(spec, pattern, quad, nf.kernel)
+            nf.eta_range = (top - 20.0, top)
+    else:
+        from test_model import make_general_spec
+        window = make_window(0, 0, 4, 4)
+        if case == "general":
+            spec = make_general_spec(window)
+        else:
+            z = [simulate_grf(window, 24, 24, GrfSpec(1.0, 0.5), seed=s) for s in (75, 76)]
+            spec = log_linear_model([simulate_grf(window, 24, 24, GrfSpec(1.0, 0.5), seed=74)], z)
+        pattern = simulate_poisson(constant_surface(window, 4.0), seed=21)
+        quad = build_quadrature(pattern, 16)
+        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
+        Z = spec.covariates_at(pattern.points[:30])[1]
+    nu = lfd_values(nf, theta, Z)
+    assert nu.shape == (Z.shape[0], 1)
+    assert np.allclose(nu, nf.eta_all(theta, Z)[1], rtol=1e-12, atol=1e-14)
+    if case == "saturated q=1":
+        # within tau * e^-x of its bound the clamped curve's slope factor is
+        # below e^-x: there the LFD is that small a share of the unclamped one
+        assert nf.diagnostics["clip_count"] > 0
+        flat = nf.eta_at(theta, Z) >= nf.eta_range[1] - 5e-5
+        unclamped = lfd_values(fitted_instance[3], theta, Z)
+        assert flat.any() and np.all(np.abs(nu[flat]) <= 1e-3 * np.abs(unclamped[flat]))
 
 
 # -- sensitivity --------------------------------------------------------------------

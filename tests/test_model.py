@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import intensity_surface
+
 from ppcf.errors import NonpositiveIntensityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf  # noqa: F401
 from ppcf.model import (
@@ -13,7 +15,6 @@ from ppcf.model import (
     build_quadrature,
     fit_parametric_baseline_full,
     general_model,
-    intensity_surface,
     log_linear_model,
     profile_maximize,
     pseudo_likelihood,
@@ -149,7 +150,7 @@ def test_scale_invariance_along_fitted_profile(small_model, small_pattern):
     # maximizer is scale invariant up to kernel smoothing error
     from ppcf.nuisance import KernelSpec, NuisanceFit
     quad = build_quadrature(small_pattern, 16)
-    nf = NuisanceFit(small_model, small_pattern, quad, KernelSpec(2, 0.45, "gaussian"))
+    nf = NuisanceFit(small_model, small_pattern, quad, KernelSpec(2, 0.45))
     t1 = profile_maximize(small_model, nf, quad, 1.0, np.zeros(1))
     t2 = profile_maximize(small_model, nf, quad, 0.5, np.zeros(1))
     assert abs(t1[0] - t2[0]) < 0.01

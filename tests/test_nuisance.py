@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import intensity_surface
+
+import ppcf.nuisance
 from ppcf.errors import ZeroMassError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.model import (
     LinkFunctions,
     build_quadrature,
     general_model,
-    intensity_surface,
     log_linear_model,
 )
 from ppcf.nuisance import KernelSpec, NuisanceFit, default_bandwidth
@@ -50,31 +52,25 @@ def _const_field(window, value, n=9):
 # -- kernels and bandwidth -----------------------------------------------------
 
 
-def test_kernel_moments_validated():
-    KernelSpec(order=2, bandwidth=0.5, base="gaussian")
-    KernelSpec(order=4, bandwidth=0.5, base="quartic")
-
-
-def test_kernel_base_defaults_to_its_order():
-    assert KernelSpec(order=2, bandwidth=0.5).base == "gaussian"
-    assert KernelSpec(order=4, bandwidth=0.5).base == "quartic"
-    assert KernelSpec(order=4, bandwidth=0.5) == KernelSpec(4, 0.5, "quartic")
-    with pytest.raises(ValueError):
-        KernelSpec(order=6, bandwidth=0.5)
+def test_kernel_order_picks_the_kernel():
+    # its moments are checked in test_kernel_numeric_moments
+    assert KernelSpec(order=2, bandwidth=0.5).k1(0.0) == 1.0 / math.sqrt(2.0 * math.pi)
+    assert KernelSpec(order=4, bandwidth=0.5).k1(0.0) == 45.0 / 32.0
+    assert KernelSpec(order=4, bandwidth=0.5) == KernelSpec(4, 0.5)
 
 
 def test_kernel_bad_combinations():
-    with pytest.raises(ValueError):
-        KernelSpec(order=4, bandwidth=0.5, base="gaussian")
-    with pytest.raises(ValueError):
-        KernelSpec(order=2, bandwidth=0.5, base="quartic")
-    with pytest.raises(ValueError):
-        KernelSpec(order=2, bandwidth=-1.0, base="gaussian")
+    for order in (3, 6):
+        with pytest.raises(ValueError, match="no kernel of order"):
+            KernelSpec(order=order, bandwidth=0.5)
+    for h in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth must be > 0"):
+            KernelSpec(order=2, bandwidth=h)
 
 
 def test_kernel_numeric_moments():
     ts = np.linspace(-14, 14, 200001)
-    for spec in (KernelSpec(2, 1.0, "gaussian"), KernelSpec(4, 1.0, "quartic")):
+    for spec in (KernelSpec(2, 1.0), KernelSpec(4, 1.0)):
         k = spec.k1(ts)
         assert abs(np.trapezoid(k, ts) - 1.0) < 1e-6
         for i in range(1, spec.order):
@@ -108,7 +104,7 @@ def fitted(small_or_none=None):
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=8)
     quad = build_quadrature(pattern, 32)
-    kernel = KernelSpec(2, 0.45, "gaussian")
+    kernel = KernelSpec(2, 0.45)
     return spec, pattern, NuisanceFit(spec, pattern, quad, kernel, scale=1.0)
 
 
@@ -118,7 +114,7 @@ def test_objective_shape_y_independent():
     spec = log_linear_model([_const_field(W1, 0.0)], [_const_field(W1, 1.0)])
     pattern = simulate_poisson(constant_surface(W1, 120.0), seed=3)
     quad = build_quadrature(pattern, 16)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
     gammas = np.linspace(2.0, 7.0, 41)
     vals = nf.objective(np.zeros(1), gammas, np.ones((gammas.size, 1)))
     second = np.diff(vals, 2)
@@ -154,7 +150,7 @@ def test_fit_eta_constant_truth():
     for s in range(8):
         pattern = simulate_poisson(constant_surface(W1, c), seed=100 + s)
         quad = build_quadrature(pattern, 24)
-        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
+        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
         for zv in np.linspace(0.2, 0.8, 5):
             errs.append(nf.exact(np.zeros(1), [zv], 0)[0][0] - math.log(c))
     errs = np.array(errs)
@@ -206,7 +202,7 @@ def test_fit_eta_uniform_kernel_limit(fitted):
     # enormous bandwidth: the estimate no longer depends on z
     spec, pattern, nf = fitted
     quad = build_quadrature(pattern, 16)
-    wide = NuisanceFit(spec, pattern, quad, KernelSpec(2, 1e4, "gaussian"))
+    wide = NuisanceFit(spec, pattern, quad, KernelSpec(2, 1e4))
     theta = np.array([0.3])
     vals = [wide.exact(theta, [zv], 0)[0][0] for zv in (-0.5, 0.0, 0.7)]
     assert max(vals) - min(vals) < 1e-6
@@ -220,7 +216,7 @@ def test_eta_dtheta_constant_y():
     spec = log_linear_model([_const_field(W1, 2.5)], [_const_field(W1, 1.0)])
     pattern = simulate_poisson(constant_surface(W1, 100.0), seed=4)
     quad = build_quadrature(pattern, 16)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8, "gaussian"))
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
     for theta in (np.array([0.0]), np.array([0.4])):
         _, d, dd = nf.exact(theta, [1.0])
         d, dd = d[0], dd[0]
@@ -279,7 +275,7 @@ def test_bulk_curve_matches_exact_path(fitted):
 def test_zero_mass_error_for_compact_kernel(fitted):
     spec, pattern, _ = fitted
     quad = build_quadrature(pattern, 16)
-    nf4 = NuisanceFit(spec, pattern, quad, KernelSpec(4, 0.05, "quartic"))
+    nf4 = NuisanceFit(spec, pattern, quad, KernelSpec(4, 0.05))
     with pytest.raises(ZeroMassError):
         nf4.objective(np.zeros(1), 5.0, [50.0])
 
@@ -298,12 +294,13 @@ def test_clip_counter_zero_on_interior_grid(fitted):
 # -- the batched evaluator: signed kernels, saturation, general links -------------
 
 
-def test_quartic_grid_matches_exact_path(fitted):
+def test_quartic_grid_matches_exact_path(fitted, monkeypatch):
     # the order-4 kernel is negative in places; the grid sums it like the exact
     # path.  Its support edges put kinks into the curve, so linear interpolation
     # converges at first order only: 2048 nodes reach the Gaussian test's 5e-4.
     spec, pattern, nf = fitted
-    nf4 = NuisanceFit(spec, pattern, nf.quad, KernelSpec(4, 0.45), grid_size=2048)
+    monkeypatch.setattr(ppcf.nuisance, "_GRID_SIZE", 2048)
+    nf4 = NuisanceFit(spec, pattern, nf.quad, KernelSpec(4, 0.45))
     theta = np.array([0.25])
     _, Z = spec.covariates_at(pattern.points[:40])
     exact = nf4.exact(theta, Z, 0)[0]
@@ -315,7 +312,8 @@ def test_clip_count_counts_grid_saturation(fitted):
     theta = np.array([0.3])
     _, Z = spec.covariates_at(pattern.points)
     top = float(np.median(nf.eta_at(theta, Z)))
-    cut = NuisanceFit(spec, pattern, nf.quad, nf.kernel, eta_range=(top - 20.0, top))
+    cut = NuisanceFit(spec, pattern, nf.quad, nf.kernel)
+    cut.eta_range = (top - 20.0, top)
     cut.eta_all(theta, Z)
     assert cut.diagnostics["clip_count"] > 0
 
@@ -383,7 +381,7 @@ def _sup_error_after_centering(window, lattice, grid_n, seed, h):
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=seed + 2)
     quad = build_quadrature(pattern, grid_n)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, h, "gaussian"))
+    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, h))
     _, Zd = spec.covariates_at(pattern.points)
     zg = np.linspace(*np.quantile(Zd[:, 0], [0.1, 0.9]), 40)
     est = nf.eta_at(np.array([0.3]), zg[:, None])
@@ -416,7 +414,7 @@ def test_eta_dtheta_consistent_with_lfd_oracle():
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pattern = simulate_poisson(surface, seed=seed + 2)
         quad = build_quadrature(pattern, grid_n)
-        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45, "gaussian"))
+        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
         # fine-lattice oracle: tilted mean of -y among lattice sites near z
         xs = np.linspace(window.x_min, window.x_max, 300)
         gx, gy = np.meshgrid(xs, xs)

@@ -8,7 +8,7 @@ from ppcf.errors import BoundViolationError, ParseError, UnmarkedPatternError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.process import (
     IntensitySurface,
-    campbell_sum,
+    PointPattern,
     constant_surface,
     fold,
     fold_complement,
@@ -20,7 +20,14 @@ from ppcf.process import (
     write_pattern_file,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 W1 = make_window(0, 0, 1, 1)
+
+
+def campbell_sum(pattern: PointPattern, f) -> float:
+    """Sum of f(x, y) over the points of the pattern (f vectorized over arrays)."""
+    return float(np.sum(f(pattern.points[:, 0], pattern.points[:, 1])))
 
 
 def test_homogeneous_poisson_mean_count():
