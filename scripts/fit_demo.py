@@ -37,7 +37,7 @@ def main():
     pcf = args.pcf or ("estimated" if args.process == "lgcp" else "none")
     report = fit_file(paths["pattern"], [paths["y0"]], [paths["z0"]],
                       overrides={"seed": args.seed, "folds": args.folds,
-                                 "grid_n": 64 if args.window == "W1" else 128,
+                                 "grid_n": scenario.crossfit.grid_n,
                                  "pcf": pcf},
                       out_prefix=str(work / "fit"))
     for i, (t, se) in enumerate(zip(report.theta_hat, report.se)):

@@ -11,13 +11,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from .harness import (
     Scenario,
     emit_scenario_files,
     fit_file,
-    merge_options,
+    resolve_scenario_options,
     row_columns,
     run_scenario_records,
     run_table,
@@ -85,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sc = sub.add_parser("scenario", allow_abbrev=False, help="run one simulation scenario")
     p_sc.add_argument("--config", type=str, default=None,
-                      help="YAML mapping of Scenario fields; flags override it")
+                      help="YAML mapping of scenario options; flags override it")
     _options(p_sc, "window", "process", "nuisance", "estimators", "folds", "bandwidth",
-             "kernel_order", "skip_thinning", "reps", covar="covariates", seed="base_seed",
-             approx="approximation", pcf="pcf_mode")
+             "kernel_order", "skip_thinning", "reps", "approx", covar="covariates",
+             seed="base_seed", pcf="pcf_mode")
     p_sc.add_argument("--parallelism", type=int, default=1)
     p_sc.add_argument("--out", type=str, default=None)
     return parser
@@ -131,13 +130,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "scenario":
-        keys = set(args.option_keys.values())
-        defaults = {f.name: f.default for f in fields(Scenario) if f.name in keys}
-        defaults["pcf_mode"] = None          # by default, estimated for lgcp, else none
-        opts = merge_options(defaults, args.config, given)
-        if opts["pcf_mode"] is None:
-            opts["pcf_mode"] = "estimated" if opts["process"] == "lgcp" else "none"
-        s = Scenario(**{**opts, "estimators": tuple(opts["estimators"])})
+        s = resolve_scenario_options(set(args.option_keys.values()), args.config, given)
         rows, _ = run_scenario_records(s, parallelism=args.parallelism)
         out_rows = [{"estimator": est, **row_columns(row, starred=row.mean_se_star is not None)}
                     for est, row in rows.items()]

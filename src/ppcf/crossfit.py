@@ -47,7 +47,6 @@ class CrossFitConfig:
     """
 
     n_folds: int = 2
-    seed: int = 0
     bandwidth: Optional[float] = None
     kernel_order: int = 2
     bandwidth_c0: float = 1.0
@@ -115,20 +114,22 @@ class CrossFitResult:
     config: CrossFitConfig
 
 
-def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig) -> CrossFitResult:
+def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
+              seed: int) -> CrossFitResult:
     """Run the full cross-fitting estimator on one pattern.
 
     If the pattern already carries fold marks compatible with ``cfg.n_folds``
     they are honored (a fold they leave empty raises InsufficientPointsError
     before anything is fitted); otherwise the pattern is thinned with a seed
-    stream derived from ``cfg.seed``.  Deterministic given (pattern, cfg).
+    stream derived from ``seed``, which also draws the logistic dummy points.
+    Deterministic given (pattern, cfg, seed).
     """
     if pattern.count() == 0:
         raise InsufficientPointsError("cannot cross-fit an empty pattern")
     if cfg.skip_thinning and spec.link != "log-linear":
         raise ValueError("skip_thinning is permitted only under the log-linear link")
     kernel = cfg.resolve_kernel(spec)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(1 + cfg.n_folds)
+    seeds = np.random.SeedSequence(seed).spawn(1 + cfg.n_folds)
     area = spec.window.area()
 
     if cfg.skip_thinning:

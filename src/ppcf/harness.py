@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,7 +81,13 @@ NUISANCE_FNS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cell of the simulation studies."""
+    """One cell of the simulation studies.
+
+    ``crossfit`` defaults to the harness configuration for ``window``: the
+    rate-rule constant ``HARNESS_BANDWIDTH_C0`` and a ``GRID_N[window]`` grid.
+    A given ``crossfit`` is taken as is, so derive one from
+    ``replace(Scenario(window=...).crossfit, ...)``.
+    """
 
     window: str = "W1"
     process: str = "poisson"
@@ -91,13 +97,7 @@ class Scenario:
     reps: int = 200
     base_seed: int = 2024
     estimators: Tuple[str, ...] = ("semi",)
-    folds: int = 2
-    grid_n: Optional[int] = None
-    bandwidth: Optional[float] = None
-    bandwidth_c0: float = HARNESS_BANDWIDTH_C0
-    kernel_order: int = 2
-    approximation: str = "quadrature"
-    skip_thinning: bool = False
+    crossfit: Optional[CrossFitConfig] = None
 
     def __post_init__(self):
         if self.window not in WINDOWS:
@@ -115,12 +115,12 @@ class Scenario:
         bad = set(self.estimators) - {"semi", "para", "oracle"}
         if bad:
             raise ValueError(f"unknown estimators {sorted(bad)}")
+        if self.crossfit is None:
+            object.__setattr__(self, "crossfit", CrossFitConfig(
+                bandwidth_c0=HARNESS_BANDWIDTH_C0, grid_n=GRID_N[self.window]))
 
     def the_window(self) -> Window:
         return WINDOWS[self.window]
-
-    def the_grid_n(self) -> int:
-        return self.grid_n if self.grid_n is not None else GRID_N[self.window]
 
 
 @dataclass
@@ -137,7 +137,7 @@ class TableRow:
 
 
 def simulate_scenario_inputs(s: Scenario, rep: int):
-    """Fields, model spec, truth curve and the simulated pattern for one replication."""
+    """Model spec, truth curve, simulated pattern and seeds of one replication."""
     w = s.the_window()
     n_lat = int(round(LATTICE_PER_UNIT * w.width))
     ss = np.random.SeedSequence(s.base_seed + rep)
@@ -164,7 +164,7 @@ def simulate_scenario_inputs(s: Scenario, rep: int):
         base = IntensitySurface(w, lambda pts, _f=surface.func: factor * np.asarray(_f(pts)),
                                 surface.sup_bound * factor)
         pattern = simulate_lgcp(base, LGCP_GRF, n_lat, n_lat, seeds[3])
-    return spec, eta_full, surface, pattern, seeds
+    return spec, eta_full, pattern, seeds
 
 
 def scenario_truth_surface(spec: ModelSpec, theta, eta_fn) -> IntensitySurface:
@@ -196,16 +196,6 @@ def _variants_for(s: Scenario) -> List[str]:
     return ["none"]
 
 
-def _resolve_pcf(name: str, pcf_estimated: Optional[PcfModel]) -> PcfModel:
-    if name == "none":
-        return PcfModel("poisson")
-    if name == "known":
-        return PcfModel("lgcp-exponential", sigma2=LGCP_GRF.variance, phi=LGCP_GRF.corr_range)
-    if name == "estimated":
-        return pcf_estimated if pcf_estimated is not None else PcfModel("poisson")
-    raise ValueError(name)
-
-
 def _variant_summary(se_reports: Dict[str, FitReport]) -> Dict[str, Dict]:
     out = {}
     for name, rep in se_reports.items():
@@ -225,11 +215,11 @@ def _variant_summary(se_reports: Dict[str, FitReport]) -> Dict[str, Dict]:
 def run_replication(s: Scenario, rep: int) -> Dict:
     """All requested estimators on one simulated replication."""
     try:
-        spec, eta_full, surface, pattern, seeds = simulate_scenario_inputs(s, rep)
+        spec, eta_full, pattern, seeds = simulate_scenario_inputs(s, rep)
         if pattern.count() == 0:
             return {"rep": rep, "ok": False, "error": "empty pattern"}
         variants = _variants_for(s)
-        quad = build_quadrature(pattern, s.the_grid_n())
+        quad = build_quadrature(pattern, s.crossfit.grid_n)
         record = {"rep": rep, "ok": True, "n_points": pattern.count(), "estimators": {}}
 
         # per estimator: (full coefficient vector, S over all coords, a vectors)
@@ -237,12 +227,8 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         lam_fns = []        # fitted intensities, semi first, for the PCF plug-in
 
         if "semi" in s.estimators:
-            cfg = CrossFitConfig(
-                n_folds=s.folds, seed=seeds[2] ^ 0x9E3779B9, bandwidth=s.bandwidth,
-                kernel_order=s.kernel_order, bandwidth_c0=s.bandwidth_c0,
-                grid_n=s.the_grid_n(), approximation=s.approximation,
-                skip_thinning=s.skip_thinning)
-            res, fits["semi"], lam_fn = _fit_semi(spec, pattern, quad, cfg)
+            res, fits["semi"], lam_fn = _fit_semi(spec, pattern, quad, s.crossfit,
+                                                  seeds[2] ^ 0x9E3779B9)
             lam_fns.append(lam_fn)
             record["fold_convergence"] = {"semi": sum(f.converged for f in res.per_fold)}
 
@@ -255,13 +241,13 @@ def run_replication(s: Scenario, rep: int) -> Dict:
             eta_fn = eta_full if name == "oracle" else (lambda Z, c=pf.coef: c[k] + Z @ c[k + 1:])
             lam_fns.append(spec.intensity(pf.theta, eta_fn))
 
-        pcf_estimated = None
+        pcfs = {"none": PcfModel("poisson"), "known": PcfModel(
+            "lgcp-exponential", sigma2=LGCP_GRF.variance, phi=LGCP_GRF.corr_range)}
         if "estimated" in variants:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                pcf_estimated = estimate_pcf(pattern, lam_fns[0])
-        pcfs = {v: _resolve_pcf(v, pcf_estimated) for v in variants}
-        reports = _wald_reports(fits, pcfs, quad, k)
+                pcfs["estimated"] = estimate_pcf(pattern, lam_fns[0])
+        reports = _wald_reports(fits, {v: pcfs[v] for v in variants}, quad, k)
         for name, (coef, _, _) in fits.items():
             record["estimators"][name] = {
                 "theta": float(np.atleast_1d(coef)[0]),
@@ -275,13 +261,14 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig):
-    """Cross-fit theta; return the result, its (theta, S, a) and the fitted intensity.
+def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig, seed: int):
+    """Cross-fit theta with thinning ``seed``; return the result, its (theta, S, a) and
+    the fitted intensity.
 
     The least favorable direction is the theta-derivative of the curve fitted on
     the full pattern with the fold kernel and the full-pattern quadrature ``quad``.
     """
-    res = cross_fit(spec, pattern, cfg)
+    res = cross_fit(spec, pattern, cfg, seed)
     theta, eta_fn = res.theta_hat, res.eta_hat
     nf = NuisanceFit(spec, pattern, quad, cfg.resolve_kernel(spec), scale=1.0)
     S, a = semi_sandwich_terms(spec, theta, eta_fn, lambda Z: lfd_values(nf, theta, Z), quad)
@@ -313,18 +300,11 @@ def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: in
     return reports
 
 
-def _worker(args):
-    s_dict, rep = args
-    s = Scenario(**s_dict)
-    return run_replication(s, rep)
-
-
 def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, TableRow], List[Dict]]:
     """Run all replications and aggregate; returns (rows per estimator, raw records)."""
-    tasks = [(asdict(s), r) for r in range(s.reps)]
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
-            records = list(ex.map(_worker, tasks, chunksize=1))
+            records = list(ex.map(run_replication, [s] * s.reps, range(s.reps), chunksize=1))
     else:
         records = [run_replication(s, r) for r in range(s.reps)]
 
@@ -461,9 +441,9 @@ def merge_options(defaults: Dict, config_path=None, given: Optional[Dict] = None
     return merged
 
 
-# the ``ppcf fit`` key of each CrossFitConfig field not keyed by its own name;
-# every field is a key, with the field's default
-_FIELD_KEYS = {"n_folds": "folds", "approximation": "approx"}
+# the option key of each CrossFitConfig field, in ``ppcf fit`` and ``ppcf scenario``
+_FIELD_KEYS = {**{f.name: f.name for f in fields(CrossFitConfig)},
+               "n_folds": "folds", "approximation": "approx"}
 # ``ppcf fit`` keys beyond the cross-fitting options, and its own seed default
 _FIT_DEFAULTS = {
     "seed": 2024,
@@ -476,16 +456,37 @@ _FIT_DEFAULTS = {
 ETA_DUMP_POINTS = 200
 
 
+def _with_options(cfg: CrossFitConfig, opts: Dict) -> CrossFitConfig:
+    """``cfg`` with each field whose option key ``opts`` holds set to that value."""
+    return replace(cfg, **{name: opts[key] for name, key in _FIELD_KEYS.items() if key in opts})
+
+
+def resolve_scenario_options(keys, config_path=None, given: Optional[Dict] = None) -> Scenario:
+    """``ppcf scenario``'s Scenario from its option ``keys``: Scenario fields and ``ppcf
+    fit``'s cross-fitting keys, which default to the harness configuration (none of
+    them depends on the window).  ``pcf_mode`` defaults to estimated for lgcp, else
+    none.  Every option is checked here, so a bad one fails before anything is simulated.
+    """
+    base = Scenario()
+    defaults = {**{f.name: getattr(base, f.name) for f in fields(Scenario)}, "pcf_mode": None,
+                **{key: getattr(base.crossfit, name) for name, key in _FIELD_KEYS.items()}}
+    opts = merge_options({key: defaults[key] for key in keys}, config_path, given)
+    if opts["pcf_mode"] is None:
+        opts["pcf_mode"] = "estimated" if opts["process"] == "lgcp" else "none"
+    crossfit = _with_options(Scenario(window=opts["window"]).crossfit, opts)
+    named = {f.name: opts[f.name] for f in fields(Scenario) if f.name in opts}
+    return Scenario(**{**named, "estimators": tuple(opts["estimators"])}, crossfit=crossfit)
+
+
 def resolve_fit_options(config_path=None, given: Optional[Dict] = None
                         ) -> Tuple[Dict, CrossFitConfig, Optional[PcfModel]]:
     """``ppcf fit``'s merged options, their CrossFitConfig and the PCF unless estimated.
 
     Every option is checked here, so a bad one fails before any file is read.
     """
-    defaults = {_FIELD_KEYS.get(f.name, f.name): f.default for f in fields(CrossFitConfig)}
+    defaults = {_FIELD_KEYS[f.name]: f.default for f in fields(CrossFitConfig)}
     opts = merge_options({**defaults, **_FIT_DEFAULTS}, config_path, given)
-    cfg = CrossFitConfig(**{f.name: opts[_FIELD_KEYS.get(f.name, f.name)]
-                            for f in fields(CrossFitConfig)})
+    cfg = _with_options(CrossFitConfig(), opts)
     if not all(0.0 < lvl < 1.0 for lvl in opts["levels"]):
         raise ValueError(f"levels must lie in (0, 1), got {opts['levels']}")
     pcf = None
@@ -527,7 +528,7 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
 
     spec = log_linear_model(y_fields, z_fields)
     quad = build_quadrature(pattern, run_cfg.grid_n)
-    result, semi, lam_fn = _fit_semi(spec, pattern, quad, run_cfg)
+    result, semi, lam_fn = _fit_semi(spec, pattern, quad, run_cfg, opts["seed"])
     if pcf is None:
         pcf = estimate_pcf(pattern, lam_fn)
 
@@ -588,7 +589,7 @@ def emit_scenario_files(s: Scenario, rep: int, out_dir) -> Dict[str, str]:
     """Simulate one replication and write its pattern and covariate grids."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec, _, _, pattern, _ = simulate_scenario_inputs(s, rep)
+    spec, _, pattern, _ = simulate_scenario_inputs(s, rep)
     paths = {}
     pattern_path = out_dir / "pattern.txt"
     write_pattern_file(pattern, pattern_path)

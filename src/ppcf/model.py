@@ -435,7 +435,6 @@ class ParametricFit:
     theta: np.ndarray          # (k,)
     coef: np.ndarray           # full coefficient vector
     design: np.ndarray         # (m, p) node design matrix
-    offset: np.ndarray         # (m,)
     lambda_nodes: np.ndarray   # (m,) fitted intensity at the quadrature nodes
 
 
@@ -471,6 +470,5 @@ def fit_parametric_baseline_full(spec: ModelSpec, pattern: PointPattern,
 
     value, score_hessian = _objective(quad, intensity, lambda coef: (intensity(coef), X, None))
     coef = _newton_maximize(value, score_hessian, init, area)
-    return ParametricFit(theta=coef[: spec.k], coef=coef, design=X, offset=offset,
-                         lambda_nodes=intensity(coef))
+    return ParametricFit(theta=coef[: spec.k], coef=coef, design=X, lambda_nodes=intensity(coef))
 

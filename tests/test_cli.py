@@ -13,6 +13,8 @@ from ppcf.cli import build_parser, main as cli_main
 from ppcf.crossfit import CrossFitConfig
 from ppcf.harness import Scenario, emit_scenario_files, resolve_fit_options
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -27,9 +29,9 @@ def fit_files(tmp_path_factory):
 
 
 def _fit_config(monkeypatch, fit_files, argv, yaml_text=None, tmp_path=None):
-    """The CrossFitConfig ``ppcf fit`` hands to cross_fit."""
-    def capture(spec, pattern, cfg):
-        raise Captured(cfg)
+    """The CrossFitConfig and thinning seed ``ppcf fit`` hands to cross_fit."""
+    def capture(spec, pattern, cfg, seed):
+        raise Captured(cfg, seed)
 
     monkeypatch.setattr(ppcf.harness, "cross_fit", capture)
     args = ["fit", fit_files["pattern"], "--y-grid", fit_files["y0"],
@@ -40,7 +42,7 @@ def _fit_config(monkeypatch, fit_files, argv, yaml_text=None, tmp_path=None):
         args += ["--config", str(config)]
     with pytest.raises(Captured) as caught:
         cli_main(args + argv)
-    return caught.value.args[0]
+    return caught.value.args
 
 
 def _scenario(monkeypatch, argv, yaml_text=None, tmp_path=None) -> Scenario:
@@ -68,9 +70,9 @@ FIT_FLAGS = ["--folds", "4", "--seed", "11", "--approx", "quadrature", "--bandwi
 def test_fit_option_precedence(monkeypatch, tmp_path, fit_files):
     # default < YAML < flag, with PPCF_SEED over all
     def resolved(use_yaml, argv):
-        cfg = _fit_config(monkeypatch, fit_files, argv, FIT_YAML if use_yaml else None,
-                          tmp_path)
-        return (cfg.n_folds, cfg.seed, cfg.kernel_order, cfg.approximation, cfg.grid_n,
+        cfg, seed = _fit_config(monkeypatch, fit_files, argv, FIT_YAML if use_yaml else None,
+                                tmp_path)
+        return (cfg.n_folds, seed, cfg.kernel_order, cfg.approximation, cfg.grid_n,
                 cfg.bandwidth)
 
     monkeypatch.delenv("PPCF_SEED", raising=False)
@@ -83,29 +85,51 @@ def test_fit_option_precedence(monkeypatch, tmp_path, fit_files):
 
 
 SCENARIO_YAML = ("window: W2\nprocess: lgcp\nreps: 5\nbase_seed: 7\nfolds: 3\n"
-                 "kernel_order: 4\napproximation: logistic\nestimators: [semi, para]\n")
+                 "kernel_order: 4\napprox: logistic\nestimators: [semi, para]\n")
 SCENARIO_FLAGS = ["--window", "W1", "--reps", "3", "--seed", "11", "--approx", "quadrature",
                   "--pcf", "known", "--estimators", "oracle"]
 
 
 def test_scenario_option_precedence(monkeypatch, tmp_path):
     # default < YAML < flag, with PPCF_SEED over all; the PCF mode follows
-    # the resolved process unless given
+    # the resolved process unless given, and the grid the resolved window
     def resolved(use_yaml, argv):
         s = _scenario(monkeypatch, argv, SCENARIO_YAML if use_yaml else None, tmp_path)
-        return (s.window, s.process, s.reps, s.base_seed, s.folds, s.kernel_order,
-                s.approximation, s.estimators, s.pcf_mode)
+        cfg = s.crossfit
+        return (s.window, s.process, s.reps, s.base_seed, cfg.n_folds, cfg.kernel_order,
+                cfg.approximation, cfg.grid_n, s.estimators, s.pcf_mode)
 
     monkeypatch.delenv("PPCF_SEED", raising=False)
-    assert resolved(False, []) == ("W1", "poisson", 200, 2024, 2, 2, "quadrature",
+    assert resolved(False, []) == ("W1", "poisson", 200, 2024, 2, 2, "quadrature", 64,
                                    ("semi",), "none")
-    assert resolved(True, []) == ("W2", "lgcp", 5, 7, 3, 4, "logistic", ("semi", "para"),
-                                  "estimated")
-    assert resolved(True, SCENARIO_FLAGS) == ("W1", "lgcp", 3, 11, 3, 4, "quadrature",
+    assert resolved(True, []) == ("W2", "lgcp", 5, 7, 3, 4, "logistic", 128,
+                                  ("semi", "para"), "estimated")
+    assert resolved(True, SCENARIO_FLAGS) == ("W1", "lgcp", 3, 11, 3, 4, "quadrature", 64,
                                               ("oracle",), "known")
     monkeypatch.setenv("PPCF_SEED", "99")
     assert resolved(True, SCENARIO_FLAGS)[3] == 99
     assert resolved(False, [])[3] == 99
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+@pytest.mark.parametrize("yaml_text, message", [
+    ("kernel_order: 3", "no kernel of order 3"),
+    ("bandwidth: 0", "bandwidth must be > 0"),
+    ("folds: 1", "n_folds must be >= 2"),
+    ("approx: exact", "unknown approximation"),
+], ids=["kernel_order", "bandwidth", "folds", "approx"])
+def test_scenario_rejects_bad_options_before_simulating(monkeypatch, tmp_path, yaml_text,
+                                                        message, parallelism):
+    # the parent process raises before it simulates a replication or starts a pool
+    def fail(*args, **kwargs):
+        raise AssertionError("a replication ran before the options were checked")
+
+    monkeypatch.setattr(ppcf.harness, "simulate_scenario_inputs", fail)
+    monkeypatch.setattr(ppcf.harness, "ProcessPoolExecutor", fail)
+    config = tmp_path / "cell.yaml"
+    config.write_text(yaml_text)
+    with pytest.raises(ValueError, match=message):
+        cli_main(["scenario", "--config", str(config), "--parallelism", parallelism])
 
 
 def test_unknown_config_keys_rejected(monkeypatch, tmp_path, fit_files):
@@ -191,8 +215,9 @@ def test_readme_fit_yaml_loads_through_the_merge(tmp_path):
     path = tmp_path / "fit.yaml"
     path.write_text(fit_yaml)
     opts, cfg, pcf = resolve_fit_options(path)
-    assert cfg == CrossFitConfig(n_folds=2, seed=7, bandwidth=None, kernel_order=2,
-                                 grid_n=64, approximation="quadrature", skip_thinning=False)
+    assert cfg == CrossFitConfig(n_folds=2, bandwidth=None, kernel_order=2, grid_n=64,
+                                 approximation="quadrature", skip_thinning=False)
+    assert opts["seed"] == 7
     assert opts["levels"] == [0.9, 0.95] and pcf.family == "poisson"
 
 
@@ -202,4 +227,4 @@ def test_readme_scenario_yaml_loads_through_the_merge(monkeypatch, tmp_path):
     s = _scenario(monkeypatch, [], scenario_yaml, tmp_path)
     assert s == Scenario(window="W1", process="lgcp", covariates="dep", nuisance="poly",
                          estimators=("semi", "para", "oracle"), base_seed=11, reps=50,
-                         approximation="quadrature", pcf_mode="known")
+                         pcf_mode="known")

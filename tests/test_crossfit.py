@@ -39,16 +39,16 @@ def test_cross_fit_empty_pattern_rejected():
     spec, _ = _make_case(7)
     empty = PointPattern(W1, np.empty((0, 2)))
     with pytest.raises(InsufficientPointsError):
-        cross_fit(spec, empty, CrossFitConfig(seed=1, grid_n=16))
+        cross_fit(spec, empty, CrossFitConfig(grid_n=16), 1)
 
 
 def test_determinism():
     spec, pattern = _make_case(11)
-    cfg = CrossFitConfig(seed=99, grid_n=32, bandwidth_c0=0.45)
-    r1 = cross_fit(spec, pattern, cfg)
-    r2 = cross_fit(spec, pattern, cfg)
+    cfg = CrossFitConfig(grid_n=32, bandwidth_c0=0.45)
+    r1 = cross_fit(spec, pattern, cfg, 99)
+    r2 = cross_fit(spec, pattern, cfg, 99)
     assert np.array_equal(r1.theta_hat, r2.theta_hat)
-    r3 = cross_fit(spec, pattern, CrossFitConfig(seed=100, grid_n=32, bandwidth_c0=0.45))
+    r3 = cross_fit(spec, pattern, cfg, 100)
     assert not np.array_equal(r1.theta_hat, r3.theta_hat)
 
 
@@ -62,8 +62,8 @@ def test_degenerate_identical_folds():
         np.concatenate([np.ones(pattern.count(), dtype=int),
                         np.full(pattern.count(), 2, dtype=int)]),
     )
-    cfg = CrossFitConfig(seed=5, grid_n=32, bandwidth_c0=0.45)
-    res = cross_fit(spec, doubled, cfg)
+    cfg = CrossFitConfig(grid_n=32, bandwidth_c0=0.45)
+    res = cross_fit(spec, doubled, cfg, 5)
     t1, t2 = (f.theta for f in res.per_fold)
     assert np.allclose(t1, t2, atol=1e-10)
     assert np.allclose(res.theta_hat, t1, atol=1e-10)
@@ -71,12 +71,12 @@ def test_degenerate_identical_folds():
 
 def test_fold_label_permutation_invariance():
     spec, pattern = _make_case(23)
-    cfg = CrossFitConfig(seed=3, grid_n=32, bandwidth_c0=0.45)
+    cfg = CrossFitConfig(grid_n=32, bandwidth_c0=0.45)
     from ppcf.process import v_fold_thin
     marked = v_fold_thin(pattern, 2, seed=41)
-    res = cross_fit(spec, marked, cfg)
+    res = cross_fit(spec, marked, cfg, 3)
     swapped = marked.with_marks(3 - marked.marks)
-    res_swapped = cross_fit(spec, swapped, cfg)
+    res_swapped = cross_fit(spec, swapped, cfg, 3)
     a = sorted(float(f.theta[0]) for f in res.per_fold)
     b = sorted(float(f.theta[0]) for f in res_swapped.per_fold)
     assert np.allclose(a, b, atol=1e-12)
@@ -94,7 +94,7 @@ def test_skip_thinning_requires_log_linear():
                         LinkFunctions(e, e, e, e, e, e))
     _, pattern = _make_case(63)
     with pytest.raises(ValueError):
-        cross_fit(gen, pattern, CrossFitConfig(seed=1, skip_thinning=True, grid_n=16))
+        cross_fit(gen, pattern, CrossFitConfig(skip_thinning=True, grid_n=16), 1)
 
 
 def _fail_fold_solves(monkeypatch, failing):
@@ -116,8 +116,8 @@ def test_partial_fold_failure_tolerated(monkeypatch):
     # fold 3's solve fails, but two of three folds converge
     spec, pattern = _make_case(29)
     _fail_fold_solves(monkeypatch, {3})
-    cfg = CrossFitConfig(n_folds=3, seed=2, grid_n=32, bandwidth_c0=0.45,)
-    res = cross_fit(spec, pattern, cfg)
+    cfg = CrossFitConfig(n_folds=3, grid_n=32, bandwidth_c0=0.45)
+    res = cross_fit(spec, pattern, cfg, 2)
     assert sum(f.converged for f in res.per_fold) >= 2
     assert not res.per_fold[2].converged
     assert np.isfinite(res.theta_hat).all()
@@ -126,9 +126,9 @@ def test_partial_fold_failure_tolerated(monkeypatch):
 def test_all_folds_failed_raises(monkeypatch):
     spec, pattern = _make_case(31)
     _fail_fold_solves(monkeypatch, {1, 2})
-    cfg = CrossFitConfig(n_folds=2, seed=2, grid_n=16, bandwidth_c0=0.45,)
+    cfg = CrossFitConfig(n_folds=2, grid_n=16, bandwidth_c0=0.45)
     with pytest.raises(NonConvergenceError, match="all folds failed"):
-        cross_fit(spec, pattern, cfg)
+        cross_fit(spec, pattern, cfg, 2)
 
 
 @pytest.mark.parametrize("n_folds, labels, empty", [(3, (1, 2), r"\[3\]"),
@@ -143,15 +143,15 @@ def test_honored_marks_with_empty_fold_rejected(monkeypatch, n_folds, labels, em
         raise AssertionError("a fold was fitted")
 
     monkeypatch.setattr(ppcf.crossfit, "build_quadrature", no_fit)
-    cfg = CrossFitConfig(n_folds=n_folds, seed=2, grid_n=16, bandwidth_c0=0.45)
+    cfg = CrossFitConfig(n_folds=n_folds, grid_n=16, bandwidth_c0=0.45)
     with pytest.raises(InsufficientPointsError, match=empty):
-        cross_fit(spec, pattern.with_marks(marks), cfg)
+        cross_fit(spec, pattern.with_marks(marks), cfg, 2)
 
 
 def test_eta_aggregate_is_fold_mean():
     spec, pattern = _make_case(37)
-    cfg = CrossFitConfig(seed=12, grid_n=32, bandwidth_c0=0.45)
-    res = cross_fit(spec, pattern, cfg)
+    cfg = CrossFitConfig(grid_n=32, bandwidth_c0=0.45)
+    res = cross_fit(spec, pattern, cfg, 12)
     Z = np.linspace(-0.5, 0.5, 7)[:, None]
     direct = np.mean([f.nuisance.eta_at(res.theta_hat, Z) for f in res.per_fold], axis=0)
     assert np.allclose(res.eta_hat(Z), direct, atol=1e-12)
@@ -159,13 +159,12 @@ def test_eta_aggregate_is_fold_mean():
 
 def test_logistic_approximation_path():
     spec, pattern = _make_case(43, rate=350.0)
-    cfg = CrossFitConfig(seed=6, grid_n=32, bandwidth_c0=0.45,
-                         approximation="logistic")
-    res = cross_fit(spec, pattern, cfg)
+    cfg = CrossFitConfig(grid_n=32, bandwidth_c0=0.45, approximation="logistic")
+    res = cross_fit(spec, pattern, cfg, 6)
     assert all(f.converged for f in res.per_fold)
     assert abs(res.theta_hat[0] - 0.3) < 0.25
-    # deterministic: the dummy pattern seeds derive from cfg.seed
-    res2 = cross_fit(spec, pattern, cfg)
+    # deterministic: the dummy pattern seeds derive from the seed
+    res2 = cross_fit(spec, pattern, cfg, 6)
     assert np.array_equal(res.theta_hat, res2.theta_hat)
 
 
@@ -177,9 +176,9 @@ def test_logistic_fold_estimates_match_reference_maximizer():
     spec, pattern = _make_case(43, rate=350.0)
     marks = np.random.default_rng(43).integers(1, 3, size=pattern.count())
     pattern = pattern.with_marks(marks)
-    cfg = CrossFitConfig(seed=6, grid_n=32, bandwidth_c0=0.45, approximation="logistic")
-    res = cross_fit(spec, pattern, cfg)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(1 + cfg.n_folds)
+    cfg = CrossFitConfig(grid_n=32, bandwidth_c0=0.45, approximation="logistic")
+    res = cross_fit(spec, pattern, cfg, 6)
+    seeds = np.random.SeedSequence(6).spawn(1 + cfg.n_folds)
     scale = 1.0 / cfg.n_folds
     for idx, f in enumerate(res.per_fold):
         pts = fold(pattern, f.v)
@@ -212,9 +211,9 @@ def test_general_link_cross_fit_smoke():
                         lambda th, Y: np.asarray(Y, float),
                         lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
                         LinkFunctions(e, e, e, e, e, e))
-    cfg = CrossFitConfig(seed=8, grid_n=16, bandwidth_c0=0.45)
-    res_gen = cross_fit(gen, pattern, cfg)
-    res_log = cross_fit(spec, pattern, cfg)
+    cfg = CrossFitConfig(grid_n=16, bandwidth_c0=0.45)
+    res_gen = cross_fit(gen, pattern, cfg, 8)
+    res_log = cross_fit(spec, pattern, cfg, 8)
     assert abs(res_gen.theta_hat[0] - res_log.theta_hat[0]) < 2e-3
 
 
@@ -224,12 +223,11 @@ def test_skip_thinning_matches_two_fold_rmse():
     err_skip, err_v2 = [], []
     for r in range(120):
         spec, pattern = _make_case(1_000 + 5 * r, rate=400.0)
-        cfg_v2 = CrossFitConfig(seed=77, grid_n=48, bandwidth_c0=0.45)
-        cfg_skip = CrossFitConfig(seed=77, grid_n=48, bandwidth_c0=0.45,
-                                  skip_thinning=True)
+        cfg_v2 = CrossFitConfig(grid_n=48, bandwidth_c0=0.45)
+        cfg_skip = CrossFitConfig(grid_n=48, bandwidth_c0=0.45, skip_thinning=True)
         try:
-            err_v2.append(cross_fit(spec, pattern, cfg_v2).theta_hat[0] - 0.3)
-            err_skip.append(cross_fit(spec, pattern, cfg_skip).theta_hat[0] - 0.3)
+            err_v2.append(cross_fit(spec, pattern, cfg_v2, 77).theta_hat[0] - 0.3)
+            err_skip.append(cross_fit(spec, pattern, cfg_skip, 77).theta_hat[0] - 0.3)
         except NonConvergenceError:
             continue
     rmse_v2 = float(np.sqrt(np.mean(np.square(err_v2))))

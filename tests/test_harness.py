@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ppcf.errors import (
 )
 from ppcf.fields import make_window, read_grid_file, write_grid_file
 from ppcf.harness import (
+    HARNESS_BANDWIDTH_C0,
     Scenario,
     _wald_reports,
     emit_scenario_files,
@@ -27,6 +29,8 @@ from ppcf.harness import (
 from ppcf.inference import PcfModel, sandwich_terms
 from ppcf.model import build_quadrature
 from ppcf.process import PointPattern
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def read_table_csv(path):
@@ -57,6 +61,15 @@ def test_scenario_validation():
         Scenario(process="strauss")
     with pytest.raises(ValueError):
         Scenario(estimators=("semi", "magic"))
+
+
+def test_scenario_holds_the_harness_crossfit():
+    # by default the harness configuration for the window; a given one is kept as is
+    for window, grid_n in (("W1", 64), ("W2", 128)):
+        assert Scenario(window=window).crossfit == CrossFitConfig(
+            bandwidth_c0=HARNESS_BANDWIDTH_C0, grid_n=grid_n)
+    given = replace(Scenario(window="W2").crossfit, n_folds=3)
+    assert Scenario(window="W1", crossfit=given).crossfit is given
 
 
 def test_single_rep_degenerate_row():
@@ -148,10 +161,10 @@ def test_stacked_wald_reports_match_separate_estimators():
 def test_fit_file_roundtrip_bit_exact(tmp_path):
     s = Scenario(window="W1", reps=1, base_seed=555)
     paths = emit_scenario_files(s, 0, tmp_path)
-    spec, _, _, pattern, _ = simulate_scenario_inputs(s, 0)
+    spec, _, pattern, _ = simulate_scenario_inputs(s, 0)
 
-    cfg = CrossFitConfig(n_folds=2, seed=999, grid_n=32, bandwidth_c0=1.0)
-    res_mem = cross_fit(spec, pattern, cfg)
+    cfg = CrossFitConfig(n_folds=2, grid_n=32, bandwidth_c0=1.0)
+    res_mem = cross_fit(spec, pattern, cfg, 999)
     report = fit_file(paths["pattern"], [paths["y0"]], [paths["z0"]],
                       overrides={"seed": 999, "grid_n": 32, "folds": 2},
                       out_prefix=str(tmp_path / "fit"))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,8 +235,9 @@ def _softplus_link():
     return LinkFunctions(psi, dt, dg, dtt, dtg, dgg)
 
 
-def make_general_spec(window=W1):
-    """Softplus link with a quadratic tau over two 24 x 24 random fields on ``window``."""
+def make_general_spec(window=W1, link=None, tau_grad=None):
+    """Softplus link with a quadratic tau over two 24 x 24 random fields on ``window``;
+    ``link`` and ``tau_grad``, when given, replace the link and tau's gradient."""
     y_field = simulate_grf(window, 24, 24, GrfSpec(1.0, 0.2), seed=31)
     z_field = simulate_grf(window, 24, 24, GrfSpec(1.0, 0.2), seed=32)
 
@@ -243,19 +245,30 @@ def make_general_spec(window=W1):
         lin = Y @ theta
         return lin + 0.1 * lin ** 2
 
-    def tau_grad(theta, Y):
+    def true_tau_grad(theta, Y):
         lin = Y @ theta
         return Y * (1 + 0.2 * lin)[:, None]
 
     def tau_hess(theta, Y):
         return 0.2 * Y[:, :, None] * Y[:, None, :]
 
-    return general_model([y_field], [z_field], tau, tau_grad, tau_hess, _softplus_link())
+    return general_model([y_field], [z_field], tau, tau_grad or true_tau_grad, tau_hess,
+                         link or _softplus_link())
 
 
 @pytest.fixture(scope="module")
 def general_spec():
     return make_general_spec()
+
+
+def test_general_link_derivatives_checked_by_finite_differences():
+    assert make_general_spec().link == "general"
+    # dPsi/dg given as dPsi/dt, and tau's gradient without its quadratic term
+    wrong_link = replace(_softplus_link(), dpsi_dg=lambda t, g: np.exp(t - np.logaddexp(t, g)))
+    with pytest.raises(ValueError, match="disagrees with finite differences"):
+        make_general_spec(link=wrong_link)
+    with pytest.raises(ValueError, match="disagrees with finite differences"):
+        make_general_spec(tau_grad=lambda theta, Y: np.asarray(Y, dtype=float))
 
 
 def test_score_matches_fd_general_link(general_spec):
@@ -423,7 +436,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
         pat = simulate_poisson(surface, seed=90_000 + s)
         quad = build_quadrature(pat, 32)
         theta_para = fit_parametric_baseline_full(spec, pat, quad, "linear").theta[0]
-        res = cross_fit(spec, pat, CrossFitConfig(seed=s, grid_n=32, bandwidth_c0=0.45))
+        res = cross_fit(spec, pat, CrossFitConfig(grid_n=32, bandwidth_c0=0.45), s)
         diffs.append(theta_para - res.theta_hat[0])
     diffs = np.array(diffs)
     # paired on the same patterns; "agree" means the systematic gap is a small
