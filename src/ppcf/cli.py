@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--config", type=str, default=None,
                       help="YAML mapping of scenario options; flags override it")
     _options(p_sc, "window", "process", "nuisance", "estimators", "folds", "bandwidth",
-             "kernel_order", "skip_thinning", "reps", "approx", covar="covariates",
-             seed="base_seed", pcf="pcf_mode")
+             "kernel_order", "skip_thinning", "reps", "approx", "pcf", covar="covariates",
+             seed="base_seed")
     p_sc.add_argument("--parallelism", type=int, default=1)
     p_sc.add_argument("--out", type=str, default=None)
     return parser

@@ -111,7 +111,6 @@ class CrossFitResult:
     theta_hat: np.ndarray
     eta_hat: EtaAggregate
     per_fold: List[FoldFit]
-    config: CrossFitConfig
 
 
 def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
@@ -181,5 +180,4 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
 
     theta_hat = np.mean([f.theta for f in good], axis=0)
     eta_hat = EtaAggregate([f.nuisance for f in good], theta_hat)
-    return CrossFitResult(theta_hat=theta_hat, eta_hat=eta_hat, per_fold=per_fold,
-                          config=cfg)
+    return CrossFitResult(theta_hat=theta_hat, eta_hat=eta_hat, per_fold=per_fold)

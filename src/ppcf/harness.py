@@ -462,20 +462,22 @@ def _with_options(cfg: CrossFitConfig, opts: Dict) -> CrossFitConfig:
 
 
 def resolve_scenario_options(keys, config_path=None, given: Optional[Dict] = None) -> Scenario:
-    """``ppcf scenario``'s Scenario from its option ``keys``: Scenario fields and ``ppcf
-    fit``'s cross-fitting keys, which default to the harness configuration (none of
-    them depends on the window).  ``pcf_mode`` defaults to estimated for lgcp, else
-    none.  Every option is checked here, so a bad one fails before anything is simulated.
+    """``ppcf scenario``'s Scenario from its option ``keys``: Scenario fields, ``pcf`` (the
+    field ``pcf_mode``, keyed as in ``ppcf fit``) and ``ppcf fit``'s cross-fitting keys,
+    which default to the harness configuration (none of them depends on the window).
+    ``pcf`` defaults to estimated for lgcp, else none.  Every option is checked here, so
+    a bad one fails before anything is simulated.
     """
     base = Scenario()
-    defaults = {**{f.name: getattr(base, f.name) for f in fields(Scenario)}, "pcf_mode": None,
+    defaults = {**{f.name: getattr(base, f.name) for f in fields(Scenario)}, "pcf": None,
                 **{key: getattr(base.crossfit, name) for name, key in _FIELD_KEYS.items()}}
     opts = merge_options({key: defaults[key] for key in keys}, config_path, given)
-    if opts["pcf_mode"] is None:
-        opts["pcf_mode"] = "estimated" if opts["process"] == "lgcp" else "none"
+    if opts["pcf"] is None:
+        opts["pcf"] = "estimated" if opts["process"] == "lgcp" else "none"
     crossfit = _with_options(Scenario(window=opts["window"]).crossfit, opts)
     named = {f.name: opts[f.name] for f in fields(Scenario) if f.name in opts}
-    return Scenario(**{**named, "estimators": tuple(opts["estimators"])}, crossfit=crossfit)
+    return Scenario(**{**named, "estimators": tuple(opts["estimators"])},
+                    pcf_mode=opts["pcf"], crossfit=crossfit)
 
 
 def resolve_fit_options(config_path=None, given: Optional[Dict] = None

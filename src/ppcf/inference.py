@@ -79,18 +79,6 @@ class PcfModel:
             return np.ones_like(r)
         return np.exp(self.sigma2 * np.exp(-r / self.phi))
 
-    def k_function(self, r, n_steps: int = 2048):
-        """K(r) = 2 pi int_0^r s g(s) ds; exactly pi r^2 in the Poisson case."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.family == "poisson" or self.sigma2 == 0.0:
-            out = math.pi * r ** 2
-            return out if out.size > 1 else float(out[0])
-        s = np.linspace(0.0, float(r.max()), n_steps)
-        integrand = 2.0 * math.pi * s * self.pcf(s)
-        cum = np.concatenate([[0.0], cumulative_trapezoid(integrand, s)])
-        out = np.interp(r, s, cum)
-        return out if out.size > 1 else float(out[0])
-
     def truncation_radius(self, window) -> float:
         if self.family == "poisson" or self.sigma2 <= 0:
             return 0.0
@@ -245,6 +233,23 @@ def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
 # -- K-function and minimum contrast -------------------------------------------
 
 
+def _k_model(r, n_steps: int = 513):
+    """K(r) = 2 pi int_0^r s g(s) ds at the points r as a function of the PCF model:
+    trapezoid sums over one grid of ``n_steps`` s-values from 0 to max r, built once
+    for every model; exactly pi r^2 in the Poisson case."""
+    s = np.linspace(0.0, float(r.max()), n_steps)
+    two_pi_s = 2.0 * math.pi * s
+    poisson = math.pi * r ** 2
+
+    def k(model: PcfModel):
+        if model.family == "poisson" or model.sigma2 == 0.0:
+            return poisson
+        cum = np.concatenate([[0.0], cumulative_trapezoid(two_pi_s * model.pcf(s), s)])
+        return np.interp(r, s, cum)
+
+    return k
+
+
 def estimate_pcf(pattern: PointPattern, intensity_hat) -> PcfModel:
     """Fit (sigma2, phi) of the LGCP-exponential PCF by minimum contrast.
 
@@ -279,6 +284,7 @@ def estimate_pcf(pattern: PointPattern, intensity_hat) -> PcfModel:
     k_hat = cum[np.searchsorted(d_sorted, r_grid, side="right")]
 
     k_hat_q = k_hat ** 0.25
+    k_model = _k_model(r_grid)
 
     def contrast(p):
         sigma2, log_phi = p
@@ -287,8 +293,7 @@ def estimate_pcf(pattern: PointPattern, intensity_hat) -> PcfModel:
         phi = math.exp(log_phi)
         if phi <= 0 or phi > 100 * r_max:
             return 1e300
-        k_model = PcfModel("lgcp-exponential", sigma2, phi).k_function(r_grid, n_steps=513)
-        diff = k_hat_q - k_model ** 0.25
+        diff = k_hat_q - k_model(PcfModel("lgcp-exponential", sigma2, phi)) ** 0.25
         return float(np.trapezoid(diff ** 2, r_grid))
 
     best = None

@@ -12,6 +12,7 @@ import ppcf.harness
 from ppcf.cli import build_parser, main as cli_main
 from ppcf.crossfit import CrossFitConfig
 from ppcf.harness import Scenario, emit_scenario_files, resolve_fit_options
+from ppcf.inference import PcfModel
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -109,6 +110,23 @@ def test_scenario_option_precedence(monkeypatch, tmp_path):
     monkeypatch.setenv("PPCF_SEED", "99")
     assert resolved(True, SCENARIO_FLAGS)[3] == 99
     assert resolved(False, [])[3] == 99
+
+
+def test_pcf_is_one_yaml_key(monkeypatch, tmp_path):
+    # --pcf is the YAML key ``pcf`` under both subcommands that take the flag
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    config = tmp_path / "fit.yaml"
+    config.write_text("pcf: known\npcf_sigma2: 0.2\npcf_phi: 0.05\n")
+    assert resolve_fit_options(config)[2] == PcfModel("lgcp-exponential", 0.2, 0.05)
+    assert _scenario(monkeypatch, [], "process: poisson\npcf: known\n", tmp_path).pcf_mode \
+        == "known"
+    assert _scenario(monkeypatch, ["--pcf", "none"], "process: lgcp\npcf: known\n",
+                     tmp_path).pcf_mode == "none"
+    with pytest.raises(ValueError, match="unknown config keys"):
+        _scenario(monkeypatch, [], "pcf_mode: known\n", tmp_path)
+    config.write_text("pcf_mode: known\n")
+    with pytest.raises(ValueError, match="unknown config keys"):
+        resolve_fit_options(config)
 
 
 @pytest.mark.parametrize("parallelism", ["1", "2"])

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import intensity_surface
+from helpers import intensity_surface, k_function
 
 from ppcf.errors import InsufficientPointsError, SingularSensitivityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
     PcfModel,
+    _k_model,
     estimate_pcf,
     lfd_values,
     pcf_correction,
@@ -276,8 +277,21 @@ def test_loewner_order_for_clustering_pcf(fitted_instance):
 def test_k_model_poisson_is_pi_r_squared():
     model = PcfModel("lgcp-exponential", sigma2=0.0, phi=0.3)
     r = np.linspace(0.01, 0.4, 7)
-    assert np.allclose(model.k_function(r), math.pi * r ** 2, rtol=1e-12)
+    assert np.allclose(_k_model(r)(model), math.pi * r ** 2, rtol=1e-12)
     assert np.allclose(PcfModel("poisson").pcf(r), 1.0)
+
+
+@pytest.mark.parametrize("side", [1.0, 2.0])
+def test_contrast_k_model_is_the_k_function_bit_for_bit(side):
+    # the contrast builds its s-grid once per fit; every model's K on it is the
+    # K-function of the model on its own 513-point grid, to the last bit
+    r_grid = np.linspace(0.0, 0.25 * side, 65)[1:]
+    k_model = _k_model(r_grid)
+    for sigma2, phi in [(0.0, 0.1), (1e-7, 0.2), (0.2, 0.2), (np.float64(1.37), 0.011),
+                        (0.5, 25.0)]:
+        model = PcfModel("lgcp-exponential", sigma2, phi)
+        assert np.array_equal(k_model(model), k_function(model, r_grid, n_steps=513))
+    assert np.array_equal(k_model(PcfModel("poisson")), math.pi * r_grid ** 2)
 
 
 def test_estimate_pcf_requires_points():

@@ -8,6 +8,7 @@ from helpers import intensity_surface
 import ppcf.nuisance
 from ppcf.errors import ZeroMassError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
+from ppcf.harness import Scenario, simulate_scenario_inputs
 from ppcf.model import (
     LinkFunctions,
     build_quadrature,
@@ -307,6 +308,49 @@ def test_quartic_grid_matches_exact_path(fitted, monkeypatch):
     assert np.max(np.abs(nf4.eta_at(theta, Z) - exact)) < 5e-4
 
 
+@pytest.fixture(scope="module")
+def heavy_tailed():
+    """The W2 `dep` cell's first replication: z is a product of two random fields."""
+    s = Scenario(window="W2", covariates="dep", nuisance="poly")
+    spec, _, pattern, _ = simulate_scenario_inputs(s, 0)
+    return spec, pattern, build_quadrature(pattern, s.crossfit.grid_n), s.crossfit.resolve_kernel(spec)
+
+
+@pytest.mark.parametrize("case, bounds", [
+    ("fitted", (3e-6, 1e-6, 5e-7)),
+    ("heavy_tailed", (3e-5, 1e-4, 2e-3)),
+])
+def test_binned_grid_matches_exact_at_the_nodes(case, bounds, request, monkeypatch):
+    # the binned node moments replace each kernel value by its linear interpolation
+    # between fine bins, a second-order error: doubling the bins per cell divides
+    # it by about 4.  Saturation and empty numerators are counted as on the dense path.
+    if case == "fitted":
+        spec, pattern, nf = request.getfixturevalue("fitted")
+        quad, kernel = nf.quad, nf.kernel
+    else:
+        spec, pattern, quad, kernel = request.getfixturevalue(case)
+    theta = np.array([0.3])
+    rms = []
+    for bins in (16, 32):
+        monkeypatch.setattr(ppcf.nuisance, "_BINS_PER_CELL", bins)
+        nf = NuisanceFit(spec, pattern, quad, kernel)
+        Zg = (nf._grid * nf._sd[0] + nf._mu[0])[:, None]
+        binned = nf.eta_all(theta, Zg)
+        grid_counts = dict(nf.diagnostics)
+        nf.diagnostics.update(clip_count=0, empty_numerator=0)
+        exact = nf.exact(theta, Zg)
+        assert nf.diagnostics == grid_counts
+        errs = [np.abs(b - e).reshape(Zg.shape[0], -1) for b, e in zip(binned, exact)]
+        if bins == 16:
+            for err, bound in zip(errs, bounds):
+                assert err.max() <= bound
+        rms.append(np.array([np.sqrt(np.mean(err ** 2)) for err in errs]))
+    ratio = rms[0] / rms[1]
+    assert np.all((ratio[:2] > 2.5) & (ratio[:2] < 8.0)) and ratio[2] > 2.0
+    if case == "heavy_tailed":
+        assert grid_counts["clip_count"] > 0
+
+
 def test_clip_count_counts_grid_saturation(fitted):
     spec, pattern, nf = fitted
     theta = np.array([0.3])
@@ -365,9 +409,10 @@ def test_exp_link_via_general_matches_closed_form(fitted):
     nf_gen = NuisanceFit(gen, pattern, nf.quad, nf.kernel)
     theta = np.array([0.25])
     Zg = (nf._grid * nf._sd[0] + nf._mu[0])[:, None]
-    for method in ("exact", "eta_all"):
-        closed = getattr(nf, method)(theta, Zg)
-        newton = getattr(nf_gen, method)(theta, Zg)
+    # the general-link grid sums the dense kernel rows, as ``exact`` does; the
+    # log-linear grid bins its node moments, so the closed form is taken from ``exact``
+    closed = nf.exact(theta, Zg)
+    for newton in (nf_gen.exact(theta, Zg), nf_gen.eta_all(theta, Zg)):
         for a, b, tol in zip(closed, newton, (1e-9, 1e-9, 1e-6)):
             assert np.max(np.abs(a - b)) <= tol
 
