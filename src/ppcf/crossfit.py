@@ -89,7 +89,6 @@ class EtaAggregate:
             raise ValueError("no fold curves to aggregate")
         self.fits = list(fits)
         self.theta = np.asarray(theta, dtype=float)
-        self.k = fits[0].k
 
     def eta_at(self, theta, Z) -> np.ndarray:
         return np.mean([nf.eta_at(theta, Z) for nf in self.fits], axis=0)
@@ -155,7 +154,7 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
             if fit_pat.count() == 0:
                 raise InsufficientPointsError(f"fold {v} holds no points")
             nuis_quad = build_quadrature(train_pat, cfg.grid_n)
-            nf = NuisanceFit(spec, train_pat, nuis_quad, kernel, scale=nuis_scale)
+            nf = NuisanceFit(spec, nuis_quad, kernel, scale=nuis_scale)
             entry.nuisance = nf
             if cfg.approximation == "quadrature":
                 scheme = build_quadrature(fit_pat, cfg.grid_n)

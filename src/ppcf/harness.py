@@ -236,7 +236,7 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         for name, form in (("para", "linear"), ("oracle", ("oracle", eta_full))):
             if name not in s.estimators:
                 continue
-            pf = fit_parametric_baseline_full(spec, pattern, quad, form)
+            pf = fit_parametric_baseline_full(spec, quad, form)
             fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design))
             eta_fn = eta_full if name == "oracle" else (lambda Z, c=pf.coef: c[k] + Z @ c[k + 1:])
             lam_fns.append(spec.intensity(pf.theta, eta_fn))
@@ -270,7 +270,7 @@ def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig,
     """
     res = cross_fit(spec, pattern, cfg, seed)
     theta, eta_fn = res.theta_hat, res.eta_hat
-    nf = NuisanceFit(spec, pattern, quad, cfg.resolve_kernel(spec), scale=1.0)
+    nf = NuisanceFit(spec, quad, cfg.resolve_kernel(spec), scale=1.0)
     S, a = semi_sandwich_terms(spec, theta, eta_fn, lambda Z: lfd_values(nf, theta, Z), quad)
     return res, (theta, S, a), spec.intensity(theta, eta_fn)
 
@@ -553,19 +553,16 @@ def _write_fit_outputs(report: FitReport, spec: ModelSpec, pattern: PointPattern
     k = report.theta_hat.shape[0]
     row = {}
     for i in range(k):
-        row[f"theta_{i}"] = repr(float(report.theta_hat[i]))
-        row[f"se_{i}"] = repr(float(report.se[i]))
+        row[f"theta_{i}"] = float(report.theta_hat[i])
+        row[f"se_{i}"] = float(report.se[i])
         for level, arr in report.ci.items():
             pct = int(round(level * 100))
-            row[f"ci{pct}_lo_{i}"] = repr(float(arr[i, 0]))
-            row[f"ci{pct}_hi_{i}"] = repr(float(arr[i, 1]))
+            row[f"ci{pct}_lo_{i}"] = float(arr[i, 0])
+            row[f"ci{pct}_hi_{i}"] = float(arr[i, 1])
     row["pcf_family"] = report.pcf.family
-    row["pcf_sigma2"] = repr(float(report.pcf.sigma2))
-    row["pcf_phi"] = repr(float(report.pcf.phi))
-    with open(out_prefix + "_summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row.keys()))
-        writer.writeheader()
-        writer.writerow(row)
+    row["pcf_sigma2"] = float(report.pcf.sigma2)
+    row["pcf_phi"] = float(report.pcf.phi)
+    _write_csv([row], out_prefix + "_summary.csv")
     with open(out_prefix + "_summary.jsonl", "w") as fh:
         fh.write(json.dumps({
             "theta": report.theta_hat.tolist(),
@@ -577,14 +574,9 @@ def _write_fit_outputs(report: FitReport, spec: ModelSpec, pattern: PointPattern
         }) + "\n")
     if spec.q == 1:
         _, Zd = spec.covariates_at(pattern.points)
-        z_lo, z_hi = float(Zd.min()), float(Zd.max())
-        zs = np.linspace(z_lo, z_hi, ETA_DUMP_POINTS)
-        etas = eta_fn(zs[:, None])
-        with open(out_prefix + "_eta.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "eta_hat"])
-            for zv, ev in zip(zs, etas):
-                writer.writerow([repr(float(zv)), repr(float(ev))])
+        zs = np.linspace(float(Zd.min()), float(Zd.max()), ETA_DUMP_POINTS)
+        rows = [{"z": float(zv), "eta_hat": float(ev)} for zv, ev in zip(zs, eta_fn(zs[:, None]))]
+        _write_csv(rows, out_prefix + "_eta.csv")
 
 
 def emit_scenario_files(s: Scenario, rep: int, out_dir) -> Dict[str, str]:

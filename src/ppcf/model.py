@@ -4,7 +4,7 @@ The intensity is ``lambda(u) = Psi[tau_theta(y(u)), eta(z(u))]``.  The log-linea
 link fixes ``Psi = exp`` and ``tau_theta(y) = theta . y``; general links supply
 ``tau`` (with analytic theta-gradient and Hessian) and ``Psi`` (with first and
 second partials in both arguments), which are cross-checked against finite
-differences at construction.
+differences at construction (the built-in exp link is not).
 
 theta is fitted on a scheme of nodes u_j, some of them the data points, by
 maximizing the sum over the nodes of one loss l_j in log lambda_j.  Each scheme
@@ -20,10 +20,12 @@ supplies the value and the derivatives l' and l'' in log lambda:
 
 With dlog and d2log the first and second theta-derivatives of log lambda along
 theta -> (theta, eta_theta), the score is sum_j l'_j dlog_j and the Hessian is
-sum_j l'_j d2log_j + l''_j dlog_j dlog_j^T.  The profile fit, the parametric
-baselines (dlog = the design row, no d2log term) and the sandwich terms of
-:mod:`ppcf.inference` take lambda and dlog from :func:`_log_derivatives`, the
-one place outside :class:`ModelSpec` that depends on the link.
+sum_j l'_j d2log_j + l''_j dlog_j dlog_j^T, all three from one evaluation at
+theta, which the damped Newton makes once per point it visits.  The profile
+fit, the parametric baselines (dlog = the design row, no d2log term) and the
+sandwich terms of :mod:`ppcf.inference` take lambda and dlog from
+:func:`_log_derivatives`, the one place outside :class:`ModelSpec` that
+depends on the link.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class ModelSpec:
                 raise ValueError("general link requires tau, tau_grad, tau_hess and psi")
             self.psi = psi
             self._tau = (tau, tau_grad, tau_hess)
-        self._validate_derivatives()
+            self._validate_derivatives()
 
     # -- covariates ------------------------------------------------------
 
@@ -160,21 +162,20 @@ class ModelSpec:
                       what="d2Psi/dtdg")
             _fd_check(lambda g: p.dpsi_dg(t0, g), lambda g: p.d2psi_dgg(t0, g), [g0],
                       what="d2Psi/dg2")
-        if self.link == "general":
-            Y = rng.normal(size=(4, self.k))
-            theta0 = rng.normal(size=self.k) * 0.2
-            step = 1e-6
-            g_ana = self.tau_grad(theta0, Y)
-            h_ana = self.tau_hess(theta0, Y)
-            for i in range(self.k):
-                e = np.zeros(self.k)
-                e[i] = step
-                g_num = (self.tau(theta0 + e, Y) - self.tau(theta0 - e, Y)) / (2 * step)
-                if not np.allclose(g_num, g_ana[:, i], rtol=1e-4, atol=1e-6):
-                    raise ValueError("tau_grad disagrees with finite differences")
-                h_num = (self.tau_grad(theta0 + e, Y) - self.tau_grad(theta0 - e, Y)) / (2 * step)
-                if not np.allclose(h_num, h_ana[:, :, i], rtol=1e-4, atol=1e-6):
-                    raise ValueError("tau_hess disagrees with finite differences")
+        Y = rng.normal(size=(4, self.k))
+        theta0 = rng.normal(size=self.k) * 0.2
+        step = 1e-6
+        g_ana = self.tau_grad(theta0, Y)
+        h_ana = self.tau_hess(theta0, Y)
+        for i in range(self.k):
+            e = np.zeros(self.k)
+            e[i] = step
+            g_num = (self.tau(theta0 + e, Y) - self.tau(theta0 - e, Y)) / (2 * step)
+            if not np.allclose(g_num, g_ana[:, i], rtol=1e-4, atol=1e-6):
+                raise ValueError("tau_grad disagrees with finite differences")
+            h_num = (self.tau_grad(theta0 + e, Y) - self.tau_grad(theta0 - e, Y)) / (2 * step)
+            if not np.allclose(h_num, h_ana[:, :, i], rtol=1e-4, atol=1e-6):
+                raise ValueError("tau_hess disagrees with finite differences")
 
 
 def log_linear_model(target_fields, nuisance_fields) -> ModelSpec:
@@ -297,55 +298,47 @@ def _log_derivatives(spec: ModelSpec, theta, Y, gamma, d, d2=None):
     return lam, dlog, d2lam / lam[:, None, None] - dlog[:, :, None] * dlog[:, None, :]
 
 
-def _objective(scheme, intensity, derivatives):
-    """(value, score_hessian) of the scheme's summed node loss as functions of theta.
+def _objective(scheme, derivatives):
+    """The scheme's summed node loss as one function theta -> (value, score, hessian).
 
-    ``intensity(theta)`` gives lambda at the nodes and ``derivatives(theta)``
-    gives (lambda, dlog, d2log), d2log None where log lambda is linear in theta.
-    The value is -inf where lambda is not finite, or not positive at a data
-    node, so that the line search backs off.
+    ``derivatives(theta)`` gives (lambda, dlog, d2log) at the nodes, d2log None
+    where log lambda is linear in theta.  Where lambda is not finite, or not
+    positive at a data node, the value is -inf and score and Hessian are None,
+    so that the line search backs off.
     """
     is_data = scheme.is_data
 
-    def value(theta):
-        with np.errstate(over="ignore"):
-            lam = intensity(theta)
+    def evaluate(theta):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam, dlog, d2log = derivatives(theta)
         if not np.all(np.isfinite(lam)) or np.any(lam[is_data] <= 0):
-            return -np.inf
-        return scheme.node_loss(lam)[0]
-
-    def score_hessian(theta):
-        lam, dlog, d2log = derivatives(theta)
-        if np.any(lam[is_data] <= 0):
-            raise NonpositiveIntensityError("scaled intensity nonpositive at a data point")
-        _, l1, l2 = scheme.node_loss(lam)
+            return -np.inf, None, None
+        value, l1, l2 = scheme.node_loss(lam)
         hess = np.einsum("j,ja,jb->ab", l2, dlog, dlog)
         if d2log is not None:
             hess += np.einsum("j,jab->ab", l1, d2log)
-        return l1 @ dlog, hess
+        return value, l1 @ dlog, hess
 
-    return value, score_hessian
+    return evaluate
 
 
 def pseudo_likelihood(spec: ModelSpec, eta_curve, scheme, scale: float):
-    """The objective :func:`profile_maximize` maximizes, as (value, score_hessian) of theta.
+    """The objective :func:`profile_maximize` maximizes, as theta -> (value, score, hessian).
 
     ``scheme`` is a :class:`QuadratureScheme` or a :class:`LogisticScheme`;
-    ``eta_curve`` has ``eta_at(theta, Z)`` and ``eta_all(theta, Z)`` (values
-    and first and second theta-derivatives), and score and Hessian are total
-    derivatives along theta -> (theta, eta_theta).  ``scale`` multiplies the
-    modeled intensity (the thinning fraction of the fitted sub-process).
+    ``eta_curve.eta_all(theta, Z)`` gives the curve's values and first and
+    second theta-derivatives, the optimizer's whole interface to it, and score
+    and Hessian are total derivatives along theta -> (theta, eta_theta).
+    ``scale`` multiplies the modeled intensity (the thinning fraction of the
+    fitted sub-process).
     """
     Y, Z = spec.covariates_at(scheme.nodes)
-
-    def intensity(theta):
-        return scale * spec.lambda_values(theta, Y, eta_curve.eta_at(theta, Z))
 
     def derivatives(theta):
         lam, dlog, d2log = _log_derivatives(spec, theta, Y, *eta_curve.eta_all(theta, Z))
         return scale * lam, dlog, d2log
 
-    return _objective(scheme, intensity, derivatives)
+    return _objective(scheme, derivatives)
 
 
 # -- damped Newton ---------------------------------------------------------------
@@ -357,29 +350,37 @@ _MIN_STEP = 1e-12
 _MAX_NEWTON_NORM = 10.0
 
 
-def _backtrack(value_fn, theta, direction, base, slope):
+def _backtrack(evaluate, theta, direction, base, slope):
     """Armijo backtracking from theta along direction: the accepted point and
-    its value, or None when the step underflows."""
+    its evaluation, or None when the step underflows."""
     t = 1.0
     while t >= _MIN_STEP:
         cand = theta + t * direction
-        val = value_fn(cand)
-        if np.isfinite(val) and val >= base + _ARMIJO_C * t * slope:
-            return cand, val
+        ev = evaluate(cand)
+        if np.isfinite(ev[0]) and ev[0] >= base + _ARMIJO_C * t * slope:
+            return cand, ev
         t *= 0.5
     return None
 
 
-def _newton_maximize(value_fn, score_hess_fn, init, area):
-    """Damped Newton with Armijo backtracking and gradient-ascent fallback."""
+def _newton_maximize(evaluate, init, area):
+    """Damped Newton with Armijo backtracking and gradient-ascent fallback on
+    ``evaluate(theta) -> (value, score, hessian)``, called once per point."""
     theta = np.asarray(init, dtype=float).copy()
     tol = _TOL * area
-    base = None                  # value at theta, once evaluated
-    for _ in range(_MAX_ITER):
-        s, h = score_hess_fn(theta)
+    ev = evaluate(theta)
+    for iteration in range(_MAX_ITER + 1):
+        base, s, h = ev
+        if not np.isfinite(base):    # the start point, or after an undamped step
+            raise NonpositiveIntensityError(
+                f"intensity not finite, or not positive at a data point, at theta={theta}")
         snorm = float(np.linalg.norm(s))
         if snorm <= tol:
             return theta
+        if iteration == _MAX_ITER:
+            raise NonConvergenceError(
+                f"no convergence after {_MAX_ITER} iterations (|score|={snorm:.3e})",
+                theta=theta, score_norm=snorm)
         direction = None
         try:
             fac = cho_factor(-h)
@@ -394,8 +395,6 @@ def _newton_maximize(value_fn, score_hess_fn, init, area):
         dnorm = float(np.linalg.norm(direction))
         if dnorm > _MAX_NEWTON_NORM:
             direction = direction * (_MAX_NEWTON_NORM / dnorm)
-        if base is None:
-            base = value_fn(theta)
         slope = float(s @ direction)
         if used_newton and dnorm <= 1e-3 and 0.5 * slope <= 1e-9 * (1.0 + abs(base)):
             # predicted gain is below the float resolution of the objective:
@@ -403,28 +402,25 @@ def _newton_maximize(value_fn, score_hess_fn, init, area):
             # step is a contraction here, so take it undamped (the step-norm
             # guard keeps a near-singular Hessian from ever sneaking a big
             # uncontrolled move through this branch)
-            theta, base = theta + direction, None
+            theta = theta + direction
+            ev = evaluate(theta)
             continue
-        new = _backtrack(value_fn, theta, direction, base, slope)
+        new = _backtrack(evaluate, theta, direction, base, slope)
         if new is None and used_newton:
             # retry this iterate along the raw gradient
-            new = _backtrack(value_fn, theta, s / max(snorm, 1e-300), base, snorm)
+            new = _backtrack(evaluate, theta, s / max(snorm, 1e-300), base, snorm)
             if new is None:
                 raise SingularHessianError(
                     "line search stalled along both Newton and gradient directions")
         if new is None:
             raise SingularHessianError("gradient ascent stalled")
-        theta, base = new
-    s, _ = score_hess_fn(theta)
-    raise NonConvergenceError(
-        f"no convergence after {_MAX_ITER} iterations (|score|={np.linalg.norm(s):.3e})",
-        theta=theta, score_norm=float(np.linalg.norm(s)))
+        theta, ev = new
 
 
 def profile_maximize(spec: ModelSpec, eta_curve, scheme, scale: float, init) -> np.ndarray:
     """Maximize :func:`pseudo_likelihood` on ``scheme`` over theta along the fitted curve."""
-    value, score_hessian = pseudo_likelihood(spec, eta_curve, scheme, scale)
-    return _newton_maximize(value, score_hessian, init, scheme.window.area())
+    return _newton_maximize(pseudo_likelihood(spec, eta_curve, scheme, scale), init,
+                            scheme.window.area())
 
 
 # -- parametric baselines ----------------------------------------------------
@@ -438,8 +434,8 @@ class ParametricFit:
     lambda_nodes: np.ndarray   # (m,) fitted intensity at the quadrature nodes
 
 
-def fit_parametric_baseline_full(spec: ModelSpec, pattern: PointPattern,
-                                 quad: QuadratureScheme, nuisance_form) -> ParametricFit:
+def fit_parametric_baseline_full(spec: ModelSpec, quad: QuadratureScheme,
+                                 nuisance_form) -> ParametricFit:
     """Fully parametric reference fits: eta misspecified as linear, or known a priori.
 
     ``nuisance_form`` is ``"linear"`` (fits eta = b0 + beta . z jointly with theta)
@@ -468,7 +464,7 @@ def fit_parametric_baseline_full(spec: ModelSpec, pattern: PointPattern,
     def intensity(coef):
         return np.exp(X @ coef + offset)
 
-    value, score_hessian = _objective(quad, intensity, lambda coef: (intensity(coef), X, None))
-    coef = _newton_maximize(value, score_hessian, init, area)
+    coef = _newton_maximize(_objective(quad, lambda coef: (intensity(coef), X, None)),
+                            init, area)
     return ParametricFit(theta=coef[: spec.k], coef=coef, design=X, lambda_nodes=intensity(coef))
 

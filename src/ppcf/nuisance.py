@@ -2,11 +2,11 @@
 
 For each z the curve value is the gamma maximizing a kernel-localized version of
 the pseudo-likelihood: kernel-weighted log-intensity over the training points
-minus the kernel-weighted intensity integral, the latter evaluated on a
-quadrature scheme.  When trained on a fold complement (a thinned copy of the
-process with intensity (V-1)/V * lambda), the modeled intensity carries that
-thinning fraction, which is what makes the fitted curve unbiased; the stored
-``scale`` is its reciprocal V/(V-1).
+minus the kernel-weighted intensity integral, both on one quadrature scheme
+whose data nodes are the training points.  When trained on a fold complement
+(a thinned copy of the process with intensity (V-1)/V * lambda), the modeled
+intensity carries that thinning fraction, which is what makes the fitted curve
+unbiased; the stored ``scale`` is its reciprocal V/(V-1).
 
 One batched solver serves every link and nuisance dimension: it takes the
 kernel sums of a batch of z and solves every z at once.  Under the log-linear link
@@ -35,9 +35,13 @@ on W1 fields and by up to 6e-5 at the sparse tail nodes of a W2 product field
 (d and D2 by up to 3e-4 and 2e-3 there), a second-order error that falls about
 fourfold when the bins per cell double.
 
-The least favorable direction of the sandwich variance is the curve's own
-first theta-derivative d, taken from the same evaluation and the same clamp
-as the curve value (``curve`` at order 1).
+The profile optimizer reads the curve only through ``eta_all`` (value, d and
+D2 from one evaluation), once per theta it visits, so the q = 1 grid keeps just
+its last solve: consecutive reads at one theta (the aggregated theta-hat of
+the sandwich and the PCF plug-in) solve it once.  The least favorable
+direction of the sandwich variance is the curve's own first theta-derivative
+d, taken from the same evaluation and the same clamp as the curve value
+(``curve`` at order 1).
 """
 
 from __future__ import annotations
@@ -51,10 +55,10 @@ import numpy as np
 from .errors import (InsufficientPointsError, NonConvergenceError, ZeroDenominatorError,
                      ZeroMassError)
 from .model import ModelSpec, QuadratureScheme
-from .process import PointPattern
 
 _CHUNK_ELEMS = 1 << 16        # entries of one (rows, n + m, q) kernel temporary
 _NEWTON_TOL = 1e-12           # relative step at which a row's Newton iteration stops
+_CLIP_TAU = 0.1               # width of the smooth clamp into eta_range
 _NEWTON_MAX_ITER = 200
 _FD_STEP = 1e-4               # theta step of the general-link second derivative
 _GRID_SIZE = 512              # nodes of the q = 1 grid the curve is interpolated on
@@ -243,16 +247,18 @@ def _interp(x, xp, fp):
 
 
 class NuisanceFit:
-    """Kernel estimate of the curve theta -> eta_theta(.) trained on one pattern.
+    """Kernel estimate of the curve theta -> eta_theta(.) trained on the data nodes of
+    a quadrature scheme.
 
-    ``eta_at``/``eta_all``, the profile optimizer's interface, evaluate at the query
-    points (``exact``) when q >= 2 and at cached grid nodes when q = 1: from dense
-    kernel rows under a general link, from binned node moments under the log-linear
-    link."""
+    ``eta_all``, the profile optimizer's whole interface, and ``eta_at`` evaluate at
+    the query points (``exact``) when q >= 2 and at the grid nodes when q = 1: from
+    dense kernel rows under a general link, from binned node moments under the
+    log-linear link."""
 
-    def __init__(self, spec: ModelSpec, train: PointPattern, quad: QuadratureScheme,
-                 kernel: KernelSpec, scale: float = 1.0):
-        if train.count() == 0:
+    def __init__(self, spec: ModelSpec, quad: QuadratureScheme, kernel: KernelSpec,
+                 scale: float = 1.0):
+        n = int(np.count_nonzero(quad.is_data))
+        if n == 0:
             raise InsufficientPointsError("cannot fit the nuisance on an empty pattern")
         if scale < 1.0:
             raise ValueError("scale is V/(V-1) >= 1 (1 when trained on the full pattern)")
@@ -264,23 +270,22 @@ class NuisanceFit:
         self.q = spec.q
         self.diagnostics = {"clip_count": 0, "empty_numerator": 0}
 
-        self.Y_train, Z_train = spec.covariates_at(train.points)
         self.Y_nodes, Z_nodes = spec.covariates_at(quad.nodes)
+        self.Y_train, Z_train = self.Y_nodes[quad.is_data], Z_nodes[quad.is_data]
         self.weights = quad.weights
 
         self._mu = Z_train.mean(axis=0)
         sd = Z_train.std(axis=0)
         self._sd = np.where(sd > 1e-12 * np.maximum(1.0, np.abs(self._mu)), sd, 1.0)
-        self._Zs_train = (Z_train - self._mu) / self._sd
         self._Zs_nodes = (Z_nodes - self._mu) / self._sd
+        self._Zs_train = self._Zs_nodes[quad.is_data]
         self._Zs_all = np.vstack([self._Zs_train, self._Zs_nodes])
 
-        n, area = train.count(), spec.window.area()
+        area = spec.window.area()
         self.eta_range = (math.log(1e-6 * n / area), math.log(1e6 * n / area))
 
         self._grid = None
-        self._grid_cache = {}
-        self._clip_tau = 0.1
+        self._last = None            # (theta bytes, order, grid solve) of the last grid read
         if self.q == 1:
             lo = min(self._Zs_train.min(), self._Zs_nodes.min())
             hi = max(self._Zs_train.max(), self._Zs_nodes.max())
@@ -439,7 +444,7 @@ class NuisanceFit:
                 D2_raw = 0.5 * (D2_raw + D2_raw.transpose(0, 2, 1))
         gamma_raw[floor] = lo
         self.diagnostics["clip_count"] += int(np.count_nonzero(outside))
-        gamma, chain1, chain2 = _soft_clip(gamma_raw, lo, hi, self._clip_tau)
+        gamma, chain1, chain2 = _soft_clip(gamma_raw, lo, hi, _CLIP_TAU)
         if order < 1:
             return gamma, None, None
         d_raw[flat] = 0.0
@@ -461,19 +466,16 @@ class NuisanceFit:
 
     def curve(self, theta, Z, order):
         """(gamma, d, D2) of the fitted curve at Z (B, q), None beyond ``order``: off
-        the cached grid when q = 1, else from ``exact``."""
+        the grid when q = 1, else from ``exact``.  The last grid solve is kept, so
+        consecutive reads at one theta solve it once."""
         theta = np.asarray(theta, dtype=float)
         if self._grid is None:
             return self.exact(theta, Z, order)
         key = theta.tobytes()
-        hit = self._grid_cache.get(key)
-        if hit is None or hit[0] < order:
-            hit = self._grid_cache[key] = (order, self._solve(theta, self._grid_sums, order,
-                                                              strict=False))
-            while len(self._grid_cache) > 6:
-                self._grid_cache.pop(next(iter(self._grid_cache)))
+        if self._last is None or self._last[0] != key or self._last[1] < order:
+            self._last = (key, order, self._solve(theta, self._grid_sums, order, strict=False))
         zs = self.standardize(Z)[:, 0]
-        return tuple(None if v is None else _interp(zs, self._grid, v) for v in hit[1])
+        return tuple(None if v is None else _interp(zs, self._grid, v) for v in self._last[2])
 
     def eta_at(self, theta, Z) -> np.ndarray:
         return self.curve(theta, Z, 0)[0]

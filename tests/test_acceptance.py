@@ -129,9 +129,8 @@ def test_criterion_02_mean_zero_score():
         if pattern.count() == 0:
             continue
         quad = build_quadrature(pattern, 64)
-        nf = NuisanceFit(spec, pattern, quad, kernel)
-        _, score_hessian = pseudo_likelihood(spec, nf, quad, 1.0)
-        scores.append(score_hessian(np.array([0.3]))[0][0])
+        nf = NuisanceFit(spec, quad, kernel)
+        scores.append(pseudo_likelihood(spec, nf, quad, 1.0)(np.array([0.3]))[1][0])
     scores = np.array(scores)
     se = scores.std(ddof=1) / math.sqrt(len(scores))
     ok = abs(scores.mean()) <= 3 * se
@@ -154,22 +153,20 @@ def test_criterion_03_gradient_exactness():
         if pattern.count() < 5:
             continue
         quad = build_quadrature(pattern, int(rng.integers(8, 24)))
-        nf = NuisanceFit(spec, pattern, quad,
+        nf = NuisanceFit(spec, quad,
                          KernelSpec(2, float(rng.uniform(0.3, 0.8))),
                          scale=float(rng.choice([1.0, 2.0])))
         theta = np.array([float(rng.uniform(-0.4, 0.7))])
         scale = float(rng.choice([1.0, 0.5]))
         # the objective profile_maximize runs on
-        value, score_hessian = pseudo_likelihood(spec, nf, quad, scale)
-        s, h = score_hessian(theta)
+        evaluate = pseudo_likelihood(spec, nf, quad, scale)
+        _, s, h = evaluate(theta)
         s_val, h_val = s[0], h[0, 0]
         step = 1e-5
-        lp = value(theta + step)
-        lm = value(theta - step)
+        lp, sp = evaluate(theta + step)[:2]
+        lm, sm = evaluate(theta - step)[:2]
         fd_s = (lp - lm) / (2 * step)
-        sp = score_hessian(theta + step)[0][0]
-        sm = score_hessian(theta - step)[0][0]
-        fd_h = (sp - sm) / (2 * step)
+        fd_h = (sp[0] - sm[0]) / (2 * step)
         rel_s = abs(s_val - fd_s) / max(abs(s_val), abs(fd_s), 1.0)
         rel_h = abs(h_val - fd_h) / max(abs(h_val), abs(fd_h), 1.0)
         worst = max(worst, rel_s, rel_h)
@@ -187,7 +184,7 @@ def test_criterion_04_closed_form_nuisance():
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=913)
     quad = build_quadrature(pattern, 32)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45), scale=2.0)
+    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45), scale=2.0)
     _, Zd = spec.covariates_at(pattern.points)
     z_lo, z_hi = np.quantile(Zd[:, 0], [0.05, 0.95])
     rng = np.random.default_rng(355)
@@ -247,7 +244,7 @@ def test_criterion_09_sigma_equals_s_for_poisson_pcf():
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=43)
     quad = build_quadrature(pattern, 32)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
+    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45))
     theta = np.array([0.31])
     nu = lambda Z: lfd_values(nf, theta, Z)
     S, a = semi_sandwich_terms(spec, theta, eta, nu, quad)
@@ -289,7 +286,7 @@ def test_criterion_11_quadrature_convergence():
     pattern = simulate_poisson(surface, seed=73)
     theta = np.array([0.3])
     vals = {g: pseudo_likelihood(spec, FixedCurve(eta, k=1), build_quadrature(pattern, g),
-                                 1.0)[0](theta)
+                                 1.0)(theta)[0]
             for g in (16, 64, 256, 512)}
     gaps = [abs(vals[g] - vals[512]) for g in (16, 64, 256)]
     rel_final = gaps[-1] / abs(vals[512])

@@ -59,7 +59,7 @@ def fitted_instance():
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=73)
     quad = build_quadrature(pattern, 32)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
+    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45))
     return spec, pattern, quad, nf, eta
 
 
@@ -77,7 +77,7 @@ def test_lfd_constant_y():
     spec = log_linear_model([_const_field(W1, 1.7)], [_const_field(W1, 0.5)])
     pattern = simulate_poisson(constant_surface(W1, 80.0), seed=2)
     quad = build_quadrature(pattern, 16)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
+    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.8))
     nu = lfd_values(nf, np.array([0.2]), [0.5])[0]
     assert np.allclose(nu, [-1.7], atol=1e-12)
 
@@ -120,7 +120,7 @@ def test_lfd_is_the_curves_own_dtheta(case, fitted_instance):
         Z = np.linspace(-3.0, 3.0, 41)[:, None]
         if case == "saturated q=1":
             top = float(np.median(nf.eta_at(theta, Z))) - 0.5
-            nf = NuisanceFit(spec, pattern, quad, nf.kernel)
+            nf = NuisanceFit(spec, quad, nf.kernel)
             nf.eta_range = (top - 20.0, top)
     else:
         from test_model import make_general_spec
@@ -132,7 +132,7 @@ def test_lfd_is_the_curves_own_dtheta(case, fitted_instance):
             spec = log_linear_model([simulate_grf(window, 24, 24, GrfSpec(1.0, 0.5), seed=74)], z)
         pattern = simulate_poisson(constant_surface(window, 4.0), seed=21)
         quad = build_quadrature(pattern, 16)
-        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
+        nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45))
         Z = spec.covariates_at(pattern.points[:30])[1]
     nu = lfd_values(nf, theta, Z)
     assert nu.shape == (Z.shape[0], 1)

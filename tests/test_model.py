@@ -45,13 +45,12 @@ class FixedCurve:
 
 def objective_value(spec, theta, eta, scheme, scale=1.0):
     """The production objective at theta for a plain z -> eta function."""
-    value, _ = pseudo_likelihood(spec, FixedCurve(eta, spec.k), scheme, scale)
-    return value(np.asarray(theta, dtype=float))
+    evaluate = pseudo_likelihood(spec, FixedCurve(eta, spec.k), scheme, scale)
+    return evaluate(np.asarray(theta, dtype=float))[0]
 
 
 def score_hessian(spec, theta, curve, scheme, scale=1.0):
-    _, score_hess = pseudo_likelihood(spec, curve, scheme, scale)
-    return score_hess(np.asarray(theta, dtype=float))
+    return pseudo_likelihood(spec, curve, scheme, scale)(np.asarray(theta, dtype=float))[1:]
 
 
 def _const_field(window, value, n=9):
@@ -151,20 +150,20 @@ def test_scale_invariance_along_fitted_profile(small_model, small_pattern):
     # maximizer is scale invariant up to kernel smoothing error
     from ppcf.nuisance import KernelSpec, NuisanceFit
     quad = build_quadrature(small_pattern, 16)
-    nf = NuisanceFit(small_model, small_pattern, quad, KernelSpec(2, 0.45))
+    nf = NuisanceFit(small_model, quad, KernelSpec(2, 0.45))
     t1 = profile_maximize(small_model, nf, quad, 1.0, np.zeros(1))
     t2 = profile_maximize(small_model, nf, quad, 0.5, np.zeros(1))
     assert abs(t1[0] - t2[0]) < 0.01
 
 
 def test_nonpositive_intensity_error(zero_y_model):
-    # the line search sees -inf; the score path raises
+    # the objective is -inf; a fit that starts there raises
     pat = PointPattern(W1, np.array([[0.5, 0.5]]))
     quad = build_quadrature(pat, 4)
     eta = lambda Z: np.full(Z.shape[0], -np.inf)
     assert objective_value(zero_y_model, [0.0], eta, quad) == -np.inf
     with pytest.raises(NonpositiveIntensityError):
-        score_hessian(zero_y_model, [0.0], FixedCurve(eta, 1), quad)
+        profile_maximize(zero_y_model, FixedCurve(eta, 1), quad, 1.0, np.zeros(1))
 
 
 def test_quadrature_refinement_converges(small_model, small_pattern):
@@ -181,13 +180,13 @@ def test_quadrature_refinement_converges(small_model, small_pattern):
 
 
 def _fd_score(spec, curve, scheme, scale, theta, step=1e-5):
-    value, _ = pseudo_likelihood(spec, curve, scheme, scale)
+    evaluate = pseudo_likelihood(spec, curve, scheme, scale)
     k = theta.shape[0]
     out = np.empty(k)
     for i in range(k):
         e = np.zeros(k)
         e[i] = step
-        out[i] = (value(theta + e) - value(theta - e)) / (2 * step)
+        out[i] = (evaluate(theta + e)[0] - evaluate(theta - e)[0]) / (2 * step)
     return out
 
 
@@ -311,29 +310,38 @@ def test_score_at_maximum_is_small(small_model, small_pattern):
 # -- profile optimizer ----------------------------------------------------------
 
 
+class RecordingCurve:
+    """Forwards ``eta_all`` to a curve and records each theta; ``eta_at`` fails."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.seen = []
+
+    def eta_all(self, theta, Z):
+        self.seen.append(np.array(theta, copy=True))
+        return self.curve.eta_all(theta, Z)
+
+    def eta_at(self, theta, Z):
+        raise AssertionError("value-only curve evaluation inside the profile fit")
+
+
 @pytest.mark.parametrize("curve", ["fixed", "fitted"])
-def test_newton_never_revalues_the_accepted_point(curve, small_model, small_pattern):
-    # the line search hands its accepted value on, so the objective is never
-    # evaluated twice in a row at the same theta; the iterates are unchanged
-    from ppcf.model import _newton_maximize
+def test_profile_fit_evaluates_each_theta_once(curve, small_model, small_pattern):
+    # value, score and Hessian come from one eta_all, and the line search hands
+    # its accepted evaluation on to the next iteration: no theta is evaluated
+    # twice in a whole fit, the last evaluation is at the returned theta
     from ppcf.nuisance import KernelSpec, NuisanceFit
     quad = build_quadrature(small_pattern, 16)
     if curve == "fixed":
         eta_curve = FixedCurve(lambda Z: math.log(150.0) + 0.3 * Z[:, 0], k=1)
     else:
-        eta_curve = NuisanceFit(small_model, small_pattern, quad, KernelSpec(2, 0.45))
-    value, score_hess = pseudo_likelihood(small_model, eta_curve, quad, 1.0)
-    seen = []
-
-    def counting_value(theta):
-        seen.append(np.array(theta, copy=True))
-        return value(theta)
-
-    theta = _newton_maximize(counting_value, score_hess, np.zeros(1), W1.area())
-    assert len(seen) >= 2
-    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
-    assert np.array_equal(theta, profile_maximize(small_model, eta_curve, quad, 1.0,
-                                                  np.zeros(1)))
+        eta_curve = NuisanceFit(small_model, quad, KernelSpec(2, 0.45))
+    recorded = RecordingCurve(eta_curve)
+    theta = profile_maximize(small_model, recorded, quad, 1.0, np.zeros(1))
+    thetas = [t.tobytes() for t in recorded.seen]
+    assert len(thetas) >= 3
+    assert len(set(thetas)) == len(thetas)
+    assert np.array_equal(recorded.seen[-1], theta)
 
 
 def test_profile_recovers_truth_with_oracle_curve_w2():
@@ -379,8 +387,8 @@ def test_golden_grid_scan_brackets_newton_solution(small_model, small_pattern):
     curve = FixedCurve(lambda Z: math.log(150.0) + 0.3 * Z[:, 0], k=1)
     theta = profile_maximize(small_model, curve, quad, 1.0, np.zeros(1))[0]
     grid = np.arange(theta - 0.002, theta + 0.002, 1e-4)
-    value, _ = pseudo_likelihood(small_model, curve, quad, 1.0)
-    vals = [value(np.array([t])) for t in grid]
+    evaluate = pseudo_likelihood(small_model, curve, quad, 1.0)
+    vals = [evaluate(np.array([t]))[0] for t in grid]
     best = grid[int(np.argmax(vals))]
     assert abs(best - theta) <= 1e-4
 
@@ -399,13 +407,13 @@ def test_logistic_balanced_odds(zero_y_model):
 
 
 def test_logistic_zero_intensity_at_data_raises(zero_y_model):
-    # the line search sees -inf; the score path raises
+    # the objective is -inf; a fit that starts there raises
     scheme = LogisticScheme(W1, np.array([[0.25, 0.25], [0.5, 0.5]]),
                             np.array([False, True]), 1.0)
     eta = lambda Z: np.full(Z.shape[0], -np.inf)
     assert objective_value(zero_y_model, [0.0], eta, scheme) == -np.inf
     with pytest.raises(NonpositiveIntensityError):
-        score_hessian(zero_y_model, [0.0], FixedCurve(eta, 1), scheme)
+        profile_maximize(zero_y_model, FixedCurve(eta, 1), scheme, 1.0, np.zeros(1))
 
 
 def test_logistic_approaches_quadrature_for_large_rho(small_model, small_pattern):
@@ -435,7 +443,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pat = simulate_poisson(surface, seed=90_000 + s)
         quad = build_quadrature(pat, 32)
-        theta_para = fit_parametric_baseline_full(spec, pat, quad, "linear").theta[0]
+        theta_para = fit_parametric_baseline_full(spec, quad, "linear").theta[0]
         res = cross_fit(spec, pat, CrossFitConfig(grid_n=32, bandwidth_c0=0.45), s)
         diffs.append(theta_para - res.theta_hat[0])
     diffs = np.array(diffs)
@@ -448,7 +456,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
 def test_baseline_oracle_exact_offset(small_model, small_pattern):
     eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0]
     quad = build_quadrature(small_pattern, 24)
-    theta = fit_parametric_baseline_full(small_model, small_pattern, quad, ("oracle", eta)).theta
+    theta = fit_parametric_baseline_full(small_model, quad, ("oracle", eta)).theta
     assert theta.shape == (1,)
     assert abs(theta[0] - 0.3) < 0.25
 
@@ -458,6 +466,6 @@ def test_baseline_oracle_matches_profile_with_fixed_curve(small_model, small_pat
     # curve maximize the same quadrature objective
     eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0] - 0.05 * Z[:, 0] ** 2
     quad = build_quadrature(small_pattern, 24)
-    oracle = fit_parametric_baseline_full(small_model, small_pattern, quad, ("oracle", eta))
+    oracle = fit_parametric_baseline_full(small_model, quad, ("oracle", eta))
     profile = profile_maximize(small_model, FixedCurve(eta, k=1), quad, 1.0, np.zeros(1))
     assert np.allclose(oracle.theta, profile, rtol=0, atol=1e-8)

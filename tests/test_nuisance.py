@@ -6,7 +6,7 @@ import pytest
 from helpers import intensity_surface
 
 import ppcf.nuisance
-from ppcf.errors import ZeroMassError
+from ppcf.errors import InsufficientPointsError, ZeroMassError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.harness import Scenario, simulate_scenario_inputs
 from ppcf.model import (
@@ -14,9 +14,10 @@ from ppcf.model import (
     build_quadrature,
     general_model,
     log_linear_model,
+    profile_maximize,
 )
 from ppcf.nuisance import KernelSpec, NuisanceFit, default_bandwidth
-from ppcf.process import constant_surface, simulate_poisson
+from ppcf.process import PointPattern, constant_surface, simulate_poisson
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -106,7 +107,7 @@ def fitted(small_or_none=None):
     pattern = simulate_poisson(surface, seed=8)
     quad = build_quadrature(pattern, 32)
     kernel = KernelSpec(2, 0.45)
-    return spec, pattern, NuisanceFit(spec, pattern, quad, kernel, scale=1.0)
+    return spec, pattern, NuisanceFit(spec, quad, kernel, scale=1.0)
 
 
 def test_objective_shape_y_independent():
@@ -115,7 +116,7 @@ def test_objective_shape_y_independent():
     spec = log_linear_model([_const_field(W1, 0.0)], [_const_field(W1, 1.0)])
     pattern = simulate_poisson(constant_surface(W1, 120.0), seed=3)
     quad = build_quadrature(pattern, 16)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
+    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.8))
     gammas = np.linspace(2.0, 7.0, 41)
     vals = nf.objective(np.zeros(1), gammas, np.ones((gammas.size, 1)))
     second = np.diff(vals, 2)
@@ -151,7 +152,7 @@ def test_fit_eta_constant_truth():
     for s in range(8):
         pattern = simulate_poisson(constant_surface(W1, c), seed=100 + s)
         quad = build_quadrature(pattern, 24)
-        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
+        nf = NuisanceFit(spec, quad, KernelSpec(2, 0.8))
         for zv in np.linspace(0.2, 0.8, 5):
             errs.append(nf.exact(np.zeros(1), [zv], 0)[0][0] - math.log(c))
     errs = np.array(errs)
@@ -203,7 +204,7 @@ def test_fit_eta_uniform_kernel_limit(fitted):
     # enormous bandwidth: the estimate no longer depends on z
     spec, pattern, nf = fitted
     quad = build_quadrature(pattern, 16)
-    wide = NuisanceFit(spec, pattern, quad, KernelSpec(2, 1e4))
+    wide = NuisanceFit(spec, quad, KernelSpec(2, 1e4))
     theta = np.array([0.3])
     vals = [wide.exact(theta, [zv], 0)[0][0] for zv in (-0.5, 0.0, 0.7)]
     assert max(vals) - min(vals) < 1e-6
@@ -217,7 +218,7 @@ def test_eta_dtheta_constant_y():
     spec = log_linear_model([_const_field(W1, 2.5)], [_const_field(W1, 1.0)])
     pattern = simulate_poisson(constant_surface(W1, 100.0), seed=4)
     quad = build_quadrature(pattern, 16)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.8))
+    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.8))
     for theta in (np.array([0.0]), np.array([0.4])):
         _, d, dd = nf.exact(theta, [1.0])
         d, dd = d[0], dd[0]
@@ -276,7 +277,7 @@ def test_bulk_curve_matches_exact_path(fitted):
 def test_zero_mass_error_for_compact_kernel(fitted):
     spec, pattern, _ = fitted
     quad = build_quadrature(pattern, 16)
-    nf4 = NuisanceFit(spec, pattern, quad, KernelSpec(4, 0.05))
+    nf4 = NuisanceFit(spec, quad, KernelSpec(4, 0.05))
     with pytest.raises(ZeroMassError):
         nf4.objective(np.zeros(1), 5.0, [50.0])
 
@@ -301,7 +302,7 @@ def test_quartic_grid_matches_exact_path(fitted, monkeypatch):
     # converges at first order only: 2048 nodes reach the Gaussian test's 5e-4.
     spec, pattern, nf = fitted
     monkeypatch.setattr(ppcf.nuisance, "_GRID_SIZE", 2048)
-    nf4 = NuisanceFit(spec, pattern, nf.quad, KernelSpec(4, 0.45))
+    nf4 = NuisanceFit(spec, nf.quad, KernelSpec(4, 0.45))
     theta = np.array([0.25])
     _, Z = spec.covariates_at(pattern.points[:40])
     exact = nf4.exact(theta, Z, 0)[0]
@@ -333,7 +334,7 @@ def test_binned_grid_matches_exact_at_the_nodes(case, bounds, request, monkeypat
     rms = []
     for bins in (16, 32):
         monkeypatch.setattr(ppcf.nuisance, "_BINS_PER_CELL", bins)
-        nf = NuisanceFit(spec, pattern, quad, kernel)
+        nf = NuisanceFit(spec, quad, kernel)
         Zg = (nf._grid * nf._sd[0] + nf._mu[0])[:, None]
         binned = nf.eta_all(theta, Zg)
         grid_counts = dict(nf.diagnostics)
@@ -356,10 +357,39 @@ def test_clip_count_counts_grid_saturation(fitted):
     theta = np.array([0.3])
     _, Z = spec.covariates_at(pattern.points)
     top = float(np.median(nf.eta_at(theta, Z)))
-    cut = NuisanceFit(spec, pattern, nf.quad, nf.kernel)
+    cut = NuisanceFit(spec, nf.quad, nf.kernel)
     cut.eta_range = (top - 20.0, top)
     cut.eta_all(theta, Z)
     assert cut.diagnostics["clip_count"] > 0
+
+
+def test_grid_solves_once_per_theta(fitted):
+    # the profile fit evaluates each theta once and the grid keeps its last
+    # solve, so reads at the fitted theta after the fit solve nothing new
+    spec, pattern, fixture = fitted
+    nf = NuisanceFit(spec, fixture.quad, fixture.kernel)
+    solved = []
+    solve = nf._solve
+
+    def counting(theta, rows, order, strict):
+        solved.append(theta.tobytes())
+        return solve(theta, rows, order, strict)
+
+    nf._solve = counting
+    theta = profile_maximize(spec, nf, nf.quad, 1.0, np.zeros(1))
+    assert len(solved) >= 3 and len(set(solved)) == len(solved)
+    assert solved[-1] == theta.tobytes()
+    _, Z = spec.covariates_at(pattern.points)
+    nf.eta_at(theta, Z)
+    nf.curve(theta, Z, 1)
+    assert len(set(solved)) == len(solved)
+
+
+def test_empty_quadrature_data_raises(fitted):
+    spec, _, nf = fitted
+    empty = build_quadrature(PointPattern(W1, np.empty((0, 2))), 8)
+    with pytest.raises(InsufficientPointsError):
+        NuisanceFit(spec, empty, nf.kernel)
 
 
 def test_general_link_newton_matches_golden_section():
@@ -369,7 +399,7 @@ def test_general_link_newton_matches_golden_section():
     pattern = simulate_poisson(constant_surface(window, 4.0), seed=21)
     quad = build_quadrature(pattern, 16)
     # Psi = log(e^t + e^gamma) + 0.1 is negative at the low end of eta_range
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
+    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45))
     ld = np.longdouble
 
     def golden(theta, z):
@@ -406,7 +436,7 @@ def test_exp_link_via_general_matches_closed_form(fitted):
                         lambda th, Y: Y @ th, lambda th, Y: np.asarray(Y, float),
                         lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
                         LinkFunctions(e, e, e, e, e, e))
-    nf_gen = NuisanceFit(gen, pattern, nf.quad, nf.kernel)
+    nf_gen = NuisanceFit(gen, nf.quad, nf.kernel)
     theta = np.array([0.25])
     Zg = (nf._grid * nf._sd[0] + nf._mu[0])[:, None]
     # the general-link grid sums the dense kernel rows, as ``exact`` does; the
@@ -426,7 +456,7 @@ def _sup_error_after_centering(window, lattice, grid_n, seed, h):
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=seed + 2)
     quad = build_quadrature(pattern, grid_n)
-    nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, h))
+    nf = NuisanceFit(spec, quad, KernelSpec(2, h))
     _, Zd = spec.covariates_at(pattern.points)
     zg = np.linspace(*np.quantile(Zd[:, 0], [0.1, 0.9]), 40)
     est = nf.eta_at(np.array([0.3]), zg[:, None])
@@ -459,7 +489,7 @@ def test_eta_dtheta_consistent_with_lfd_oracle():
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pattern = simulate_poisson(surface, seed=seed + 2)
         quad = build_quadrature(pattern, grid_n)
-        nf = NuisanceFit(spec, pattern, quad, KernelSpec(2, 0.45))
+        nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45))
         # fine-lattice oracle: tilted mean of -y among lattice sites near z
         xs = np.linspace(window.x_min, window.x_max, 300)
         gx, gy = np.meshgrid(xs, xs)
