@@ -222,14 +222,12 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         quad = build_quadrature(pattern, s.crossfit.grid_n)
         record = {"rep": rep, "ok": True, "n_points": pattern.count(), "estimators": {}}
 
-        # per estimator: (full coefficient vector, S over all coords, a vectors)
-        fits: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        lam_fns = []        # fitted intensities, semi first, for the PCF plug-in
+        # per estimator: (full coefficient vector, S over all coords, a vectors,
+        # fitted intensity at the nodes)
+        fits: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
         if "semi" in s.estimators:
-            res, fits["semi"], lam_fn = _fit_semi(spec, pattern, quad, s.crossfit,
-                                                  seeds[2] ^ 0x9E3779B9)
-            lam_fns.append(lam_fn)
+            res, fits["semi"] = _fit_semi(spec, pattern, quad, s.crossfit, seeds[2] ^ 0x9E3779B9)
             record["fold_convergence"] = {"semi": sum(f.converged for f in res.per_fold)}
 
         k = spec.k
@@ -237,18 +235,19 @@ def run_replication(s: Scenario, rep: int) -> Dict:
             if name not in s.estimators:
                 continue
             pf = fit_parametric_baseline_full(spec, quad, form)
-            fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design))
-            eta_fn = eta_full if name == "oracle" else (lambda Z, c=pf.coef: c[k] + Z @ c[k + 1:])
-            lam_fns.append(spec.intensity(pf.theta, eta_fn))
+            fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design),
+                          pf.lambda_nodes)
 
         pcfs = {"none": PcfModel("poisson"), "known": PcfModel(
             "lgcp-exponential", sigma2=LGCP_GRF.variance, phi=LGCP_GRF.corr_range)}
         if "estimated" in variants:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                pcfs["estimated"] = estimate_pcf(pattern, lam_fns[0])
+                # plug-in: the first estimator's intensity at the data nodes
+                lam = next(iter(fits.values()))[3]
+                pcfs["estimated"] = estimate_pcf(pattern, lam[quad.is_data])
         reports = _wald_reports(fits, {v: pcfs[v] for v in variants}, quad, k)
-        for name, (coef, _, _) in fits.items():
+        for name, (coef, *_) in fits.items():
             record["estimators"][name] = {
                 "theta": float(np.atleast_1d(coef)[0]),
                 "variants": _variant_summary(reports[name]),
@@ -262,8 +261,8 @@ def run_replication(s: Scenario, rep: int) -> Dict:
 
 
 def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig, seed: int):
-    """Cross-fit theta with thinning ``seed``; return the result, its (theta, S, a) and
-    the fitted intensity.
+    """Cross-fit theta with thinning ``seed``; return the result and its
+    (theta, S, a, fitted intensity at the nodes of ``quad``).
 
     The least favorable direction is the theta-derivative of the curve fitted on
     the full pattern with the fold kernel and the full-pattern quadrature ``quad``.
@@ -271,26 +270,26 @@ def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig,
     res = cross_fit(spec, pattern, cfg, seed)
     theta, eta_fn = res.theta_hat, res.eta_hat
     nf = NuisanceFit(spec, quad, cfg.resolve_kernel(spec), scale=1.0)
-    S, a = semi_sandwich_terms(spec, theta, eta_fn, lambda Z: lfd_values(nf, theta, Z), quad)
-    return res, (theta, S, a), spec.intensity(theta, eta_fn)
+    return res, (theta, *semi_sandwich_terms(spec, theta, eta_fn,
+                                             lambda Z: lfd_values(nf, theta, Z), quad))
 
 
 def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: int,
                   levels=(0.9, 0.95), diagnostics: Optional[Dict] = None
                   ) -> Dict[str, Dict[str, FitReport]]:
-    """Wald reports per estimator and PCF variant from each estimator's (coef, S, a).
+    """Wald reports per estimator and PCF variant from each estimator's (coef, S, a, ...).
 
     The a-vectors of all estimators are stacked column-wise, so every variant
     takes one PCF double sum; each estimator reads its own diagonal block, and
     its reports keep only the first ``k`` (target) coordinates.
     """
-    stacked = np.hstack([a for _, _, a in fits.values()])
-    ends = np.cumsum([a.shape[1] for _, _, a in fits.values()])
+    stacked = np.hstack([a for _, _, a, *_ in fits.values()])
+    ends = np.cumsum([a.shape[1] for _, _, a, *_ in fits.values()])
     area = quad.window.area()
     reports: Dict[str, Dict[str, FitReport]] = {name: {} for name in fits}
     for vname, pcf in pcfs.items():
         corr = pcf_correction(quad, stacked, pcf)
-        for (name, (coef, S, _)), end in zip(fits.items(), ends):
+        for (name, (coef, S, *_)), end in zip(fits.items(), ends):
             lo = end - S.shape[0]
             full = wald_report(coef, S, S + corr[lo:end, lo:end], area, levels=levels,
                                pcf=pcf, diagnostics=diagnostics)
@@ -530,9 +529,9 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
 
     spec = log_linear_model(y_fields, z_fields)
     quad = build_quadrature(pattern, run_cfg.grid_n)
-    result, semi, lam_fn = _fit_semi(spec, pattern, quad, run_cfg, opts["seed"])
+    result, semi = _fit_semi(spec, pattern, quad, run_cfg, opts["seed"])
     if pcf is None:
-        pcf = estimate_pcf(pattern, lam_fn)
+        pcf = estimate_pcf(pattern, semi[3][quad.is_data])
 
     diagnostics = {
         "fold_convergence": [f.converged for f in result.per_fold],

@@ -106,7 +106,8 @@ def sandwich_terms(quad: QuadratureScheme, lam, grads):
 
 
 def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: QuadratureScheme):
-    """Sandwich terms (S, a) of the semiparametric estimator on the quadrature scheme.
+    """Sandwich terms (S, a) of the semiparametric estimator on the quadrature scheme,
+    and its fitted intensity lambda at the nodes.
 
     ``eta_hat`` and ``nu_hat`` are callables on (m, q) covariate arrays.  The
     gradient v_j is the full Gateaux derivative of log lambda, d/dtheta +
@@ -117,7 +118,7 @@ def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: Quadr
     gamma = np.asarray(eta_hat(Z), dtype=float)
     nu = np.asarray(nu_hat(Z), dtype=float)
     lam, grads, _ = _log_derivatives(spec, theta_hat, Y, gamma, nu)
-    return sandwich_terms(quad, lam, grads)
+    return (*sandwich_terms(quad, lam, grads), lam)
 
 
 def _pcf_minus_one(pcf: PcfModel, r2, r_trunc):
@@ -250,11 +251,12 @@ def _k_model(r, n_steps: int = 513):
     return k
 
 
-def estimate_pcf(pattern: PointPattern, intensity_hat) -> PcfModel:
+def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
     """Fit (sigma2, phi) of the LGCP-exponential PCF by minimum contrast.
 
     The inhomogeneous K-function is estimated with translation edge correction
-    and the intensity plug-in, then |K-hat^(1/4) - K-model^(1/4)|^2 is
+    and the intensity plug-in ``lam_hat``, the fitted intensity at the pattern's
+    points, then |K-hat^(1/4) - K-model^(1/4)|^2 is
     integrated over r and minimized by a coarse grid scan plus Nelder-Mead.
     A degenerate fit falls back to the Poisson family with a warning.
     """
@@ -265,7 +267,9 @@ def estimate_pcf(pattern: PointPattern, intensity_hat) -> PcfModel:
     r_max = 0.25 * min(w.width, w.height)
     r_grid = np.linspace(0.0, r_max, 65)[1:]
 
-    lam = np.asarray(intensity_hat(pattern.points), dtype=float)
+    lam = np.asarray(lam_hat, dtype=float)
+    if lam.shape != (n,):
+        raise ValueError(f"intensity plug-in needs one value per point, got shape {lam.shape}")
     if np.any(lam <= 0):
         raise ValueError("intensity plug-in must be positive at the data points")
     pts = pattern.points

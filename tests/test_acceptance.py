@@ -247,7 +247,7 @@ def test_criterion_09_sigma_equals_s_for_poisson_pcf():
     nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45))
     theta = np.array([0.31])
     nu = lambda Z: lfd_values(nf, theta, Z)
-    S, a = semi_sandwich_terms(spec, theta, eta, nu, quad)
+    S, a, _ = semi_sandwich_terms(spec, theta, eta, nu, quad)
     # the production path: stacked PCF double sum per variant, then Wald reports
     pcfs = {"poisson": PcfModel("poisson"), "zero": PcfModel("lgcp-exponential", 0.0, 0.2)}
     reports = _wald_reports({"semi": (theta, S, a)}, pcfs, quad, spec.k)["semi"]

@@ -66,7 +66,7 @@ def fitted_instance():
 def _sandwich(instance, theta, pcf):
     """(S, Sigma) from the semi-path sandwich terms and one PCF double sum."""
     spec, pattern, quad, nf, eta = instance
-    S, a = semi_sandwich_terms(spec, theta, eta, lambda Z: lfd_values(nf, theta, Z), quad)
+    S, a, _ = semi_sandwich_terms(spec, theta, eta, lambda Z: lfd_values(nf, theta, Z), quad)
     return S, S + pcf_correction(quad, a, pcf)
 
 
@@ -86,7 +86,7 @@ def test_lfd_zero_theta_is_kernel_mean(fitted_instance):
     spec, pattern, quad, nf, eta = fitted_instance
     z = np.array([0.2])
     nu = nf.exact(np.zeros(1), z, 1)[1][0]
-    k_nodes = nf.kernel.product(nf._Zs_nodes - nf.standardize(z)[0])
+    k_nodes = nf.kernel.product(nf._Zs_nodes, nf.standardize(z))[0]
     tilt = nf.weights * k_nodes
     assert np.allclose(nu, -(tilt @ nf.Y_nodes) / tilt.sum(), atol=1e-12)
 
@@ -155,7 +155,7 @@ def test_sensitivity_degenerate_design_is_singular():
     quad = build_quadrature(pattern, 16)
     eta = lambda Z: np.full(Z.shape[0], 4.0)
     nu = lambda Z: np.full((Z.shape[0], 1), -1.7)
-    S, _ = semi_sandwich_terms(spec, np.array([0.0]), eta, nu, quad)
+    S = semi_sandwich_terms(spec, np.array([0.0]), eta, nu, quad)[0]
     assert np.allclose(S, 0.0, atol=1e-12)
     with pytest.raises(SingularSensitivityError):
         wald_report(np.array([0.0]), S, S, 1.0)
@@ -297,7 +297,13 @@ def test_contrast_k_model_is_the_k_function_bit_for_bit(side):
 def test_estimate_pcf_requires_points():
     pattern = PointPattern(W1, np.array([[0.5, 0.5]]))
     with pytest.raises(InsufficientPointsError):
-        estimate_pcf(pattern, lambda pts: np.ones(pts.shape[0]))
+        estimate_pcf(pattern, np.ones(pattern.count()))
+
+
+def test_estimate_pcf_takes_one_intensity_per_point():
+    pattern = simulate_poisson(constant_surface(W1, 300.0), seed=1)
+    with pytest.raises(ValueError, match="one value per point"):
+        estimate_pcf(pattern, np.full(pattern.count() + 1, 300.0))
 
 
 def test_estimate_pcf_poisson_null():
@@ -307,7 +313,7 @@ def test_estimate_pcf_poisson_null():
         warnings.simplefilter("ignore")
         for s in range(200):
             pattern = simulate_poisson(constant_surface(W1, lam), seed=s)
-            model = estimate_pcf(pattern, lambda pts: np.full(pts.shape[0], lam))
+            model = estimate_pcf(pattern, np.full(pattern.count(), lam))
             sig2.append(model.sigma2)
     assert np.median(sig2) <= 0.02
 
@@ -321,7 +327,7 @@ def test_estimate_pcf_recovers_lgcp_parameters():
         warnings.simplefilter("ignore")
         for s in range(150):
             pattern = simulate_lgcp(base, spec, 128, 128, seed=5_000 + s)
-            model = estimate_pcf(pattern, lambda pts: np.full(pts.shape[0], 400.0))
+            model = estimate_pcf(pattern, np.full(pattern.count(), 400.0))
             sig2.append(model.sigma2)
             phi.append(model.phi if model.family != "poisson" else 0.0)
     assert 0.1 <= np.median(sig2) <= 0.3

@@ -80,6 +80,55 @@ def test_kernel_numeric_moments():
         assert abs(np.trapezoid(ts ** spec.order * k, ts)) > 1e-6
 
 
+def _fit_q(q, order, seed=3):
+    """NuisanceFit on a W1 Poisson pattern with q independent GRF nuisance covariates."""
+    fields = [simulate_grf(W1, 24, 24, GrfSpec(1.0, 0.2), seed=seed + i) for i in range(q + 1)]
+    spec = log_linear_model(fields[:1], fields[1:])
+    pattern = simulate_poisson(constant_surface(W1, 150.0), seed=seed)
+    return NuisanceFit(spec, build_quadrature(pattern, 16), KernelSpec(order, 0.6))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_kernel_rows_bitwise_equal_to_3d_product(q, order):
+    nf = _fit_q(q, order)
+    n, h = nf._Zs_train.shape[0], nf.kernel.bandwidth
+    Zs = np.random.default_rng(q).normal(size=(300, q))
+    assert Zs.shape[0] > ppcf.nuisance._CHUNK_ELEMS // (nf._Zs_all.shape[0] * q)
+    rows = lambda _, r: (r.train, r.KW, r.mass)
+    KT, KW, mass = nf._rows(Zs, rows, full=True, strict=False)
+    # the (B, n + m, q) form: product over the trailing axis, then rows as in _rows
+    diffs = nf._Zs_all[None, :, :] - Zs[:, None, :]
+    K = np.prod(nf.kernel.k1(diffs / h), axis=-1) / h ** q
+    want_KW = K[:, n:] * nf.weights
+    peak = np.abs(want_KW).max(axis=1)
+    peak[peak == 0] = 1.0
+    want_KW /= peak[:, None]
+    assert np.array_equal(KT, K[:, :n] / peak[:, None])
+    assert np.array_equal(KW, want_KW)
+    assert np.array_equal(mass, want_KW.sum(axis=1))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_kernel_rows_build_no_q_axis(q, monkeypatch):
+    # every univariate kernel call of _rows sees one (rows, n + m) chunk, no (..., q) array
+    nf = _fit_q(q, 2)
+    shapes = []
+    k1 = KernelSpec.k1
+
+    def spy(self, t):
+        shapes.append(np.shape(t))
+        return k1(self, t)
+
+    monkeypatch.setattr(KernelSpec, "k1", spy)
+    Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, q))
+    nf.exact(np.array([0.2]), Z, 2)
+    nf.objective(np.array([0.2]), 4.0, Z)
+    assert len(shapes) > 2 * q
+    assert all(len(s) == 2 for s in shapes), shapes
+    assert max(math.prod(s) for s in shapes) <= ppcf.nuisance._CHUNK_ELEMS
+
+
 def test_default_bandwidth_unit_area_is_c0():
     assert default_bandwidth(1.0, q=1, k=1, l=2, m=2, c0=0.7) == 0.7
 
@@ -166,9 +215,9 @@ def golden_argmax_longdouble(nf, theta, z):
     Recomputes the objective with plain extended-precision sums; float64 values
     cannot localize the maximizer beyond ~sqrt(eps * f / f'') ~ 4e-8.
     """
-    zs = nf.standardize(z)[0]
-    k_train = nf.kernel.product(nf._Zs_train - zs)
-    k_nodes = nf.kernel.product(nf._Zs_nodes - zs)
+    zs = nf.standardize(z)
+    k_train = nf.kernel.product(nf._Zs_train, zs)[0]
+    k_nodes = nf.kernel.product(nf._Zs_nodes, zs)[0]
     c = np.longdouble(1.0 / nf.scale)
     kt = k_train.astype(np.longdouble)
     kn = (nf.weights * k_nodes).astype(np.longdouble)
@@ -230,7 +279,7 @@ def test_eta_dtheta_zero_theta_is_kernel_mean(fitted):
     spec, pattern, nf = fitted
     z = np.array([0.1])
     d = nf.exact(np.zeros(1), z, 1)[1][0]
-    k_nodes = nf.kernel.product(nf._Zs_nodes - nf.standardize(z)[0])
+    k_nodes = nf.kernel.product(nf._Zs_nodes, nf.standardize(z))[0]
     tilt = nf.weights * k_nodes
     expected = -(tilt @ nf.Y_nodes) / tilt.sum()
     assert np.allclose(d, expected, atol=1e-12)
@@ -403,9 +452,9 @@ def test_general_link_newton_matches_golden_section():
     ld = np.longdouble
 
     def golden(theta, z):
-        zs = nf.standardize(z)[0]
-        kt = nf.kernel.product(nf._Zs_train - zs).astype(ld)
-        kn = (nf.weights * nf.kernel.product(nf._Zs_nodes - zs)).astype(ld)
+        zs = nf.standardize(z)
+        kt = nf.kernel.product(nf._Zs_train, zs)[0].astype(ld)
+        kn = (nf.weights * nf.kernel.product(nf._Zs_nodes, zs)[0]).astype(ld)
         lin_t, lin_n = (nf.Y_train @ theta).astype(ld), (nf.Y_nodes @ theta).astype(ld)
         t_t, t_n = lin_t + ld(0.1) * lin_t ** 2, lin_n + ld(0.1) * lin_n ** 2
 
