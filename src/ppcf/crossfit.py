@@ -73,8 +73,6 @@ class CrossFitConfig:
 @dataclass
 class FoldFit:
     v: int
-    n_fit: int
-    n_train: int
     theta: Optional[np.ndarray]
     converged: bool
     error: Optional[str]
@@ -148,8 +146,7 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
 
     per_fold: List[FoldFit] = []
     for idx, (v, fit_pat, train_pat, fit_scale, nuis_scale) in enumerate(splits):
-        entry = FoldFit(v=v, n_fit=fit_pat.count(), n_train=train_pat.count(),
-                        theta=None, converged=False, error=None, nuisance=None)
+        entry = FoldFit(v=v, theta=None, converged=False, error=None, nuisance=None)
         try:
             if fit_pat.count() == 0:
                 raise InsufficientPointsError(f"fold {v} holds no points")

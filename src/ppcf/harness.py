@@ -299,6 +299,14 @@ def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: in
     return reports
 
 
+def _coverage(records: List[Dict], est: str, variant: str) -> Tuple[float, float, float]:
+    """(mean SE, CP90, CP95) of one estimator's variance variant over the records."""
+    vs = [r["estimators"][est]["variants"][variant] for r in records]
+    return (float(np.mean([v["se"] for v in vs])),
+            100.0 * float(np.mean([v["hit90"] for v in vs])),
+            100.0 * float(np.mean([v["hit95"] for v in vs])))
+
+
 def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, TableRow], List[Dict]]:
     """Run all replications and aggregate; returns (rows per estimator, raw records)."""
     if parallelism > 1:
@@ -319,20 +327,10 @@ def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, T
         thetas = np.array([r["estimators"][est]["theta"] for r in good])
         bias = float(np.mean(thetas) - THETA_STAR)
         rmse = float(np.sqrt(np.mean((thetas - THETA_STAR) ** 2)))
-        vprim = [r["estimators"][est]["variants"][primary] for r in good]
-        row = TableRow(
-            bias_x100=100.0 * bias,
-            rmse=rmse,
-            mean_se=float(np.mean([v["se"] for v in vprim])),
-            cp90=100.0 * float(np.mean([v["hit90"] for v in vprim])),
-            cp95=100.0 * float(np.mean([v["hit95"] for v in vprim])),
-            reps_converged=len(good),
-        )
+        row = TableRow(100.0 * bias, rmse, *_coverage(good, est, primary),
+                       reps_converged=len(good))
         if "known" in variants:
-            vstar = [r["estimators"][est]["variants"]["known"] for r in good]
-            row.mean_se_star = float(np.mean([v["se"] for v in vstar]))
-            row.cp90_star = 100.0 * float(np.mean([v["hit90"] for v in vstar]))
-            row.cp95_star = 100.0 * float(np.mean([v["hit95"] for v in vstar]))
+            row.mean_se_star, row.cp90_star, row.cp95_star = _coverage(good, est, "known")
         rows[est] = row
     return rows, records
 

@@ -25,10 +25,11 @@ those units; the kernel follows from its order: Gaussian for 2, quartic for 4).
 
 The kernel sums have two sources.  Dense kernel rows, plain signed sums built in
 chunks of bounded size, serve ``exact`` and ``objective`` at query points, every
-q >= 2 curve and the q = 1 grid of general links.  A chunk of rows is built one
-covariate dimension at a time: one (rows, n + m) array of univariate kernel
-values per dimension, multiplied into the first in place (n training points, m
-quadrature nodes), so no (rows, n + m, q) array is formed.  For q = 1 the curve is
+q >= 2 curve and the q = 1 grid of general links.  A row spans the m quadrature
+nodes once; as the training points are the data nodes, its training part is its
+data-node columns.  A chunk of rows is built one covariate dimension at a time:
+one (rows, m) array of univariate kernel values per dimension, multiplied into
+the first in place, so no (rows, m, q) array is formed.  For q = 1 the curve is
 evaluated at the nodes of a fixed 512-node grid and interpolated linearly; under
 the log-linear link that grid keeps no rows: its training sums are direct and its
 node moments are linearly binned at ``_BINS_PER_CELL`` = 16 bins per grid cell
@@ -43,12 +44,11 @@ edges of its support and puts kinks in the curve (1.3e-3 there at 512 nodes,
 2.3e-4 at 2048).
 
 The profile optimizer reads the curve only through ``eta_all`` (value, d and
-D2 from one evaluation), once per theta it visits, so the q = 1 grid keeps just
-its last solve: consecutive reads at one theta (the aggregated theta-hat of
-the sandwich and the curve dump of ``ppcf fit``) solve it once.  The least favorable
-direction of the sandwich variance is the curve's own first theta-derivative
-d, taken from the same evaluation and the same clamp as the curve value
-(``curve`` at order 1).
+D2 from one evaluation), once per theta it visits.  The q = 1 grid keeps no
+solve: every read is one solve at the grid nodes and one interpolation.  The
+least favorable direction of the sandwich variance is the curve's own first
+theta-derivative d, taken from the same evaluation and the same clamp as the
+curve value (``curve`` at order 1).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ from .errors import (InsufficientPointsError, NonConvergenceError, ZeroDenominat
                      ZeroMassError)
 from .model import ModelSpec, QuadratureScheme
 
-_CHUNK_ELEMS = 1 << 16        # bound on rows * (n + m) * q of one chunk of kernel rows
+_CHUNK_ELEMS = 1 << 16        # bound on rows * (n + m) * q of one chunk of kernel rows:
+                              # its (rows, m) node block and (rows, n) training columns
 _NEWTON_TOL = 1e-12           # relative step at which a row's Newton iteration stops
 _CLIP_TAU = 0.1               # width of the smooth clamp into eta_range
 _NEWTON_MAX_ITER = 200
@@ -262,7 +263,8 @@ class NuisanceFit:
     ``eta_all``, the profile optimizer's whole interface, and ``eta_at`` evaluate at
     the query points (``exact``) when q >= 2 and at the grid nodes when q = 1: from
     dense kernel rows under a general link, from binned node moments under the
-    log-linear link."""
+    log-linear link.  Kernel rows span the m quadrature nodes; their training part
+    is the data-node columns.  The q = 1 grid is solved again on every read."""
 
     def __init__(self, spec: ModelSpec, quad: QuadratureScheme, kernel: KernelSpec,
                  scale: float = 1.0):
@@ -288,16 +290,13 @@ class NuisanceFit:
         self._sd = np.where(sd > 1e-12 * np.maximum(1.0, np.abs(self._mu)), sd, 1.0)
         self._Zs_nodes = (Z_nodes - self._mu) / self._sd
         self._Zs_train = self._Zs_nodes[quad.is_data]
-        self._Zs_all = np.vstack([self._Zs_train, self._Zs_nodes])
 
         area = spec.window.area()
         self.eta_range = (math.log(1e-6 * n / area), math.log(1e6 * n / area))
 
         self._grid = None
-        self._last = None            # (theta bytes, order, grid solve) of the last grid read
         if self.q == 1:
-            lo = min(self._Zs_train.min(), self._Zs_nodes.min())
-            hi = max(self._Zs_train.max(), self._Zs_nodes.max())
+            lo, hi = self._Zs_nodes.min(), self._Zs_nodes.max()
             pad = 0.05 * max(hi - lo, 1e-9)
             self._grid = np.linspace(lo - pad, hi + pad, _GRID_SIZE)
             if spec.link == "log-linear":
@@ -313,19 +312,20 @@ class NuisanceFit:
     def _rows(self, Zs, fn, full=False, strict=True):
         """fn(slice, rows) over chunks of standardized query points Zs (B, q), stacked.
 
-        Rows are plain signed kernel sums over their node part's max-abs (tilted sums
-        cannot underflow), the training part summed unless ``full`` or general.
+        A chunk's kernel spans the m quadrature nodes once, and its training part is
+        the data-node columns, copied out in C order.  Rows are plain signed kernel
+        sums over their node part's max-abs (tilted sums cannot underflow), the
+        training part summed unless ``full`` or general.
         ``strict``: raise where there is no quadrature kernel mass."""
-        n = self._Zs_train.shape[0]
         full = full or self.spec.link == "general"
-        step = max(1, _CHUNK_ELEMS // (self._Zs_all.shape[0] * self.q))
+        step = max(1, _CHUNK_ELEMS // ((self._Zs_train.shape[0] + self.weights.size) * self.q))
         outs = []
         for s in range(0, Zs.shape[0], step):
-            K = self.kernel.product(self._Zs_all, Zs[s:s + step])
-            KW = K[:, n:] * self.weights
+            K = self.kernel.product(self._Zs_nodes, Zs[s:s + step])
+            KW = K * self.weights
             peak = np.abs(KW).max(axis=1)
             peak[peak == 0] = 1.0
-            KT = K[:, :n] / peak[:, None]
+            KT = K.compress(self.quad.is_data, axis=1) / peak[:, None]
             KW /= peak[:, None]
             mass = KW.sum(axis=1)
             if strict and np.any(mass <= 0):
@@ -475,16 +475,13 @@ class NuisanceFit:
 
     def curve(self, theta, Z, order):
         """(gamma, d, D2) of the fitted curve at Z (B, q), None beyond ``order``: off
-        the grid when q = 1, else from ``exact``.  The last grid solve is kept, so
-        consecutive reads at one theta solve it once."""
+        the grid when q = 1 (one grid solve per read), else from ``exact``."""
         theta = np.asarray(theta, dtype=float)
         if self._grid is None:
             return self.exact(theta, Z, order)
-        key = theta.tobytes()
-        if self._last is None or self._last[0] != key or self._last[1] < order:
-            self._last = (key, order, self._solve(theta, self._grid_sums, order, strict=False))
         zs = self.standardize(Z)[:, 0]
-        return tuple(None if v is None else _interp(zs, self._grid, v) for v in self._last[2])
+        return tuple(None if v is None else _interp(zs, self._grid, v)
+                     for v in self._solve(theta, self._grid_sums, order, strict=False))
 
     def eta_at(self, theta, Z) -> np.ndarray:
         return self.curve(theta, Z, 0)[0]

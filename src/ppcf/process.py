@@ -132,24 +132,24 @@ def v_fold_thin(pattern: PointPattern, n_folds: int, seed: int) -> PointPattern:
     return pattern.with_marks(marks)
 
 
-def fold(pattern: PointPattern, v: int) -> PointPattern:
-    """Sub-pattern of points carrying mark v."""
+def _select_fold(pattern: PointPattern, v: int, inside: bool) -> PointPattern:
+    """Sub-pattern of points carrying mark v (``inside``) or any other mark."""
     if pattern.marks is None:
         raise UnmarkedPatternError("pattern has no fold marks; run v_fold_thin first")
     if v < 1:
         raise ValueError(f"fold index must be >= 1, got {v}")
-    keep = pattern.marks == v
+    keep = (pattern.marks == v) == inside
     return PointPattern(pattern.window, pattern.points[keep], pattern.marks[keep])
+
+
+def fold(pattern: PointPattern, v: int) -> PointPattern:
+    """Sub-pattern of points carrying mark v."""
+    return _select_fold(pattern, v, True)
 
 
 def fold_complement(pattern: PointPattern, v: int) -> PointPattern:
     """Sub-pattern of points carrying any mark other than v."""
-    if pattern.marks is None:
-        raise UnmarkedPatternError("pattern has no fold marks; run v_fold_thin first")
-    if v < 1:
-        raise ValueError(f"fold index must be >= 1, got {v}")
-    keep = pattern.marks != v
-    return PointPattern(pattern.window, pattern.points[keep], pattern.marks[keep])
+    return _select_fold(pattern, v, False)
 
 
 def write_pattern_file(pattern: PointPattern, path) -> None:

@@ -88,25 +88,63 @@ def _fit_q(q, order, seed=3):
     return NuisanceFit(spec, build_quadrature(pattern, 16), KernelSpec(order, 0.6))
 
 
+def _exp_link_as_general(spec):
+    """The log-linear model of ``spec`` written as a general link, Psi = exp(t + gamma)."""
+    e = lambda t, g: np.exp(t + g)
+    return general_model(list(spec.target_fields), list(spec.nuisance_fields),
+                         lambda th, Y: Y @ th, lambda th, Y: np.asarray(Y, float),
+                         lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
+                         LinkFunctions(e, e, e, e, e, e))
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_kernel_rows_bitwise_equal_to_3d_product(q, order):
     nf = _fit_q(q, order)
-    n, h = nf._Zs_train.shape[0], nf.kernel.bandwidth
+    is_data, h = nf.quad.is_data, nf.kernel.bandwidth
+    n, m = np.count_nonzero(is_data), nf.weights.size
     Zs = np.random.default_rng(q).normal(size=(300, q))
-    assert Zs.shape[0] > ppcf.nuisance._CHUNK_ELEMS // (nf._Zs_all.shape[0] * q)
+    assert Zs.shape[0] > ppcf.nuisance._CHUNK_ELEMS // ((n + m) * q)
     rows = lambda _, r: (r.train, r.KW, r.mass)
     KT, KW, mass = nf._rows(Zs, rows, full=True, strict=False)
-    # the (B, n + m, q) form: product over the trailing axis, then rows as in _rows
-    diffs = nf._Zs_all[None, :, :] - Zs[:, None, :]
+    train_sums = nf._rows(Zs, lambda _, r: (r.train,), strict=False)[0]
+    # the (B, m, q) form over the nodes: product over the trailing axis, then rows
+    # as in _rows, the training part being the data-node columns
+    diffs = nf._Zs_nodes[None, :, :] - Zs[:, None, :]
     K = np.prod(nf.kernel.k1(diffs / h), axis=-1) / h ** q
-    want_KW = K[:, n:] * nf.weights
+    want_KW = K * nf.weights
     peak = np.abs(want_KW).max(axis=1)
     peak[peak == 0] = 1.0
     want_KW /= peak[:, None]
-    assert np.array_equal(KT, K[:, :n] / peak[:, None])
+    want_KT = np.ascontiguousarray(K[:, is_data]) / peak[:, None]
+    assert np.array_equal(KT, want_KT)
+    assert np.array_equal(train_sums, want_KT.sum(axis=1))
     assert np.array_equal(KW, want_KW)
     assert np.array_equal(mass, want_KW.sum(axis=1))
+
+
+@pytest.mark.parametrize("link", ["log-linear", "general"])
+def test_kernel_rows_span_the_nodes_once(link, monkeypatch):
+    # every kernel product of _rows runs over the m quadrature nodes alone, for
+    # direct queries and for the general-link q = 1 grid, with no stacked copy
+    # of the training points
+    nf = _fit_q(1, 2)
+    spec = _exp_link_as_general(nf.spec) if link == "general" else nf.spec
+    seen = []
+    product = KernelSpec.product
+
+    def spy(self, A, Z):
+        seen.append(A)
+        return product(self, A, Z)
+
+    monkeypatch.setattr(KernelSpec, "product", spy)
+    nf = NuisanceFit(spec, nf.quad, nf.kernel)
+    assert bool(seen) == (link == "general")      # the log-linear grid keeps no rows
+    Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, 1))
+    nf.exact(np.array([0.2]), Z, 1)
+    assert len(seen) > 2
+    nodes = nf._Zs_nodes
+    assert all(A.shape == nodes.shape and np.array_equal(A, nodes) for A in seen)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -413,9 +451,8 @@ def test_clip_count_counts_grid_saturation(fitted):
 
 
 def test_grid_solves_once_per_theta(fitted):
-    # the profile fit evaluates each theta once and the grid keeps its last
-    # solve, so reads at the fitted theta after the fit solve nothing new
-    spec, pattern, fixture = fitted
+    # the profile fit evaluates each theta once, the last time at the fitted theta
+    spec, _, fixture = fitted
     nf = NuisanceFit(spec, fixture.quad, fixture.kernel)
     solved = []
     solve = nf._solve
@@ -428,10 +465,6 @@ def test_grid_solves_once_per_theta(fitted):
     theta = profile_maximize(spec, nf, nf.quad, 1.0, np.zeros(1))
     assert len(solved) >= 3 and len(set(solved)) == len(solved)
     assert solved[-1] == theta.tobytes()
-    _, Z = spec.covariates_at(pattern.points)
-    nf.eta_at(theta, Z)
-    nf.curve(theta, Z, 1)
-    assert len(set(solved)) == len(solved)
 
 
 def test_empty_quadrature_data_raises(fitted):
@@ -480,12 +513,7 @@ def test_general_link_newton_matches_golden_section():
 
 def test_exp_link_via_general_matches_closed_form(fitted):
     spec, pattern, nf = fitted
-    e = lambda t, g: np.exp(t + g)
-    gen = general_model(list(spec.target_fields), list(spec.nuisance_fields),
-                        lambda th, Y: Y @ th, lambda th, Y: np.asarray(Y, float),
-                        lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
-                        LinkFunctions(e, e, e, e, e, e))
-    nf_gen = NuisanceFit(gen, nf.quad, nf.kernel)
+    nf_gen = NuisanceFit(_exp_link_as_general(spec), nf.quad, nf.kernel)
     theta = np.array([0.25])
     Zg = (nf._grid * nf._sd[0] + nf._mu[0])[:, None]
     # the general-link grid sums the dense kernel rows, as ``exact`` does; the

@@ -7,6 +7,7 @@ belongs in the tests.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,3 +66,16 @@ def test_allow_list_is_current():
     for qualified in ALLOWED:
         assert qualified in definitions, f"{qualified} is gone; drop it from ALLOWED"
         assert definitions[qualified] not in used, f"{qualified} has a caller now"
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # perfbench/spans.py wraps functions and methods by name; a name it pins that
+    # src/ppcf no longer defines breaks every traced benchmark run
+    loader = importlib.util.spec_from_file_location("perfbench_spans",
+                                                    ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    patched = spans.install(tracer)       # KeyError where a wrapped method is gone
+    spans.uninstall(tracer, patched)
+    assert patched and all(getattr(owner, attr) is fn for owner, attr, fn in patched)
