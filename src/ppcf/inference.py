@@ -22,8 +22,9 @@ The double sum is truncated at the radius r_trunc where |g - 1| < 1e-6 (capped
 at half the shorter window side) and evaluated exactly, with the same kernel
 g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
 
-* lattice-lattice: one FFT cross-correlation of the kernel image over integer
-  lattice offsets with all k columns of a at once;
+* lattice-lattice: one circular FFT correlation of period 2g (g the lattice
+  side) of the kernel image over integer lattice offsets with all k columns of a
+  at once; offsets run only to g - 1, so no product wraps around;
 * lattice-data: the data nodes are binned into 16 x 16 spatial tiles, and each
   tile meets only the box of lattice rows and columns within r_trunc of its
   points (inclusive bounds); every pair outside the box lies beyond r_trunc;
@@ -43,9 +44,8 @@ from typing import Dict, Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import minimize
-from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import InsufficientPointsError, SingularSensitivityError
 from .model import ModelSpec, QuadratureScheme, _log_derivatives
@@ -136,15 +136,17 @@ def _pcf_minus_one(pcf: PcfModel, r2, r_trunc):
 
 
 def _lattice_sum(pcf, r_trunc, quad, A_grid):
-    """Lattice-lattice block: one FFT cross-correlation over all k columns."""
+    """Lattice-lattice block: one circular FFT correlation of period 2g over all k
+    columns.  Lattice offsets run to g - 1, so no product wraps."""
     g = quad.grid_n
-    offs = np.arange(2 * g - 1) - (g - 1)
+    offs = np.fft.fftfreq(2 * g, 1.0 / (2 * g))        # 0, 1, .., g - 1, -g, .., -1
     r2 = (offs * (quad.window.height / g))[:, None] ** 2 \
         + (offs * (quad.window.width / g))[None, :] ** 2
     kern = _pcf_minus_one(pcf, r2, r_trunc)
     imgs = A_grid.T.reshape(-1, g, g)
-    conv = fftconvolve(imgs, kern[None], mode="same", axes=(1, 2))
-    return np.einsum("aij,bij->ab", conv, imgs)
+    shape = (2 * g, 2 * g)
+    conv = np.fft.irfft2(np.fft.rfft2(imgs, shape) * np.fft.rfft2(kern), shape)
+    return np.einsum("aij,bij->ab", conv[:, :g, :g], imgs)
 
 
 def _lattice_data_sum(pcf, r_trunc, quad, A_grid, A_data):
@@ -353,7 +355,7 @@ def wald_report(theta_hat, S_hat, Sigma_hat, area: float, levels=(0.9, 0.95),
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     ci = {}
     for level in levels:
-        zq = norm.ppf(0.5 + level / 2.0)
+        zq = ndtri(0.5 + level / 2.0)
         ci[float(level)] = np.column_stack([theta_hat - zq * se, theta_hat + zq * se])
     diag = dict(diagnostics or {})
     diag.setdefault("min_eigenvalue_S", float(eigs.min()))

@@ -27,21 +27,26 @@ The kernel sums have two sources.  Dense kernel rows, plain signed sums built in
 chunks of bounded size, serve ``exact`` and ``objective`` at query points, every
 q >= 2 curve and the q = 1 grid of general links.  A row spans the m quadrature
 nodes once; as the training points are the data nodes, its training part is its
-data-node columns.  A chunk of rows is built one covariate dimension at a time:
-one (rows, m) array of univariate kernel values per dimension, multiplied into
-the first in place, so no (rows, m, q) array is formed.  For q = 1 the curve is
-evaluated at the nodes of a fixed 512-node grid and interpolated linearly; under
-the log-linear link that grid keeps no rows: its training sums are direct and its
-node moments are linearly binned at ``_BINS_PER_CELL`` = 16 bins per grid cell
-and convolved with the kernel by FFT (Wand 1994; Fan & Marron 1994), see
-``_BinnedGrid``.  Binning moves gamma at the grid nodes by at most 1e-6 to 3e-6
-on W1 fields and by up to 6e-5 at the sparse tail nodes of a W2 product field
-(d and D2 by up to 3e-4 and 2e-3 there), a second-order error that falls about
-fourfold when the bins per cell double.  The interpolation itself is second
-order for the Gaussian kernel (7e-6 off the exact curve at 512 nodes on a W1
-test fit) but first order for the order-4 quartic, whose slope jumps at the
-edges of its support and puts kinks in the curve (1.3e-3 there at 512 nodes,
-2.3e-4 at 2048).
+data-node columns.  A chunk of rows is built in place, one covariate dimension
+at a time: the differences, the univariate kernel values and the weighting are
+written into the chunk's (rows, m) array, the factors of dimensions >= 2 into
+one scratch array, so no (rows, m, q) array is formed and the Gaussian build
+makes no other temporary.  Under the log-linear link a dense read solves once:
+the tilted columns [a, a y, a y y^T] are built once per read, each chunk keeps
+only its training sums, masses and tilted moments, and one solve runs on them
+stacked; a general link runs its Newton iteration per chunk, on the rows.  For
+q = 1 the curve is evaluated at the nodes of a fixed 512-node grid and
+interpolated linearly; under the log-linear link that grid keeps no rows: its
+training sums are direct and its node moments are linearly binned at
+``_BINS_PER_CELL`` = 16 bins per grid cell and convolved with the kernel by FFT
+(Wand 1994; Fan & Marron 1994), see ``_BinnedGrid``.  Binning moves gamma at the
+grid nodes by at most 1e-6 to 3e-6 on W1 fields and by up to 6e-5 at the sparse
+tail nodes of a W2 product field (d and D2 by up to 3e-4 and 2e-3 there), a
+second-order error that falls about fourfold when the bins per cell double.  The
+interpolation itself is second order for the Gaussian kernel (7e-6 off the exact
+curve at 512 nodes on a W1 test fit) but first order for the order-4 quartic,
+whose slope jumps at the edges of its support and puts kinks in the curve
+(1.3e-3 there at 512 nodes, 2.3e-4 at 2048).
 
 The profile optimizer reads the curve only through ``eta_all`` (value, d and
 D2 from one evaluation), once per theta it visits.  The q = 1 grid keeps no
@@ -64,7 +69,8 @@ from .errors import (InsufficientPointsError, NonConvergenceError, ZeroDenominat
 from .model import ModelSpec, QuadratureScheme
 
 _CHUNK_ELEMS = 1 << 16        # bound on rows * (n + m) * q of one chunk of kernel rows:
-                              # its (rows, m) node block and (rows, n) training columns
+                              # its (rows, m) node block and (rows, n) training columns,
+                              # built in place; log-linear reads keep only their sums
 _NEWTON_TOL = 1e-12           # relative step at which a row's Newton iteration stops
 _CLIP_TAU = 0.1               # width of the smooth clamp into eta_range
 _NEWTON_MAX_ITER = 200
@@ -73,15 +79,24 @@ _GRID_SIZE = 512              # nodes of the q = 1 grid the curve is interpolate
 _BINS_PER_CELL = 16           # linear-binning bins per q = 1 grid cell (node moments)
 
 
-def _gaussian(t):
-    return np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
+def _gaussian(t, out):
+    np.square(t, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= math.sqrt(2.0 * math.pi)
 
 
-def _quartic4(t):
+def _quartic4(t, out):
     # fourth-order polynomial kernel on [-1, 1]
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) <= 1.0
-    return np.where(inside, (15.0 / 32.0) * (3.0 - 10.0 * t ** 2 + 7.0 * t ** 4), 0.0)
+    outside = ~(np.abs(t) <= 1.0)
+    t4 = t ** 4
+    t4 *= 7.0
+    np.square(t, out=out)
+    out *= 10.0
+    np.subtract(3.0, out, out=out)
+    out += t4
+    out *= 15.0 / 32.0
+    np.copyto(out, 0.0, where=outside)
 
 
 # kernel order -> univariate kernel: Gaussian (order 2), polynomial on [-1, 1] (order 4)
@@ -102,19 +117,29 @@ class KernelSpec:
         if not (self.bandwidth > 0):
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
-    def k1(self, t):
-        """Univariate kernel value."""
-        return _KERNELS[self.order](t)
+    def k1(self, t, out=None):
+        """Univariate kernel value, written into ``out`` if given (which may be t)."""
+        t = np.asarray(t, dtype=float)
+        if out is None:
+            out = np.empty_like(t)
+        _KERNELS[self.order](t, out)
+        return out if out.ndim else out[()]
 
     def product(self, A, Z):
         """K_h(a - z) = h^-q * prod_i k((a_i - z_i) / h) for standardized points A (N, q)
-        and Z (B, q): (B, N), built one (B, N) factor per dimension, multiplied left to
-        right."""
-        h = self.bandwidth
-        K = self.k1((A[:, 0] - Z[:, 0, None]) / h)
-        for i in range(1, A.shape[1]):
-            K *= self.k1((A[:, i] - Z[:, i, None]) / h)
-        return K / h ** A.shape[1]
+        and Z (B, q): (B, N), built in place one dimension at a time, the factors of
+        dimensions >= 2 in one scratch array, multiplied left to right."""
+        h, q = self.bandwidth, A.shape[1]
+        K = np.subtract(A[:, 0], Z[:, 0, None])
+        K /= h
+        self.k1(K, out=K)
+        scratch = np.empty_like(K) if q > 1 else None
+        for i in range(1, q):
+            np.subtract(A[:, i], Z[:, i, None], out=scratch)
+            scratch /= h
+            K *= self.k1(scratch, out=scratch)
+        K /= h ** q
+        return K
 
 
 def default_bandwidth(window_area: float, q: int, k: int, l: int, m: int,
@@ -177,9 +202,13 @@ class _Rows(NamedTuple):
     KW: np.ndarray       # (B, m) w_j K_h(z_j - z)
     mass: np.ndarray     # (B,) sum_j w_j K_h(z_j - z)
 
-    def moments(self, cols):
-        """sum_j w_j K_h(z_j - z) cols_j per row: (B, p) for cols (m, p)."""
-        return self.KW @ cols
+
+class _Sums(NamedTuple):
+    """What the log-linear solve reads of a batch of z: no rows, only their sums."""
+
+    train: np.ndarray    # (B,) training kernel sums
+    mass: np.ndarray     # (B,) sum_j w_j K_h(z_j - z)
+    tilted: np.ndarray   # (B, p) sum_j w_j K_h(z_j - z) cols_j, cols from _tilted_columns
 
 
 class _BinnedGrid(NamedTuple):
@@ -232,13 +261,17 @@ class _BinnedGrid(NamedTuple):
         return conv[:, :G].T
 
 
-def _tilted_moments(moments, ay, Y, order):
-    """(mass, -mean, -covariance) of y under each kernel row tilted by ay, from the
-    one product ``moments([ay, ay y, ay y(x)y])``; zero mean and covariance where the
-    mass is not positive, no covariance below ``order`` 2."""
+def _tilted_columns(theta, Y, order):
+    """The node columns [a, a y, a y(x)y], a = exp(theta . y), up to ``order``: (m, p)."""
     m, k = Y.shape
     blocks = [np.ones((m, 1)), Y, (Y[:, :, None] * Y[:, None, :]).reshape(m, k * k)]
-    M = moments(ay[:, None] * np.hstack(blocks[:order + 1]))
+    return np.exp(Y @ theta)[:, None] * np.hstack(blocks[:order + 1])
+
+
+def _tilted_moments(M, k, order):
+    """(mass, -mean, -covariance) of y under each kernel row tilted by a, from its
+    moments M of the ``_tilted_columns``; zero mean and covariance where the mass is
+    not positive, no covariance below ``order`` 2."""
     den = M[:, 0]
     M = M / np.where(den > 0, den, np.inf)[:, None]
     mu = M[:, 1:1 + k]
@@ -313,19 +346,23 @@ class NuisanceFit:
         """fn(slice, rows) over chunks of standardized query points Zs (B, q), stacked.
 
         A chunk's kernel spans the m quadrature nodes once, and its training part is
-        the data-node columns, copied out in C order.  Rows are plain signed kernel
-        sums over their node part's max-abs (tilted sums cannot underflow), the
-        training part summed unless ``full`` or general.
+        the data-node columns, copied out in C order before the chunk is weighted in
+        place.  Rows are plain signed kernel sums over their node part's max-abs
+        (tilted sums cannot underflow; one buffer holds the absolute values of every
+        chunk, and both divisions are in place), the training part summed unless
+        ``full`` or general.
         ``strict``: raise where there is no quadrature kernel mass."""
         full = full or self.spec.link == "general"
         step = max(1, _CHUNK_ELEMS // ((self._Zs_train.shape[0] + self.weights.size) * self.q))
+        magnitude = np.empty((min(step, Zs.shape[0]), self.weights.size))
         outs = []
         for s in range(0, Zs.shape[0], step):
-            K = self.kernel.product(self._Zs_nodes, Zs[s:s + step])
-            KW = K * self.weights
-            peak = np.abs(KW).max(axis=1)
+            KW = self.kernel.product(self._Zs_nodes, Zs[s:s + step])
+            KT = KW.compress(self.quad.is_data, axis=1)
+            KW *= self.weights
+            peak = np.abs(KW, out=magnitude[:KW.shape[0]]).max(axis=1)
             peak[peak == 0] = 1.0
-            KT = K.compress(self.quad.is_data, axis=1) / peak[:, None]
+            KT /= peak[:, None]
             KW /= peak[:, None]
             mass = KW.sum(axis=1)
             if strict and np.any(mass <= 0):
@@ -414,7 +451,11 @@ class NuisanceFit:
         return -g_tg / np.where(flat, -np.inf, g_gg)[:, None], flat
 
     def _solve(self, theta, rows, order, strict):
-        """Clamped (gamma, d, D2) on a batch of kernel rows; None beyond ``order``.
+        """Clamped (gamma, d, D2) on a batch; None beyond ``order``.
+
+        Under the log-linear link the batch is the ``_Sums`` of a whole read (one
+        solve per read, whatever the number of chunks); under a general link it is
+        one chunk's ``_Rows``.
 
         Rows with a non-positive training kernel sum take the floor (counted in
         ``empty_numerator``); rows without quadrature or tilted mass or curvature in
@@ -426,8 +467,7 @@ class NuisanceFit:
         self.diagnostics["empty_numerator"] += int(np.count_nonzero(num <= 0))
         floor = (num <= 0) | (rows.mass <= 0)
         if self.spec.link == "log-linear":
-            den, d_raw, D2_raw = _tilted_moments(rows.moments, np.exp(self.Y_nodes @ theta),
-                                                 self.Y_nodes, order)
+            den, d_raw, D2_raw = _tilted_moments(rows.tilted, self.k, order)
             no_den = (den <= 0) & ~floor
             if strict and no_den.any():
                 raise ZeroDenominatorError("tilted kernel mass vanished at a query point")
@@ -468,8 +508,12 @@ class NuisanceFit:
         """(gamma, d, D2) at query points Z (B, q) from their own kernel rows, None
         beyond ``order``; raises ZeroMassError/ZeroDenominatorError without support."""
         theta = np.asarray(theta, dtype=float)
-        return self._rows(self.standardize(Z),
-                          lambda _, rows: self._solve(theta, rows, order, strict=True))
+        Zs = self.standardize(Z)
+        if self.spec.link == "general":
+            return self._rows(Zs, lambda _, rows: self._solve(theta, rows, order, strict=True))
+        cols = _tilted_columns(theta, self.Y_nodes, order)
+        sums = self._rows(Zs, lambda _, rows: (rows.train, rows.mass, rows.KW @ cols))
+        return self._solve(theta, _Sums(*sums), order, strict=True)
 
     # -- bulk curve interface (the profile optimizer and the LFD) ---------------
 
@@ -480,8 +524,12 @@ class NuisanceFit:
         if self._grid is None:
             return self.exact(theta, Z, order)
         zs = self.standardize(Z)[:, 0]
+        sums = self._grid_sums
+        if self.spec.link == "log-linear":
+            cols = _tilted_columns(theta, self.Y_nodes, order)
+            sums = _Sums(sums.train, sums.mass, sums.moments(cols))
         return tuple(None if v is None else _interp(zs, self._grid, v)
-                     for v in self._solve(theta, self._grid_sums, order, strict=False))
+                     for v in self._solve(theta, sums, order, strict=False))
 
     def eta_at(self, theta, Z) -> np.ndarray:
         return self.curve(theta, Z, 0)[0]

@@ -1,8 +1,11 @@
 """The option path from flags and YAML to the estimator, and the README's CLI section."""
 
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,3 +249,14 @@ def test_readme_scenario_yaml_loads_through_the_merge(monkeypatch, tmp_path):
     assert s == Scenario(window="W1", process="lgcp", covariates="dep", nuisance="poly",
                          estimators=("semi", "para", "oracle"), base_seed=11, reps=50,
                          pcf_mode="known")
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_signal():
+    # a fresh interpreter: the package's imports alone decide what is loaded
+    code = ("import sys, ppcf.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

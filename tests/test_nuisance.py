@@ -6,7 +6,7 @@ import pytest
 from helpers import intensity_surface
 
 import ppcf.nuisance
-from ppcf.errors import InsufficientPointsError, ZeroMassError
+from ppcf.errors import InsufficientPointsError, ZeroDenominatorError, ZeroMassError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.harness import Scenario, simulate_scenario_inputs
 from ppcf.model import (
@@ -154,9 +154,9 @@ def test_kernel_rows_build_no_q_axis(q, monkeypatch):
     shapes = []
     k1 = KernelSpec.k1
 
-    def spy(self, t):
+    def spy(self, t, out=None):
         shapes.append(np.shape(t))
-        return k1(self, t)
+        return k1(self, t, out)
 
     monkeypatch.setattr(KernelSpec, "k1", spy)
     Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, q))
@@ -165,6 +165,78 @@ def test_kernel_rows_build_no_q_axis(q, monkeypatch):
     assert len(shapes) > 2 * q
     assert all(len(s) == 2 for s in shapes), shapes
     assert max(math.prod(s) for s in shapes) <= ppcf.nuisance._CHUNK_ELEMS
+
+
+def _per_chunk_exact(nf, theta, Z, order):
+    """``exact`` under the log-linear link as one solve per chunk of kernel rows, the
+    tilted columns [a, a y, a y(x)y], a = exp(theta . y), rebuilt for every chunk."""
+    Zs = nf.standardize(Z)
+    n, m = np.count_nonzero(nf.quad.is_data), nf.weights.size
+    step = ppcf.nuisance._CHUNK_ELEMS // ((n + m) * nf.q)
+    Y = nf.Y_nodes
+    outs = []
+    for s in range(0, Zs.shape[0], step):
+        train, KW, mass = nf._rows(Zs[s:s + step], lambda _, r: r)
+        a = np.exp(Y @ theta)
+        cols = [np.ones((m, 1)), Y, (Y[:, :, None] * Y[:, None, :]).reshape(m, -1)]
+        tilted = KW @ (a[:, None] * np.hstack(cols[:order + 1]))
+        outs.append(nf._solve(theta, ppcf.nuisance._Sums(train, mass, tilted), order, True))
+    return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*outs))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("kernel_order", [2, 4])
+@pytest.mark.parametrize("q", [2, 3])
+def test_exact_bitwise_equal_to_per_chunk_solves(q, kernel_order, order):
+    # one solve over the stacked sums of every chunk gives the per-chunk solves'
+    # values and counters bit for bit; the narrowed range makes clip_count > 0
+    fits = [_fit_q(q, kernel_order) for _ in range(2)]
+    quad = fits[0].quad
+    _, Z = fits[0].spec.covariates_at(quad.nodes[quad.is_data])    # the training points
+    n, m = Z.shape[0], quad.m()
+    assert Z.shape[0] > 2 * (ppcf.nuisance._CHUNK_ELEMS // ((n + m) * q))
+    theta = np.array([0.3])
+    for nf in fits:
+        nf.eta_range = (nf.eta_range[0], math.log(150.0))
+    got = fits[0].exact(theta, Z, order)
+    want = _per_chunk_exact(fits[1], theta, Z, order)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(g, w)
+    assert fits[0].diagnostics == fits[1].diagnostics
+    assert fits[0].diagnostics["clip_count"] > 0
+
+
+@pytest.mark.parametrize("size", [1, 40, 300])
+def test_exact_solves_once_per_read(size, monkeypatch):
+    # the log-linear exact path solves the stacked sums of all its chunks at once
+    nf = _fit_q(2, 2)
+    calls = []
+    solve = NuisanceFit._solve
+
+    def spy(self, theta, rows, order, strict):
+        calls.append(rows.mass.shape[0])
+        return solve(self, theta, rows, order, strict)
+
+    monkeypatch.setattr(NuisanceFit, "_solve", spy)
+    Z = nf._mu + nf._sd * np.random.default_rng(2).normal(scale=0.5, size=(size, 2))
+    for order in (0, 1, 2):
+        nf.exact(np.array([0.2]), Z, order)
+    assert calls == [size] * 3
+
+
+def test_zero_denominator_raised_past_the_first_chunk():
+    # order-4 kernel, theta = 5: the tilted mass of the row at standardized z = 0.45
+    # is not positive though its training sum and kernel mass are
+    nf = _fit_q(1, 4)
+    theta = np.array([5.0])
+    zs = np.linspace(-1.5, 0.3, 300)[:, None]
+    step = ppcf.nuisance._CHUNK_ELEMS // (np.count_nonzero(nf.quad.is_data) + nf.weights.size)
+    assert zs.shape[0] > 2 * step
+    nf.exact(theta, nf._mu + nf._sd * zs, 0)
+    zs[2 * step + 1] = 0.45
+    with pytest.raises(ZeroDenominatorError, match="tilted kernel mass vanished"):
+        nf.exact(theta, nf._mu + nf._sd * zs, 0)
 
 
 def test_default_bandwidth_unit_area_is_c0():
