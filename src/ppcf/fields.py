@@ -3,18 +3,21 @@
 A :class:`GridField` samples a scalar surface on a regular ``nx`` x ``ny`` lattice
 spanning a rectangular window (nodes on the closed boundary) and evaluates it
 anywhere inside by bilinear interpolation.  Stationary Gaussian random fields with
-exponential covariance ``C(r) = sigma^2 * exp(-r / corr_range)`` are drawn either
-by dense Cholesky factorization (small lattices) or by circulant embedding on a
-doubled torus (large lattices); both paths are deterministic given the seed.
+exponential covariance ``C(r) = sigma^2 * exp(-r / corr_range)`` are drawn by
+circulant embedding: the lattice covariance is embedded in a stationary covariance
+on a torus of periods 2 ny x 2 nx lattice steps, whose eigenvalues are one FFT of
+its first row, and both periods are doubled until those eigenvalues are
+non-negative, which makes the draw exact (Wood & Chan 1994; Dietrich & Newsam
+1997).  A draw is deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     DecompositionError,
@@ -24,9 +27,9 @@ from .errors import (
     ParseError,
 )
 
-# Dense Cholesky is exact and simple; beyond this many lattice nodes the O(n^3)
-# factorization dominates and circulant embedding takes over.
-_CHOLESKY_MAX_NODES = 96 * 96
+# circulant embedding is not enlarged past this many torus nodes (64 MB per
+# complex array); W1 at 256 x 256 and range 0.2 needs 1024 x 1024
+_MAX_TORUS_NODES = 2048 * 2048
 _JITTER = 1e-10
 _CLAMP_SD = 6.0
 
@@ -151,59 +154,31 @@ class GridField:
         return self.evaluate(points[:, 0], points[:, 1])
 
 
-# cached covariance decompositions; fields are immutable so reuse is safe
-_chol_cache: dict = {}
-_circulant_cache: dict = {}
-
-
-def _lattice_key(window: Window, nx: int, ny: int, spec: GrfSpec):
-    return (window.x_min, window.y_min, window.x_max, window.y_max, nx, ny,
-            spec.variance, spec.corr_range)
-
-
-def _cholesky_factor(window: Window, nx: int, ny: int, spec: GrfSpec) -> np.ndarray:
-    key = _lattice_key(window, nx, ny, spec)
-    fac = _chol_cache.get(key)
-    if fac is None:
-        xs = np.linspace(window.x_min, window.x_max, nx)
-        ys = np.linspace(window.y_min, window.y_max, ny)
-        gx, gy = np.meshgrid(xs, ys)
-        coords = np.column_stack([gx.ravel(), gy.ravel()])
-        cov = squareform(spec.covariance(pdist(coords)))
-        np.fill_diagonal(cov, spec.variance)
-        cov += (_JITTER * spec.variance) * np.eye(nx * ny)
-        try:
-            fac = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise DecompositionError(
-                f"lattice covariance not positive definite at {nx} x {ny}"
-            ) from exc
-        if len(_chol_cache) > 4:
-            _chol_cache.clear()
-        _chol_cache[key] = fac
-    return fac
-
-
+@functools.lru_cache(maxsize=4)
 def _circulant_sqrt_eigs(window: Window, nx: int, ny: int, spec: GrfSpec) -> np.ndarray:
-    key = _lattice_key(window, nx, ny, spec)
-    sqrt_lam = _circulant_cache.get(key)
-    if sqrt_lam is None:
-        dx = window.width / (nx - 1)
-        dy = window.height / (ny - 1)
-        m, n = 2 * ny, 2 * nx
+    """Square roots of the eigenvalues of the smallest non-negative circulant
+    embedding of the lattice covariance (plus jitter at lag 0), read-only: the
+    torus starts at 2 ny x 2 nx nodes and both periods double until the smallest
+    eigenvalue is at least -1e-8 times the largest."""
+    dx = window.width / (nx - 1)
+    dy = window.height / (ny - 1)
+    m, n = 2 * ny, 2 * nx
+    while True:
         di = np.minimum(np.arange(m), m - np.arange(m)) * dy
         dj = np.minimum(np.arange(n), n - np.arange(n)) * dx
         base = spec.covariance(np.hypot(di[:, None], dj[None, :]))
         base[0, 0] += _JITTER * spec.variance
         lam = np.fft.fft2(base).real
-        if lam.min() < -1e-8 * lam.max():
+        if lam.min() >= -1e-8 * lam.max():
+            break
+        if 4 * m * n > _MAX_TORUS_NODES:
             raise DecompositionError(
-                f"circulant embedding not positive definite (min eigenvalue {lam.min():.3e})"
+                f"circulant embedding of the {nx} x {ny} lattice not positive definite "
+                f"at {n} x {m} torus nodes (min eigenvalue {lam.min():.3e})"
             )
-        sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
-        if len(_circulant_cache) > 4:
-            _circulant_cache.clear()
-        _circulant_cache[key] = sqrt_lam
+        m, n = 2 * m, 2 * n
+    sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
+    sqrt_lam.setflags(write=False)
     return sqrt_lam
 
 
@@ -219,13 +194,9 @@ def simulate_grf(window: Window, nx: int, ny: int, spec: GrfSpec, seed: int) -> 
     if spec.variance == 0.0:
         values = np.full((ny, nx), spec.mean)
         return GridField(window, nx, ny, values)
-    if nx * ny <= _CHOLESKY_MAX_NODES:
-        fac = _cholesky_factor(window, nx, ny, spec)
-        fluct = (fac @ rng.standard_normal(nx * ny)).reshape(ny, nx)
-    else:
-        sqrt_lam = _circulant_sqrt_eigs(window, nx, ny, spec)
-        noise = rng.standard_normal(sqrt_lam.shape)
-        fluct = np.fft.ifft2(sqrt_lam * np.fft.fft2(noise)).real[:ny, :nx]
+    sqrt_lam = _circulant_sqrt_eigs(window, nx, ny, spec)
+    noise = rng.standard_normal(sqrt_lam.shape)
+    fluct = np.fft.ifft2(sqrt_lam * np.fft.fft2(noise)).real[:ny, :nx]
     sd = np.sqrt(spec.variance)
     fluct = np.clip(fluct, -_CLAMP_SD * sd, _CLAMP_SD * sd)
     return GridField(window, nx, ny, spec.mean + fluct)

@@ -40,13 +40,13 @@ interpolated linearly; under the log-linear link that grid keeps no rows: its
 training sums are direct and its node moments are linearly binned at
 ``_BINS_PER_CELL`` = 16 bins per grid cell and convolved with the kernel by FFT
 (Wand 1994; Fan & Marron 1994), see ``_BinnedGrid``.  Binning moves gamma at the
-grid nodes by at most 1e-6 to 3e-6 on W1 fields and by up to 6e-5 at the sparse
+grid nodes by at most 6e-7 to 3e-6 on W1 fields and by up to 6e-5 at the sparse
 tail nodes of a W2 product field (d and D2 by up to 3e-4 and 2e-3 there), a
 second-order error that falls about fourfold when the bins per cell double.  The
-interpolation itself is second order for the Gaussian kernel (7e-6 off the exact
-curve at 512 nodes on a W1 test fit) but first order for the order-4 quartic,
-whose slope jumps at the edges of its support and puts kinks in the curve
-(1.3e-3 there at 512 nodes, 2.3e-4 at 2048).
+interpolation itself is second order for the Gaussian kernel (1.8e-5 off the exact
+curve at 512 nodes on a W1 test fit, 8e-7 at 2048) but only first order near the
+kinks the order-4 quartic puts in the curve, as its slope jumps at the edges of
+its support (2.0e-3 on that fit at 512 nodes, 1.0e-4 at 2048).
 
 The profile optimizer reads the curve only through ``eta_all`` (value, d and
 D2 from one evaluation), once per theta it visits.  The q = 1 grid keeps no
@@ -460,11 +460,11 @@ class NuisanceFit:
         Rows with a non-positive training kernel sum take the floor (counted in
         ``empty_numerator``); rows without quadrature or tilted mass or curvature in
         gamma raise if ``strict`` (direct queries), else take the floor (the grid).
-        ``clip_count`` counts rows whose raw gamma lies outside ``eta_range``.
+        ``clip_count`` counts rows whose raw gamma lies outside ``eta_range``.  Both
+        counts are added once nothing can raise, so a solve that raises counts nothing.
         """
         lo, hi = self.eta_range
         num = rows.train if rows.train.ndim == 1 else rows.train.sum(axis=1)
-        self.diagnostics["empty_numerator"] += int(np.count_nonzero(num <= 0))
         floor = (num <= 0) | (rows.mass <= 0)
         if self.spec.link == "log-linear":
             den, d_raw, D2_raw = _tilted_moments(rows.tilted, self.k, order)
@@ -492,6 +492,7 @@ class NuisanceFit:
                 D2_raw = np.stack([(d_at(e) - d_at(-e)) / (2 * _FD_STEP) for e in steps], axis=2)
                 D2_raw = 0.5 * (D2_raw + D2_raw.transpose(0, 2, 1))
         gamma_raw[floor] = lo
+        self.diagnostics["empty_numerator"] += int(np.count_nonzero(num <= 0))
         self.diagnostics["clip_count"] += int(np.count_nonzero(outside))
         gamma, chain1, chain2 = _soft_clip(gamma_raw, lo, hi, _CLIP_TAU)
         if order < 1:
@@ -506,11 +507,17 @@ class NuisanceFit:
 
     def exact(self, theta, Z, order=2):
         """(gamma, d, D2) at query points Z (B, q) from their own kernel rows, None
-        beyond ``order``; raises ZeroMassError/ZeroDenominatorError without support."""
+        beyond ``order``; raises ZeroMassError/ZeroDenominatorError without support,
+        leaving ``diagnostics`` as they were."""
         theta = np.asarray(theta, dtype=float)
         Zs = self.standardize(Z)
         if self.spec.link == "general":
-            return self._rows(Zs, lambda _, rows: self._solve(theta, rows, order, strict=True))
+            before = dict(self.diagnostics)
+            try:
+                return self._rows(Zs, lambda _, rows: self._solve(theta, rows, order, strict=True))
+            except Exception:
+                self.diagnostics.update(before)    # drop the counts of the chunks solved
+                raise
         cols = _tilted_columns(theta, self.Y_nodes, order)
         sums = self._rows(Zs, lambda _, rows: (rows.train, rows.mass, rows.KW @ cols))
         return self._solve(theta, _Sums(*sums), order, strict=True)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ppcf.fields
+from ppcf import harness
 from ppcf.errors import (
+    DecompositionError,
     DegenerateWindowError,
     LatticeMismatchError,
     NonFiniteFieldError,
@@ -79,7 +82,7 @@ def test_zero_variance_field_is_constant():
     assert np.array_equal(f.values, np.full((16, 16), 3.0))
 
 
-def test_grf_determinism_both_paths():
+def test_grf_determinism():
     w = make_window(0, 0, 1, 1)
     spec = GrfSpec(1.0, 0.05)
     a = simulate_grf(w, 20, 20, spec, seed=42)
@@ -99,9 +102,56 @@ def test_grf_clamped_to_six_sd():
         assert np.all(np.abs(f.values - 1.0) <= 6.0 * 2.0 + 1e-12)
 
 
+@pytest.mark.parametrize("window, nx, ny, corr_range, torus", [
+    ((0, 0, 1, 1), 24, 24, 0.2, (48, 48)),          # minimal embeddings
+    ((0, 0, 1, 1), 64, 64, 0.05, (128, 128)),
+    ((0, 0, 1, 3), 20, 40, 0.3, (80, 40)),          # non-square window and lattice
+    ((0, 0, 2, 1), 33, 17, 0.1, (34, 66)),
+    ((0, 0, 1, 1), 24, 24, 0.5, (96, 96)),          # enlarged embeddings
+    ((0, 0, 1, 1), 256, 256, 0.2, (1024, 1024)),
+    ((0, 0, 2, 2), 256, 256, 0.5, (1024, 1024)),
+])
+def test_circulant_embedding_reproduces_lattice_covariance(window, nx, ny, corr_range, torus):
+    # the torus covariance, read off its eigenvalues, is C at every lattice lag
+    # plus the jitter at lag 0
+    w = make_window(*window)
+    spec = GrfSpec(2.0, corr_range)
+    sqrt_lam = ppcf.fields._circulant_sqrt_eigs(w, nx, ny, spec)
+    assert sqrt_lam.shape == torus
+    cov = np.fft.ifft2(sqrt_lam ** 2).real[:ny, :nx]
+    lags = np.hypot(np.arange(ny)[:, None] * w.height / (ny - 1),
+                    np.arange(nx)[None, :] * w.width / (nx - 1))
+    want = spec.covariance(lags)
+    want[0, 0] += ppcf.fields._JITTER * spec.variance
+    assert np.max(np.abs(cov - want)) <= 1e-12 * spec.variance
+
+
+def test_harness_lattices_keep_the_minimal_embedding():
+    # every (window, lattice, GrfSpec) the harness draws keeps the 2 ny x 2 nx torus
+    for w in harness.WINDOWS.values():
+        n = int(round(harness.LATTICE_PER_UNIT * w.width))
+        for spec in (harness.COVARIATE_GRF, harness.LGCP_GRF):
+            assert ppcf.fields._circulant_sqrt_eigs(w, n, n, spec).shape == (2 * n, 2 * n)
+
+
+def test_grf_enlarged_embedding_samples():
+    # W1 at 256 x 256 and range 0.2 needs a 1024 x 1024 torus
+    f = simulate_grf(make_window(0, 0, 1, 1), 256, 256, GrfSpec(1.0, 0.2), seed=7)
+    assert f.values.shape == (256, 256) and np.all(np.isfinite(f.values))
+    assert f.values.std() > 0
+
+
+def test_circulant_embedding_bounded(monkeypatch):
+    # 24 x 24 at range 0.5 needs a 96 x 96 torus; past the bound it raises
+    monkeypatch.setattr(ppcf.fields, "_MAX_TORUS_NODES", 48 * 48)
+    ppcf.fields._circulant_sqrt_eigs.cache_clear()
+    with pytest.raises(DecompositionError, match="not positive definite"):
+        simulate_grf(make_window(0, 0, 1, 1), 24, 24, GrfSpec(1.0, 0.5), seed=0)
+
+
 @pytest.fixture(scope="module")
 def grf_ensemble():
-    """500 unit-variance draws on a 64 x 64 lattice (dense Cholesky path)."""
+    """500 unit-variance draws on a 64 x 64 lattice."""
     w = make_window(0, 0, 1, 1)
     spec = GrfSpec(1.0, 0.05)
     return [simulate_grf(w, 64, 64, spec, seed=s).values for s in range(500)]

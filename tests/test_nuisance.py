@@ -225,18 +225,61 @@ def test_exact_solves_once_per_read(size, monkeypatch):
     assert calls == [size] * 3
 
 
+def _tilted_mass_scan(nf, theta):
+    """Standardized z in [-3, 3] whose single-point order-0 ``exact`` read returns
+    (clean) and raises ZeroDenominatorError (raising); ZeroMassError z are left out."""
+    clean, raising = [], []
+    for z in np.linspace(-3.0, 3.0, 601):
+        try:
+            nf.exact(theta, nf._mu + nf._sd * np.array([[z]]), 0)
+            clean.append(z)
+        except ZeroDenominatorError:
+            raising.append(z)
+        except ZeroMassError:
+            pass
+    return np.array(clean), np.array(raising)
+
+
 def test_zero_denominator_raised_past_the_first_chunk():
-    # order-4 kernel, theta = 5: the tilted mass of the row at standardized z = 0.45
-    # is not positive though its training sum and kernel mass are
+    # order-4 kernel, theta = 5: the tilted mass of some rows is not positive though
+    # their training sum and kernel mass are; single-point reads find them
     nf = _fit_q(1, 4)
     theta = np.array([5.0])
-    zs = np.linspace(-1.5, 0.3, 300)[:, None]
+    zs, raising = _tilted_mass_scan(nf, theta)
+    zs = zs[:, None]
     step = ppcf.nuisance._CHUNK_ELEMS // (np.count_nonzero(nf.quad.is_data) + nf.weights.size)
-    assert zs.shape[0] > 2 * step
+    assert raising.size > 0 and zs.shape[0] > 2 * step
     nf.exact(theta, nf._mu + nf._sd * zs, 0)
-    zs[2 * step + 1] = 0.45
+    zs[2 * step + 1] = raising[0]
     with pytest.raises(ZeroDenominatorError, match="tilted kernel mass vanished"):
         nf.exact(theta, nf._mu + nf._sd * zs, 0)
+
+
+@pytest.mark.parametrize("link", ["log-linear", "general"])
+def test_raising_read_leaves_diagnostics_unchanged(link):
+    # a read whose third chunk raises adds nothing to diagnostics, though the same
+    # read without the raising row counts some of its rows
+    nf = _fit_q(1, 4)
+    step = ppcf.nuisance._CHUNK_ELEMS // (np.count_nonzero(nf.quad.is_data) + nf.weights.size)
+    if link == "log-linear":
+        theta, error = np.array([5.0]), ZeroDenominatorError
+        zs, raising = _tilted_mass_scan(nf, theta)
+        bad = raising[0]
+    else:
+        nf = NuisanceFit(_exp_link_as_general(nf.spec), nf.quad, nf.kernel)
+        nf.eta_range = (nf.eta_range[0], 4.0)
+        theta, error, bad = np.array([0.2]), ZeroMassError, 50.0
+        zs = np.random.default_rng(1).normal(scale=0.5, size=300)
+    zs = zs[:, None]
+    assert zs.shape[0] > 2 * step
+    before = dict(nf.diagnostics)
+    nf.exact(theta, nf._mu + nf._sd * zs, 0)
+    assert nf.diagnostics != before
+    before = dict(nf.diagnostics)
+    zs[2 * step + 1] = bad
+    with pytest.raises(error):
+        nf.exact(theta, nf._mu + nf._sd * zs, 0)
+    assert nf.diagnostics == before
 
 
 def test_default_bandwidth_unit_area_is_c0():
