@@ -279,16 +279,17 @@ def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: in
                   ) -> Dict[str, Dict[str, FitReport]]:
     """Wald reports per estimator and PCF variant from each estimator's (coef, S, a, ...).
 
-    The a-vectors of all estimators are stacked column-wise, so every variant
-    takes one PCF double sum; each estimator reads its own diagonal block, and
-    its reports keep only the first ``k`` (target) coordinates.
+    The a-vectors of all estimators are stacked column-wise, and one call of
+    ``pcf_correction`` gives every variant its double sum over one pass of the
+    pair geometry; each estimator reads its own diagonal block, and its reports
+    keep only the first ``k`` (target) coordinates.
     """
     stacked = np.hstack([a for _, _, a, *_ in fits.values()])
     ends = np.cumsum([a.shape[1] for _, _, a, *_ in fits.values()])
     area = quad.window.area()
     reports: Dict[str, Dict[str, FitReport]] = {name: {} for name in fits}
-    for vname, pcf in pcfs.items():
-        corr = pcf_correction(quad, stacked, pcf)
+    corrs = pcf_correction(quad, stacked, *pcfs.values())
+    for (vname, pcf), corr in zip(pcfs.items(), corrs):
         for (name, (coef, S, *_)), end in zip(fits.items(), ends):
             lo = end - S.shape[0]
             full = wald_report(coef, S, S + corr[lo:end, lo:end], area, levels=levels,

@@ -16,7 +16,8 @@ fitted on the full pattern, read from that curve's own evaluation
 The pair correlation g is Poisson (g = 1) or LGCP-exponential
 (g(r) = exp(sigma2 * exp(-r/phi))), fitted by minimum contrast on the
 inhomogeneous K-function when not known.  The harness stacks the a-vectors of
-all its estimators column-wise, so each PCF variant costs one double sum.
+all its estimators column-wise and passes every PCF variant to one call of
+:func:`pcf_correction`, so the pair geometry is built once per replication.
 
 The double sum is truncated at the radius r_trunc where |g - 1| < 1e-6 (capped
 at half the shorter window side) and evaluated exactly, with the same kernel
@@ -30,8 +31,13 @@ g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
   points (inclusive bounds); every pair outside the box lies beyond r_trunc;
 * data-data: square blocks of data nodes, each unordered block pair once.
 
-No temporary of the two direct blocks holds more than 2^16 pair values
-(512 kB), whatever the number of data nodes.
+Several PCF models share one pass: each block's geometry (tile boxes at the
+largest r_trunc, distances, one cut-off mask per distinct r_trunc, the FFT of
+the lattice images) is built once, and each model evaluates its own kernel on
+it, 0 beyond its own r_trunc, so every sum stays exact.  A model with r_trunc 0
+(Poisson, or sigma2 = 0) gets zeros and does no pair work.  No temporary of the
+two direct blocks holds more than 2^16 pair values (512 kB), whatever the
+number of data nodes or models.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -121,39 +127,58 @@ def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: Quadr
     return (*sandwich_terms(quad, lam, grads), lam)
 
 
-def _pcf_minus_one(pcf: PcfModel, r2, r_trunc):
-    """In place: squared distances r2 -> g(r) - 1 (the expression of ``PcfModel.pcf``),
-    0 where r > r_trunc."""
+def _pair_distances(r2, radii):
+    """In place: squared distances r2 -> distances r, with the cut-off mask of each
+    distinct radius in ``radii``: 1.0 where r <= radius, 0.0 beyond."""
     r = np.sqrt(r2, out=r2)
-    beyond = r > r_trunc
-    np.divide(r, -pcf.phi, out=r)
-    np.exp(r, out=r)
-    r *= pcf.sigma2
-    np.exp(r, out=r)
-    r -= 1.0
-    r[beyond] = 0.0
-    return r
+    return r, {radius: (r <= radius).astype(float) for radius in set(radii)}
 
 
-def _lattice_sum(pcf, r_trunc, quad, A_grid):
+def _pcf_minus_one(pcf: PcfModel, neg_inv_phi, r, within, out):
+    """g(r) - 1 of ``pcf`` at distances r into ``out`` (the expression of
+    ``PcfModel.pcf``, with -r/phi as r * neg_inv_phi), times the cut-off mask
+    ``within``; g - 1 >= 0 is finite, so pairs beyond get exactly 0."""
+    np.multiply(r, neg_inv_phi, out=out)
+    np.exp(out, out=out)
+    out *= pcf.sigma2
+    np.exp(out, out=out)
+    out -= 1.0
+    out *= within
+    return out
+
+
+def _kernels(models, r2, buf):
+    """Every model's kernel on one block of squared distances r2, which become the
+    distances in place: yields (model position, kernel), each kernel in ``buf``."""
+    r, within = _pair_distances(r2, [radius for _, _, radius in models])
+    out = buf[:r.size].reshape(r.shape)
+    for i, (pcf, neg_inv_phi, radius) in enumerate(models):
+        yield i, _pcf_minus_one(pcf, neg_inv_phi, r, within[radius], out)
+
+
+def _lattice_sum(models, quad, A_grid):
     """Lattice-lattice block: one circular FFT correlation of period 2g over all k
-    columns.  Lattice offsets run to g - 1, so no product wraps."""
+    columns per model, on one transform of the lattice images.  Lattice offsets
+    run to g - 1, so no product wraps."""
     g = quad.grid_n
     offs = np.fft.fftfreq(2 * g, 1.0 / (2 * g))        # 0, 1, .., g - 1, -g, .., -1
     r2 = (offs * (quad.window.height / g))[:, None] ** 2 \
         + (offs * (quad.window.width / g))[None, :] ** 2
-    kern = _pcf_minus_one(pcf, r2, r_trunc)
     imgs = A_grid.T.reshape(-1, g, g)
     shape = (2 * g, 2 * g)
-    conv = np.fft.irfft2(np.fft.rfft2(imgs, shape) * np.fft.rfft2(kern), shape)
-    return np.einsum("aij,bij->ab", conv[:, :g, :g], imgs)
+    f_imgs = np.fft.rfft2(imgs, shape)
+    return [np.einsum("aij,bij->ab",
+                      np.fft.irfft2(f_imgs * np.fft.rfft2(kern), shape)[:, :g, :g], imgs)
+            for _, kern in _kernels(models, r2, np.empty(r2.size))]
 
 
-def _lattice_data_sum(pcf, r_trunc, quad, A_grid, A_data):
-    """sum over data i and lattice j of a_i a_j^T [g(d_ij) - 1], per spatial tile of
-    data nodes over the lattice rows and columns within r_trunc of the tile."""
+def _lattice_data_sum(models, quad, A_grid, A_data):
+    """sum over data i and lattice j of a_i a_j^T [g(d_ij) - 1] per model, per
+    spatial tile of data nodes over the lattice rows and columns within the
+    largest truncation radius of the tile."""
     g = quad.grid_n
     k = A_grid.shape[1]
+    r_max = max(radius for _, _, radius in models)
     xs = quad.nodes[:g, 0]
     ys = quad.nodes[:g * g:g, 1]
     pts = quad.nodes[g * g:]
@@ -163,17 +188,18 @@ def _lattice_data_sum(pcf, r_trunc, quad, A_grid, A_data):
     tile = ty * _TILES + tx
     order = np.argsort(tile, kind="stable")
     A_img = A_grid.reshape(g, g, k)
+    geo = np.empty(_PAIR_BLOCK)
     buf = np.empty(_PAIR_BLOCK)
-    out = np.zeros((k, k))
+    outs = [np.zeros((k, k)) for _ in models]
     for idx in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
         px, py = pts[idx, 0], pts[idx, 1]
         # inclusive bounds in the arithmetic of the distances below: a lattice
-        # column left out has |x_c - x_p| > r_trunc for every point p of the
-        # tile, hence r > r_trunc and a zero kernel
-        c0 = np.searchsorted(xs - px.min(), -r_trunc, side="left")
-        c1 = np.searchsorted(xs - px.max(), r_trunc, side="right")
-        r0 = np.searchsorted(ys - py.min(), -r_trunc, side="left")
-        r1 = np.searchsorted(ys - py.max(), r_trunc, side="right")
+        # column left out has |x_c - x_p| > r_max for every point p of the
+        # tile, hence r > r_max and a zero kernel for every model
+        c0 = np.searchsorted(xs - px.min(), -r_max, side="left")
+        c1 = np.searchsorted(xs - px.max(), r_max, side="right")
+        r0 = np.searchsorted(ys - py.min(), -r_max, side="left")
+        r1 = np.searchsorted(ys - py.max(), r_max, side="right")
         if c1 <= c0 or r1 <= r0:
             continue
         nx = c1 - c0
@@ -184,53 +210,67 @@ def _lattice_data_sum(pcf, r_trunc, quad, A_grid, A_data):
             step = max(1, _PAIR_BLOCK // a_box.shape[0])
             for p0 in range(0, idx.size, step):
                 sel = idx[p0:p0 + step]
-                r2 = buf[:sel.size * a_box.shape[0]].reshape(sel.size, y1 - y0, nx)
+                r2 = geo[:sel.size * a_box.shape[0]].reshape(sel.size, y1 - y0, nx)
                 np.add(np.square(ys[y0:y1] - pts[sel, 1, None])[:, :, None],
                        np.square(xs[c0:c1] - pts[sel, 0, None])[:, None, :], out=r2)
-                kern = _pcf_minus_one(pcf, r2, r_trunc).reshape(sel.size, -1)
-                out += A_data[sel].T @ (kern @ a_box)
-    return out
+                a_sel = A_data[sel].T
+                for i, kern in _kernels(models, r2, buf):
+                    outs[i] += a_sel @ (kern.reshape(sel.size, -1) @ a_box)
+    return outs
 
 
-def _data_sum(pcf, r_trunc, pts, A_data):
-    """Data-data block in square blocks of nodes; the kernel is symmetric, so each
-    off-diagonal block pair is evaluated once."""
+def _data_sum(models, pts, A_data):
+    """Data-data block per model in square blocks of nodes; the kernel is
+    symmetric, so each off-diagonal block pair is evaluated once."""
     n = pts.shape[0]
     b = math.isqrt(_PAIR_BLOCK)
-    out = np.zeros((A_data.shape[1],) * 2)
+    buf = np.empty(_PAIR_BLOCK)
+    outs = [np.zeros((A_data.shape[1],) * 2) for _ in models]
     for i0 in range(0, n, b):
-        p_i, a_i = pts[i0:i0 + b], A_data[i0:i0 + b]
+        p_i, a_i = pts[i0:i0 + b], A_data[i0:i0 + b].T
         for j0 in range(i0, n, b):
             p_j = pts[j0:j0 + b]
             r2 = np.square(p_i[:, 0, None] - p_j[None, :, 0])
             r2 += np.square(p_i[:, 1, None] - p_j[None, :, 1])
-            blk = a_i.T @ (_pcf_minus_one(pcf, r2, r_trunc) @ A_data[j0:j0 + b])
-            out += blk if j0 == i0 else blk + blk.T
-    return out
+            a_j = A_data[j0:j0 + b]
+            for i, kern in _kernels(models, r2, buf):
+                blk = a_i @ (kern @ a_j)
+                outs[i] += blk if j0 == i0 else blk + blk.T
+    return outs
 
 
 def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
-                   pcf: PcfModel) -> np.ndarray:
-    """Truncated double sum  sum_{i,j} a_i a_j^T [g(d_ij) - 1] over quadrature nodes.
+                   *pcfs: PcfModel) -> List[np.ndarray]:
+    """Truncated double sums  sum_{i,j} a_i a_j^T [g(d_ij) - 1] over quadrature nodes,
+    one symmetric (k, k) matrix per PCF model, in the order of ``pcfs``.
 
     ``a_vectors`` is (m, k).  The lattice block of the scheme is handled by FFT
     cross-correlation (exact, including the diagonal); the lattice-data block
     by direct sums over each tile of data nodes and the lattice box within the
-    truncation radius of it, and the data-data block by direct sums, both in
-    blocks of at most ``_PAIR_BLOCK`` pairs.
+    largest truncation radius of it, and the data-data block by direct sums,
+    both in blocks of at most ``_PAIR_BLOCK`` pairs.  The pair geometry of each
+    block is built once for all models; each model zeroes the pairs beyond its
+    own radius, and a model of radius 0 gets zeros without any pair work.
     """
     k = a_vectors.shape[1]
-    r_trunc = pcf.truncation_radius(quad.window)
-    if r_trunc <= 0.0:
-        return np.zeros((k, k))
+    radii = [pcf.truncation_radius(quad.window) for pcf in pcfs]
+    out = [np.zeros((k, k)) for _ in pcfs]
+    live = [i for i, radius in enumerate(radii) if radius > 0.0]
+    if not live:
+        return out
+    models = [(pcfs[i], -1.0 / pcfs[i].phi, radii[i]) for i in live]
     n_grid = quad.grid_n ** 2
     A_grid = a_vectors[:n_grid]
     A_data = a_vectors[n_grid:]
-    total = _lattice_sum(pcf, r_trunc, quad, A_grid)
+    totals = _lattice_sum(models, quad, A_grid)
     if A_data.shape[0]:
-        cross = _lattice_data_sum(pcf, r_trunc, quad, A_grid, A_data)
-        total += cross + cross.T + _data_sum(pcf, r_trunc, quad.nodes[n_grid:], A_data)
-    return 0.5 * (total + total.T)
+        crosses = _lattice_data_sum(models, quad, A_grid, A_data)
+        datas = _data_sum(models, quad.nodes[n_grid:], A_data)
+        for total, cross, data in zip(totals, crosses, datas):
+            total += cross + cross.T + data
+    for i, total in zip(live, totals):
+        out[i] = 0.5 * (total + total.T)
+    return out
 
 
 # -- K-function and minimum contrast -------------------------------------------

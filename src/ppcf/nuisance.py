@@ -43,10 +43,11 @@ training sums are direct and its node moments are linearly binned at
 grid nodes by at most 6e-7 to 3e-6 on W1 fields and by up to 6e-5 at the sparse
 tail nodes of a W2 product field (d and D2 by up to 3e-4 and 2e-3 there), a
 second-order error that falls about fourfold when the bins per cell double.  The
-interpolation itself is second order for the Gaussian kernel (1.8e-5 off the exact
-curve at 512 nodes on a W1 test fit, 8e-7 at 2048) but only first order near the
-kinks the order-4 quartic puts in the curve, as its slope jumps at the edges of
-its support (2.0e-3 on that fit at 512 nodes, 1.0e-4 at 2048).
+interpolation itself is second order for both kernels on a W1 test fit: the
+Gaussian's error is 1.8e-5 off the exact curve at 512 nodes and 8e-7 at 2048.
+The order-4 quartic's slope jumps at the edges of its support, which puts kinks
+into the curve: its error is about 100 times larger (2.0e-3 at 512 nodes, 1.05e-4
+at 2048) and falls unevenly, 2.3- to 5.7-fold per doubling from 256 to 4096 nodes.
 
 The profile optimizer reads the curve only through ``eta_all`` (value, d and
 D2 from one evaluation), once per theta it visits.  The q = 1 grid keeps no

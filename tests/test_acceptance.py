@@ -268,7 +268,7 @@ def test_criterion_10_truncated_double_sum_oracle():
     a[:, 0] = quad.weights * 50.0               # y = 1, lambda = 50, nu = 0
     # moderate sigma2 keeps the truncated tail nonzero but inside tolerance
     pcf = PcfModel("lgcp-exponential", sigma2=2.0, phi=0.02)
-    fast = pcf_correction(quad, a, pcf)
+    (fast,) = pcf_correction(quad, a, pcf)
     brute = pcf_double_sum_brute(quad, a, pcf, truncated=False)
     rel = float(np.max(np.abs(fast - brute)) / np.max(np.abs(brute)))
     ok = rel <= 1e-6

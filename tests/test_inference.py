@@ -6,6 +6,7 @@ import pytest
 
 from helpers import intensity_surface, k_function
 
+import ppcf.inference
 from ppcf.errors import InsufficientPointsError, SingularSensitivityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
@@ -67,7 +68,8 @@ def _sandwich(instance, theta, pcf):
     """(S, Sigma) from the semi-path sandwich terms and one PCF double sum."""
     spec, pattern, quad, nf, eta = instance
     S, a, _ = semi_sandwich_terms(spec, theta, eta, lambda Z: lfd_values(nf, theta, Z), quad)
-    return S, S + pcf_correction(quad, a, pcf)
+    (corr,) = pcf_correction(quad, a, pcf)
+    return S, S + corr
 
 
 # -- least favorable direction ----------------------------------------------------
@@ -217,7 +219,7 @@ def test_pcf_correction_matches_brute_force_truncated():
     quad = build_quadrature(pattern, 8)
     a = rng.normal(size=(quad.m(), 2))
     pcf = PcfModel("lgcp-exponential", sigma2=0.4, phi=0.07)
-    fast = pcf_correction(quad, a, pcf)
+    (fast,) = pcf_correction(quad, a, pcf)
     brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
     assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
 
@@ -246,7 +248,7 @@ def test_pcf_correction_pruned_sum_edge_cases(k, n_data, phi):
     pcf = PcfModel("lgcp-exponential", sigma2=0.8, phi=phi)
     assert pcf.truncation_radius(window) < 0.2 * window.height     # pruning active
     a = np.random.default_rng(n_data + k).normal(size=(quad.m(), k))
-    fast = pcf_correction(quad, a, pcf)
+    (fast,) = pcf_correction(quad, a, pcf)
     brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
     assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
 
@@ -259,9 +261,59 @@ def test_pcf_correction_keeps_pairs_at_exactly_r_trunc():
     assert pcf.truncation_radius(window) == 4.0
     quad = build_quadrature(PointPattern(window, np.array([[4.5, 0.5], [3.5, 7.5]])), 8)
     a = np.random.default_rng(3).normal(size=(quad.m(), 2))
-    fast = pcf_correction(quad, a, pcf)
+    (fast,) = pcf_correction(quad, a, pcf)
     brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
     assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
+
+
+def _mixed_models(window):
+    """Poisson, sigma2 = 0, a short range under the radius cap and a capped radius."""
+    models = [PcfModel("poisson"),
+              PcfModel("lgcp-exponential", sigma2=0.0, phi=0.2),
+              PcfModel("lgcp-exponential", sigma2=0.8, phi=0.005),
+              PcfModel("lgcp-exponential", sigma2=0.8, phi=2.0)]
+    cap = 0.5 * min(window.width, window.height)
+    radii = [m.truncation_radius(window) for m in models]
+    assert radii[:2] == [0.0, 0.0] and 0.0 < radii[2] < cap and radii[3] == cap
+    return models
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n_data", [0, 1, 60])
+def test_pcf_correction_several_models_in_one_call(n_data, reverse):
+    window, points = _offset_window_points()
+    quad = build_quadrature(PointPattern(window, points[:n_data]), 12)
+    models = _mixed_models(window)[::-1 if reverse else 1]
+    a = np.random.default_rng(n_data + 31).normal(size=(quad.m(), 3))
+    together = pcf_correction(quad, a, *models)
+    assert len(together) == len(models)
+    for pcf, fast in zip(models, together):
+        (alone,) = pcf_correction(quad, a, pcf)
+        assert np.allclose(fast, alone, rtol=1e-12, atol=0)
+        brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
+        assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
+
+
+def test_pcf_pair_geometry_built_once_for_every_model(monkeypatch):
+    window, points = _offset_window_points()
+    quad = build_quadrature(PointPattern(window, points), 12)
+    a = np.random.default_rng(5).normal(size=(quad.m(), 2))
+    capped = _mixed_models(window)[3]
+    calls = []
+    distances = ppcf.inference._pair_distances
+
+    def spy(r2, radii):
+        calls.append(r2.size)
+        return distances(r2, radii)
+
+    monkeypatch.setattr(ppcf.inference, "_pair_distances", spy)
+    pcf_correction(quad, a, capped)
+    single = list(calls)
+    calls.clear()
+    # the capped radius is the largest, so all three share its pair blocks
+    pcf_correction(quad, a, capped, PcfModel("lgcp-exponential", sigma2=0.8, phi=0.005),
+                   PcfModel("lgcp-exponential", sigma2=0.3, phi=0.03))
+    assert len(single) > 2 and calls == single
 
 
 def test_loewner_order_for_clustering_pcf(fitted_instance):

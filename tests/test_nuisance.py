@@ -500,8 +500,9 @@ def test_clip_counter_zero_on_interior_grid(fitted):
 
 def test_quartic_grid_matches_exact_path(fitted, monkeypatch):
     # the order-4 kernel is negative in places; the grid sums it like the exact
-    # path.  Its support edges put kinks into the curve, so linear interpolation
-    # converges at first order only: 2048 nodes reach the Gaussian test's 5e-4.
+    # path.  Its support edges put kinks into the curve, so the interpolation error,
+    # second order but about 100 times the Gaussian's (2.0e-3 at 512 nodes), needs
+    # 2048 nodes (1.05e-4) to reach the Gaussian test's 5e-4.
     spec, pattern, nf = fitted
     monkeypatch.setattr(ppcf.nuisance, "_GRID_SIZE", 2048)
     nf4 = NuisanceFit(spec, nf.quad, KernelSpec(4, 0.45))

@@ -10,6 +10,13 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import ppcf.inference
+from ppcf.fields import make_window
+from ppcf.model import build_quadrature
+from ppcf.process import PointPattern
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ppcf"
 CALLER_DIRS = ("src", "scripts", "perfbench")
@@ -68,14 +75,41 @@ def test_allow_list_is_current():
         assert definitions[qualified] not in used, f"{qualified} has a caller now"
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    # perfbench/spans.py wraps functions and methods by name; a name it pins that
-    # src/ppcf no longer defines breaks every traced benchmark run
+def _load_spans():
+    """perfbench's tracer module, loaded by path."""
     loader = importlib.util.spec_from_file_location("perfbench_spans",
                                                     ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # perfbench/spans.py wraps functions and methods by name; a name it pins that
+    # src/ppcf no longer defines breaks every traced benchmark run
+    spans = _load_spans()
     tracer = spans.Tracer()
     patched = spans.install(tracer)       # KeyError where a wrapped method is gone
     spans.uninstall(tracer, patched)
     assert patched and all(getattr(owner, attr) is fn for owner, attr, fn in patched)
+
+
+def test_benchmark_tracer_observes_pcf_correction_of_several_models():
+    # the tracer's observer reads the third positional argument of pcf_correction
+    # as a PcfModel; a signature it cannot read breaks every traced benchmark run
+    spans = _load_spans()
+    window = make_window(0.0, 0.0, 1.0, 1.0)
+    quad = build_quadrature(PointPattern(window, np.array([[0.3, 0.4], [0.7, 0.2]])), 8)
+    a = np.ones((quad.m(), 2))
+    poisson = ppcf.inference.PcfModel("poisson")
+    lgcp = ppcf.inference.PcfModel("lgcp-exponential", sigma2=0.5, phi=0.05)
+    tracer = spans.Tracer()
+    patched = spans.install(tracer)
+    try:
+        for models in ((poisson, lgcp), (lgcp, poisson)):
+            tracer.reset()
+            corrs = ppcf.inference.pcf_correction(quad, a, *models)
+            assert len(corrs) == 2
+            assert tracer.calls["inference.pcf_correction"] == 1
+    finally:
+        spans.uninstall(tracer, patched)
