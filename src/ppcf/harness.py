@@ -5,7 +5,9 @@ cross-fitting estimator (plus optional parametric and oracle baselines),
 estimates the asymptotic variance under the requested pair-correlation mode,
 and aggregates replications into table rows (bias x100, rMSE, mean SE,
 CP90/CP95).  Replication r uses seed ``base_seed + r``; records are reduced in
-replication order, so results are independent of the worker count.
+replication order, so results are independent of the worker count.  Replications
+and :func:`fit_file` share one fit path, and both record per-fold convergence and
+errors, nuisance clip counts and the PCF fit's warnings.
 """
 
 from __future__ import annotations
@@ -218,41 +220,16 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         spec, eta_full, pattern, seeds = simulate_scenario_inputs(s, rep)
         if pattern.count() == 0:
             return {"rep": rep, "ok": False, "error": "empty pattern"}
-        variants = _variants_for(s)
-        quad = build_quadrature(pattern, s.crossfit.grid_n)
-        record = {"rep": rep, "ok": True, "n_points": pattern.count(), "estimators": {}}
-
-        # per estimator: (full coefficient vector, S over all coords, a vectors,
-        # fitted intensity at the nodes)
-        fits: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-        if "semi" in s.estimators:
-            res, fits["semi"] = _fit_semi(spec, pattern, quad, s.crossfit, seeds[2] ^ 0x9E3779B9)
-            record["fold_convergence"] = {"semi": sum(f.converged for f in res.per_fold)}
-
-        k = spec.k
-        for name, form in (("para", "linear"), ("oracle", ("oracle", eta_full))):
-            if name not in s.estimators:
-                continue
-            pf = fit_parametric_baseline_full(spec, quad, form)
-            fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design),
-                          pf.lambda_nodes)
-
         pcfs = {"none": PcfModel("poisson"), "known": PcfModel(
-            "lgcp-exponential", sigma2=LGCP_GRF.variance, phi=LGCP_GRF.corr_range)}
-        if "estimated" in variants:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                # plug-in: the first estimator's intensity at the data nodes
-                lam = next(iter(fits.values()))[3]
-                pcfs["estimated"] = estimate_pcf(pattern, lam[quad.is_data])
-        reports = _wald_reports(fits, {v: pcfs[v] for v in variants}, quad, k)
-        for name, (coef, *_) in fits.items():
-            record["estimators"][name] = {
-                "theta": float(np.atleast_1d(coef)[0]),
-                "variants": _variant_summary(reports[name]),
-            }
-        return record
+            "lgcp-exponential", sigma2=LGCP_GRF.variance, phi=LGCP_GRF.corr_range),
+            "estimated": None}
+        reports, record, _, _ = _fit_pattern(
+            spec, pattern, s.crossfit, seeds[2] ^ 0x9E3779B9,
+            {v: pcfs[v] for v in _variants_for(s)}, s.estimators, eta_full)
+        return {"rep": rep, "ok": True, **record, "estimators": {
+            name: {"theta": float(next(iter(by_pcf.values())).theta_hat[0]),
+                   "variants": _variant_summary(by_pcf)}
+            for name, by_pcf in reports.items()}}
     except (NonConvergenceError, SingularHessianError, SingularSensitivityError,
             BoundViolationError, InsufficientPointsError, NonpositiveIntensityError,
             ZeroMassError, ZeroDenominatorError, DecompositionError,
@@ -260,18 +237,48 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _fit_semi(spec: ModelSpec, pattern: PointPattern, quad, cfg: CrossFitConfig, seed: int):
-    """Cross-fit theta with thinning ``seed``; return the result and its
-    (theta, S, a, fitted intensity at the nodes of ``quad``).
+def _fit_pattern(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig, seed: int,
+                 pcfs: Dict[str, Optional[PcfModel]], estimators=("semi",), eta_true=None,
+                 levels=(0.9, 0.95)):
+    """Fit the requested estimators on one pattern and report them under each PCF.
 
-    The least favorable direction is the theta-derivative of the curve fitted on
-    the full pattern with the fold kernel and the full-pattern quadrature ``quad``.
+    ``semi`` cross-fits theta with thinning ``seed`` and takes its least favorable
+    direction from the curve fitted on the full pattern; ``para`` fits eta as linear,
+    ``oracle`` takes ``eta_true`` as known.  A PCF given as None is estimated from the
+    first estimator's intensity at the data nodes, its warnings caught, not shown.
+    Returns (reports per estimator and PCF name, record, semi curve or None, caught
+    warnings); the record holds JSON values only and is every report's diagnostics.
     """
-    res = cross_fit(spec, pattern, cfg, seed)
-    theta, eta_fn = res.theta_hat, res.eta_hat
-    nf = NuisanceFit(spec, quad, cfg.resolve_kernel(spec), scale=1.0)
-    return res, (theta, *semi_sandwich_terms(spec, theta, eta_fn,
-                                             lambda Z: lfd_values(nf, theta, Z), quad))
+    quad = build_quadrature(pattern, cfg.grid_n)
+    # per estimator: (coefficients, S over all coords, a vectors, intensity at the nodes)
+    fits: Dict[str, Tuple] = {}
+    folds, eta_hat = [], None
+    if "semi" in estimators:
+        res = cross_fit(spec, pattern, cfg, seed)
+        folds, theta, eta_hat = res.per_fold, res.theta_hat, res.eta_hat
+        nf = NuisanceFit(spec, quad, cfg.resolve_kernel(spec), scale=1.0)
+        fits["semi"] = (theta, *semi_sandwich_terms(spec, theta, eta_hat,
+                                                    lambda Z: lfd_values(nf, theta, Z), quad))
+        del nf  # the full-pattern curve serves the LFD only; free it before the PCF sums
+    for name, form in (("para", "linear"), ("oracle", ("oracle", eta_true))):
+        if name in estimators:
+            pf = fit_parametric_baseline_full(spec, quad, form)
+            fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design),
+                          pf.lambda_nodes)
+    caught = []
+    if None in pcfs.values():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lam = next(iter(fits.values()))[3]
+            estimated = estimate_pcf(pattern, lam[quad.is_data])
+        pcfs = {v: estimated if pcf is None else pcf for v, pcf in pcfs.items()}
+    record = {"fold_convergence": [f.converged for f in folds], "n_points": pattern.count(),
+              "clip_counts": [f.nuisance.diagnostics["clip_count"] for f in folds
+                              if f.nuisance is not None],
+              "fold_errors": [f.error for f in folds],
+              "pcf_warnings": [str(w.message) for w in caught]}
+    reports = _wald_reports(fits, pcfs, quad, spec.k, levels=levels, diagnostics=record)
+    return reports, record, eta_hat, caught
 
 
 def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: int,
@@ -509,6 +516,8 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
     Options merge as in :func:`resolve_fit_options` (``overrides`` are the
     given values).  Writes a one-row summary CSV, a JSON-line record, and a
     1-d lattice dump of the fitted nuisance curve when ``out_prefix`` is given.
+    The record's ``diagnostics`` add ``fold_errors`` (None for a converged fold)
+    and ``pcf_warnings``; those warnings are also shown, as the PCF fit raised them.
     """
     opts, run_cfg, pcf = resolve_fit_options(config_path, overrides)
     pattern = read_pattern_file(pattern_path)
@@ -527,22 +536,13 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
         raise InsufficientPointsError("pattern file contains no points")
 
     spec = log_linear_model(y_fields, z_fields)
-    quad = build_quadrature(pattern, run_cfg.grid_n)
-    result, semi = _fit_semi(spec, pattern, quad, run_cfg, opts["seed"])
-    if pcf is None:
-        pcf = estimate_pcf(pattern, semi[3][quad.is_data])
-
-    diagnostics = {
-        "fold_convergence": [f.converged for f in result.per_fold],
-        "n_points": pattern.count(),
-        "clip_counts": [f.nuisance.diagnostics["clip_count"] for f in result.per_fold
-                        if f.nuisance is not None],
-    }
-    report = _wald_reports({"semi": semi}, {"fit": pcf}, quad, spec.k,
-                           levels=tuple(opts["levels"]), diagnostics=diagnostics)["semi"]["fit"]
-
+    reports, _, eta_hat, caught = _fit_pattern(spec, pattern, run_cfg, opts["seed"],
+                                               {"fit": pcf}, levels=tuple(opts["levels"]))
+    for w in caught:  # shown as the PCF fit raised them
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    report = reports["semi"]["fit"]
     if out_prefix is not None:
-        _write_fit_outputs(report, spec, pattern, result.eta_hat, str(out_prefix))
+        _write_fit_outputs(report, spec, pattern, eta_hat, str(out_prefix))
     return report
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import (
     DecompositionError,
     InsufficientPointsError,
+    NonConvergenceError,
     NonFiniteFieldError,
     WindowMismatchError,
 )
@@ -278,3 +280,97 @@ def test_lgcp_scenario_runs_and_reports_starred():
     row = rows["semi"]
     assert row.mean_se_star is not None
     assert row.mean_se > 0 and row.mean_se_star > 0
+
+
+# -- the one fit path ---------------------------------------------------------------
+
+FALLBACK = "degenerate PCF fit; returning Poisson family"
+
+
+def _poisson_fallback(pattern, lam):
+    warnings.warn(FALLBACK)
+    return PcfModel("poisson")
+
+
+def test_pcf_fallback_is_recorded_by_replications(monkeypatch):
+    import ppcf.harness
+
+    monkeypatch.setattr(ppcf.harness, "estimate_pcf", _poisson_fallback)
+    s = Scenario(reps=1, base_seed=4040, pcf_mode="estimated")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run_replication(s, 0)
+    assert rec["pcf_warnings"] == [FALLBACK]
+    assert rec["estimators"]["semi"]["variants"]["estimated"]["pcf_family"] == "poisson"
+
+
+def test_pcf_fallback_is_shown_and_written_by_fit_file(monkeypatch, tmp_path):
+    import ppcf.harness
+
+    monkeypatch.setattr(ppcf.harness, "estimate_pcf", _poisson_fallback)
+    paths = emit_scenario_files(Scenario(window="W1", reps=1, base_seed=555), 0, tmp_path)
+    with pytest.warns(UserWarning, match=FALLBACK) as shown:
+        fit_file(paths["pattern"], [paths["y0"]], [paths["z0"]],
+                 overrides={"grid_n": 32, "pcf": "estimated"}, out_prefix=str(tmp_path / "fit"))
+    assert [str(w.message) for w in shown] == [FALLBACK]
+    summary = json.loads((tmp_path / "fit_summary.jsonl").read_text())
+    assert summary["diagnostics"]["pcf_warnings"] == [FALLBACK]
+    assert list(summary["diagnostics"])[:3] == ["fold_convergence", "n_points", "clip_counts"]
+
+
+def test_warnings_before_the_pcf_fit_reach_the_caller(monkeypatch):
+    import ppcf.harness
+
+    real_cross_fit = ppcf.harness.cross_fit
+
+    def warn_first(*args):
+        warnings.warn("raised in the cross-fit", RuntimeWarning)
+        return real_cross_fit(*args)
+
+    monkeypatch.setattr(ppcf.harness, "estimate_pcf", _poisson_fallback)
+    monkeypatch.setattr(ppcf.harness, "cross_fit", warn_first)
+    with pytest.warns(RuntimeWarning, match="raised in the cross-fit") as shown:
+        rec = run_replication(Scenario(reps=1, base_seed=4040, pcf_mode="estimated"), 0)
+    assert [str(w.message) for w in shown] == ["raised in the cross-fit"]
+    assert rec["ok"] and rec["pcf_warnings"] == [FALLBACK]
+
+
+def test_fold_errors_are_recorded(monkeypatch):
+    import ppcf.crossfit
+
+    real_maximize = ppcf.crossfit.profile_maximize
+    calls = []
+
+    def fail_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NonConvergenceError("injected")
+        return real_maximize(*args)
+
+    monkeypatch.setattr(ppcf.crossfit, "profile_maximize", fail_first)
+    s = Scenario(reps=1, base_seed=4040, crossfit=replace(Scenario().crossfit, n_folds=2))
+    rec = run_replication(s, 0)
+    assert rec["ok"]
+    assert rec["fold_convergence"] == [False, True]
+    assert rec["fold_errors"] == ["NonConvergenceError: injected", None]
+    assert len(rec["clip_counts"]) == 2
+
+
+@pytest.mark.parametrize("process, pcf", [
+    ("poisson", {"pcf": "none"}),
+    ("lgcp", {"pcf": "known", "pcf_sigma2": 0.2, "pcf_phi": 0.2}),
+])
+def test_fit_file_agrees_with_run_replication(tmp_path, process, pcf):
+    # the same pattern, configuration and thinning seed give the same theta and SE
+    s = Scenario(window="W1", process=process, pcf_mode=pcf["pcf"], reps=1, base_seed=2024)
+    rec = run_replication(s, 0)
+    (variant, summary), = rec["estimators"]["semi"]["variants"].items()
+    paths = emit_scenario_files(s, 0, tmp_path)
+    seeds = simulate_scenario_inputs(s, 0)[3]
+    report = fit_file(paths["pattern"], [paths["y0"]], [paths["z0"]], overrides={
+        **pcf, "grid_n": s.crossfit.grid_n, "bandwidth_c0": s.crossfit.bandwidth_c0,
+        "seed": seeds[2] ^ 0x9E3779B9})
+    assert variant == pcf["pcf"]
+    assert float(report.theta_hat[0]) == rec["estimators"]["semi"]["theta"]
+    assert float(report.se[0]) == summary["se"]
+    assert report.diagnostics["fold_convergence"] == rec["fold_convergence"]
