@@ -8,7 +8,10 @@ circulant embedding: the lattice covariance is embedded in a stationary covarian
 on a torus of periods 2 ny x 2 nx lattice steps, whose eigenvalues are one FFT of
 its first row, and both periods are doubled until those eigenvalues are
 non-negative, which makes the draw exact (Wood & Chan 1994; Dietrich & Newsam
-1997).  A draw is deterministic given the seed.
+1997).  A draw filters real white noise on the torus by the square roots of the
+eigenvalues; as they are even, the filter runs on the half spectrum of one real
+FFT (``rfft2``/``irfft2``), the same draw as the complex transform at half its
+work and memory.  A draw is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .errors import (
     ParseError,
 )
 
-# circulant embedding is not enlarged past this many torus nodes (64 MB per
-# complex array); W1 at 256 x 256 and range 0.2 needs 1024 x 1024
+# circulant embedding is not enlarged past this many torus nodes (32 MB for the
+# half spectrum of a draw); W1 at 256 x 256 and range 0.2 needs 1024 x 1024
 _MAX_TORUS_NODES = 2048 * 2048
 _JITTER = 1e-10
 _CLAMP_SD = 6.0
@@ -169,6 +172,9 @@ def _circulant_sqrt_eigs(window: Window, nx: int, ny: int, spec: GrfSpec) -> np.
         base = spec.covariance(np.hypot(di[:, None], dj[None, :]))
         base[0, 0] += _JITTER * spec.variance
         lam = np.fft.fft2(base).real
+        # even in both axes, as base is: averaged with its reflection so that the
+        # rounding of the FFT leaves it exactly even, and a half spectrum holds it
+        lam = 0.5 * (lam + np.roll(lam[::-1, ::-1], 1, axis=(0, 1)))
         if lam.min() >= -1e-8 * lam.max():
             break
         if 4 * m * n > _MAX_TORUS_NODES:
@@ -195,8 +201,10 @@ def simulate_grf(window: Window, nx: int, ny: int, spec: GrfSpec, seed: int) -> 
         values = np.full((ny, nx), spec.mean)
         return GridField(window, nx, ny, values)
     sqrt_lam = _circulant_sqrt_eigs(window, nx, ny, spec)
-    noise = rng.standard_normal(sqrt_lam.shape)
-    fluct = np.fft.ifft2(sqrt_lam * np.fft.fft2(noise)).real[:ny, :nx]
+    m, n = sqrt_lam.shape
+    spectrum = np.fft.rfft2(rng.standard_normal((m, n)))    # the half spectrum
+    spectrum *= sqrt_lam[:, :n // 2 + 1]
+    fluct = np.fft.irfft2(spectrum, s=(m, n))[:ny, :nx]
     sd = np.sqrt(spec.variance)
     fluct = np.clip(fluct, -_CLAMP_SD * sd, _CLAMP_SD * sd)
     return GridField(window, nx, ny, spec.mean + fluct)

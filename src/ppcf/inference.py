@@ -120,7 +120,7 @@ def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: Quadr
     d/deta [nu].
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    Y, Z = spec.covariates_at(quad.nodes)
+    Y, Z = spec.scheme_covariates(quad)
     gamma = np.asarray(eta_hat(Z), dtype=float)
     nu = np.asarray(nu_hat(Z), dtype=float)
     lam, grads, _ = _log_derivatives(spec, theta_hat, Y, gamma, nu)

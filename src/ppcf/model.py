@@ -97,6 +97,7 @@ class ModelSpec:
         self.window: Window = window
         self.k = len(self.target_fields)
         self.q = len(self.nuisance_fields)
+        self._lattice = {}   # grid_n -> (Y, Z) at the window's quadrature lattice
         if link == "log-linear":
             self.psi = _exp_link()
             self._tau = None
@@ -115,6 +116,24 @@ class ModelSpec:
         Y = np.column_stack([f.evaluate_points(pts) for f in self.target_fields])
         Z = np.column_stack([f.evaluate_points(pts) for f in self.nuisance_fields])
         return Y, Z
+
+    def scheme_covariates(self, scheme):
+        """(Y, Z) at the nodes of a node scheme, equal to ``covariates_at(scheme.nodes)``.
+
+        A :class:`QuadratureScheme` on the spec's window starts with the lattice
+        of its ``grid_n``, which every such scheme shares: the first such scheme
+        keeps its lattice rows, and later ones read only their data rows.
+        """
+        if not (isinstance(scheme, QuadratureScheme) and scheme.window == self.window):
+            return self.covariates_at(scheme.nodes)
+        g2 = scheme.grid_n ** 2
+        lattice = self._lattice.get(scheme.grid_n)
+        if lattice is None:
+            Y, Z = self.covariates_at(scheme.nodes)
+            self._lattice[scheme.grid_n] = Y[:g2].copy(), Z[:g2].copy()
+            return Y, Z
+        Y, Z = self.covariates_at(scheme.nodes[g2:])
+        return np.vstack([lattice[0], Y]), np.vstack([lattice[1], Z])
 
     # -- tau and lambda ---------------------------------------------------
 
@@ -332,7 +351,7 @@ def pseudo_likelihood(spec: ModelSpec, eta_curve, scheme, scale: float):
     ``scale`` multiplies the modeled intensity (the thinning fraction of the
     fitted sub-process).
     """
-    Y, Z = spec.covariates_at(scheme.nodes)
+    Y, Z = spec.scheme_covariates(scheme)
 
     def derivatives(theta):
         lam, dlog, d2log = _log_derivatives(spec, theta, Y, *eta_curve.eta_all(theta, Z))
@@ -445,7 +464,7 @@ def fit_parametric_baseline_full(spec: ModelSpec, quad: QuadratureScheme,
     """
     if spec.link != "log-linear":
         raise ValueError("parametric baselines require the log-linear link")
-    Y, Z = spec.covariates_at(quad.nodes)
+    Y, Z = spec.scheme_covariates(quad)
     m = Y.shape[0]
     n = int(quad.is_data.sum())
     area = quad.window.area()

@@ -281,13 +281,19 @@ def _tilted_moments(M, k, order):
     return den, -mu, mu[:, :, None] * mu[:, None, :] - M[:, 1 + k:].reshape(-1, k, k)
 
 
-def _interp(x, xp, fp):
-    """Linear interpolation of fp (len(xp), ...) on the uniform grid xp at x, constant
-    beyond the ends of xp (as np.interp)."""
+def _interpolator(x, xp):
+    """Linear interpolation on the uniform grid xp at x, constant beyond the ends of
+    xp (as np.interp): a map fp (len(xp), ...) -> values at x, its positions and
+    weights computed once for every fp it is applied to."""
     pos = np.clip((x - xp[0]) * ((xp.size - 1) / (xp[-1] - xp[0])), 0.0, xp.size - 1.0)
     i = np.minimum(pos.astype(np.intp), xp.size - 2)
-    t = (pos - i).reshape((-1,) + (1,) * (fp.ndim - 1))
-    return fp[i] + t * (fp[i + 1] - fp[i])
+    t = pos - i
+
+    def at(fp):
+        tt = t.reshape((-1,) + (1,) * (fp.ndim - 1))
+        return fp[i] + tt * (fp[i + 1] - fp[i])
+
+    return at
 
 
 class NuisanceFit:
@@ -315,7 +321,7 @@ class NuisanceFit:
         self.q = spec.q
         self.diagnostics = {"clip_count": 0, "empty_numerator": 0}
 
-        self.Y_nodes, Z_nodes = spec.covariates_at(quad.nodes)
+        self.Y_nodes, Z_nodes = spec.scheme_covariates(quad)
         self.Y_train, Z_train = self.Y_nodes[quad.is_data], Z_nodes[quad.is_data]
         self.weights = quad.weights
 
@@ -536,7 +542,8 @@ class NuisanceFit:
         if self.spec.link == "log-linear":
             cols = _tilted_columns(theta, self.Y_nodes, order)
             sums = _Sums(sums.train, sums.mass, sums.moments(cols))
-        return tuple(None if v is None else _interp(zs, self._grid, v)
+        at = _interpolator(zs, self._grid)
+        return tuple(None if v is None else at(v)
                      for v in self._solve(theta, sums, order, strict=False))
 
     def eta_at(self, theta, Z) -> np.ndarray:

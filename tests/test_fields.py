@@ -141,6 +141,23 @@ def test_grf_enlarged_embedding_samples():
     assert f.values.std() > 0
 
 
+@pytest.mark.parametrize("nx, ny, corr_range", [
+    (40, 24, 0.05),       # minimal torus
+    (256, 256, 0.2),      # the enlarged torus above
+])
+def test_grf_real_fft_draw_equals_the_complex_filter(nx, ny, corr_range):
+    # the same noise filtered by the full complex transform
+    w = make_window(0, 0, 1, 1)
+    spec = GrfSpec(1.5, corr_range, mean=0.5)
+    sqrt_lam = ppcf.fields._circulant_sqrt_eigs(w, nx, ny, spec)
+    noise = np.random.default_rng(7).standard_normal(sqrt_lam.shape)
+    fluct = np.fft.ifft2(sqrt_lam * np.fft.fft2(noise)).real[:ny, :nx]
+    sd = math.sqrt(spec.variance)
+    want = spec.mean + np.clip(fluct, -6.0 * sd, 6.0 * sd)
+    got = simulate_grf(w, nx, ny, spec, seed=7).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * sd
+
+
 def test_circulant_embedding_bounded(monkeypatch):
     # 24 x 24 at range 0.5 needs a 96 x 96 torus; past the bound it raises
     monkeypatch.setattr(ppcf.fields, "_MAX_TORUS_NODES", 48 * 48)

@@ -16,7 +16,7 @@ from ppcf.errors import (
     NonFiniteFieldError,
     WindowMismatchError,
 )
-from ppcf.fields import make_window, read_grid_file, write_grid_file
+from ppcf.fields import GridField, make_window, read_grid_file, write_grid_file
 from ppcf.harness import (
     HARNESS_BANDWIDTH_C0,
     Scenario,
@@ -103,6 +103,28 @@ def test_records_deterministic_across_parallelism():
     _, rec1 = run_scenario_records(s, parallelism=1)
     _, rec2 = run_scenario_records(s, parallelism=2)
     assert json.dumps(rec1, sort_keys=True) == json.dumps(rec2, sort_keys=True)
+
+
+def test_replication_reads_each_field_at_the_lattice_once(monkeypatch):
+    # the six quadratures of a W1 Poisson replication (per fold a nuisance and a
+    # fit quadrature, the full-pattern nuisance, the sandwich) share one lattice
+    calls = []
+    read = GridField.evaluate_points
+
+    def spy(self, points):
+        calls.append((self, np.array(points, dtype=float).reshape(-1, 2)))
+        return read(self, points)
+
+    monkeypatch.setattr(GridField, "evaluate_points", spy)
+    s = Scenario(reps=1)
+    assert run_replication(s, 0)["ok"]
+    grid_n = s.crossfit.grid_n
+    lattice = build_quadrature(PointPattern(s.the_window(), np.empty((0, 2))), grid_n).nodes
+    key = lambda pts: pts[:, 0] + 1j * pts[:, 1]
+    seen = {}
+    for field, pts in calls:
+        seen[field] = seen.get(field, 0) + int(np.isin(key(pts), key(lattice)).sum())
+    assert len(seen) == 2 and all(count == grid_n ** 2 for count in seen.values())
 
 
 def test_run_table_shapes_and_roundtrip(tmp_path):

@@ -20,7 +20,7 @@ from ppcf.model import (
     profile_maximize,
     pseudo_likelihood,
 )
-from ppcf.process import PointPattern, constant_surface, simulate_poisson
+from ppcf.process import PointPattern, constant_surface, fold, simulate_poisson, v_fold_thin
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -104,6 +104,27 @@ def test_quadrature_weights_sum_to_area(grid_n, n_pts, seed):
     quad = build_quadrature(pat, grid_n)
     assert abs(quad.weights.sum() - w.area()) <= 1e-9 * w.area()
     assert quad.is_data.sum() == n_pts
+
+
+def test_scheme_covariates_equal_a_direct_read(small_pattern):
+    # a fresh spec, so the first quadrature fills the lattice memo and later
+    # ones on the same window and grid_n read it
+    spec = log_linear_model([simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=101)],
+                            [simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=202)])
+    marked = v_fold_thin(small_pattern, 2, seed=3)
+    sub = make_window(0.25, 0.1, 0.75, 0.9)
+    inside = sub.contains(small_pattern.points[:, 0], small_pattern.points[:, 1])
+    schemes = [
+        build_quadrature(small_pattern, 32),                      # fills the memo
+        build_quadrature(fold(marked, 1), 32),                    # reads it
+        build_quadrature(small_pattern, 16),                      # a second grid_n
+        build_logistic_scheme(small_pattern, 400.0, seed=5),
+        build_quadrature(PointPattern(sub, small_pattern.points[inside]), 32),
+    ]
+    for scheme in schemes:
+        got, want = spec.scheme_covariates(scheme), spec.covariates_at(scheme.nodes)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 # -- pseudo-log-likelihood ---------------------------------------------------
