@@ -122,7 +122,7 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
     """
     if pattern.count() == 0:
         raise InsufficientPointsError("cannot cross-fit an empty pattern")
-    if cfg.skip_thinning and spec.link != "log-linear":
+    if cfg.skip_thinning and not spec.log_linear:
         raise ValueError("skip_thinning is permitted only under the log-linear link")
     kernel = cfg.resolve_kernel(spec)
     seeds = np.random.SeedSequence(seed).spawn(1 + cfg.n_folds)

@@ -54,7 +54,6 @@ from .model import (
     ModelSpec,
     build_quadrature,
     fit_parametric_baseline_full,
-    log_linear_model,
 )
 from .nuisance import NuisanceFit
 from .process import (
@@ -148,7 +147,7 @@ def simulate_scenario_inputs(s: Scenario, rep: int):
     f2 = simulate_grf(w, n_lat, n_lat, COVARIATE_GRF, seeds[1])
     y_field = f1
     z_field = f2 if s.covariates == "ind" else field_product(f1, f2)
-    spec = log_linear_model([y_field], [z_field])
+    spec = ModelSpec([y_field], [z_field])
     base_fn = NUISANCE_FNS[s.nuisance]
 
     def eta_full(Z):
@@ -159,13 +158,7 @@ def simulate_scenario_inputs(s: Scenario, rep: int):
     if s.process == "poisson":
         pattern = simulate_poisson(surface, seeds[2])
     else:
-        sigma2 = LGCP_GRF.variance
-        # compensate the -2/sigma^2 offset so the conditional intensity is
-        # lambda * exp(G - sigma^2 / 2), i.e. unconditional intensity lambda
-        factor = math.exp(2.0 / sigma2 - sigma2 / 2.0)
-        base = IntensitySurface(w, lambda pts, _f=surface.func: factor * np.asarray(_f(pts)),
-                                surface.sup_bound * factor)
-        pattern = simulate_lgcp(base, LGCP_GRF, n_lat, n_lat, seeds[3])
+        pattern = simulate_lgcp(surface, LGCP_GRF, n_lat, n_lat, seeds[3])
     return spec, eta_full, pattern, seeds
 
 
@@ -535,7 +528,7 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
     if pattern.count() == 0:
         raise InsufficientPointsError("pattern file contains no points")
 
-    spec = log_linear_model(y_fields, z_fields)
+    spec = ModelSpec(y_fields, z_fields)
     reports, _, eta_hat, caught = _fit_pattern(spec, pattern, run_cfg, opts["seed"],
                                                {"fit": pcf}, levels=tuple(opts["levels"]))
     for w in caught:  # shown as the PCF fit raised them

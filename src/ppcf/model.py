@@ -1,10 +1,12 @@
 """Intensity model specification, the pseudo-likelihood objective, and the profile optimizer.
 
-The intensity is ``lambda(u) = Psi[tau_theta(y(u)), eta(z(u))]``.  The log-linear
-link fixes ``Psi = exp`` and ``tau_theta(y) = theta . y``; general links supply
-``tau`` (with analytic theta-gradient and Hessian) and ``Psi`` (with first and
-second partials in both arguments), which are cross-checked against finite
-differences at construction (the built-in exp link is not).
+The intensity is ``lambda(u) = Psi[tau_theta(y(u)), eta(z(u))]``.  A :class:`Link`
+holds the whole link: ``tau`` with its analytic theta-gradient and Hessian, and
+``Psi`` with its first and second partials in both arguments.  ``LOG_LINEAR``,
+``Psi = exp`` and ``tau_theta(y) = theta . y``, is the default of
+:class:`ModelSpec` and the one link with closed-form paths (``spec.log_linear``);
+any other link, an equal-valued copy of ``LOG_LINEAR`` included, takes the general
+paths and is cross-checked against finite differences when the spec is built.
 
 theta is fitted on a scheme of nodes u_j, some of them the data points, by
 maximizing the sum over the nodes of one loss l_j in log lambda_j.  Each scheme
@@ -47,9 +49,13 @@ from .process import PointPattern, constant_surface, simulate_poisson
 
 
 @dataclass(frozen=True)
-class LinkFunctions:
-    """Link Psi(t, g) and its first/second partial derivatives, vectorized."""
+class Link:
+    """tau_theta(y) with its theta-gradient (n, k) and Hessian (n, k, k), each called
+    as f(theta, Y), and Psi(t, g) with its first and second partials, vectorized."""
 
+    tau: Callable
+    tau_grad: Callable
+    tau_hess: Callable
     psi: Callable
     dpsi_dt: Callable
     dpsi_dg: Callable
@@ -58,9 +64,13 @@ class LinkFunctions:
     d2psi_dgg: Callable
 
 
-def _exp_link() -> LinkFunctions:
-    e = lambda t, g: np.exp(t + g)
-    return LinkFunctions(e, e, e, e, e, e)
+def _exp(t, g):
+    return np.exp(t + g)
+
+
+LOG_LINEAR = Link(lambda theta, Y: Y @ theta, lambda theta, Y: Y,
+                  lambda theta, Y: np.zeros((Y.shape[0], Y.shape[1], Y.shape[1])),
+                  _exp, _exp, _exp, _exp, _exp, _exp)
 
 
 def _fd_check(fn, dfn, pts, step=1e-6, rtol=1e-4, what=""):
@@ -77,14 +87,12 @@ class ModelSpec:
     """Semiparametric intensity model over lattice covariate fields.
 
     ``target_fields`` (length k) feed tau_theta; ``nuisance_fields`` (length q)
-    feed the nonparametric curve.  All fields must share one window.
+    feed the nonparametric curve.  All fields must share one window.  A ``link``
+    other than ``LOG_LINEAR`` is checked against finite differences here.
     """
 
-    def __init__(self, link: str, target_fields: Sequence[GridField],
-                 nuisance_fields: Sequence[GridField],
-                 tau=None, tau_grad=None, tau_hess=None, psi: LinkFunctions = None):
-        if link not in ("log-linear", "general"):
-            raise ValueError(f"unknown link {link!r}")
+    def __init__(self, target_fields: Sequence[GridField],
+                 nuisance_fields: Sequence[GridField], link: Link = LOG_LINEAR):
         if not target_fields or not nuisance_fields:
             raise ValueError("need at least one target and one nuisance field")
         fields = list(target_fields) + list(nuisance_fields)
@@ -92,20 +100,14 @@ class ModelSpec:
         if any(f.window != window for f in fields):
             raise ValueError("all covariate fields must share one window")
         self.link = link
+        self.log_linear = link is LOG_LINEAR     # the closed-form paths
         self.target_fields = tuple(target_fields)
         self.nuisance_fields = tuple(nuisance_fields)
         self.window: Window = window
         self.k = len(self.target_fields)
         self.q = len(self.nuisance_fields)
         self._lattice = {}   # grid_n -> (Y, Z) at the window's quadrature lattice
-        if link == "log-linear":
-            self.psi = _exp_link()
-            self._tau = None
-        else:
-            if tau is None or tau_grad is None or tau_hess is None or psi is None:
-                raise ValueError("general link requires tau, tau_grad, tau_hess and psi")
-            self.psi = psi
-            self._tau = (tau, tau_grad, tau_hess)
+        if not self.log_linear:
             self._validate_derivatives()
 
     # -- covariates ------------------------------------------------------
@@ -138,24 +140,16 @@ class ModelSpec:
     # -- tau and lambda ---------------------------------------------------
 
     def tau(self, theta, Y):
-        theta = np.asarray(theta, dtype=float)
-        if self.link == "log-linear":
-            return Y @ theta
-        return np.asarray(self._tau[0](theta, Y), dtype=float)
+        return np.asarray(self.link.tau(np.asarray(theta, dtype=float), Y), dtype=float)
 
     def tau_grad(self, theta, Y):
-        if self.link == "log-linear":
-            return np.asarray(Y, dtype=float)
-        return np.asarray(self._tau[1](theta, Y), dtype=float)
+        return np.asarray(self.link.tau_grad(theta, Y), dtype=float)
 
     def tau_hess(self, theta, Y):
-        n = Y.shape[0]
-        if self.link == "log-linear":
-            return np.zeros((n, self.k, self.k))
-        return np.asarray(self._tau[2](theta, Y), dtype=float)
+        return np.asarray(self.link.tau_hess(theta, Y), dtype=float)
 
     def lambda_values(self, theta, Y, gamma):
-        return self.psi.psi(self.tau(theta, Y), gamma)
+        return self.link.psi(self.tau(theta, Y), gamma)
 
     def intensity(self, theta, eta_fn):
         """The intensity u -> lambda(u) on (n, 2) points at theta and a z -> eta function."""
@@ -171,7 +165,7 @@ class ModelSpec:
         rng = np.random.default_rng(12345)
         ts = rng.normal(size=5)
         gs = rng.normal(size=5)
-        p = self.psi
+        p = self.link
         for t0, g0 in zip(ts, gs):
             _fd_check(lambda t: p.psi(t, g0), lambda t: p.dpsi_dt(t, g0), [t0], what="dPsi/dt")
             _fd_check(lambda g: p.psi(t0, g), lambda g: p.dpsi_dg(t0, g), [g0], what="dPsi/dg")
@@ -195,18 +189,6 @@ class ModelSpec:
             h_num = (self.tau_grad(theta0 + e, Y) - self.tau_grad(theta0 - e, Y)) / (2 * step)
             if not np.allclose(h_num, h_ana[:, :, i], rtol=1e-4, atol=1e-6):
                 raise ValueError("tau_hess disagrees with finite differences")
-
-
-def log_linear_model(target_fields, nuisance_fields) -> ModelSpec:
-    return ModelSpec("log-linear", target_fields, nuisance_fields)
-
-
-def general_model(target_fields, nuisance_fields, tau, tau_grad, tau_hess,
-                  psi: LinkFunctions) -> ModelSpec:
-    return ModelSpec("general", target_fields, nuisance_fields,
-                     tau=tau, tau_grad=tau_grad, tau_hess=tau_hess, psi=psi)
-
-
 
 
 # -- node schemes ------------------------------------------------------------
@@ -297,11 +279,11 @@ def _log_derivatives(spec: ModelSpec, theta, Y, gamma, d, d2=None):
     theta-derivatives of log lambda along theta -> (theta, eta_theta), where d
     and d2 are the curve's theta-derivatives; d2log is None when d2 is."""
     theta = np.asarray(theta, dtype=float)
-    if spec.link == "log-linear":
+    if spec.log_linear:
         return np.exp(Y @ theta + gamma), Y + d, d2
     t = spec.tau(theta, Y)
     g = spec.tau_grad(theta, Y)                                # (m, k)
-    p = spec.psi
+    p = spec.link
     lam = p.psi(t, gamma)
     lt = p.dpsi_dt(t, gamma)
     lg = p.dpsi_dg(t, gamma)
@@ -462,7 +444,7 @@ def fit_parametric_baseline_full(spec: ModelSpec, quad: QuadratureScheme,
     lambda = exp(X coef + offset) maximizes the quadrature node loss, with
     dlog = X.
     """
-    if spec.link != "log-linear":
+    if not spec.log_linear:
         raise ValueError("parametric baselines require the log-linear link")
     Y, Z = spec.scheme_covariates(quad)
     m = Y.shape[0]

@@ -24,12 +24,12 @@ mean intensity.  Covariates are standardized by training moments (bandwidths in
 those units; the kernel follows from its order: Gaussian for 2, quartic for 4).
 
 The kernel sums have two sources.  Dense kernel rows, plain signed sums built in
-chunks of bounded size, serve ``exact`` and ``objective`` at query points, every
-q >= 2 curve and the q = 1 grid of general links.  A row spans the m quadrature
-nodes once; as the training points are the data nodes, its training part is its
-data-node columns.  A chunk of rows is built in place, one covariate dimension
-at a time: the differences, the univariate kernel values and the weighting are
-written into the chunk's (rows, m) array, the factors of dimensions >= 2 into
+chunks of bounded size, serve ``exact`` at query points, every q >= 2 curve and
+the q = 1 grid of general links.  A row spans the m quadrature nodes once; as the
+training points are the data nodes, its training part is its data-node columns.
+A chunk of rows is built in place, one covariate dimension at a time: the
+differences, the univariate kernel values and the weighting are written into
+the chunk's (rows, m) array, the factors of dimensions >= 2 into
 one scratch array, so no (rows, m, q) array is formed and the Gaussian build
 makes no other temporary.  Under the log-linear link a dense read solves once:
 the tilted columns [a, a y, a y y^T] are built once per read, each chunk keeps
@@ -199,7 +199,7 @@ def _soft_clip(g, lo, hi, tau):
 class _Rows(NamedTuple):
     """Kernel rows of a batch of z, each divided by the max-abs of its node part."""
 
-    train: np.ndarray    # (B,) training kernel sums, or (B, n) rows where needed
+    train: np.ndarray    # (B,) training kernel sums; (B, n) rows under a general link
     KW: np.ndarray       # (B, m) w_j K_h(z_j - z)
     mass: np.ndarray     # (B,) sum_j w_j K_h(z_j - z)
 
@@ -339,27 +339,27 @@ class NuisanceFit:
             lo, hi = self._Zs_nodes.min(), self._Zs_nodes.max()
             pad = 0.05 * max(hi - lo, 1e-9)
             self._grid = np.linspace(lo - pad, hi + pad, _GRID_SIZE)
-            if spec.link == "log-linear":
+            if spec.log_linear:
                 self._grid_sums = _BinnedGrid.build(self._grid, self._Zs_train[:, 0],
                                                     self._Zs_nodes[:, 0], self.weights, kernel)
             else:
-                self._grid_sums = _Rows(*self._rows(self._grid[:, None], lambda _, r: r,
+                self._grid_sums = _Rows(*self._rows(self._grid[:, None], lambda r: r,
                                                     strict=False))
 
     def standardize(self, Z):
         return (np.asarray(Z, dtype=float).reshape(-1, self.q) - self._mu) / self._sd
 
-    def _rows(self, Zs, fn, full=False, strict=True):
-        """fn(slice, rows) over chunks of standardized query points Zs (B, q), stacked.
+    def _rows(self, Zs, fn, strict=True):
+        """fn(rows) over chunks of standardized query points Zs (B, q), stacked.
 
         A chunk's kernel spans the m quadrature nodes once, and its training part is
         the data-node columns, copied out in C order before the chunk is weighted in
         place.  Rows are plain signed kernel sums over their node part's max-abs
         (tilted sums cannot underflow; one buffer holds the absolute values of every
-        chunk, and both divisions are in place), the training part summed unless
-        ``full`` or general.
+        chunk, and both divisions are in place), the training part summed under the
+        log-linear link.
         ``strict``: raise where there is no quadrature kernel mass."""
-        full = full or self.spec.link == "general"
+        full = not self.spec.log_linear
         step = max(1, _CHUNK_ELEMS // ((self._Zs_train.shape[0] + self.weights.size) * self.q))
         magnitude = np.empty((min(step, Zs.shape[0]), self.weights.size))
         outs = []
@@ -375,11 +375,11 @@ class NuisanceFit:
             if strict and np.any(mass <= 0):
                 raise ZeroMassError("no quadrature kernel mass at a query point "
                                     "(bandwidth too small)")
-            outs.append(fn(slice(s, s + step), _Rows(KT if full else KT.sum(axis=1), KW, mass)))
+            outs.append(fn(_Rows(KT if full else KT.sum(axis=1), KW, mass)))
         return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*outs))
 
     def _objective(self, theta, gamma, rows):
-        c, p = 1.0 / self.scale, self.spec.psi
+        c, p = 1.0 / self.scale, self.spec.link
         g = gamma[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_term = np.log(c * p.psi(self.spec.tau(theta, self.Y_train), g))
@@ -387,16 +387,9 @@ class NuisanceFit:
             val = data - c * (rows.KW * p.psi(self.spec.tau(theta, self.Y_nodes), g)).sum(axis=1)
         return np.where(np.isfinite(val), val, -np.inf)
 
-    def objective(self, theta, gamma, Z):
-        """Kernel objective per unit quadrature kernel mass at query points Z (B, q)."""
-        Zs = self.standardize(Z)
-        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), Zs.shape[:1])
-        per_mass = lambda sl, rows: (self._objective(theta, gamma[sl], rows) / rows.mass,)
-        return self._rows(Zs, per_mass, full=True)[0]
-
     def _partials(self, theta, gamma, rows, mixed=False):
         """Each row's dG/dgamma, d2G/dgamma2 and, with ``mixed``, d2G/dtheta dgamma."""
-        c, p = 1.0 / self.scale, self.spec.psi
+        c, p = 1.0 / self.scale, self.spec.link
         g = gamma[:, None]
         t_tr = self.spec.tau(theta, self.Y_train)
         t_nd = self.spec.tau(theta, self.Y_nodes)
@@ -473,7 +466,7 @@ class NuisanceFit:
         lo, hi = self.eta_range
         num = rows.train if rows.train.ndim == 1 else rows.train.sum(axis=1)
         floor = (num <= 0) | (rows.mass <= 0)
-        if self.spec.link == "log-linear":
+        if self.spec.log_linear:
             den, d_raw, D2_raw = _tilted_moments(rows.tilted, self.k, order)
             no_den = (den <= 0) & ~floor
             if strict and no_den.any():
@@ -518,15 +511,15 @@ class NuisanceFit:
         leaving ``diagnostics`` as they were."""
         theta = np.asarray(theta, dtype=float)
         Zs = self.standardize(Z)
-        if self.spec.link == "general":
+        if not self.spec.log_linear:
             before = dict(self.diagnostics)
             try:
-                return self._rows(Zs, lambda _, rows: self._solve(theta, rows, order, strict=True))
+                return self._rows(Zs, lambda rows: self._solve(theta, rows, order, strict=True))
             except Exception:
                 self.diagnostics.update(before)    # drop the counts of the chunks solved
                 raise
         cols = _tilted_columns(theta, self.Y_nodes, order)
-        sums = self._rows(Zs, lambda _, rows: (rows.train, rows.mass, rows.KW @ cols))
+        sums = self._rows(Zs, lambda rows: (rows.train, rows.mass, rows.KW @ cols))
         return self._solve(theta, _Sums(*sums), order, strict=True)
 
     # -- bulk curve interface (the profile optimizer and the LFD) ---------------
@@ -539,7 +532,7 @@ class NuisanceFit:
             return self.exact(theta, Z, order)
         zs = self.standardize(Z)[:, 0]
         sums = self._grid_sums
-        if self.spec.link == "log-linear":
+        if self.spec.log_linear:
             cols = _tilted_columns(theta, self.Y_nodes, order)
             sums = _Sums(sums.train, sums.mass, sums.moments(cols))
         at = _interpolator(zs, self._grid)

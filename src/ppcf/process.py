@@ -92,10 +92,11 @@ def simulate_poisson(surface: IntensitySurface, seed: int) -> PointPattern:
 
 
 def lgcp_surface(base: IntensitySurface, g_field: GridField, sigma2: float) -> IntensitySurface:
-    """Conditional intensity base(u) * exp(G(u) - 2 / sigma2) given a latent field draw."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0 (the offset divides by it)")
-    offset = -2.0 / sigma2
+    """Conditional intensity base(u) * exp(G(u) - sigma2 / 2) given a draw G of a
+    zero-mean latent field of variance sigma2, so that its mean is base(u)."""
+    if sigma2 < 0:
+        raise ValueError("sigma2 must be >= 0")
+    offset = -0.5 * sigma2
     g_max = float(g_field.values.max())
 
     def func(pts):
@@ -107,12 +108,10 @@ def lgcp_surface(base: IntensitySurface, g_field: GridField, sigma2: float) -> I
 
 def simulate_lgcp(base: IntensitySurface, grf: GrfSpec, nx: int, ny: int,
                   seed: int) -> PointPattern:
-    """Log-Gaussian Cox sample: draw the latent field, then Poisson given it.
-
-    The variance of ``grf`` sets the offset, so ``grf.variance == 0`` is rejected.
-    """
+    """Log-Gaussian Cox sample of mean intensity ``base``: draw the latent field, then
+    Poisson given it.  A latent variance ``grf.variance`` of 0 is rejected."""
     if grf.variance <= 0:
-        raise ValueError("LGCP latent variance must be > 0 (offset is -2/sigma^2)")
+        raise ValueError("LGCP latent variance must be > 0")
     seeds = np.random.SeedSequence(seed).spawn(2)
     g_field = simulate_grf(base.window, nx, ny, grf, seeds[0])
     cond = lgcp_surface(base, g_field, grf.variance)

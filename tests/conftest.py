@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ppcf.fields import GrfSpec, make_window, simulate_grf
-from ppcf.model import log_linear_model
+from ppcf.model import ModelSpec
 from ppcf.process import simulate_poisson
 
 
@@ -18,7 +18,7 @@ def small_model(unit_window):
     """Log-linear model with smooth random covariate fields on the unit square."""
     y_field = simulate_grf(unit_window, 48, 48, GrfSpec(1.0, 0.2), seed=101)
     z_field = simulate_grf(unit_window, 48, 48, GrfSpec(1.0, 0.2), seed=202)
-    return log_linear_model([y_field], [z_field])
+    return ModelSpec([y_field], [z_field])
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from mc_cache import run_scenario_cached
 from ppcf.fields import GrfSpec, make_window, simulate_grf
 from ppcf.harness import Scenario, _wald_reports
 from ppcf.inference import PcfModel, pcf_correction, semi_sandwich_terms, lfd_values
-from ppcf.model import build_quadrature, log_linear_model, pseudo_likelihood
+from ppcf.model import ModelSpec, build_quadrature, pseudo_likelihood
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_poisson, v_fold_thin
 
@@ -122,7 +122,7 @@ def test_criterion_02_mean_zero_score():
         seeds = [int(c.generate_state(1)[0]) for c in ss.spawn(3)]
         y = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seeds[0])
         z = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seeds[1])
-        spec = log_linear_model([y], [z])
+        spec = ModelSpec([y], [z])
         eta = lambda Z: math.log(400.0) + 0.3 * Z[:, 0]
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pattern = simulate_poisson(surface, seeds[2])
@@ -145,7 +145,7 @@ def test_criterion_03_gradient_exactness():
         nx = int(rng.integers(32, 64))
         y = simulate_grf(W1, nx, nx, GrfSpec(1.0, 0.15), seed=int(rng.integers(1e6)))
         z = simulate_grf(W1, nx, nx, GrfSpec(1.0, 0.15), seed=int(rng.integers(1e6)))
-        spec = log_linear_model([y], [z])
+        spec = ModelSpec([y], [z])
         rate = float(rng.uniform(80, 300))
         eta = lambda Z, r=rate: math.log(r) + 0.25 * Z[:, 0]
         surface = intensity_surface(spec, np.array([0.3]), eta)
@@ -179,7 +179,7 @@ def test_criterion_04_closed_form_nuisance():
     from test_nuisance import golden_argmax_longdouble
     y = simulate_grf(W1, 96, 96, GrfSpec(1.0, 0.08), seed=911)
     z = simulate_grf(W1, 96, 96, GrfSpec(1.0, 0.08), seed=912)
-    spec = log_linear_model([y], [z])
+    spec = ModelSpec([y], [z])
     eta = lambda Z: math.log(350.0) + 0.3 * Z[:, 0]
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=913)
@@ -239,7 +239,7 @@ def test_criterion_08_misspecification_separation(w2_dep_poly):
 def test_criterion_09_sigma_equals_s_for_poisson_pcf():
     y = simulate_grf(W1, 64, 64, GrfSpec(1.0, 0.1), seed=41)
     z = simulate_grf(W1, 64, 64, GrfSpec(1.0, 0.1), seed=42)
-    spec = log_linear_model([y], [z])
+    spec = ModelSpec([y], [z])
     eta = lambda Z: math.log(250.0) + 0.3 * Z[:, 0]
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=43)
@@ -280,7 +280,7 @@ def test_criterion_11_quadrature_convergence():
     from test_model import FixedCurve
     y = simulate_grf(W1, 96, 96, GrfSpec(1.0, 0.2), seed=71)
     z = simulate_grf(W1, 96, 96, GrfSpec(1.0, 0.2), seed=72)
-    spec = log_linear_model([y], [z])
+    spec = ModelSpec([y], [z])
     eta = lambda Z: math.log(200.0) + 0.3 * Z[:, 0] - 0.05 * Z[:, 0] ** 2
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=73)

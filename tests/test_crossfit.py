@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from helpers import intensity_surface
 from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import InsufficientPointsError, NonConvergenceError
 from ppcf.fields import GrfSpec, make_window, simulate_grf
-from ppcf.model import log_linear_model
+from ppcf.model import LOG_LINEAR, ModelSpec
 from ppcf.process import PointPattern, constant_surface, fold, simulate_poisson
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -21,7 +22,7 @@ W1 = make_window(0, 0, 1, 1)
 def _make_case(seed, rate=300.0, theta=0.3):
     y = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seed=seed)
     z = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seed=seed + 1)
-    spec = log_linear_model([y], [z])
+    spec = ModelSpec([y], [z])
     eta = lambda Z: math.log(rate) + 0.3 * Z[:, 0]
     surface = intensity_surface(spec, np.array([theta]), eta)
     pattern = simulate_poisson(surface, seed=seed + 2)
@@ -84,16 +85,11 @@ def test_fold_label_permutation_invariance():
 
 
 def test_skip_thinning_requires_log_linear():
-    from ppcf.model import LinkFunctions, general_model
     y = simulate_grf(W1, 24, 24, GrfSpec(1.0, 0.2), seed=61)
     z = simulate_grf(W1, 24, 24, GrfSpec(1.0, 0.2), seed=62)
-    e = lambda t, g: np.exp(t + g)
-    gen = general_model([y], [z], lambda th, Y: Y @ th,
-                        lambda th, Y: np.asarray(Y, float),
-                        lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
-                        LinkFunctions(e, e, e, e, e, e))
+    gen = ModelSpec([y], [z], replace(LOG_LINEAR))
     _, pattern = _make_case(63)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="skip_thinning"):
         cross_fit(gen, pattern, CrossFitConfig(skip_thinning=True, grid_n=16), 1)
 
 
@@ -203,14 +199,8 @@ def test_logistic_fold_estimates_match_reference_maximizer():
 def test_general_link_cross_fit_smoke():
     # exponential link expressed through the general-link interface; the
     # batched Newton nuisance path must reproduce the log-linear answer
-    from ppcf.model import LinkFunctions, general_model
     spec, pattern = _make_case(47, rate=250.0)
-    e = lambda t, g: np.exp(t + g)
-    gen = general_model(list(spec.target_fields), list(spec.nuisance_fields),
-                        lambda th, Y: Y @ th,
-                        lambda th, Y: np.asarray(Y, float),
-                        lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
-                        LinkFunctions(e, e, e, e, e, e))
+    gen = ModelSpec(spec.target_fields, spec.nuisance_fields, replace(LOG_LINEAR))
     cfg = CrossFitConfig(grid_n=16, bandwidth_c0=0.45)
     res_gen = cross_fit(gen, pattern, cfg, 8)
     res_log = cross_fit(spec, pattern, cfg, 8)

@@ -18,7 +18,7 @@ from ppcf.inference import (
     semi_sandwich_terms,
     wald_report,
 )
-from ppcf.model import QuadratureScheme, build_quadrature, log_linear_model
+from ppcf.model import ModelSpec, QuadratureScheme, build_quadrature
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_lgcp, simulate_poisson
 
@@ -55,7 +55,7 @@ def _linear_x_field(window, nx=33, ny=33):
 def fitted_instance():
     y = simulate_grf(W1, 64, 64, GrfSpec(1.0, 0.1), seed=71)
     z = simulate_grf(W1, 64, 64, GrfSpec(1.0, 0.1), seed=72)
-    spec = log_linear_model([y], [z])
+    spec = ModelSpec([y], [z])
     eta = lambda Z: math.log(300.0) + 0.3 * Z[:, 0]
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=73)
@@ -76,7 +76,7 @@ def _sandwich(instance, theta, pcf):
 
 
 def test_lfd_constant_y():
-    spec = log_linear_model([_const_field(W1, 1.7)], [_const_field(W1, 0.5)])
+    spec = ModelSpec([_const_field(W1, 1.7)], [_const_field(W1, 0.5)])
     pattern = simulate_poisson(constant_surface(W1, 80.0), seed=2)
     quad = build_quadrature(pattern, 16)
     nf = NuisanceFit(spec, quad, KernelSpec(2, 0.8))
@@ -131,7 +131,7 @@ def test_lfd_is_the_curves_own_dtheta(case, fitted_instance):
             spec = make_general_spec(window)
         else:
             z = [simulate_grf(window, 24, 24, GrfSpec(1.0, 0.5), seed=s) for s in (75, 76)]
-            spec = log_linear_model([simulate_grf(window, 24, 24, GrfSpec(1.0, 0.5), seed=74)], z)
+            spec = ModelSpec([simulate_grf(window, 24, 24, GrfSpec(1.0, 0.5), seed=74)], z)
         pattern = simulate_poisson(constant_surface(window, 4.0), seed=21)
         quad = build_quadrature(pattern, 16)
         nf = NuisanceFit(spec, quad, KernelSpec(2, 0.45))
@@ -152,7 +152,7 @@ def test_lfd_is_the_curves_own_dtheta(case, fitted_instance):
 
 
 def test_sensitivity_degenerate_design_is_singular():
-    spec = log_linear_model([_const_field(W1, 1.7)], [_const_field(W1, 0.5)])
+    spec = ModelSpec([_const_field(W1, 1.7)], [_const_field(W1, 0.5)])
     pattern = simulate_poisson(constant_surface(W1, 80.0), seed=3)
     quad = build_quadrature(pattern, 16)
     eta = lambda Z: np.full(Z.shape[0], 4.0)
@@ -165,7 +165,7 @@ def test_sensitivity_degenerate_design_is_singular():
 
 def test_sensitivity_linear_x_integral():
     c = 50.0
-    spec = log_linear_model([_linear_x_field(W1)], [_const_field(W1, 0.5)])
+    spec = ModelSpec([_linear_x_field(W1)], [_const_field(W1, 0.5)])
     pattern = PointPattern(W1, np.empty((0, 2)))
     eta = lambda Z: np.full(Z.shape[0], math.log(c))
     nu = lambda Z: np.zeros((Z.shape[0], 1))
@@ -192,8 +192,8 @@ def test_sensitivity_extensive_in_area():
     f2 = GridField(w2, 129, 129, tiled)
     eta = lambda Z: np.full(Z.shape[0], math.log(30.0))
     nu = lambda Z: np.zeros((Z.shape[0], 1))
-    spec1 = log_linear_model([f1], [_const_field(W1, 0.0)])
-    spec2 = log_linear_model([f2], [GridField(w2, 9, 9, np.zeros((9, 9)))])
+    spec1 = ModelSpec([f1], [_const_field(W1, 0.0)])
+    spec2 = ModelSpec([f2], [GridField(w2, 9, 9, np.zeros((9, 9)))])
     s1 = semi_sandwich_terms(spec1, np.array([0.25]), eta, nu,
                              build_quadrature(PointPattern(W1, np.empty((0, 2))), 32))[0][0, 0]
     s2 = semi_sandwich_terms(spec2, np.array([0.25]), eta, nu,
@@ -372,7 +372,7 @@ def test_estimate_pcf_poisson_null():
 
 def test_estimate_pcf_recovers_lgcp_parameters():
     w2 = make_window(0, 0, 2, 2)
-    base = constant_surface(w2, 400.0 * math.exp(2.0 / 0.2 - 0.1))
+    base = constant_surface(w2, 400.0)
     spec = GrfSpec(0.2, 0.2)
     sig2, phi = [], []
     with warnings.catch_warnings():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,13 +10,13 @@ from helpers import intensity_surface
 from ppcf.errors import NonpositiveIntensityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf  # noqa: F401
 from ppcf.model import (
-    LinkFunctions,
+    LOG_LINEAR,
+    Link,
     LogisticScheme,
+    ModelSpec,
     build_logistic_scheme,
     build_quadrature,
     fit_parametric_baseline_full,
-    general_model,
-    log_linear_model,
     profile_maximize,
     pseudo_likelihood,
 )
@@ -60,7 +60,7 @@ def _const_field(window, value, n=9):
 @pytest.fixture(scope="module")
 def zero_y_model():
     """y identically zero: intensity depends on eta only."""
-    return log_linear_model([_const_field(W1, 0.0)], [_const_field(W1, 1.0)])
+    return ModelSpec([_const_field(W1, 0.0)], [_const_field(W1, 1.0)])
 
 
 # -- quadrature -----------------------------------------------------------
@@ -109,8 +109,8 @@ def test_quadrature_weights_sum_to_area(grid_n, n_pts, seed):
 def test_scheme_covariates_equal_a_direct_read(small_pattern):
     # a fresh spec, so the first quadrature fills the lattice memo and later
     # ones on the same window and grid_n read it
-    spec = log_linear_model([simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=101)],
-                            [simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=202)])
+    spec = ModelSpec([simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=101)],
+                     [simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=202)])
     marked = v_fold_thin(small_pattern, 2, seed=3)
     sub = make_window(0.25, 0.1, 0.75, 0.9)
     inside = sub.contains(small_pattern.points[:, 0], small_pattern.points[:, 1])
@@ -156,8 +156,8 @@ def test_scale_invariance_with_free_intercept(small_pattern, small_model):
     # an intercept direction in y absorbs the thinning factor exactly: the
     # remaining components of the maximizer are identical across scales
     intercept = GridField(W1, 9, 9, np.ones((9, 9)))
-    spec2 = log_linear_model([intercept, small_model.target_fields[0]],
-                             [small_model.nuisance_fields[0]])
+    spec2 = ModelSpec([intercept, small_model.target_fields[0]],
+                      [small_model.nuisance_fields[0]])
     quad = build_quadrature(small_pattern, 16)
     curve = FixedCurve(lambda Z: 0.3 * Z[:, 0], k=2)
     t1 = profile_maximize(spec2, curve, quad, 1.0, np.zeros(2))
@@ -228,8 +228,19 @@ def test_score_matches_fd_log_linear(small_model, small_pattern):
 
 
 def _softplus_link():
-    s = lambda t, g: np.logaddexp(t, g)
-    e = lambda t, g: np.exp(t - np.logaddexp(t, g))
+    """Quadratic tau_theta(y) = l + 0.1 l^2, l = theta . y, and the softplus
+    Psi(t, g) = log(e^t + e^g) + 0.1, with their derivatives."""
+
+    def tau(theta, Y):
+        lin = Y @ theta
+        return lin + 0.1 * lin ** 2
+
+    def tau_grad(theta, Y):
+        lin = Y @ theta
+        return Y * (1 + 0.2 * lin)[:, None]
+
+    def tau_hess(theta, Y):
+        return 0.2 * Y[:, :, None] * Y[:, None, :]
 
     def psi(t, g):
         return np.logaddexp(t, g) + 0.1
@@ -252,28 +263,15 @@ def _softplus_link():
         p = np.exp(g - np.logaddexp(t, g))
         return p * (1 - p)
 
-    return LinkFunctions(psi, dt, dg, dtt, dtg, dgg)
+    return Link(tau, tau_grad, tau_hess, psi, dt, dg, dtt, dtg, dgg)
 
 
-def make_general_spec(window=W1, link=None, tau_grad=None):
-    """Softplus link with a quadratic tau over two 24 x 24 random fields on ``window``;
-    ``link`` and ``tau_grad``, when given, replace the link and tau's gradient."""
+def make_general_spec(window=W1, link=None):
+    """The softplus link over two 24 x 24 random fields on ``window``, or ``link``
+    when given."""
     y_field = simulate_grf(window, 24, 24, GrfSpec(1.0, 0.2), seed=31)
     z_field = simulate_grf(window, 24, 24, GrfSpec(1.0, 0.2), seed=32)
-
-    def tau(theta, Y):
-        lin = Y @ theta
-        return lin + 0.1 * lin ** 2
-
-    def true_tau_grad(theta, Y):
-        lin = Y @ theta
-        return Y * (1 + 0.2 * lin)[:, None]
-
-    def tau_hess(theta, Y):
-        return 0.2 * Y[:, :, None] * Y[:, None, :]
-
-    return general_model([y_field], [z_field], tau, tau_grad or true_tau_grad, tau_hess,
-                         link or _softplus_link())
+    return ModelSpec([y_field], [z_field], link or _softplus_link())
 
 
 @pytest.fixture(scope="module")
@@ -282,13 +280,35 @@ def general_spec():
 
 
 def test_general_link_derivatives_checked_by_finite_differences():
-    assert make_general_spec().link == "general"
+    assert not make_general_spec().log_linear
     # dPsi/dg given as dPsi/dt, and tau's gradient without its quadratic term
     wrong_link = replace(_softplus_link(), dpsi_dg=lambda t, g: np.exp(t - np.logaddexp(t, g)))
     with pytest.raises(ValueError, match="disagrees with finite differences"):
         make_general_spec(link=wrong_link)
+    wrong_link = replace(_softplus_link(), tau_grad=lambda theta, Y: np.asarray(Y, dtype=float))
     with pytest.raises(ValueError, match="disagrees with finite differences"):
-        make_general_spec(tau_grad=lambda theta, Y: np.asarray(Y, dtype=float))
+        make_general_spec(link=wrong_link)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Link)])
+def test_every_link_field_checked_by_finite_differences(name):
+    link = _softplus_link()
+    doubled = lambda *args, _f=getattr(link, name): 2 * _f(*args)
+    with pytest.raises(ValueError, match="disagrees with finite differences"):
+        make_general_spec(link=replace(link, **{name: doubled}))
+
+
+def test_default_link_is_log_linear_and_unchecked(monkeypatch):
+    def check(self):
+        raise AssertionError("link checked")
+
+    monkeypatch.setattr(ModelSpec, "_validate_derivatives", check)
+    y, z = _const_field(W1, 0.0), _const_field(W1, 1.0)
+    spec = ModelSpec([y], [z])
+    assert spec.link is LOG_LINEAR and spec.log_linear
+    # an equal-valued copy of the link takes the general paths, checked
+    with pytest.raises(AssertionError, match="link checked"):
+        ModelSpec([y], [z], replace(LOG_LINEAR))
 
 
 def test_score_matches_fd_general_link(general_spec):
@@ -372,7 +392,7 @@ def test_profile_recovers_truth_with_oracle_curve_w2():
     for s in range(200):
         y = simulate_grf(w2, 256, 256, spec_grf, seed=9000 + 2 * s)
         z = simulate_grf(w2, 256, 256, spec_grf, seed=9001 + 2 * s)
-        spec = log_linear_model([y], [z])
+        spec = ModelSpec([y], [z])
         eta = lambda Z: math.log(400.0) + 0.3 * Z[:, 0]
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pat = simulate_poisson(surface, seed=17_000 + s)
@@ -390,7 +410,7 @@ def test_profile_null_effect():
     for s in range(120):
         y = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seed=40_000 + 2 * s)
         z = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seed=40_001 + 2 * s)
-        spec = log_linear_model([y], [z])
+        spec = ModelSpec([y], [z])
         eta = lambda Z: math.log(300.0) + 0.3 * Z[:, 0]
         # intensity ignores y entirely
         surface = intensity_surface(spec, np.array([0.0]), eta)
@@ -459,7 +479,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
     for s in range(30):
         y = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seed=80_000 + 2 * s)
         z = simulate_grf(W1, 128, 128, GrfSpec(1.0, 0.05), seed=80_001 + 2 * s)
-        spec = log_linear_model([y], [z])
+        spec = ModelSpec([y], [z])
         eta = lambda Z: math.log(400.0) + 0.3 * Z[:, 0]
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pat = simulate_poisson(surface, seed=90_000 + s)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,7 @@ import ppcf.nuisance
 from ppcf.errors import InsufficientPointsError, ZeroDenominatorError, ZeroMassError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.harness import Scenario, simulate_scenario_inputs
-from ppcf.model import (
-    LinkFunctions,
-    build_quadrature,
-    general_model,
-    log_linear_model,
-    profile_maximize,
-)
+from ppcf.model import LOG_LINEAR, ModelSpec, build_quadrature, profile_maximize
 from ppcf.nuisance import KernelSpec, NuisanceFit, default_bandwidth
 from ppcf.process import PointPattern, constant_surface, simulate_poisson
 
@@ -83,18 +78,14 @@ def test_kernel_numeric_moments():
 def _fit_q(q, order, seed=3):
     """NuisanceFit on a W1 Poisson pattern with q independent GRF nuisance covariates."""
     fields = [simulate_grf(W1, 24, 24, GrfSpec(1.0, 0.2), seed=seed + i) for i in range(q + 1)]
-    spec = log_linear_model(fields[:1], fields[1:])
+    spec = ModelSpec(fields[:1], fields[1:])
     pattern = simulate_poisson(constant_surface(W1, 150.0), seed=seed)
     return NuisanceFit(spec, build_quadrature(pattern, 16), KernelSpec(order, 0.6))
 
 
 def _exp_link_as_general(spec):
-    """The log-linear model of ``spec`` written as a general link, Psi = exp(t + gamma)."""
-    e = lambda t, g: np.exp(t + g)
-    return general_model(list(spec.target_fields), list(spec.nuisance_fields),
-                         lambda th, Y: Y @ th, lambda th, Y: np.asarray(Y, float),
-                         lambda th, Y: np.zeros((Y.shape[0], 1, 1)),
-                         LinkFunctions(e, e, e, e, e, e))
+    """The log-linear model of ``spec`` on the general paths: a copy of its link."""
+    return ModelSpec(spec.target_fields, spec.nuisance_fields, replace(LOG_LINEAR))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -105,9 +96,10 @@ def test_kernel_rows_bitwise_equal_to_3d_product(q, order):
     n, m = np.count_nonzero(is_data), nf.weights.size
     Zs = np.random.default_rng(q).normal(size=(300, q))
     assert Zs.shape[0] > ppcf.nuisance._CHUNK_ELEMS // ((n + m) * q)
-    rows = lambda _, r: (r.train, r.KW, r.mass)
-    KT, KW, mass = nf._rows(Zs, rows, full=True, strict=False)
-    train_sums = nf._rows(Zs, lambda _, r: (r.train,), strict=False)[0]
+    # a general link keeps the full training rows
+    general = NuisanceFit(_exp_link_as_general(nf.spec), nf.quad, nf.kernel)
+    KT, KW, mass = general._rows(Zs, lambda r: (r.train, r.KW, r.mass), strict=False)
+    train_sums = nf._rows(Zs, lambda r: (r.train,), strict=False)[0]
     # the (B, m, q) form over the nodes: product over the trailing axis, then rows
     # as in _rows, the training part being the data-node columns
     diffs = nf._Zs_nodes[None, :, :] - Zs[:, None, :]
@@ -161,7 +153,6 @@ def test_kernel_rows_build_no_q_axis(q, monkeypatch):
     monkeypatch.setattr(KernelSpec, "k1", spy)
     Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, q))
     nf.exact(np.array([0.2]), Z, 2)
-    nf.objective(np.array([0.2]), 4.0, Z)
     assert len(shapes) > 2 * q
     assert all(len(s) == 2 for s in shapes), shapes
     assert max(math.prod(s) for s in shapes) <= ppcf.nuisance._CHUNK_ELEMS
@@ -176,7 +167,7 @@ def _per_chunk_exact(nf, theta, Z, order):
     Y = nf.Y_nodes
     outs = []
     for s in range(0, Zs.shape[0], step):
-        train, KW, mass = nf._rows(Zs[s:s + step], lambda _, r: r)
+        train, KW, mass = nf._rows(Zs[s:s + step], lambda r: r)
         a = np.exp(Y @ theta)
         cols = [np.ones((m, 1)), Y, (Y[:, :, None] * Y[:, None, :]).reshape(m, -1)]
         tilted = KW @ (a[:, None] * np.hstack(cols[:order + 1]))
@@ -303,7 +294,7 @@ def fitted(small_or_none=None):
     """NuisanceFit on a moderate random-field Poisson pattern (log-linear)."""
     y = simulate_grf(W1, 64, 64, GrfSpec(1.0, 0.1), seed=51)
     z = simulate_grf(W1, 64, 64, GrfSpec(1.0, 0.1), seed=52)
-    spec = log_linear_model([y], [z])
+    spec = ModelSpec([y], [z])
     eta = lambda Z: math.log(300.0) + 0.3 * Z[:, 0]
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=8)
@@ -312,43 +303,8 @@ def fitted(small_or_none=None):
     return spec, pattern, NuisanceFit(spec, quad, kernel, scale=1.0)
 
 
-def test_objective_shape_y_independent():
-    # theta plays no role when y is constant zero: objective is
-    # gamma * N - exp(gamma) * M + const, strictly concave in gamma
-    spec = log_linear_model([_const_field(W1, 0.0)], [_const_field(W1, 1.0)])
-    pattern = simulate_poisson(constant_surface(W1, 120.0), seed=3)
-    quad = build_quadrature(pattern, 16)
-    nf = NuisanceFit(spec, quad, KernelSpec(2, 0.8))
-    gammas = np.linspace(2.0, 7.0, 41)
-    vals = nf.objective(np.zeros(1), gammas, np.ones((gammas.size, 1)))
-    second = np.diff(vals, 2)
-    assert np.all(second < 0)
-    assert vals.argmax() not in (0, len(vals) - 1)
-
-
-def test_objective_matches_direct_recomputation(fitted):
-    spec, pattern, nf = fitted
-    theta = np.array([0.21])
-    gamma = 5.1
-    z = np.array([0.4])
-    val = nf.objective(theta, gamma, z)[0]
-    # independent recomputation with plain python sums
-    h = nf.kernel.bandwidth
-    zs = float(nf.standardize(z)[0, 0])
-    k_train = [math.exp(-0.5 * ((zt - zs) / h) ** 2) / (h * math.sqrt(2 * math.pi))
-               for zt in nf._Zs_train[:, 0]]
-    k_nodes = [math.exp(-0.5 * ((zn - zs) / h) ** 2) / (h * math.sqrt(2 * math.pi))
-               for zn in nf._Zs_nodes[:, 0]]
-    mass = sum(w * kv for w, kv in zip(nf.weights, k_nodes))
-    data = sum(kv * (theta[0] * yv + gamma)
-               for kv, yv in zip(k_train, nf.Y_train[:, 0]))
-    integral = sum(w * kv * math.exp(theta[0] * yv + gamma)
-                   for w, kv, yv in zip(nf.weights, k_nodes, nf.Y_nodes[:, 0]))
-    assert abs(val - (data - integral) / mass) < 1e-10 * max(1.0, abs(val))
-
-
 def test_fit_eta_constant_truth():
-    spec = log_linear_model([_const_field(W1, 0.0)], [_const_field(W1, 1.0)])
+    spec = ModelSpec([_const_field(W1, 0.0)], [_const_field(W1, 1.0)])
     c = 250.0
     errs = []
     for s in range(8):
@@ -417,7 +373,7 @@ def test_fit_eta_uniform_kernel_limit(fitted):
 
 
 def test_eta_dtheta_constant_y():
-    spec = log_linear_model([_const_field(W1, 2.5)], [_const_field(W1, 1.0)])
+    spec = ModelSpec([_const_field(W1, 2.5)], [_const_field(W1, 1.0)])
     pattern = simulate_poisson(constant_surface(W1, 100.0), seed=4)
     quad = build_quadrature(pattern, 16)
     nf = NuisanceFit(spec, quad, KernelSpec(2, 0.8))
@@ -481,7 +437,7 @@ def test_zero_mass_error_for_compact_kernel(fitted):
     quad = build_quadrature(pattern, 16)
     nf4 = NuisanceFit(spec, quad, KernelSpec(4, 0.05))
     with pytest.raises(ZeroMassError):
-        nf4.objective(np.zeros(1), 5.0, [50.0])
+        nf4.exact(np.zeros(1), [50.0], 0)
 
 
 def test_clip_counter_zero_on_interior_grid(fitted):
@@ -644,7 +600,7 @@ def _sup_error_after_centering(window, lattice, grid_n, seed, h):
     grf = GrfSpec(1.0, 0.05)
     y = simulate_grf(window, lattice, lattice, grf, seed=seed)
     z = simulate_grf(window, lattice, lattice, grf, seed=seed + 1)
-    spec = log_linear_model([y], [z])
+    spec = ModelSpec([y], [z])
     eta = lambda Z: math.log(400.0) + 0.3 * Z[:, 0]
     surface = intensity_surface(spec, np.array([0.3]), eta)
     pattern = simulate_poisson(surface, seed=seed + 2)
@@ -677,7 +633,7 @@ def test_eta_dtheta_consistent_with_lfd_oracle():
         grf = GrfSpec(1.0, 0.05)
         y = simulate_grf(window, lattice, lattice, grf, seed=seed)
         z = simulate_grf(window, lattice, lattice, grf, seed=seed + 1)
-        spec = log_linear_model([y], [z])
+        spec = ModelSpec([y], [z])
         eta = lambda Z: math.log(400.0) + 0.3 * Z[:, 0]
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pattern = simulate_poisson(surface, seed=seed + 2)

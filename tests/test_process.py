@@ -80,8 +80,16 @@ def test_lgcp_surface_constant_injection():
     g = GridField(W1, 8, 8, np.full((8, 8), 0.7))
     cond = lgcp_surface(base, g, sigma2=0.2)
     pts = np.random.default_rng(0).uniform(0, 1, size=(50, 2))
-    expected = 400.0 * math.exp(0.7 - 2.0 / 0.2)
+    expected = 400.0 * math.exp(0.7 - 0.2 / 2.0)
     assert np.allclose(cond(pts), expected, rtol=1e-12)
+
+
+def test_lgcp_surface_rejects_negative_variance():
+    base = constant_surface(W1, 400.0)
+    g = GridField(W1, 8, 8, np.zeros((8, 8)))
+    assert lgcp_surface(base, g, sigma2=0.0).sup_bound == 400.0
+    with pytest.raises(ValueError, match="sigma2"):
+        lgcp_surface(base, g, sigma2=-0.1)
 
 
 def _lattice_exp_correction(window, nx, ny, spec, sub=6):
@@ -114,7 +122,7 @@ def test_lgcp_mean_count_matches_lognormal_oracle(sigma2):
     spec = GrfSpec(sigma2, 0.2)
     nx = ny = 64
     correction = _lattice_exp_correction(W1, nx, ny, spec)
-    target = 400.0 * W1.area() * math.exp(-2.0 / sigma2) * correction
+    target = 400.0 * W1.area() * math.exp(-sigma2 / 2.0) * correction
     counts = np.array([simulate_lgcp(base, spec, nx, ny, seed=s).count()
                        for s in range(500)])
     se = counts.std(ddof=1) / math.sqrt(len(counts))

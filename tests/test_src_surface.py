@@ -22,12 +22,7 @@ PACKAGE = ROOT / "src" / "ppcf"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
 # public names kept without a production caller, each with its reason
-ALLOWED = {
-    "model.general_model": "the paper's general link lambda = Psi[tau, eta], "
-                           "the constructor of every non-log-linear model",
-    "nuisance.NuisanceFit.objective": "the documented per-z kernel criterion the "
-                                      "curve maximizes, the reference its tests check against",
-}
+ALLOWED = {}
 
 
 def _public_definitions():
