@@ -18,20 +18,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import (
-    InsufficientPointsError,
-    NonConvergenceError,
-    NonpositiveIntensityError,
-    SingularHessianError,
-    ZeroDenominatorError,
-    ZeroMassError,
-)
+from .errors import FitError, InsufficientPointsError, NonConvergenceError
 from .model import ModelSpec, build_logistic_scheme, build_quadrature, profile_maximize
 from .nuisance import KernelSpec, NuisanceFit, default_bandwidth
 from .process import PointPattern, fold, fold_complement, v_fold_thin
 
-_FOLD_ERRORS = (NonConvergenceError, SingularHessianError, ZeroMassError,
-                ZeroDenominatorError, NonpositiveIntensityError, InsufficientPointsError)
 # logistic dummy points per data point of the fitted fold
 _DUMMY_INTENSITY_FACTOR = 4.0
 
@@ -57,6 +48,10 @@ class CrossFitConfig:
     def __post_init__(self):
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
+        if self.grid_n < 4:
+            raise ValueError(f"grid_n must be >= 4, got {self.grid_n}")
+        if not (math.isfinite(self.bandwidth_c0) and self.bandwidth_c0 > 0):
+            raise ValueError(f"bandwidth_c0 must be finite and > 0, got {self.bandwidth_c0}")
         if self.approximation not in ("quadrature", "logistic"):
             raise ValueError(f"unknown approximation {self.approximation!r}")
         # the kernel's own checks, before any data is read
@@ -74,9 +69,12 @@ class CrossFitConfig:
 class FoldFit:
     v: int
     theta: Optional[np.ndarray]
-    converged: bool
-    error: Optional[str]
+    error: Optional[str]            # "<FitError type>: <message>" of a failed fold
     nuisance: Optional[NuisanceFit]
+
+    @property
+    def converged(self) -> bool:
+        return self.error is None
 
 
 class EtaAggregate:
@@ -118,6 +116,8 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
     they are honored (a fold they leave empty raises InsufficientPointsError
     before anything is fitted); otherwise the pattern is thinned with a seed
     stream derived from ``seed``, which also draws the logistic dummy points.
+    A fold that raises a :class:`FitError` is recorded in ``per_fold`` and the
+    others go on; fewer than half converged raises NonConvergenceError.
     Deterministic given (pattern, cfg, seed).
     """
     if pattern.count() == 0:
@@ -146,7 +146,7 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
 
     per_fold: List[FoldFit] = []
     for idx, (v, fit_pat, train_pat, fit_scale, nuis_scale) in enumerate(splits):
-        entry = FoldFit(v=v, theta=None, converged=False, error=None, nuisance=None)
+        entry = FoldFit(v=v, theta=None, error=None, nuisance=None)
         try:
             if fit_pat.count() == 0:
                 raise InsufficientPointsError(f"fold {v} holds no points")
@@ -159,8 +159,7 @@ def cross_fit(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig,
                 scheme = build_logistic_scheme(
                     fit_pat, _DUMMY_INTENSITY_FACTOR * fit_pat.count() / area, seeds[1 + idx])
             entry.theta = profile_maximize(spec, nf, scheme, fit_scale, np.zeros(spec.k))
-            entry.converged = True
-        except _FOLD_ERRORS as exc:
+        except FitError as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
         per_fold.append(entry)
 

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Input errors (bad options, malformed files) are raised where options and files are
+resolved, before any work.  A :class:`FitError` is what a fit can raise on valid input:
+folds and Monte Carlo replications record it as a failure, ``ppcf fit`` raises it.
+"""
+
+
+class FitError(Exception):
+    """A fit failed on valid input; folds and replications record it."""
 
 
 class DegenerateWindowError(ValueError):
@@ -9,15 +18,15 @@ class LatticeMismatchError(ValueError):
     """Two grid fields do not share a window and resolution."""
 
 
-class DecompositionError(RuntimeError):
+class DecompositionError(FitError, RuntimeError):
     """Lattice covariance operator is not numerically positive definite."""
 
 
-class NonFiniteFieldError(ValueError):
+class NonFiniteFieldError(FitError, ValueError):
     """A pointwise transform produced a non-finite lattice value."""
 
 
-class BoundViolationError(RuntimeError):
+class BoundViolationError(FitError, RuntimeError):
     """Evaluated intensity exceeded the declared supremum bound."""
 
 
@@ -25,11 +34,11 @@ class UnmarkedPatternError(ValueError):
     """Fold extraction requested on a pattern without fold marks."""
 
 
-class NonpositiveIntensityError(ValueError):
+class NonpositiveIntensityError(FitError, ValueError):
     """Intensity is zero or negative at a data point."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(FitError, RuntimeError):
     """Optimizer failed to reach the score tolerance."""
 
     def __init__(self, message, theta=None, score_norm=None):
@@ -38,23 +47,23 @@ class NonConvergenceError(RuntimeError):
         self.score_norm = score_norm
 
 
-class SingularHessianError(RuntimeError):
+class SingularHessianError(FitError, RuntimeError):
     """Newton and gradient fallback both stalled on a singular Hessian."""
 
 
-class ZeroMassError(RuntimeError):
+class ZeroMassError(FitError, RuntimeError):
     """Kernel weights carry no quadrature mass at the requested point."""
 
 
-class ZeroDenominatorError(RuntimeError):
+class ZeroDenominatorError(FitError, RuntimeError):
     """A kernel-weighted denominator vanished."""
 
 
-class InsufficientPointsError(ValueError):
+class InsufficientPointsError(FitError, ValueError):
     """Too few points for the requested estimator."""
 
 
-class SingularSensitivityError(RuntimeError):
+class SingularSensitivityError(FitError, RuntimeError):
     """Estimated sensitivity matrix is numerically singular."""
 
     def __init__(self, message, min_eigenvalue=None):

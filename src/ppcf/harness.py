@@ -25,20 +25,7 @@ import numpy as np
 import yaml
 
 from .crossfit import CrossFitConfig, cross_fit
-from .errors import (
-    BoundViolationError,
-    DecompositionError,
-    InsufficientPointsError,
-    NonConvergenceError,
-    NonFiniteFieldError,
-    NonpositiveIntensityError,
-    ScenarioInfeasibleError,
-    SingularHessianError,
-    SingularSensitivityError,
-    WindowMismatchError,
-    ZeroDenominatorError,
-    ZeroMassError,
-)
+from .errors import FitError, InsufficientPointsError, ScenarioInfeasibleError, WindowMismatchError
 from .fields import GrfSpec, Window, field_product, read_grid_file, simulate_grf, write_grid_file
 from .inference import (
     FitReport,
@@ -113,9 +100,12 @@ class Scenario:
             raise ValueError("pcf_mode must be none, known or estimated")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        bad = set(self.estimators) - {"semi", "para", "oracle"}
-        if bad:
-            raise ValueError(f"unknown estimators {sorted(bad)}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        named = set(self.estimators)
+        if not named <= {"semi", "para", "oracle"} or not 0 < len(named) == len(self.estimators):
+            raise ValueError(f"estimators must be distinct names among semi, para and oracle, "
+                             f"got {self.estimators}")
         if self.crossfit is None:
             object.__setattr__(self, "crossfit", CrossFitConfig(
                 bandwidth_c0=HARNESS_BANDWIDTH_C0, grid_n=GRID_N[self.window]))
@@ -208,11 +198,12 @@ def _variant_summary(se_reports: Dict[str, FitReport]) -> Dict[str, Dict]:
 
 
 def run_replication(s: Scenario, rep: int) -> Dict:
-    """All requested estimators on one simulated replication."""
+    """All requested estimators on one simulated replication; a replication that
+    raises a :class:`FitError` is a failed record whose ``error`` starts with its type."""
     try:
         spec, eta_full, pattern, seeds = simulate_scenario_inputs(s, rep)
         if pattern.count() == 0:
-            return {"rep": rep, "ok": False, "error": "empty pattern"}
+            raise InsufficientPointsError("empty pattern")
         pcfs = {"none": PcfModel("poisson"), "known": PcfModel(
             "lgcp-exponential", sigma2=LGCP_GRF.variance, phi=LGCP_GRF.corr_range),
             "estimated": None}
@@ -223,10 +214,7 @@ def run_replication(s: Scenario, rep: int) -> Dict:
             name: {"theta": float(next(iter(by_pcf.values())).theta_hat[0]),
                    "variants": _variant_summary(by_pcf)}
             for name, by_pcf in reports.items()}}
-    except (NonConvergenceError, SingularHessianError, SingularSensitivityError,
-            BoundViolationError, InsufficientPointsError, NonpositiveIntensityError,
-            ZeroMassError, ZeroDenominatorError, DecompositionError,
-            NonFiniteFieldError) as exc:
+    except FitError as exc:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -319,9 +307,8 @@ def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, T
     rows: Dict[str, TableRow] = {}
     variants = _variants_for(s)
     primary = variants[0]
+    good = [r for r in records if r["ok"]]
     for est in s.estimators:
-        good = [r for r in records
-                if r.get("ok") and est in r.get("estimators", {})]
         if len(good) < max(1, s.reps // 2):
             raise ScenarioInfeasibleError(
                 f"{est}: only {len(good)} of {s.reps} replications usable")
@@ -487,6 +474,8 @@ def resolve_fit_options(config_path=None, given: Optional[Dict] = None
     defaults = {_FIELD_KEYS[f.name]: f.default for f in fields(CrossFitConfig)}
     opts = merge_options({**defaults, **_FIT_DEFAULTS}, config_path, given)
     cfg = _with_options(CrossFitConfig(), opts)
+    if opts["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {opts['seed']}")
     if not all(0.0 < lvl < 1.0 for lvl in opts["levels"]):
         raise ValueError(f"levels must lie in (0, 1), got {opts['levels']}")
     pcf = None

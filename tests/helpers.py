@@ -1,13 +1,17 @@
 """Shared test helpers: a fitted model wrapped as a surface the simulators draw from,
-and the K-function of a PCF model."""
+the K-function of a PCF model, and every FitError class."""
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from ppcf.errors import FitError
 from ppcf.model import ModelSpec
 from ppcf.process import IntensitySurface
+
+# every error a fit can raise on valid input, by name
+FIT_ERRORS = sorted(FitError.__subclasses__(), key=lambda cls: cls.__name__)
 
 
 def intensity_surface(spec: ModelSpec, theta, eta_fn) -> IntensitySurface:

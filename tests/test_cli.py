@@ -138,7 +138,11 @@ def test_pcf_is_one_yaml_key(monkeypatch, tmp_path):
     ("bandwidth: 0", "bandwidth must be > 0"),
     ("folds: 1", "n_folds must be >= 2"),
     ("approx: exact", "unknown approximation"),
-], ids=["kernel_order", "bandwidth", "folds", "approx"])
+    ("estimators: []", "estimators must be"),
+    ("base_seed: -5", "base_seed must be >= 0"),
+    # the grid comes from the window: grid_n is no scenario key
+    ("grid_n: 2", "unknown config keys"),
+], ids=["kernel_order", "bandwidth", "folds", "approx", "estimators", "base_seed", "grid_n"])
 def test_scenario_rejects_bad_options_before_simulating(monkeypatch, tmp_path, yaml_text,
                                                         message, parallelism):
     # the parent process raises before it simulates a replication or starts a pool

@@ -6,7 +6,7 @@ import pytest
 
 from scipy.optimize import minimize_scalar
 
-from helpers import intensity_surface
+from helpers import FIT_ERRORS, intensity_surface
 
 from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import InsufficientPointsError, NonConvergenceError
@@ -34,6 +34,11 @@ def test_config_validation():
         CrossFitConfig(n_folds=1)
     with pytest.raises(ValueError):
         CrossFitConfig(approximation="exact")
+    with pytest.raises(ValueError, match="grid_n must be >= 4"):
+        CrossFitConfig(grid_n=2)
+    for c0 in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidth_c0 must be finite and > 0"):
+            CrossFitConfig(bandwidth_c0=c0)
 
 
 def test_cross_fit_empty_pattern_rejected():
@@ -93,8 +98,8 @@ def test_skip_thinning_requires_log_linear():
         cross_fit(gen, pattern, CrossFitConfig(skip_thinning=True, grid_n=16), 1)
 
 
-def _fail_fold_solves(monkeypatch, failing):
-    """Make the per-fold profile solve raise NonConvergenceError on the given calls (1-based)."""
+def _fail_fold_solves(monkeypatch, failing, error=NonConvergenceError):
+    """Make the per-fold profile solve raise ``error`` on the given calls (1-based)."""
     import ppcf.crossfit
     real = ppcf.crossfit.profile_maximize
     calls = []
@@ -102,7 +107,7 @@ def _fail_fold_solves(monkeypatch, failing):
     def flaky(*args, **kwargs):
         calls.append(None)
         if len(calls) in failing:
-            raise NonConvergenceError("injected fold failure")
+            raise error("injected fold failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ppcf.crossfit, "profile_maximize", flaky)
@@ -117,6 +122,22 @@ def test_partial_fold_failure_tolerated(monkeypatch):
     assert sum(f.converged for f in res.per_fold) >= 2
     assert not res.per_fold[2].converged
     assert np.isfinite(res.theta_hat).all()
+
+
+@pytest.mark.parametrize("error", FIT_ERRORS)
+def test_fold_records_every_fit_error(monkeypatch, error):
+    spec, pattern = _make_case(29)
+    _fail_fold_solves(monkeypatch, {1}, error)
+    res = cross_fit(spec, pattern, CrossFitConfig(grid_n=16, bandwidth_c0=0.45), 2)
+    assert res.per_fold[0].error == f"{error.__name__}: injected fold failure"
+    assert not res.per_fold[0].converged and res.per_fold[1].converged
+
+
+def test_plain_value_error_propagates_out_of_a_fold(monkeypatch):
+    spec, pattern = _make_case(29)
+    _fail_fold_solves(monkeypatch, {1}, ValueError)
+    with pytest.raises(ValueError, match="injected fold failure"):
+        cross_fit(spec, pattern, CrossFitConfig(grid_n=16, bandwidth_c0=0.45), 2)
 
 
 def test_all_folds_failed_raises(monkeypatch):

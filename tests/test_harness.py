@@ -7,13 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import FIT_ERRORS
+
 from ppcf.cli import main as cli_main
 from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import (
-    DecompositionError,
     InsufficientPointsError,
     NonConvergenceError,
-    NonFiniteFieldError,
     WindowMismatchError,
 )
 from ppcf.fields import GridField, make_window, read_grid_file, write_grid_file
@@ -63,6 +63,11 @@ def test_scenario_validation():
         Scenario(process="strauss")
     with pytest.raises(ValueError):
         Scenario(estimators=("semi", "magic"))
+    for estimators in ((), ("semi", "semi")):
+        with pytest.raises(ValueError, match="estimators must be"):
+            Scenario(estimators=estimators)
+    with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        Scenario(base_seed=-5)
 
 
 def test_scenario_holds_the_harness_crossfit():
@@ -86,7 +91,15 @@ def test_single_rep_degenerate_row():
     assert row.rmse >= abs(row.bias_x100) / 100.0 - 1e-15
 
 
-@pytest.mark.parametrize("error", [DecompositionError, NonFiniteFieldError])
+def test_fit_errors_are_the_ten_a_fit_can_raise():
+    assert {cls.__name__ for cls in FIT_ERRORS} == {
+        "NonConvergenceError", "SingularHessianError", "SingularSensitivityError",
+        "ZeroMassError", "ZeroDenominatorError", "NonpositiveIntensityError",
+        "InsufficientPointsError", "BoundViolationError", "DecompositionError",
+        "NonFiniteFieldError"}
+
+
+@pytest.mark.parametrize("error", FIT_ERRORS)
 def test_field_failure_is_a_failed_replication(monkeypatch, error):
     import ppcf.harness
 
@@ -96,6 +109,30 @@ def test_field_failure_is_a_failed_replication(monkeypatch, error):
     monkeypatch.setattr(ppcf.harness, "simulate_scenario_inputs", broken)
     rec = run_replication(Scenario(reps=1), 0)
     assert rec == {"rep": 0, "ok": False, "error": f"{error.__name__}: injected"}
+
+
+def test_plain_value_error_propagates_out_of_a_replication(monkeypatch):
+    import ppcf.harness
+
+    def broken(s, rep):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(ppcf.harness, "simulate_scenario_inputs", broken)
+    with pytest.raises(ValueError, match="injected"):
+        run_replication(Scenario(reps=1), 0)
+
+
+def test_empty_pattern_is_a_typed_failed_replication(monkeypatch):
+    import ppcf.harness
+    simulate = ppcf.harness.simulate_scenario_inputs
+
+    def empty(s, rep):
+        spec, eta, pattern, seeds = simulate(s, rep)
+        return spec, eta, PointPattern(pattern.window, np.empty((0, 2))), seeds
+
+    monkeypatch.setattr(ppcf.harness, "simulate_scenario_inputs", empty)
+    rec = run_replication(Scenario(reps=1), 0)
+    assert rec == {"rep": 0, "ok": False, "error": "InsufficientPointsError: empty pattern"}
 
 
 def test_records_deterministic_across_parallelism():
@@ -207,6 +244,9 @@ def test_fit_file_roundtrip_bit_exact(tmp_path):
     ({"folds": 1}, "n_folds must be >= 2"),
     ({"kernel_order": 3}, "no kernel of order 3"),
     ({"bandwidth": 0}, "bandwidth must be > 0"),
+    ({"grid_n": 2}, "grid_n must be >= 4"),
+    ({"bandwidth_c0": 0.0}, "bandwidth_c0 must be finite and > 0"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_fit_file_rejects_bad_options_before_reading(monkeypatch, tmp_path, options, message):
     # no file is read and no fold is fitted: the input paths do not even exist

@@ -1,4 +1,5 @@
-"""Every public function, class and method in ``src/ppcf`` has a caller outside the tests.
+"""Every public function, class and method in ``src/ppcf`` has a caller outside the tests,
+and every name a module of ``src/ppcf`` imports is used in that module.
 
 A name counts as used when it appears in code under ``src/``, ``scripts/`` or
 ``perfbench/`` as a name, an attribute or an imported alias; docstrings and
@@ -60,6 +61,30 @@ def test_every_public_name_has_a_production_caller():
     unused = sorted(q for q, name in _public_definitions().items()
                     if name not in used and q not in ALLOWED)
     assert unused == [], "only tests use these; move them into the tests: " + ", ".join(unused)
+
+
+def _unused_imports(tree):
+    """Names bound by the module-level imports of ``tree`` that its code never reads."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_import_is_used():
+    unused = sorted(f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+                    for name in _unused_imports(ast.parse(path.read_text())))
+    assert unused == [], "imported but never used: " + ", ".join(unused)
+
+
+def test_unused_import_guard_catches_an_unused_import():
+    tree = ast.parse("import math\nfrom os import path as p, sep\nimport numpy.linalg\n"
+                     "print(p, numpy)\n")
+    assert _unused_imports(tree) == {"math", "sep"}
 
 
 def test_allow_list_is_current():
