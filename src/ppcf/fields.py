@@ -229,6 +229,10 @@ def write_grid_file(field: GridField, path) -> None:
 
 
 def read_grid_file(path) -> GridField:
+    """Read the format of ``write_grid_file``; blank lines and any line breaks between
+    values are allowed.  Each line of values is parsed by one vectorised call, so a
+    ``ParseError`` names the offending line and no more than one line's tokens are
+    held at a time."""
     path = Path(path)
     with open(path) as fh:
         header = fh.readline()
@@ -241,15 +245,14 @@ def read_grid_file(path) -> GridField:
         except ValueError as exc:
             raise ParseError(path, 1, str(exc)) from None
         window = make_window(*coords)
-        values = []
+        lines, line_no = [], 1
         for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             try:
-                values.extend(float(tok) for tok in line.split())
+                lines.append(np.array(line.split(), dtype=float))
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-    if len(values) != nx * ny:
-        raise ParseError(path, line_no if values else 1,
-                         f"expected {nx * ny} values, got {len(values)}")
-    return GridField(window, nx, ny, np.asarray(values))
+    values = np.concatenate(lines) if lines else np.empty(0)
+    if values.size != nx * ny:
+        raise ParseError(path, line_no if values.size else 1,
+                         f"expected {nx * ny} values, got {values.size}")
+    return GridField(window, nx, ny, values)

@@ -11,6 +11,7 @@ from ppcf.errors import (
     DegenerateWindowError,
     LatticeMismatchError,
     NonFiniteFieldError,
+    ParseError,
 )
 from ppcf.fields import (
     GridField,
@@ -260,6 +261,34 @@ def test_grid_file_nonfinite_value_rejected(tmp_path):
     path.write_text("2 2 0.0 0.0 1.0 1.0\n0.0 1.0\nnan 2.0\n")
     with pytest.raises(NonFiniteFieldError):
         read_grid_file(path)
+
+
+@pytest.mark.parametrize("line_no", [2, 3, 5])
+def test_grid_file_bad_token_names_its_line(tmp_path, line_no):
+    lines = ["3 2 0.0 0.0 1.0 1.0", "0.5 1.5", "2.5", "", "3.5 4.5 5.5"]
+    lines[line_no - 1] = lines[line_no - 1] + " 1.0x"
+    path = tmp_path / "grid.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="1.0x") as exc:
+        read_grid_file(path)
+    assert exc.value.line_no == line_no
+    assert f"grid.txt:{line_no}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("body", ["0.5 1.5\n2.5\n", "0.5 1.5 2.5\n3.5 4.5 5.5 6.5\n", ""])
+def test_grid_file_wrong_count_names_the_count(tmp_path, body):
+    path = tmp_path / "grid.txt"
+    path.write_text("3 2 0.0 0.0 1.0 1.0\n" + body)
+    count = len(body.split())
+    with pytest.raises(ParseError, match=f"expected 6 values, got {count}"):
+        read_grid_file(path)
+
+
+def test_grid_file_blank_lines_and_ragged_breaks_parse(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("3 2 0.0 0.0 1.0 1.0\n\n0.5\n 1.5   2.5 3.5\n\n\t4.5\n5.5")
+    grid = read_grid_file(path)
+    assert np.array_equal(grid.values, np.array([[0.5, 1.5, 2.5], [3.5, 4.5, 5.5]]))
 
 
 @settings(max_examples=20, deadline=None)

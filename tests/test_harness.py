@@ -30,6 +30,7 @@ from ppcf.harness import (
 )
 from ppcf.inference import PcfModel, sandwich_terms
 from ppcf.model import build_quadrature
+from ppcf.nuisance import KernelSpec
 from ppcf.process import PointPattern
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -162,6 +163,27 @@ def test_replication_reads_each_field_at_the_lattice_once(monkeypatch):
     for field, pts in calls:
         seen[field] = seen.get(field, 0) + int(np.isin(key(pts), key(lattice)).sum())
     assert len(seen) == 2 and all(count == grid_n ** 2 for count in seen.values())
+
+
+@pytest.mark.parametrize("cell", [
+    dict(window="W1", process="poisson", covariates="ind", nuisance="linear",
+         pcf_mode="none", estimators=("semi",)),
+    dict(window="W2", process="lgcp", covariates="dep", nuisance="poly",
+         pcf_mode="estimated", estimators=("semi", "para", "oracle")),
+], ids=["w1-poisson", "w2-lgcp"])
+def test_q1_replications_build_no_dense_kernel_rows(monkeypatch, cell):
+    # q = 1 replications read the nuisance off the binned grid, so work on the dense
+    # kernel rows of q >= 2 cannot move Monte Carlo records
+    calls = []
+    product = KernelSpec.product
+
+    def spy(self, A, Z):
+        calls.append(Z.shape)
+        return product(self, A, Z)
+
+    monkeypatch.setattr(KernelSpec, "product", spy)
+    assert run_replication(Scenario(reps=1, **cell), 0)["ok"]
+    assert calls == []
 
 
 def test_run_table_shapes_and_roundtrip(tmp_path):

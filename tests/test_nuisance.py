@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -88,31 +89,64 @@ def _exp_link_as_general(spec):
     return ModelSpec(spec.target_fields, spec.nuisance_fields, replace(LOG_LINEAR))
 
 
+def _reference_rows(nf, Zs):
+    """Kernel rows of standardized query points Zs (B, q) over the nodes, each over its
+    max-abs, from the (B, m, q) differences: the Gaussian as the radial
+    (2 pi)^(-q/2) exp(-|t|^2 / 2) of points divided by h, other orders as the product
+    of the univariate factors over the trailing axis."""
+    kernel, h, q = nf.kernel, nf.kernel.bandwidth, nf.q
+    if kernel.order == 2:
+        t = nf._Zs_nodes[None, :, :] / h - Zs[:, None, :] / h
+        K = np.exp(np.square(t).sum(axis=-1) * -0.5) * ((2.0 * math.pi) ** (-0.5 * q) / h ** q)
+    else:
+        K = np.prod(kernel.k1((nf._Zs_nodes[None, :, :] - Zs[:, None, :]) / h), axis=-1) / h ** q
+    peak = np.abs(K).max(axis=1)
+    peak[peak == 0] = 1.0
+    return K / peak[:, None]
+
+
+def _chunk(nf):
+    """Rows per chunk of kernel rows: each (rows, m) array holds at most _CHUNK_ELEMS."""
+    return ppcf.nuisance._CHUNK_ELEMS // nf.weights.size
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_kernel_rows_bitwise_equal_to_3d_product(q, order):
     nf = _fit_q(q, order)
-    is_data, h = nf.quad.is_data, nf.kernel.bandwidth
-    n, m = np.count_nonzero(is_data), nf.weights.size
+    is_data = nf.quad.is_data
     Zs = np.random.default_rng(q).normal(size=(300, q))
-    assert Zs.shape[0] > ppcf.nuisance._CHUNK_ELEMS // ((n + m) * q)
-    # a general link keeps the full training rows
+    assert Zs.shape[0] > _chunk(nf)
+    want = _reference_rows(nf, Zs)
+    # the chunks every read takes its sums from
+    assert np.array_equal(nf._rows(Zs, lambda K: (K,))[0], want)
+    # a general link keeps the training columns and the weighted rows
     general = NuisanceFit(_exp_link_as_general(nf.spec), nf.quad, nf.kernel)
-    KT, KW, mass = general._rows(Zs, lambda r: (r.train, r.KW, r.mass), strict=False)
-    train_sums = nf._rows(Zs, lambda r: (r.train,), strict=False)[0]
-    # the (B, m, q) form over the nodes: product over the trailing axis, then rows
-    # as in _rows, the training part being the data-node columns
-    diffs = nf._Zs_nodes[None, :, :] - Zs[:, None, :]
-    K = np.prod(nf.kernel.k1(diffs / h), axis=-1) / h ** q
-    want_KW = K * nf.weights
-    peak = np.abs(want_KW).max(axis=1)
-    peak[peak == 0] = 1.0
-    want_KW /= peak[:, None]
-    want_KT = np.ascontiguousarray(K[:, is_data]) / peak[:, None]
-    assert np.array_equal(KT, want_KT)
-    assert np.array_equal(train_sums, want_KT.sum(axis=1))
+    KT, KW, mass = general._rows(Zs, lambda K: general._general_rows(K, strict=False))
+    want_KW = want * nf.weights
+    assert np.array_equal(KT, np.ascontiguousarray(want[:, is_data]))
     assert np.array_equal(KW, want_KW)
     assert np.array_equal(mass, want_KW.sum(axis=1))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_gaussian_product_matches_per_dimension_product(q):
+    # the radial order-2 product against the product of the univariate k1 factors:
+    # within 1e-14 of each row's peak, and elementwise where the kernel is at least
+    # 1e-3 of it (in the far tail both forms round an exponent of up to ~700)
+    nf = _fit_q(q, 2)
+    kernel, h = nf.kernel, nf.kernel.bandwidth
+    A, Z = nf._Zs_nodes, np.random.default_rng(q).normal(size=(300, q))
+    factors = np.prod(kernel.k1((A[None, :, :] - Z[:, None, :]) / h), axis=-1) / h ** q
+    K = kernel.product(A, Z)
+    peak = factors.max(axis=1, keepdims=True)
+    assert np.all(np.abs(K - factors) <= 1e-14 * peak)
+    near = factors >= 1e-3 * peak
+    assert np.all(np.abs(K - factors)[near] <= 1e-14 * factors[near])
+    # order 4 is the per-dimension product, bit for bit
+    quartic = KernelSpec(4, h)
+    factors = np.prod(quartic.k1((A[None, :, :] - Z[:, None, :]) / h), axis=-1) / h ** q
+    assert np.array_equal(quartic.product(A, Z), factors)
 
 
 @pytest.mark.parametrize("link", ["log-linear", "general"])
@@ -133,6 +167,7 @@ def test_kernel_rows_span_the_nodes_once(link, monkeypatch):
     nf = NuisanceFit(spec, nf.quad, nf.kernel)
     assert bool(seen) == (link == "general")      # the log-linear grid keeps no rows
     Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, 1))
+    assert Z.shape[0] > 2 * _chunk(nf)
     nf.exact(np.array([0.2]), Z, 1)
     assert len(seen) > 2
     nodes = nf._Zs_nodes
@@ -141,37 +176,48 @@ def test_kernel_rows_span_the_nodes_once(link, monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_kernel_rows_build_no_q_axis(q, monkeypatch):
-    # every univariate kernel call of _rows sees one (rows, n + m) chunk, no (..., q) array
+    # every kernel product of _rows builds one 2-D (rows, m) chunk of at most
+    # _CHUNK_ELEMS elements and no (..., q) array: at its peak it holds the chunk, one
+    # scratch array and arrays the size of the points (N + B, q)
     nf = _fit_q(q, 2)
-    shapes = []
-    k1 = KernelSpec.k1
+    shapes, extra = [], []
+    product = KernelSpec.product
 
-    def spy(self, t, out=None):
-        shapes.append(np.shape(t))
-        return k1(self, t, out)
+    def spy(self, A, Z):
+        tracemalloc.start()
+        try:
+            K = product(self, A, Z)
+            small = 2 * (A.nbytes + Z.nbytes) + 4096
+            extra.append(tracemalloc.get_traced_memory()[1] - 2 * K.nbytes - small)
+        finally:
+            tracemalloc.stop()
+        shapes.append(K.shape)
+        return K
 
-    monkeypatch.setattr(KernelSpec, "k1", spy)
+    monkeypatch.setattr(KernelSpec, "product", spy)
     Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, q))
     nf.exact(np.array([0.2]), Z, 2)
-    assert len(shapes) > 2 * q
-    assert all(len(s) == 2 for s in shapes), shapes
+    assert len(shapes) > 2
+    assert all(len(s) == 2 and s[1] == nf.weights.size for s in shapes), shapes
     assert max(math.prod(s) for s in shapes) <= ppcf.nuisance._CHUNK_ELEMS
+    assert max(extra) <= 0, extra
 
 
 def _per_chunk_exact(nf, theta, Z, order):
-    """``exact`` under the log-linear link as one solve per chunk of kernel rows, the
-    tilted columns [a, a y, a y(x)y], a = exp(theta . y), rebuilt for every chunk."""
+    """``exact`` under the log-linear link as one solve per chunk of reference kernel
+    rows, the columns [1_data, w, w a, w a y, w a y(x)y], a = exp(theta . y), rebuilt
+    for every chunk."""
     Zs = nf.standardize(Z)
-    n, m = np.count_nonzero(nf.quad.is_data), nf.weights.size
-    step = ppcf.nuisance._CHUNK_ELEMS // ((n + m) * nf.q)
-    Y = nf.Y_nodes
+    step, m, Y, w = _chunk(nf), nf.weights.size, nf.Y_nodes, nf.weights
     outs = []
     for s in range(0, Zs.shape[0], step):
-        train, KW, mass = nf._rows(Zs[s:s + step], lambda r: r)
         a = np.exp(Y @ theta)
-        cols = [np.ones((m, 1)), Y, (Y[:, :, None] * Y[:, None, :]).reshape(m, -1)]
-        tilted = KW @ (a[:, None] * np.hstack(cols[:order + 1]))
-        outs.append(nf._solve(theta, ppcf.nuisance._Sums(train, mass, tilted), order, True))
+        tilted = [np.ones((m, 1)), Y, (Y[:, :, None] * Y[:, None, :]).reshape(m, -1)]
+        cols = np.column_stack([nf.quad.is_data, w,
+                                w[:, None] * (a[:, None] * np.hstack(tilted[:order + 1]))])
+        sums = _reference_rows(nf, Zs[s:s + step]) @ cols
+        rows = ppcf.nuisance._Sums(sums[:, 0], sums[:, 1], sums[:, 2:])
+        outs.append(nf._solve(theta, rows, order, True))
     return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*outs))
 
 
@@ -184,8 +230,8 @@ def test_exact_bitwise_equal_to_per_chunk_solves(q, kernel_order, order):
     fits = [_fit_q(q, kernel_order) for _ in range(2)]
     quad = fits[0].quad
     _, Z = fits[0].spec.covariates_at(quad.nodes[quad.is_data])    # the training points
-    n, m = Z.shape[0], quad.m()
-    assert Z.shape[0] > 2 * (ppcf.nuisance._CHUNK_ELEMS // ((n + m) * q))
+    Z = np.tile(Z, (3, 1))    # three copies, so the read spans more than two chunks
+    assert Z.shape[0] > 2 * _chunk(fits[0])
     theta = np.array([0.3])
     for nf in fits:
         nf.eta_range = (nf.eta_range[0], math.log(150.0))
@@ -238,7 +284,7 @@ def test_zero_denominator_raised_past_the_first_chunk():
     theta = np.array([5.0])
     zs, raising = _tilted_mass_scan(nf, theta)
     zs = zs[:, None]
-    step = ppcf.nuisance._CHUNK_ELEMS // (np.count_nonzero(nf.quad.is_data) + nf.weights.size)
+    step = _chunk(nf)
     assert raising.size > 0 and zs.shape[0] > 2 * step
     nf.exact(theta, nf._mu + nf._sd * zs, 0)
     zs[2 * step + 1] = raising[0]
@@ -251,7 +297,7 @@ def test_raising_read_leaves_diagnostics_unchanged(link):
     # a read whose third chunk raises adds nothing to diagnostics, though the same
     # read without the raising row counts some of its rows
     nf = _fit_q(1, 4)
-    step = ppcf.nuisance._CHUNK_ELEMS // (np.count_nonzero(nf.quad.is_data) + nf.weights.size)
+    step = _chunk(nf)
     if link == "log-linear":
         theta, error = np.array([5.0]), ZeroDenominatorError
         zs, raising = _tilted_mass_scan(nf, theta)
