@@ -11,6 +11,8 @@ import argparse
 import json
 import os
 import sys
+import time
+from pathlib import Path
 
 from .harness import (
     Scenario,
@@ -20,7 +22,7 @@ from .harness import (
     row_columns,
     run_scenario_records,
     run_table,
-    _write_csv,
+    write_run,
 )
 
 # every option flag, declared once; absent, it is None ("not given")
@@ -125,19 +127,22 @@ def main(argv=None) -> int:
 
     if args.command == "table":
         out = args.out or f"table{args.table}.csv"
+        start = time.perf_counter()
         rows = run_table(args.table, out, parallelism=args.parallelism, **given)
-        print(f"wrote {len(rows)} rows to {out}")
+        print(f"wrote {len(rows)} rows to {out} in {time.perf_counter() - start:.1f} s")
         return 0
 
     if args.command == "scenario":
         s = resolve_scenario_options(set(args.option_keys.values()), args.config, given)
-        rows, _ = run_scenario_records(s, parallelism=args.parallelism)
+        if args.out:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        rows, records = run_scenario_records(s, parallelism=args.parallelism)
         out_rows = [{"estimator": est, **row_columns(row, starred=row.mean_se_star is not None)}
                     for est, row in rows.items()]
         for entry in out_rows:
             print(json.dumps(entry))
         if args.out:
-            _write_csv(out_rows, args.out)
+            write_run(out_rows, records, args.out)
         return 0
 
     return 1

@@ -298,6 +298,8 @@ def _coverage(records: List[Dict], est: str, variant: str) -> Tuple[float, float
 
 def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, TableRow], List[Dict]]:
     """Run all replications and aggregate; returns (rows per estimator, raw records)."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
             records = list(ex.map(run_replication, [s] * s.reps, range(s.reps), chunksize=1))
@@ -372,11 +374,12 @@ def run_table(table_id: int, out_path, reps: int = 200, parallelism: int = 1,
               base_seed: int = 2024) -> List[Dict]:
     """Reproduce one of the simulation tables at the requested replication count.
 
-    Writes a CSV at ``out_path`` and a JSON-lines sidecar of per-replication
-    records at ``out_path + '.jsonl'``; returns the rows as dictionaries.
+    Makes the parent directory of ``out_path`` first, then writes the rows and the
+    per-replication records, each tagged with its table and cell, through
+    :func:`write_run`; returns the rows as dictionaries.
     """
-    out_path = Path(out_path)
     scenarios = _table_scenarios(table_id, reps, base_seed)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     rows_out: List[Dict] = []
     sidecar = []
     for meta, scen in scenarios:
@@ -389,11 +392,17 @@ def run_table(table_id: int, out_path, reps: int = 200, parallelism: int = 1,
             rows_out.append(entry)
         for rec in records:
             sidecar.append({"table": table_id, **meta, **rec})
-    _write_csv(rows_out, out_path)
-    with open(str(out_path) + ".jsonl", "w") as fh:
-        for rec in sidecar:
-            fh.write(json.dumps(rec) + "\n")
+    write_run(rows_out, sidecar, out_path)
     return rows_out
+
+
+def write_run(rows: List[Dict], records: List[Dict], out_path) -> None:
+    """A Monte Carlo run's outputs: its rows as a CSV at ``out_path`` and its
+    replication records as JSON lines at ``out_path + '.jsonl'``."""
+    _write_csv(rows, out_path)
+    with open(str(out_path) + ".jsonl", "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
 
 
 def _write_csv(rows: List[Dict], path) -> None:

@@ -1,15 +1,20 @@
 """Disk cache for the heavy Monte Carlo scenario runs used by the test suite.
 
 Scenario runs are deterministic given (scenario, parallelism-independent
-reduction) and the package source, so their records can be reused across test
-modules and sessions.  The key hashes the scenario fields together with the
-contents of every ``ppcf`` source file, so any code change forces a cold run.
+reduction), the package source and the numerical stack, so their records can be
+reused across test modules and sessions.  The key hashes the scenario fields
+together with the contents of every ``ppcf`` source file and the Python, NumPy
+and SciPy versions, so any code change or upgrade forces a cold run.
 """
 
 import hashlib
 import json
+import platform
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 import ppcf
 from ppcf.harness import Scenario, TableRow, run_scenario_records
@@ -28,8 +33,10 @@ def _source_digest() -> str:
 
 
 def run_scenario_cached(s: Scenario, parallelism: int = 2):
-    """(rows per estimator, raw records), cached on disk by scenario and source."""
-    key_src = json.dumps({"scenario": asdict(s), "source": _source_digest()},
+    """(rows per estimator, raw records), cached on disk by scenario, source and stack."""
+    stack = {"python": platform.python_version(), "numpy": np.__version__,
+             "scipy": scipy.__version__}
+    key_src = json.dumps({"scenario": asdict(s), "source": _source_digest(), "stack": stack},
                          sort_keys=True, default=str)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     path = CACHE_DIR / f"{key}.json"

@@ -1,6 +1,7 @@
 """The option path from flags and YAML to the estimator, and the README's CLI section."""
 
 import argparse
+import json
 import os
 import re
 import shlex
@@ -14,7 +15,7 @@ import ppcf.cli
 import ppcf.harness
 from ppcf.cli import build_parser, main as cli_main
 from ppcf.crossfit import CrossFitConfig
-from ppcf.harness import Scenario, emit_scenario_files, resolve_fit_options
+from ppcf.harness import Scenario, emit_scenario_files, resolve_fit_options, run_replication
 from ppcf.inference import PcfModel
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -132,6 +133,16 @@ def test_pcf_is_one_yaml_key(monkeypatch, tmp_path):
         resolve_fit_options(config)
 
 
+@pytest.fixture
+def no_replication(monkeypatch):
+    """Fail the test if it simulates a replication or starts a pool."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a replication ran before the options were checked")
+
+    monkeypatch.setattr(ppcf.harness, "simulate_scenario_inputs", fail)
+    monkeypatch.setattr(ppcf.harness, "ProcessPoolExecutor", fail)
+
+
 @pytest.mark.parametrize("parallelism", ["1", "2"])
 @pytest.mark.parametrize("yaml_text, message", [
     ("kernel_order: 3", "no kernel of order 3"),
@@ -143,18 +154,48 @@ def test_pcf_is_one_yaml_key(monkeypatch, tmp_path):
     # the grid comes from the window: grid_n is no scenario key
     ("grid_n: 2", "unknown config keys"),
 ], ids=["kernel_order", "bandwidth", "folds", "approx", "estimators", "base_seed", "grid_n"])
-def test_scenario_rejects_bad_options_before_simulating(monkeypatch, tmp_path, yaml_text,
+def test_scenario_rejects_bad_options_before_simulating(no_replication, tmp_path, yaml_text,
                                                         message, parallelism):
     # the parent process raises before it simulates a replication or starts a pool
-    def fail(*args, **kwargs):
-        raise AssertionError("a replication ran before the options were checked")
-
-    monkeypatch.setattr(ppcf.harness, "simulate_scenario_inputs", fail)
-    monkeypatch.setattr(ppcf.harness, "ProcessPoolExecutor", fail)
     config = tmp_path / "cell.yaml"
     config.write_text(yaml_text)
     with pytest.raises(ValueError, match=message):
         cli_main(["scenario", "--config", str(config), "--parallelism", parallelism])
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--table", "2", "--parallelism", "0"],
+    ["scenario", "--parallelism", "-1"],
+], ids=["table", "scenario"])
+def test_nonpositive_parallelism_fails_before_simulating(no_replication, tmp_path, argv):
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        cli_main(argv + ["--out", str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--table", "2"],
+    ["scenario"],
+], ids=["table", "scenario"])
+def test_out_into_a_new_nested_directory(monkeypatch, tmp_path, capsys, argv):
+    # the directory is made before the run, so the run is not lost at the write
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    out = tmp_path / "a" / "b" / "run.csv"
+    assert cli_main(argv + ["--reps", "1", "--out", str(out)]) == 0
+    assert out.is_file() and Path(f"{out}.jsonl").is_file()
+    if argv[0] == "table":
+        assert re.fullmatch(rf"wrote 8 rows to {re.escape(str(out))} in \d+\.\d s\n",
+                            capsys.readouterr().out)
+
+
+def test_scenario_out_keeps_the_replication_records(monkeypatch, tmp_path):
+    # ``scenario --out`` writes its records to ``<out>.jsonl`` as ``table`` does
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    out = tmp_path / "cell.csv"
+    assert cli_main(["scenario", "--reps", "2", "--seed", "44", "--out", str(out)]) == 0
+    s = Scenario(reps=2, base_seed=44)
+    expected = [json.loads(json.dumps(run_replication(s, rep))) for rep in range(2)]
+    lines = Path(f"{out}.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == expected
 
 
 def test_unknown_config_keys_rejected(monkeypatch, tmp_path, fit_files):

@@ -1,9 +1,9 @@
 """Every public function, class and method in ``src/ppcf`` has a caller outside the tests,
 and every name a module of ``src/ppcf`` imports is used in that module.
 
-A name counts as used when it appears in code under ``src/``, ``scripts/`` or
-``perfbench/`` as a name, an attribute or an imported alias; docstrings and
-comments do not count, and neither do the tests.  Code that only tests call
+A name counts as used when it appears in code under ``src/`` or ``perfbench/``
+as a name, an attribute or an imported alias; docstrings and comments do not
+count, and neither do the tests.  Code that only tests call
 belongs in the tests.
 """
 
@@ -20,7 +20,7 @@ from ppcf.process import PointPattern
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ppcf"
-CALLER_DIRS = ("src", "scripts", "perfbench")
+CALLER_DIRS = ("src", "perfbench")
 
 # public names kept without a production caller, each with its reason
 ALLOWED = {}
