@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .harness import (
     Scenario,
+    check_parallelism,
     emit_scenario_files,
     fit_file,
     resolve_scenario_options,
@@ -134,6 +135,7 @@ def main(argv=None) -> int:
 
     if args.command == "scenario":
         s = resolve_scenario_options(set(args.option_keys.values()), args.config, given)
+        check_parallelism(args.parallelism)
         if args.out:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         rows, records = run_scenario_records(s, parallelism=args.parallelism)

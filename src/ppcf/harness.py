@@ -296,10 +296,15 @@ def _coverage(records: List[Dict], est: str, variant: str) -> Tuple[float, float
             100.0 * float(np.mean([v["hit95"] for v in vs])))
 
 
-def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, TableRow], List[Dict]]:
-    """Run all replications and aggregate; returns (rows per estimator, raw records)."""
+def check_parallelism(parallelism: int) -> None:
+    """Raise ValueError unless ``parallelism`` is a worker count, >= 1."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+
+
+def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, TableRow], List[Dict]]:
+    """Run all replications and aggregate; returns (rows per estimator, raw records)."""
+    check_parallelism(parallelism)
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as ex:
             records = list(ex.map(run_replication, [s] * s.reps, range(s.reps), chunksize=1))
@@ -374,11 +379,12 @@ def run_table(table_id: int, out_path, reps: int = 200, parallelism: int = 1,
               base_seed: int = 2024) -> List[Dict]:
     """Reproduce one of the simulation tables at the requested replication count.
 
-    Makes the parent directory of ``out_path`` first, then writes the rows and the
-    per-replication records, each tagged with its table and cell, through
-    :func:`write_run`; returns the rows as dictionaries.
+    Checks ``parallelism`` and makes the parent directory of ``out_path`` first, then
+    writes the rows and the per-replication records, each tagged with its table and
+    cell, through :func:`write_run`; returns the rows as dictionaries.
     """
     scenarios = _table_scenarios(table_id, reps, base_seed)
+    check_parallelism(parallelism)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     rows_out: List[Dict] = []
     sidecar = []
@@ -506,11 +512,14 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
 
     Options merge as in :func:`resolve_fit_options` (``overrides`` are the
     given values).  Writes a one-row summary CSV, a JSON-line record, and a
-    1-d lattice dump of the fitted nuisance curve when ``out_prefix`` is given.
+    1-d lattice dump of the fitted nuisance curve when ``out_prefix`` is given;
+    the directory of those files is made before any input is read.
     The record's ``diagnostics`` add ``fold_errors`` (None for a converged fold)
     and ``pcf_warnings``; those warnings are also shown, as the PCF fit raised them.
     """
     opts, run_cfg, pcf = resolve_fit_options(config_path, overrides)
+    if out_prefix is not None:
+        Path(f"{out_prefix}_summary.csv").parent.mkdir(parents=True, exist_ok=True)
     pattern = read_pattern_file(pattern_path)
     y_fields = [read_grid_file(p) for p in y_grid_paths]
     z_fields = [read_grid_file(p) for p in z_grid_paths]

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
@@ -279,15 +278,18 @@ def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
 def _k_model(r, n_steps: int = 513):
     """K(r) = 2 pi int_0^r s g(s) ds at the points r as a function of the PCF model:
     trapezoid sums over one grid of ``n_steps`` s-values from 0 to max r, built once
-    for every model; exactly pi r^2 in the Poisson case."""
+    for every model, in the expression of SciPy's ``cumulative_trapezoid`` (so equal
+    to it bit for bit); exactly pi r^2 in the Poisson case."""
     s = np.linspace(0.0, float(r.max()), n_steps)
+    ds = np.diff(s)
     two_pi_s = 2.0 * math.pi * s
     poisson = math.pi * r ** 2
 
     def k(model: PcfModel):
         if model.family == "poisson" or model.sigma2 == 0.0:
             return poisson
-        cum = np.concatenate([[0.0], cumulative_trapezoid(two_pi_s * model.pcf(s), s)])
+        f = two_pi_s * model.pcf(s)
+        cum = np.concatenate([[0.0], np.cumsum(ds * (f[1:] + f[:-1]) / 2.0)])
         return np.interp(r, s, cum)
 
     return k

@@ -55,7 +55,9 @@ D2 from one evaluation), once per theta it visits.  The q = 1 grid keeps no
 solve: every read is one solve at the grid nodes and one interpolation.  The
 least favorable direction of the sandwich variance is the curve's own first
 theta-derivative d, taken from the same evaluation and the same clamp as the
-curve value (``curve`` at order 1).
+curve value (``curve`` at order 1).  A read adds the number of rows whose raw
+gamma left ``eta_range`` to ``diagnostics["clip_count"]`` once it has returned, so
+a read that raises counts nothing.
 """
 
 from __future__ import annotations
@@ -307,11 +309,6 @@ def _tilted_moments(M, k, order):
     return den, -mu, mu[:, :, None] * mu[:, None, :] - M[:, 1 + k:].reshape(-1, k, k)
 
 
-def _check_mass(mass):
-    if np.any(mass <= 0):
-        raise ZeroMassError("no quadrature kernel mass at a query point (bandwidth too small)")
-
-
 def _interpolator(x, xp):
     """Linear interpolation on the uniform grid xp at x, constant beyond the ends of
     xp (as np.interp): a map fp (len(xp), ...) -> values at x, its positions and
@@ -350,7 +347,7 @@ class NuisanceFit:
         self.scale = float(scale)
         self.k = spec.k
         self.q = spec.q
-        self.diagnostics = {"clip_count": 0, "empty_numerator": 0}
+        self.diagnostics = {"clip_count": 0}
 
         self.Y_nodes, Z_nodes = spec.scheme_covariates(quad)
         self.Y_train, Z_train = self.Y_nodes[quad.is_data], Z_nodes[quad.is_data]
@@ -374,8 +371,7 @@ class NuisanceFit:
                 self._grid_sums = _BinnedGrid.build(self._grid, self._Zs_train[:, 0],
                                                     self._Zs_nodes[:, 0], self.weights, kernel)
             else:
-                self._grid_sums = _Rows(*self._rows(
-                    self._grid[:, None], lambda K: self._general_rows(K, strict=False)))
+                self._grid_sums = _Rows(*self._rows(self._grid[:, None], self._general_rows))
 
     def standardize(self, Z):
         return (np.asarray(Z, dtype=float).reshape(-1, self.q) - self._mu) / self._sd
@@ -400,14 +396,11 @@ class NuisanceFit:
             outs.append(fn(K))
         return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*outs))
 
-    def _general_rows(self, K, strict):
+    def _general_rows(self, K):
         """The ``_Rows`` of a chunk K of kernel rows: its data-node columns, the weighted
-        rows and their masses.  ``strict``: raise where there is no kernel mass."""
+        rows and their masses."""
         KW = K * self.weights
-        mass = KW.sum(axis=1)
-        if strict:
-            _check_mass(mass)
-        return _Rows(K[:, self.quad.is_data], KW, mass)
+        return _Rows(K[:, self.quad.is_data], KW, KW.sum(axis=1))
 
     def _objective(self, theta, gamma, rows):
         c, p = 1.0 / self.scale, self.spec.link
@@ -482,18 +475,22 @@ class NuisanceFit:
         return -g_tg / np.where(flat, -np.inf, g_gg)[:, None], flat
 
     def _solve(self, theta, rows, order, strict):
-        """Clamped (gamma, d, D2) on a batch; None beyond ``order``.
+        """Clamped (gamma, d, D2) on a batch, None beyond ``order``, and the mask of the
+        rows whose raw gamma left ``eta_range``.
 
         Under the log-linear link the batch is the ``_Sums`` of a whole read (one
         solve per read, whatever the number of chunks); under a general link it is
         one chunk's ``_Rows``.
 
-        Rows with a non-positive training kernel sum take the floor (counted in
-        ``empty_numerator``); rows without quadrature or tilted mass or curvature in
-        gamma raise if ``strict`` (direct queries), else take the floor (the grid).
-        ``clip_count`` counts rows whose raw gamma lies outside ``eta_range``.  Both
-        counts are added once nothing can raise, so a solve that raises counts nothing.
+        The one failure rule of a read: rows without quadrature kernel mass, tilted
+        mass or curvature in gamma raise if ``strict`` (direct queries), the mass
+        first, else take the floor (the grid); rows with a non-positive training
+        kernel sum take the floor.  The solve writes no attribute: the read adds the
+        mask's count to ``clip_count`` once it has returned (``_counted``), so a read
+        that raises counts nothing.
         """
+        if strict and np.any(rows.mass <= 0):
+            raise ZeroMassError("no quadrature kernel mass at a query point (bandwidth too small)")
         lo, hi = self.eta_range
         num = rows.train if rows.train.ndim == 1 else rows.train.sum(axis=1)
         floor = (num <= 0) | (rows.mass <= 0)
@@ -523,45 +520,45 @@ class NuisanceFit:
                 D2_raw = np.stack([(d_at(e) - d_at(-e)) / (2 * _FD_STEP) for e in steps], axis=2)
                 D2_raw = 0.5 * (D2_raw + D2_raw.transpose(0, 2, 1))
         gamma_raw[floor] = lo
-        self.diagnostics["empty_numerator"] += int(np.count_nonzero(num <= 0))
-        self.diagnostics["clip_count"] += int(np.count_nonzero(outside))
         gamma, chain1, chain2 = _soft_clip(gamma_raw, lo, hi, _CLIP_TAU)
         if order < 1:
-            return gamma, None, None
+            return gamma, None, None, outside
         d_raw[flat] = 0.0
         d = chain1[:, None] * d_raw
         if order < 2:
-            return gamma, d, None
+            return gamma, d, None, outside
         D2_raw[flat] = 0.0
         dd = d_raw[:, :, None] * d_raw[:, None, :]
-        return gamma, d, chain1[:, None, None] * D2_raw + chain2[:, None, None] * dd
+        return gamma, d, chain1[:, None, None] * D2_raw + chain2[:, None, None] * dd, outside
+
+    def _counted(self, gamma, d, D2, outside):
+        """(gamma, d, D2) of a read that has returned, its clipped rows counted."""
+        self.diagnostics["clip_count"] += int(np.count_nonzero(outside))
+        return gamma, d, D2
 
     def exact(self, theta, Z, order=2):
         """(gamma, d, D2) at query points Z (B, q) from their own kernel rows, None
-        beyond ``order``; raises ZeroMassError/ZeroDenominatorError without support,
-        leaving ``diagnostics`` as they were."""
+        beyond ``order``; raises ZeroMassError/ZeroDenominatorError without support.
+        Its clipped rows are counted once the read has returned, so a read that raises
+        leaves ``diagnostics`` as they were."""
         theta = np.asarray(theta, dtype=float)
         Zs = self.standardize(Z)
         if not self.spec.log_linear:
-            before = dict(self.diagnostics)
-            try:
-                return self._rows(Zs, lambda K: self._solve(
-                    theta, self._general_rows(K, strict=True), order, strict=True))
-            except Exception:
-                self.diagnostics.update(before)    # drop the counts of the chunks solved
-                raise
+            return self._counted(*self._rows(Zs, lambda K: self._solve(
+                theta, self._general_rows(K), order, strict=True)))
         # training sums, masses and tilted moments of every row from one product
         cols = np.column_stack([self.quad.is_data, self.weights, self.weights[:, None]
                                 * _tilted_columns(theta, self.Y_nodes, order)])
         sums = self._rows(Zs, lambda K: (K @ cols,))[0]
-        _check_mass(sums[:, 1])
-        return self._solve(theta, _Sums(sums[:, 0], sums[:, 1], sums[:, 2:]), order, strict=True)
+        return self._counted(*self._solve(
+            theta, _Sums(sums[:, 0], sums[:, 1], sums[:, 2:]), order, strict=True))
 
     # -- bulk curve interface (the profile optimizer and the LFD) ---------------
 
     def curve(self, theta, Z, order):
         """(gamma, d, D2) of the fitted curve at Z (B, q), None beyond ``order``: off
-        the grid when q = 1 (one grid solve per read), else from ``exact``."""
+        the grid when q = 1 (one grid solve per read, its clipped grid nodes counted),
+        else from ``exact``."""
         theta = np.asarray(theta, dtype=float)
         if self._grid is None:
             return self.exact(theta, Z, order)
@@ -572,7 +569,7 @@ class NuisanceFit:
             sums = _Sums(sums.train, sums.mass, sums.moments(cols))
         at = _interpolator(zs, self._grid)
         return tuple(None if v is None else at(v)
-                     for v in self._solve(theta, sums, order, strict=False))
+                     for v in self._counted(*self._solve(theta, sums, order, strict=False)))
 
     def eta_at(self, theta, Z) -> np.ndarray:
         return self.curve(theta, Z, 0)[0]

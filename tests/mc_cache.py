@@ -4,7 +4,9 @@ Scenario runs are deterministic given (scenario, parallelism-independent
 reduction), the package source and the numerical stack, so their records can be
 reused across test modules and sessions.  The key hashes the scenario fields
 together with the contents of every ``ppcf`` source file and the Python, NumPy
-and SciPy versions, so any code change or upgrade forces a cold run.
+and SciPy versions, so any code change or upgrade forces a cold run.  Each file
+name starts with the source digest, and writing an entry deletes the entries of
+every other source, so the cache holds the records of one source at a time.
 """
 
 import hashlib
@@ -36,16 +38,21 @@ def run_scenario_cached(s: Scenario, parallelism: int = 2):
     """(rows per estimator, raw records), cached on disk by scenario, source and stack."""
     stack = {"python": platform.python_version(), "numpy": np.__version__,
              "scipy": scipy.__version__}
-    key_src = json.dumps({"scenario": asdict(s), "source": _source_digest(), "stack": stack},
+    source = _source_digest()
+    key_src = json.dumps({"scenario": asdict(s), "source": source, "stack": stack},
                          sort_keys=True, default=str)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
-    path = CACHE_DIR / f"{key}.json"
+    prefix = source[:16] + "-"
+    path = CACHE_DIR / f"{prefix}{key}.json"
     if path.exists():
         payload = json.loads(path.read_text())
         rows = {est: TableRow(**row) for est, row in payload["rows"].items()}
         return rows, payload["records"]
     rows, records = run_scenario_records(s, parallelism=parallelism)
     CACHE_DIR.mkdir(exist_ok=True)
+    for stale in CACHE_DIR.glob("*.json"):
+        if not stale.name.startswith(prefix):
+            stale.unlink(missing_ok=True)
     payload = {**json.loads(key_src),
                "rows": {est: asdict(row) for est, row in rows.items()},
                "records": records}

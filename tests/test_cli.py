@@ -173,6 +173,29 @@ def test_nonpositive_parallelism_fails_before_simulating(no_replication, tmp_pat
 
 
 @pytest.mark.parametrize("argv", [
+    ["table", "--table", "2", "--parallelism", "0"],
+    ["scenario", "--parallelism", "-1"],
+], ids=["table", "scenario"])
+def test_nonpositive_parallelism_makes_no_directory(no_replication, tmp_path, argv):
+    # the worker count is checked before the parent directory of --out is made
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        cli_main(argv + ["--out", str(tmp_path / "a" / "b" / "out.csv")])
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("name", ["fit", ""], ids=["file", "directory"])
+def test_fit_out_into_a_new_nested_directory(monkeypatch, tmp_path, fit_files, name):
+    # the directory is made before the fit, so the fit is not lost at the write; a
+    # prefix ending in a separator names the directory the files go into
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    prefix = f"{tmp_path / 'a' / 'b'}{os.sep}{name}"
+    assert cli_main(["fit", fit_files["pattern"], "--y-grid", fit_files["y0"], "--z-grid",
+                     fit_files["z0"], "--grid-n", "32", "--out", prefix]) == 0
+    for suffix in ("_summary.csv", "_summary.jsonl", "_eta.csv"):
+        assert Path(f"{prefix}{suffix}").is_file()
+
+
+@pytest.mark.parametrize("argv", [
     ["table", "--table", "2"],
     ["scenario"],
 ], ids=["table", "scenario"])

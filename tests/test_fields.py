@@ -275,6 +275,18 @@ def test_grid_file_bad_token_names_its_line(tmp_path, line_no):
     assert f"grid.txt:{line_no}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("3 2 0.0 0.0 1.0", "expected 'nx ny x_min y_min x_max y_max'"),
+    ("3 2.5 0.0 0.0 1.0 1.0", "invalid literal"),
+], ids=["fields", "number"])
+def test_grid_file_bad_header_names_line_one(tmp_path, header, message):
+    path = tmp_path / "grid.txt"
+    path.write_text(header + "\n0.5 1.5 2.5\n3.5 4.5 5.5\n")
+    with pytest.raises(ParseError, match=message) as exc:
+        read_grid_file(path)
+    assert exc.value.line_no == 1
+
+
 @pytest.mark.parametrize("body", ["0.5 1.5\n2.5\n", "0.5 1.5 2.5\n3.5 4.5 5.5 6.5\n", ""])
 def test_grid_file_wrong_count_names_the_count(tmp_path, body):
     path = tmp_path / "grid.txt"

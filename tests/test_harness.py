@@ -31,7 +31,7 @@ from ppcf.harness import (
 from ppcf.inference import PcfModel, sandwich_terms
 from ppcf.model import build_quadrature
 from ppcf.nuisance import KernelSpec
-from ppcf.process import PointPattern
+from ppcf.process import PointPattern, read_pattern_file, write_pattern_file
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -316,6 +316,28 @@ def test_fit_file_window_mismatch(tmp_path):
     write_grid_file(shrunk, bad)
     with pytest.raises(WindowMismatchError):
         fit_file(paths["pattern"], [paths["y0"]], [bad])
+
+
+def test_fit_file_rewindows_a_pattern_inside_the_grids(tmp_path):
+    # a pattern whose header window is wider than the grids' is fitted on the grids'
+    # window when every point lies inside it, as if written under that window
+    s = Scenario(window="W1", reps=1, base_seed=555)
+    paths = emit_scenario_files(s, 0, tmp_path)
+    points = read_pattern_file(paths["pattern"]).points
+    wide = tmp_path / "wide.txt"
+    write_pattern_file(PointPattern(make_window(-0.5, -0.5, 1.5, 1.5), points), wide)
+    grids = [paths["y0"]], [paths["z0"]]
+    options = {"grid_n": 32, "seed": 3}
+    for pattern, prefix in ((paths["pattern"], "same"), (wide, "wide")):
+        fit_file(pattern, *grids, overrides=options, out_prefix=str(tmp_path / prefix))
+    for suffix in ("_summary.csv", "_summary.jsonl"):
+        assert ((tmp_path / f"wide{suffix}").read_bytes()
+                == (tmp_path / f"same{suffix}").read_bytes())
+    # one point outside the grids' window
+    outside = np.vstack([points, [[1.25, 0.5]]])
+    write_pattern_file(PointPattern(make_window(-0.5, -0.5, 1.5, 1.5), outside), wide)
+    with pytest.raises(WindowMismatchError, match="outside the grid window"):
+        fit_file(wide, *grids, overrides=options)
 
 
 def test_cli_simulate_and_fit(tmp_path):

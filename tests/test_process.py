@@ -255,3 +255,28 @@ def test_pattern_file_parse_error_carries_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         read_pattern_file(path)
     assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("0 0 1 1\n", 1, "expected 'x_min y_min x_max y_max n'"),
+    ("0 0 1 1 two\n0.5 0.5\n", 1, "invalid literal"),
+    ("0 0 1 1 2\n0.5 0.5\n\n0.1 0.2 0 7\n", 4, "expected 'x y \\[fold\\]'"),
+    ("0 0 1 1 1\n0.5 0.5\n\n0.1 0.2\n", 4, "more than the declared 1 points"),
+    ("0 0 1 1 3\n0.5 0.5\n\n0.1 0.2\n", 1, "declared 3 points but found 2"),
+    ("0 0 1 1 2\n0.5 0.5 1\n0.1 0.2\n", 1, "fold column present on some lines"),
+], ids=["header_fields", "header_number", "point_fields", "too_many", "too_few", "some_folds"])
+def test_pattern_file_malformed_input_names_its_line(tmp_path, text, line_no, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        read_pattern_file(path)
+    assert exc.value.line_no == line_no
+    assert f"bad.txt:{line_no}:" in str(exc.value)
+
+
+def test_pattern_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "pat.txt"
+    path.write_text("0 0 1 1 2\n\n0.5 0.25 2\n  \n0.125 0.75 1\n\n")
+    back = read_pattern_file(path)
+    assert np.array_equal(back.points, [[0.5, 0.25], [0.125, 0.75]])
+    assert np.array_equal(back.marks, [2, 1])
