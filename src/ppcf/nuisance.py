@@ -27,11 +27,13 @@ The kernel sums have two sources.  Dense kernel rows, plain signed sums built in
 chunks of bounded size, serve ``exact`` at query points, every q >= 2 curve and
 the q = 1 grid of general links.  A row spans the m quadrature nodes once; as the
 training points are the data nodes, its training part is its data-node columns.
-A chunk of rows is built in place in its (rows, m) array and one scratch array,
-so no (rows, m, q) array is formed: the Gaussian product kernel is radial, so the
-squared differences of every dimension are added up and one ``exp`` is taken; the
-quartic multiplies its univariate factors.  Each row is then divided by its
-max-abs.  Under the log-linear link a dense read solves once: the node columns
+Each row is scaled to peak 1 (``KernelSpec.rows``) and no (rows, m, q) array is
+formed.  The Gaussian is radial, so its rows come from a shifted Gram product: two
+thin matrix products with a (q + 2, m) node operand built once per fit, then one
+``exp`` per element, with no difference, square or division pass; each row's
+peak is exp(0), so its mass cannot underflow.  The quartic multiplies its
+univariate factors, built in place with one scratch array, and divides each row
+by its max-abs.  Under the log-linear link a dense read solves once: the node columns
 [1_data, w, w a, w a y, w a y y^T] are built once per read, each chunk's training
 sums, masses and tilted moments are one matrix product with them, and one solve
 runs on them stacked; a general link runs its Newton iteration per chunk, on its
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,26 +131,39 @@ class KernelSpec:
         _KERNELS[self.order](t, out)
         return out if out.ndim else out[()]
 
+    def operand(self, A):
+        """The node operand of ``rows`` for standardized nodes A (m, q), built once per
+        fit: for the Gaussian the (q + 2, m) Gram operand [u; -|u|^2 / 2; 1] of u = A / h,
+        for other orders A itself."""
+        if self.order != 2:
+            return A
+        u = A.T / self.bandwidth
+        return np.vstack([u, -0.5 * np.square(u).sum(axis=0), np.ones(u.shape[1])])
+
+    def rows(self, operand, Z):
+        """Kernel rows (B, m) of standardized query points Z (B, q) at the nodes of
+        ``operand``, each scaled to peak 1 (an all-zero row stays zero).  Gaussian rows
+        are a shifted Gram product (Wand & Jones 1995, ch. 4): with u = z / h,
+        -|u_b - u_j|^2 / 2 is u_b . u_j - |u_j|^2 / 2 less |u_b|^2 / 2, which the scaling
+        cancels; [u_b, 1, 0] @ operand gives the exponents, a second product with the row
+        maximum in the last column shifts them in place and one ``exp`` follows (the
+        exponents' rounding error is a few eps * max|u|^2).  Other orders divide the
+        ``product`` of the univariate factors by each row's max-abs."""
+        if self.order == 2:
+            left = np.column_stack([Z / self.bandwidth, np.ones(len(Z)), np.zeros(len(Z))])
+            K = left @ operand
+            left[:, -1] = -K.max(axis=1)
+            return np.exp(np.matmul(left, operand, out=K), out=K)
+        K = self.product(operand, Z)
+        peak = np.abs(K).max(axis=1)
+        K /= np.where(peak == 0, 1.0, peak)[:, None]
+        return K
+
     def product(self, A, Z):
         """K_h(a - z) = h^-q * prod_i k((a_i - z_i) / h) for standardized points A (N, q)
-        and Z (B, q): (B, N), built in place with at most one scratch array.  The
-        Gaussian product is radial, (2 pi)^(-q/2) exp(-|t|^2 / 2) (Wand & Jones 1995,
-        ch. 4): A and Z are divided by h before the differences are taken, the squared
-        differences of every dimension are added up and one ``exp`` and one constant
-        scale follow.  Other orders multiply the univariate factors of the dimensions,
-        left to right."""
+        and Z (B, q): (B, N), the univariate factors of the dimensions multiplied left
+        to right, built in place with at most one scratch array."""
         h, q = self.bandwidth, A.shape[1]
-        if self.order == 2:
-            A, Z = A / h, Z / h
-            K = _differences(A[:, 0], Z[:, 0])
-            np.square(K, out=K)
-            scratch = np.empty_like(K) if q > 1 else None
-            for i in range(1, q):
-                K += np.square(_differences(A[:, i], Z[:, i], out=scratch), out=scratch)
-            K *= -0.5
-            np.exp(K, out=K)
-            K *= (2.0 * math.pi) ** (-0.5 * q) / h ** q
-            return K
         K = _differences(A[:, 0], Z[:, 0])
         K /= h
         self.k1(K, out=K)
@@ -373,6 +389,11 @@ class NuisanceFit:
             else:
                 self._grid_sums = _Rows(*self._rows(self._grid[:, None], self._general_rows))
 
+    @cached_property
+    def _operand(self):
+        """The node operand of the dense kernel rows, built at the first read needing it."""
+        return self.kernel.operand(self._Zs_nodes)
+
     def standardize(self, Z):
         return (np.asarray(Z, dtype=float).reshape(-1, self.q) - self._mu) / self._sd
 
@@ -381,19 +402,13 @@ class NuisanceFit:
         stacked.
 
         A row spans the m quadrature nodes once (its training part is the data-node
-        columns), a chunk is at most ``_CHUNK_ELEMS`` elements, and each row is divided
-        by its max-abs, taken before weighting, so tilted sums cannot underflow.  Any
-        positive per-row scale cancels in gamma, d and D2 (ratios of sums) and in the
-        general-link Newton iteration (the score's sign and the step's ratio)."""
+        columns); a chunk, at most ``_CHUNK_ELEMS`` elements, is ``KernelSpec.rows``: each
+        row scaled to peak 1 before weighting, so tilted sums cannot underflow.  Any
+        positive row scale, the kernel's constant too, cancels in gamma, d and D2 (ratios
+        of sums) and in the general-link Newton iteration (score sign, step ratio)."""
         step = max(1, _CHUNK_ELEMS // self.weights.size)
-        outs = []
-        for s in range(0, Zs.shape[0], step):
-            K = self.kernel.product(self._Zs_nodes, Zs[s:s + step])
-            # the Gaussian is positive, so its max-abs is its max
-            peak = K.max(axis=1) if self.kernel.order == 2 else np.abs(K).max(axis=1)
-            peak[peak == 0] = 1.0
-            K /= peak[:, None]
-            outs.append(fn(K))
+        outs = [fn(self.kernel.rows(self._operand, Zs[s:s + step]))
+                for s in range(0, Zs.shape[0], step)]
         return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*outs))
 
     def _general_rows(self, K):
@@ -485,9 +500,12 @@ class NuisanceFit:
         The one failure rule of a read: rows without quadrature kernel mass, tilted
         mass or curvature in gamma raise if ``strict`` (direct queries), the mass
         first, else take the floor (the grid); rows with a non-positive training
-        kernel sum take the floor.  The solve writes no attribute: the read adds the
-        mask's count to ``clip_count`` once it has returned (``_counted``), so a read
-        that raises counts nothing.
+        kernel sum take the floor.  Gaussian rows keep their peak, so only the compact
+        quartic can lack kernel mass: a Gaussian query over 38.6 bandwidths from every
+        node, whose unscaled kernel values all underflow, gets its gamma, not a
+        ZeroMassError.  The solve writes no attribute: the read adds the mask's count
+        to ``clip_count`` once it has returned (``_counted``), so a read that raises
+        counts nothing.
         """
         if strict and np.any(rows.mass <= 0):
             raise ZeroMassError("no quadrature kernel mass at a query point (bandwidth too small)")
@@ -538,9 +556,10 @@ class NuisanceFit:
 
     def exact(self, theta, Z, order=2):
         """(gamma, d, D2) at query points Z (B, q) from their own kernel rows, None
-        beyond ``order``; raises ZeroMassError/ZeroDenominatorError without support.
-        Its clipped rows are counted once the read has returned, so a read that raises
-        leaves ``diagnostics`` as they were."""
+        beyond ``order``; raises ZeroMassError (only under the compact quartic: a
+        Gaussian row keeps its peak at any distance) or ZeroDenominatorError without
+        support.  Its clipped rows are counted once the read has returned, so a read
+        that raises leaves ``diagnostics`` as they were."""
         theta = np.asarray(theta, dtype=float)
         Zs = self.standardize(Z)
         if not self.spec.log_linear:

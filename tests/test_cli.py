@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ppcf.cli
 import ppcf.harness
 from ppcf.cli import build_parser, main as cli_main
 from ppcf.crossfit import CrossFitConfig
+from ppcf.fields import simulate_grf, write_grid_file
 from ppcf.harness import Scenario, emit_scenario_files, resolve_fit_options, run_replication
 from ppcf.inference import PcfModel
 
@@ -208,6 +210,28 @@ def test_out_into_a_new_nested_directory(monkeypatch, tmp_path, capsys, argv):
     if argv[0] == "table":
         assert re.fullmatch(rf"wrote 8 rows to {re.escape(str(out))} in \d+\.\d s\n",
                             capsys.readouterr().out)
+
+
+def test_fit_with_two_nuisance_grids(monkeypatch, tmp_path):
+    # q = 2 end to end: a W1 LGCP data set with a second nuisance grid from its own
+    # seed, fitted through the dense kernel rows; theta and SE as recorded from the
+    # per-dimension difference rows the Gram rows replaced
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    s = Scenario(window="W1", process="lgcp", covariates="ind", nuisance="linear",
+                 reps=1, base_seed=310_000)
+    paths = emit_scenario_files(s, 0, tmp_path)
+    n_lat = int(round(ppcf.harness.LATTICE_PER_UNIT * s.the_window().width))
+    z1_seed = int(np.random.SeedSequence([s.base_seed, 0]).generate_state(1)[0])
+    write_grid_file(simulate_grf(s.the_window(), n_lat, n_lat, ppcf.harness.COVARIATE_GRF,
+                                 z1_seed), tmp_path / "z1.txt")
+    prefix = tmp_path / "fit"
+    assert cli_main(["fit", paths["pattern"], "--y-grid", paths["y0"], "--z-grid", paths["z0"],
+                     "--z-grid", str(tmp_path / "z1.txt"), "--grid-n", "32", "--pcf", "estimated",
+                     "--seed", "0", "--out", str(prefix)]) == 0
+    rec = json.loads(Path(f"{prefix}_summary.jsonl").read_text().splitlines()[0])
+    assert np.allclose(rec["theta"], [0.3682305651399065], rtol=1e-12, atol=0)
+    assert np.allclose(rec["se"], [0.07256927577741033], rtol=1e-12, atol=0)
+    assert rec["pcf"]["family"] == "lgcp-exponential"
 
 
 def test_scenario_out_keeps_the_replication_records(monkeypatch, tmp_path):

@@ -175,13 +175,13 @@ def test_q1_replications_build_no_dense_kernel_rows(monkeypatch, cell):
     # q = 1 replications read the nuisance off the binned grid, so work on the dense
     # kernel rows of q >= 2 cannot move Monte Carlo records
     calls = []
-    product = KernelSpec.product
+    rows = KernelSpec.rows
 
-    def spy(self, A, Z):
+    def spy(self, operand, Z):
         calls.append(Z.shape)
-        return product(self, A, Z)
+        return rows(self, operand, Z)
 
-    monkeypatch.setattr(KernelSpec, "product", spy)
+    monkeypatch.setattr(KernelSpec, "rows", spy)
     assert run_replication(Scenario(reps=1, **cell), 0)["ok"]
     assert calls == []
 

@@ -110,14 +110,33 @@ def _chunk(nf):
     return ppcf.nuisance._CHUNK_ELEMS // nf.weights.size
 
 
+def _assert_near_rows(K, want, bound):
+    """K within ``bound`` of each row's peak of ``want``, and elementwise within
+    ``bound`` relative where ``want`` is at least 1e-3 of its row's peak (in the far
+    tail both forms round an exponent of up to ~700)."""
+    peak = want.max(axis=1, keepdims=True)
+    assert np.all(np.abs(K - want) <= bound * peak)
+    near = want >= 1e-3 * peak
+    assert np.all(np.abs(K - want)[near] <= bound * want[near])
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_kernel_rows_bitwise_equal_to_3d_product(q, order):
+    # quartic rows are the 3-D product bit for bit; Gaussian rows, built from the
+    # shifted Gram product, are within 1e-14 of it.  Either way every read takes
+    # its sums from ``KernelSpec.rows`` of each chunk, bit for bit.
     nf = _fit_q(q, order)
     is_data = nf.quad.is_data
     Zs = np.random.default_rng(q).normal(size=(300, q))
-    assert Zs.shape[0] > _chunk(nf)
-    want = _reference_rows(nf, Zs)
+    step = _chunk(nf)
+    assert Zs.shape[0] > step
+    want = np.concatenate([nf.kernel.rows(nf._operand, Zs[s:s + step])
+                           for s in range(0, Zs.shape[0], step)])
+    if order == 2:
+        _assert_near_rows(want, _reference_rows(nf, Zs), 1e-14)
+    else:
+        assert np.array_equal(want, _reference_rows(nf, Zs))
     # the chunks every read takes its sums from
     assert np.array_equal(nf._rows(Zs, lambda K: (K,))[0], want)
     # a general link keeps the training columns and the weighted rows
@@ -129,64 +148,83 @@ def test_kernel_rows_bitwise_equal_to_3d_product(q, order):
     assert np.array_equal(mass, want_KW.sum(axis=1))
 
 
+def _nodes_and_queries(q):
+    """The standardized nodes of ``_fit_q(q, 2)`` and 300 standard normal queries."""
+    return _fit_q(q, 2)._Zs_nodes, np.random.default_rng(q).normal(size=(300, q))
+
+
+def _gaussian_rows_and_factors(A, Z, h):
+    """Gaussian ``KernelSpec.rows`` of queries Z at nodes A, the product of the
+    univariate k1 factors over each row's peak, and max |u|^2 over nodes and queries,
+    u = z / h."""
+    kernel = KernelSpec(2, h)
+    factors = np.prod(kernel.k1((A[None, :, :] - Z[:, None, :]) / h), axis=-1)
+    factors /= factors.max(axis=1, keepdims=True)
+    u2 = max(np.square(A / h).sum(axis=1).max(), np.square(Z / h).sum(axis=1).max())
+    return kernel.rows(kernel.operand(A), Z), factors, u2
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_gaussian_product_matches_per_dimension_product(q):
-    # the radial order-2 product against the product of the univariate k1 factors:
-    # within 1e-14 of each row's peak, and elementwise where the kernel is at least
-    # 1e-3 of it (in the far tail both forms round an exponent of up to ~700)
-    nf = _fit_q(q, 2)
-    kernel, h = nf.kernel, nf.kernel.bandwidth
-    A, Z = nf._Zs_nodes, np.random.default_rng(q).normal(size=(300, q))
-    factors = np.prod(kernel.k1((A[None, :, :] - Z[:, None, :]) / h), axis=-1) / h ** q
-    K = kernel.product(A, Z)
-    peak = factors.max(axis=1, keepdims=True)
-    assert np.all(np.abs(K - factors) <= 1e-14 * peak)
-    near = factors >= 1e-3 * peak
-    assert np.all(np.abs(K - factors)[near] <= 1e-14 * factors[near])
+    # Gaussian rows from the shifted Gram product against the product of the
+    # univariate k1 factors, both over their row peaks, at the fits' h = 0.6
+    (A, Z), h = _nodes_and_queries(q), 0.6
+    K, factors, _ = _gaussian_rows_and_factors(A, Z, h)
+    _assert_near_rows(K, factors, 1e-14)
     # order 4 is the per-dimension product, bit for bit
     quartic = KernelSpec(4, h)
     factors = np.prod(quartic.k1((A[None, :, :] - Z[:, None, :]) / h), axis=-1) / h ** q
     assert np.array_equal(quartic.product(A, Z), factors)
 
 
+@pytest.mark.parametrize("h", [0.3, 0.15])
+@pytest.mark.parametrize("q", [2, 3])
+def test_gaussian_rows_precision_at_small_bandwidth(q, h):
+    # the Gram exponents u_b . u_j - |u_j|^2 / 2 carry a rounding error that grows
+    # with eps * max|u|^2 as h shrinks; the rows stay within a few times it
+    K, factors, u2 = _gaussian_rows_and_factors(*_nodes_and_queries(q), h)
+    _assert_near_rows(K, factors, 4.0 * np.finfo(float).eps * u2)
+
+
 @pytest.mark.parametrize("link", ["log-linear", "general"])
 def test_kernel_rows_span_the_nodes_once(link, monkeypatch):
-    # every kernel product of _rows runs over the m quadrature nodes alone, for
-    # direct queries and for the general-link q = 1 grid, with no stacked copy
-    # of the training points
+    # every chunk of kernel rows of _rows runs over the m quadrature nodes alone,
+    # for direct queries and for the general-link q = 1 grid, with no stacked copy
+    # of the training points: its node operand is the fit's one operand of them
     nf = _fit_q(1, 2)
     spec = _exp_link_as_general(nf.spec) if link == "general" else nf.spec
     seen = []
-    product = KernelSpec.product
+    rows = KernelSpec.rows
 
-    def spy(self, A, Z):
-        seen.append(A)
-        return product(self, A, Z)
+    def spy(self, operand, Z):
+        seen.append(operand)
+        return rows(self, operand, Z)
 
-    monkeypatch.setattr(KernelSpec, "product", spy)
+    monkeypatch.setattr(KernelSpec, "rows", spy)
     nf = NuisanceFit(spec, nf.quad, nf.kernel)
     assert bool(seen) == (link == "general")      # the log-linear grid keeps no rows
     Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, 1))
     assert Z.shape[0] > 2 * _chunk(nf)
     nf.exact(np.array([0.2]), Z, 1)
     assert len(seen) > 2
-    nodes = nf._Zs_nodes
-    assert all(A.shape == nodes.shape and np.array_equal(A, nodes) for A in seen)
+    operand = nf.kernel.operand(nf._Zs_nodes)
+    assert operand.shape == (3, nf.weights.size)
+    assert all(A is nf._operand and np.array_equal(A, operand) for A in seen)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_kernel_rows_build_no_q_axis(q, monkeypatch):
-    # every kernel product of _rows builds one 2-D (rows, m) chunk of at most
+    # every chunk of kernel rows of _rows is one 2-D (rows, m) array of at most
     # _CHUNK_ELEMS elements and no (..., q) array: at its peak it holds the chunk, one
     # scratch array and arrays the size of the points (N + B, q)
     nf = _fit_q(q, 2)
     shapes, extra = [], []
-    product = KernelSpec.product
+    rows = KernelSpec.rows
 
     def spy(self, A, Z):
         tracemalloc.start()
         try:
-            K = product(self, A, Z)
+            K = rows(self, A, Z)
             small = 2 * (A.nbytes + Z.nbytes) + 4096
             extra.append(tracemalloc.get_traced_memory()[1] - 2 * K.nbytes - small)
         finally:
@@ -194,7 +232,7 @@ def test_kernel_rows_build_no_q_axis(q, monkeypatch):
         shapes.append(K.shape)
         return K
 
-    monkeypatch.setattr(KernelSpec, "product", spy)
+    monkeypatch.setattr(KernelSpec, "rows", spy)
     Z = nf._mu + nf._sd * np.random.default_rng(1).normal(scale=0.5, size=(300, q))
     nf.exact(np.array([0.2]), Z, 2)
     assert len(shapes) > 2
@@ -204,8 +242,8 @@ def test_kernel_rows_build_no_q_axis(q, monkeypatch):
 
 
 def _per_chunk_exact(nf, theta, Z, order):
-    """``exact`` under the log-linear link as one solve per chunk of reference kernel
-    rows, the columns [1_data, w, w a, w a y, w a y(x)y], a = exp(theta . y), rebuilt
+    """``exact`` under the log-linear link as one solve per chunk of ``KernelSpec.rows``,
+    the columns [1_data, w, w a, w a y, w a y(x)y], a = exp(theta . y), rebuilt
     for every chunk."""
     Zs = nf.standardize(Z)
     step, m, Y, w = _chunk(nf), nf.weights.size, nf.Y_nodes, nf.weights
@@ -215,7 +253,7 @@ def _per_chunk_exact(nf, theta, Z, order):
         tilted = [np.ones((m, 1)), Y, (Y[:, :, None] * Y[:, None, :]).reshape(m, -1)]
         cols = np.column_stack([nf.quad.is_data, w,
                                 w[:, None] * (a[:, None] * np.hstack(tilted[:order + 1]))])
-        sums = _reference_rows(nf, Zs[s:s + step]) @ cols
+        sums = nf.kernel.rows(nf._operand, Zs[s:s + step]) @ cols
         rows = ppcf.nuisance._Sums(sums[:, 0], sums[:, 1], sums[:, 2:])
         *values, outside = nf._solve(theta, rows, order, True)
         nf.diagnostics["clip_count"] += int(np.count_nonzero(outside))
@@ -487,6 +525,25 @@ def test_zero_mass_error_for_compact_kernel(fitted):
     nf4 = NuisanceFit(spec, quad, KernelSpec(4, 0.05))
     with pytest.raises(ZeroMassError):
         nf4.exact(np.zeros(1), [50.0], 0)
+
+
+def test_gaussian_query_far_from_every_node_keeps_its_mass():
+    # 45 h from the node mean, over 38.6 h from every node: each Gaussian kernel value
+    # underflows, but the shifted rows keep each row's peak, so the read returns the
+    # long-double log-sum-exp gamma instead of raising ZeroMassError
+    nf = _fit_q(2, 2)
+    h, ld = nf.kernel.bandwidth, np.longdouble
+    zs = np.array([[45.0 * h, 0.0]])
+    assert np.sqrt(np.square(nf._Zs_nodes - zs).sum(axis=1)).min() > 38.6 * h
+    nf.eta_range = (-100.0, 100.0)    # so that the raw gamma is not clamped
+    theta = np.array([0.2])
+    gamma = nf.exact(theta, nf._mu + nf._sd * zs, 0)[0][0]
+    e = -0.5 * np.square((nf._Zs_nodes.astype(ld) - zs.astype(ld)) / ld(h)).sum(axis=1)
+    lse = lambda x: x.max() + np.log(np.exp(x - x.max()).sum())
+    a = np.log(nf.weights.astype(ld)) + (nf.Y_nodes @ theta).astype(ld)
+    want = float(np.log(ld(nf.scale)) + lse(e[nf.quad.is_data]) - lse(e + a))
+    assert want < -30.0
+    assert abs(gamma - want) <= 1e-12 * abs(want)
 
 
 def test_clip_counter_zero_on_interior_grid(fitted):
