@@ -21,6 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+# NumPy loads these submodules on first use; importing them here loads them with
+# ppcf, before any pool worker forks, not in every worker's first replication
+from numpy.fft import fft2, irfft2, rfft2
+from numpy.random import default_rng
 
 from .errors import (
     DecompositionError,
@@ -171,7 +175,7 @@ def _circulant_sqrt_eigs(window: Window, nx: int, ny: int, spec: GrfSpec) -> np.
         dj = np.minimum(np.arange(n), n - np.arange(n)) * dx
         base = spec.covariance(np.hypot(di[:, None], dj[None, :]))
         base[0, 0] += _JITTER * spec.variance
-        lam = np.fft.fft2(base).real
+        lam = fft2(base).real
         # even in both axes, as base is: averaged with its reflection so that the
         # rounding of the FFT leaves it exactly even, and a half spectrum holds it
         lam = 0.5 * (lam + np.roll(lam[::-1, ::-1], 1, axis=(0, 1)))
@@ -196,15 +200,15 @@ def simulate_grf(window: Window, nx: int, ny: int, spec: GrfSpec, seed: int) -> 
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"lattice resolution must be >= 2, got {nx} x {ny}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if spec.variance == 0.0:
         values = np.full((ny, nx), spec.mean)
         return GridField(window, nx, ny, values)
     sqrt_lam = _circulant_sqrt_eigs(window, nx, ny, spec)
     m, n = sqrt_lam.shape
-    spectrum = np.fft.rfft2(rng.standard_normal((m, n)))    # the half spectrum
+    spectrum = rfft2(rng.standard_normal((m, n)))    # the half spectrum
     spectrum *= sqrt_lam[:, :n // 2 + 1]
-    fluct = np.fft.irfft2(spectrum, s=(m, n))[:ny, :nx]
+    fluct = irfft2(spectrum, s=(m, n))[:ny, :nx]
     sd = np.sqrt(spec.variance)
     fluct = np.clip(fluct, -_CLAMP_SD * sd, _CLAMP_SD * sd)
     return GridField(window, nx, ny, spec.mean + fluct)

@@ -45,12 +45,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
-from scipy.special import ndtri
 
 from .errors import InsufficientPointsError, SingularSensitivityError
 from .model import ModelSpec, QuadratureScheme, _log_derivatives
@@ -60,6 +58,8 @@ from .process import PointPattern
 _PCF_TRUNC_TOL = 1e-6
 _PAIR_BLOCK = 2 ** 16      # node pairs per kernel temporary (512 kB of float64)
 _TILES = 16                # data tiles per window side in the lattice-data block
+_CELL_POINTS = 16          # mean points per cell below which the pair search of
+                           # estimate_pcf takes cells of side r, not r / 2
 
 
 @dataclass(frozen=True)
@@ -295,13 +295,127 @@ def _k_model(r, n_steps: int = 513):
     return k
 
 
+def _close_pairs(pts, r):
+    """Every unordered pair of the points ``pts`` (n, 2) with dx*dx + dy*dy <= r*r (the
+    test of SciPy's ``cKDTree.query_pairs``), in blocks: yields (rows, cols, within,
+    dx, dy) for each block with a pair, where ``rows`` and ``cols`` index ``pts``,
+    ``within`` (len(rows), len(cols)) marks the block's pairs and dx, dy are the row
+    point minus the column point at them, in row-major order.  Each pair is in one
+    block.
+
+    A cell list: the points are sorted by cells of sides at least r / k (at most 256
+    cells per axis), so a pair within r is at most k cells apart along each axis;
+    k = 2, unless cells of side r / 2 would hold under ``_CELL_POINTS`` points on
+    average, where k = 1 and fewer, larger blocks cost less (W1 patterns of about
+    450 points, against 1,400-1,650 on W2).  Each cell's points meet one contiguous
+    run of sorted points per cell row: their own cell's later points and the k cells
+    to its right, then the 2k + 1 cells from k columns left to k right in each of the
+    k rows above.  The sides have a relative margin of 1e-9, far above the rounding
+    of the cell coordinates, so a pair exactly r apart cannot land k + 1 cells
+    apart."""
+    n = pts.shape[0]
+    if n < 2:
+        return
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    for k in (2, 1):
+        side = r / k * (1.0 + 1e-9)
+        ncx, ncy = (int(min(max(extent // side, 1), 256)) for extent in span)
+        if n >= _CELL_POINTS * ncx * ncy:
+            break
+    sx, sy = max(span[0] / ncx, side), max(span[1] / ncy, side)
+    cell = np.minimum(((pts[:, 1] - lo[1]) / sy).astype(np.intp), ncy - 1) * ncx \
+        + np.minimum(((pts[:, 0] - lo[0]) / sx).astype(np.intp), ncx - 1)
+    order = np.argsort(cell, kind="stable")
+    x, y = pts[order, 0], pts[order, 1]
+    starts = np.zeros(ncx * ncy + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=ncx * ncy), out=starts[1:])
+    starts = starts.tolist()
+    r2 = r * r
+    for c in np.unique(cell).tolist():
+        s0, s1 = starts[c], starts[c + 1]
+        row, col = divmod(c, ncx)
+        xi, yi = x[s0:s1, None], y[s0:s1, None]
+        for b in range(min(k, ncy - 1 - row) + 1):
+            first = (row + b) * ncx
+            t0 = starts[first + (col if b == 0 else max(col - k, 0))]
+            t1 = starts[first + min(col + k, ncx - 1) + 1]
+            dx = xi - x[t0:t1]
+            dy = yi - y[t0:t1]
+            within = dx * dx
+            within += dy * dy
+            within = within <= r2
+            if b == 0:      # the run starts at this cell: keep each pair once
+                within = np.triu(within, 1)
+            dx = dx[within]
+            if dx.size:
+                yield order[s0:s1], order[t0:t1], within, dx, dy[within]
+
+
+def _nelder_mead(fun, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
+    """Minimizer of ``fun`` by the Nelder-Mead simplex (Nelder & Mead 1965): the
+    non-adaptive, unbounded method of SciPy 1.17's ``minimize(method="Nelder-Mead")``
+    with ``maxiter`` and no ``maxfev``, its initial simplex, update expressions, vertex
+    sorts and convergence test in the same order, so it returns the same point bit for
+    bit after the same evaluations."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([fun(v) for v in sim], dtype=float)
+    for _ in range(2):      # SciPy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:      # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = fun(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:                   # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = fun(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0]
+
+
 def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
     """Fit (sigma2, phi) of the LGCP-exponential PCF by minimum contrast.
 
     The inhomogeneous K-function is estimated with translation edge correction
     and the intensity plug-in ``lam_hat``, the fitted intensity at the pattern's
-    points, then |K-hat^(1/4) - K-model^(1/4)|^2 is
-    integrated over r and minimized by a coarse grid scan plus Nelder-Mead.
+    points, over the point pairs within r_max (``_close_pairs``), then
+    |K-hat^(1/4) - K-model^(1/4)|^2 is integrated over r and minimized by a coarse
+    grid scan plus Nelder-Mead (``_nelder_mead``).
     A degenerate fit falls back to the Poisson family with a warning.
     """
     n = pattern.count()
@@ -316,16 +430,16 @@ def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
         raise ValueError(f"intensity plug-in needs one value per point, got shape {lam.shape}")
     if np.any(lam <= 0):
         raise ValueError("intensity plug-in must be positive at the data points")
-    pts = pattern.points
-    pairs = cKDTree(pts).query_pairs(r_max, output_type="ndarray")
-    if pairs.shape[0] == 0:
+    blocks = [(dx, dy, (lam[rows, None] * lam[cols])[within])
+              for rows, cols, within, dx, dy in _close_pairs(pattern.points, r_max)]
+    if not blocks:
         warnings.warn("no point pairs within r_max; returning Poisson PCF")
         return PcfModel("poisson")
-    d = np.hypot(pts[pairs[:, 0], 0] - pts[pairs[:, 1], 0],
-                 pts[pairs[:, 0], 1] - pts[pairs[:, 1], 1])
-    trans = (w.width - np.abs(pts[pairs[:, 0], 0] - pts[pairs[:, 1], 0])) * \
-            (w.height - np.abs(pts[pairs[:, 0], 1] - pts[pairs[:, 1], 1]))
-    contrib = 2.0 / (lam[pairs[:, 0]] * lam[pairs[:, 1]] * trans)
+    dx, dy, lam_pairs = (np.concatenate(b) for b in zip(*blocks))
+    d = np.hypot(dx, dy)
+    trans = (w.width - np.abs(dx)) * (w.height - np.abs(dy))
+    contrib = 2.0 / (lam_pairs * trans)
+    # the order of the cumulative sum is the order of d, whatever the pair order
     order = np.argsort(d)
     d_sorted = d[order]
     cum = np.concatenate([[0.0], np.cumsum(contrib[order])])
@@ -350,10 +464,9 @@ def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
             val = contrast((s2, math.log(phi)))
             if best is None or val < best[0]:
                 best = (val, s2, math.log(phi))
-    res = minimize(contrast, x0=[best[1], best[2]], method="Nelder-Mead",
-                   options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 400})
-    sigma2_hat = float(res.x[0])
-    phi_hat = float(math.exp(res.x[1]))
+    x = _nelder_mead(contrast, [best[1], best[2]], xatol=1e-5, fatol=1e-12, maxiter=400)
+    sigma2_hat = float(x[0])
+    phi_hat = float(math.exp(x[1]))
     if (not np.isfinite(sigma2_hat)) or sigma2_hat <= 1e-6 or not np.isfinite(phi_hat) \
             or phi_hat <= 0 or phi_hat > 10 * r_max:
         warnings.warn("degenerate PCF fit; returning Poisson family")
@@ -397,7 +510,7 @@ def wald_report(theta_hat, S_hat, Sigma_hat, area: float, levels=(0.9, 0.95),
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     ci = {}
     for level in levels:
-        zq = ndtri(0.5 + level / 2.0)
+        zq = NormalDist().inv_cdf(0.5 + level / 2.0)
         ci[float(level)] = np.column_stack([theta_hat - zq * se, theta_hat + zq * se])
     diag = dict(diagnostics or {})
     diag.setdefault("min_eigenvalue_S", float(eigs.min()))

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     NonConvergenceError,
@@ -364,6 +363,19 @@ def _backtrack(evaluate, theta, direction, base, slope):
     return None
 
 
+def _cholesky_solve(a, b):
+    """x with a x = b for a symmetric positive definite a: the lower Cholesky factor L
+    of ``np.linalg.cholesky``, which raises ``LinAlgError`` when a is not positive
+    definite, then L y = b by forward and L^T x = y by back substitution."""
+    low = np.linalg.cholesky(a)
+    x = np.array(b, dtype=float)
+    for i in range(x.size):
+        x[i] = (x[i] - low[i, :i] @ x[:i]) / low[i, i]
+    for i in reversed(range(x.size)):
+        x[i] = (x[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
+    return x
+
+
 def _newton_maximize(evaluate, init, area):
     """Damped Newton with Armijo backtracking and gradient-ascent fallback on
     ``evaluate(theta) -> (value, score, hessian)``, called once per point."""
@@ -384,8 +396,7 @@ def _newton_maximize(evaluate, init, area):
                 theta=theta, score_norm=snorm)
         direction = None
         try:
-            fac = cho_factor(-h)
-            direction = cho_solve(fac, s)
+            direction = _cholesky_solve(-h, s)
             if direction @ s <= 0 or not np.all(np.isfinite(direction)):
                 direction = None
         except np.linalg.LinAlgError:

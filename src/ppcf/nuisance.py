@@ -31,7 +31,10 @@ Each row is scaled to peak 1 (``KernelSpec.rows``) and no (rows, m, q) array is
 formed.  The Gaussian is radial, so its rows come from a shifted Gram product: two
 thin matrix products with a (q + 2, m) node operand built once per fit, then one
 ``exp`` per element, with no difference, square or division pass; each row's
-peak is exp(0), so its mass cannot underflow.  The quartic multiplies its
+peak is exp(0), so its mass cannot underflow.  Where a bound from the query and
+node norms lets a read's exponents fall below ``_EXP_FLOOR`` (small bandwidths,
+far queries) they are clamped there first, which keeps ``exp`` on its fast path
+and moves only values below 1e-304 of the row peak.  The quartic multiplies its
 univariate factors, built in place with one scratch array, and divides each row
 by its max-abs.  Under the log-linear link a dense read solves once: the node columns
 [1_data, w, w a, w a y, w a y y^T] are built once per read, each chunk's training
@@ -83,6 +86,9 @@ _NEWTON_MAX_ITER = 200
 _FD_STEP = 1e-4               # theta step of the general-link second derivative
 _GRID_SIZE = 512              # nodes of the q = 1 grid the curve is interpolated on
 _BINS_PER_CELL = 16           # linear-binning bins per q = 1 grid cell (node moments)
+_EXP_FLOOR = -700.0           # Gaussian-row exponents of a read that can fall below are
+                              # clamped to it: exp(-700) ~ 1e-304 is normal, and an exp
+                              # returning a subnormal or 0 runs 20 to 240 times slower
 
 
 def _gaussian(t, out):
@@ -140,20 +146,24 @@ class KernelSpec:
         u = A.T / self.bandwidth
         return np.vstack([u, -0.5 * np.square(u).sum(axis=0), np.ones(u.shape[1])])
 
-    def rows(self, operand, Z):
+    def rows(self, operand, Z, floor=None):
         """Kernel rows (B, m) of standardized query points Z (B, q) at the nodes of
         ``operand``, each scaled to peak 1 (an all-zero row stays zero).  Gaussian rows
         are a shifted Gram product (Wand & Jones 1995, ch. 4): with u = z / h,
         -|u_b - u_j|^2 / 2 is u_b . u_j - |u_j|^2 / 2 less |u_b|^2 / 2, which the scaling
         cancels; [u_b, 1, 0] @ operand gives the exponents, a second product with the row
         maximum in the last column shifts them in place and one ``exp`` follows (the
-        exponents' rounding error is a few eps * max|u|^2).  Other orders divide the
+        exponents' rounding error is a few eps * max|u|^2), after a clamp of the
+        exponents at ``floor`` when one is given.  Other orders divide the
         ``product`` of the univariate factors by each row's max-abs."""
         if self.order == 2:
             left = np.column_stack([Z / self.bandwidth, np.ones(len(Z)), np.zeros(len(Z))])
             K = left @ operand
             left[:, -1] = -K.max(axis=1)
-            return np.exp(np.matmul(left, operand, out=K), out=K)
+            np.matmul(left, operand, out=K)
+            if floor is not None:
+                np.maximum(K, floor, out=K)
+            return np.exp(K, out=K)
         K = self.product(operand, Z)
         peak = np.abs(K).max(axis=1)
         K /= np.where(peak == 0, 1.0, peak)[:, None]
@@ -394,6 +404,22 @@ class NuisanceFit:
         """The node operand of the dense kernel rows, built at the first read needing it."""
         return self.kernel.operand(self._Zs_nodes)
 
+    @cached_property
+    def _node_radius(self):
+        """max |z_j| over the standardized nodes."""
+        return math.sqrt(np.square(self._Zs_nodes).sum(axis=1).max())
+
+    def _exp_floor(self, Zs):
+        """``_EXP_FLOOR`` when the Gaussian rows of standardized queries Zs can hold
+        shifted exponents below it, else None.  With u = z / h a shifted exponent is at
+        least -|u_b - u_j|^2 / 2, and |u_b - u_j| <= |u_b| + max |u_j|; one bound per
+        read, so a read that cannot reach the floor pays no pass for it."""
+        if self.kernel.order != 2:
+            return None
+        reach = (math.sqrt(np.square(Zs).sum(axis=1).max(initial=0.0)) + self._node_radius) \
+            / self.kernel.bandwidth
+        return _EXP_FLOOR if 0.5 * reach * reach > -_EXP_FLOOR else None
+
     def standardize(self, Z):
         return (np.asarray(Z, dtype=float).reshape(-1, self.q) - self._mu) / self._sd
 
@@ -407,7 +433,8 @@ class NuisanceFit:
         positive row scale, the kernel's constant too, cancels in gamma, d and D2 (ratios
         of sums) and in the general-link Newton iteration (score sign, step ratio)."""
         step = max(1, _CHUNK_ELEMS // self.weights.size)
-        outs = [fn(self.kernel.rows(self._operand, Zs[s:s + step]))
+        floor = self._exp_floor(Zs)
+        outs = [fn(self.kernel.rows(self._operand, Zs[s:s + step], floor))
                 for s in range(0, Zs.shape[0], step)]
         return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*outs))
 

@@ -343,15 +343,13 @@ def test_readme_scenario_yaml_loads_through_the_merge(monkeypatch, tmp_path):
                          pcf_mode="known")
 
 
-def test_cli_import_loads_neither_scipy_stats_nor_signal():
-    # a fresh interpreter: the package's imports alone decide what is loaded;
-    # ppcf.fields (one circulant-embedding sampler) loads no scipy module at all
+def test_cli_import_loads_no_scipy_module():
+    # a fresh interpreter: the package's imports alone decide what is loaded, and
+    # ppcf needs NumPy and PyYAML only (SciPy is a test dependency)
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    cases = {"ppcf.cli": "m in ('scipy.stats', 'scipy.signal')",
-             "ppcf.fields": "m.split('.')[0] == 'scipy'"}
-    for module, loaded in cases.items():
-        code = f"import sys, {module}; print(sorted(m for m in sys.modules if {loaded}))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "[]", module
+    code = ("import sys, ppcf.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -177,9 +177,9 @@ def test_q1_replications_build_no_dense_kernel_rows(monkeypatch, cell):
     calls = []
     rows = KernelSpec.rows
 
-    def spy(self, operand, Z):
+    def spy(self, operand, Z, floor=None):
         calls.append(Z.shape)
-        return rows(self, operand, Z)
+        return rows(self, operand, Z, floor)
 
     monkeypatch.setattr(KernelSpec, "rows", spy)
     assert run_replication(Scenario(reps=1, **cell), 0)["ok"]

@@ -1,8 +1,12 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.spatial import cKDTree
+from scipy.special import ndtri
 
 from helpers import intensity_surface, k_function
 
@@ -11,7 +15,9 @@ from ppcf.errors import InsufficientPointsError, SingularSensitivityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
     PcfModel,
+    _close_pairs,
     _k_model,
+    _nelder_mead,
     estimate_pcf,
     lfd_values,
     pcf_correction,
@@ -386,6 +392,157 @@ def test_estimate_pcf_recovers_lgcp_parameters():
     assert 0.1 <= np.median(phi) <= 0.3
 
 
+def _pair_keys(pts, r):
+    """The pairs of ``_close_pairs`` as sorted keys i * n + j, i < j, checking on the
+    way that no pair comes twice and that dx, dy are the row point minus the column
+    point."""
+    keys = []
+    for rows, cols, within, dx, dy in _close_pairs(pts, r):
+        a, b = np.nonzero(within)
+        i, j = rows[a], cols[b]
+        assert np.array_equal(dx, pts[i, 0] - pts[j, 0])
+        assert np.array_equal(dy, pts[i, 1] - pts[j, 1])
+        keys.append(np.minimum(i, j) * len(pts) + np.maximum(i, j))
+    keys = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.intp)
+    assert np.all(np.diff(keys) > 0)
+    return keys
+
+
+def _query_keys(pts, r):
+    pairs = cKDTree(pts).query_pairs(r, output_type="ndarray")
+    return np.sort(pairs[:, 0] * len(pts) + pairs[:, 1])
+
+
+def _pair_cases():
+    rng = np.random.default_rng(11)
+    lattice = np.stack(np.meshgrid(np.arange(9.0), np.arange(7.0)), -1).reshape(-1, 2)
+    spread = rng.uniform(0, 2, (400, 2))
+    yield "none", np.empty((0, 2)), 0.5
+    yield "one", np.array([[0.3, 0.4]]), 0.5
+    yield "two-within", np.array([[0.3, 0.4], [0.6, 0.8]]), 0.5
+    yield "two-beyond", np.array([[0.3, 0.4], [0.6, 0.81]]), 0.5
+    yield "duplicates", np.repeat(rng.uniform(0, 1, (60, 2)), 3, axis=0), 0.2
+    yield "all-equal", np.full((5, 2), 0.25), 0.1
+    # exactly r apart across cell edges: spacing r = 0.25 is exact in binary,
+    # spacing 0.1 is r up to rounding either side
+    yield "lattice-exact", 0.25 * lattice, 0.25
+    yield "lattice-rounded", 0.1 * lattice, 0.1
+    yield "lattice-sqrt2", 0.1 * lattice, math.hypot(0.1, 0.1)
+    shift = rng.uniform(0, 2 * np.pi, 200)
+    base = rng.uniform(0, 1, (200, 2))
+    yield "partners-at-r", np.vstack([base, base + 0.15 * np.column_stack(
+        [np.cos(shift), np.sin(shift)])]), 0.15
+    yield "uniform", spread, 0.5
+    yield "offset-window", spread + [1000.5, -73.25], 0.5
+    yield "thin-strip", np.column_stack([rng.uniform(-5, 5, 300), rng.uniform(0, 0.01, 300)]), 0.3
+    centers = rng.uniform(0, 2, (8, 2))
+    yield "clustered", (centers[rng.integers(0, 8, 500)]
+                        + rng.normal(scale=0.03, size=(500, 2))), 0.5
+
+
+@pytest.mark.parametrize("case", list(_pair_cases()), ids=lambda c: c[0])
+def test_close_pairs_is_the_query_pairs_set(case):
+    _, pts, r = case
+    assert np.array_equal(_pair_keys(pts, r), _query_keys(pts, r))
+
+
+@pytest.mark.parametrize("filler", [0, 240])
+def test_close_pairs_keeps_pairs_r_apart_at_cell_edges(filler):
+    # pairs (x, x + r) within rounding of multiples of r / 2, the cell edges of both
+    # cell sides; without filler the cells have side r, with 240 uniform filler
+    # points side r / 2.  Without the sides' margin, some pairs land k + 1 cells apart
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        r = float(rng.uniform(0.05, 0.5))
+        cells = int(rng.integers(4, 14))
+        span = cells * (r / 2)
+        x = (rng.integers(0, cells - 2, 20) + rng.uniform(-1e-15, 1e-15, 20)) * (r / 2)
+        x = np.clip(x, 0.0, span)
+        x = np.concatenate([[0.0, span], x, (x + r)[x + r <= span],
+                            rng.uniform(0.0, span, filler)])
+        pts = np.column_stack([x, np.zeros_like(x)])
+        assert np.array_equal(_pair_keys(pts, r), _query_keys(pts, r))
+
+
+def test_close_pairs_matches_query_pairs_on_lgcp_patterns():
+    w2 = make_window(0, 0, 2, 2)
+    base = constant_surface(w2, 400.0)
+    for seed in range(3):
+        pts = simulate_lgcp(base, GrfSpec(1.0, 0.1), 64, 64, seed=seed).points
+        assert len(pts) > 16 * 49       # dense enough for cells of side r / 2
+        assert np.array_equal(_pair_keys(pts, 0.5), _query_keys(pts, 0.5))
+
+
+def _scipy_nelder_mead(fun, x0, xatol, fatol, maxiter):
+    return minimize(fun, x0, method="Nelder-Mead",
+                    options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter}).x
+
+
+def _counted(nm, fun, *args):
+    """(x, evaluations) of the minimizer ``nm`` on ``fun``."""
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return fun(x)
+
+    return nm(f, *args), calls
+
+
+def _nelder_mead_problems():
+    rng = np.random.default_rng(5)
+    for i in range(24):
+        a = rng.normal(size=(2, 2))
+        hess = a @ a.T + 0.1 * np.eye(2)
+        center = rng.normal(size=2)
+        x0 = rng.normal(scale=2.0, size=2)
+        if i % 6 == 0:
+            x0[i % 4 // 2] = 0.0          # a zero coordinate takes the 0.00025 step
+        kind = i % 4
+        if kind == 0:
+            fun = lambda x, h=hess, c=center: float((x - c) @ h @ (x - c))
+        elif kind == 1:
+            fun = lambda x, c=center: float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
+                                            + c[0])
+        elif kind == 2:                  # the contrast's barrier outside a region
+            fun = lambda x, h=hess, c=center: (1e300 if x[0] < 0 else
+                                               float((x - c) @ h @ (x - c)))
+        else:
+            fun = lambda x, c=center: float(np.abs(x - c).sum() + np.cos(3 * x[0]))
+        maxiter = 25 if i % 5 == 0 else 400
+        yield fun, x0, 1e-5, 1e-12, maxiter
+
+
+@pytest.mark.parametrize("problem", list(_nelder_mead_problems()))
+def test_nelder_mead_is_scipys_bit_for_bit(problem):
+    fun, *args = problem
+    x, calls = _counted(_nelder_mead, fun, *args)
+    x_ref, calls_ref = _counted(_scipy_nelder_mead, fun, *args)
+    assert np.array_equal(x, x_ref)
+    assert len(calls) == len(calls_ref)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, calls_ref))
+
+
+def test_estimate_pcf_contrast_minimum_is_scipys_bit_for_bit(monkeypatch):
+    # the whole fit, with the in-package minimizer and with SciPy's on the same contrast
+    w2 = make_window(0, 0, 2, 2)
+    fits, counts = {}, {}
+    for seed in range(3):
+        pattern = simulate_lgcp(constant_surface(w2, 400.0), GrfSpec(0.3, 0.15), 64, 64,
+                                seed=seed)
+        lam = np.full(pattern.count(), 400.0)
+        for name, nm in [("ours", _nelder_mead), ("scipy", _scipy_nelder_mead)]:
+            def run(fun, x0, xatol, fatol, maxiter, nm=nm, name=name):
+                x, calls = _counted(nm, fun, x0, xatol, fatol, maxiter)
+                counts[name] = len(calls)
+                return x
+
+            monkeypatch.setattr(ppcf.inference, "_nelder_mead", run)
+            fits[name] = estimate_pcf(pattern, lam)
+        assert fits["ours"] == fits["scipy"] and fits["ours"].family == "lgcp-exponential"
+        assert counts["ours"] == counts["scipy"]
+
+
 # -- Wald reports ---------------------------------------------------------------------
 
 
@@ -394,6 +551,15 @@ def test_wald_scalar_arithmetic():
     assert abs(rep.se[0] - 0.5) < 1e-12
     lo, hi = rep.ci[0.95][0]
     assert abs((hi - lo) / 2 - 0.97998199) < 1e-6
+
+
+def test_normal_quantile_matches_ndtri():
+    p = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 2001), np.geomspace(1e-300, 0.4, 200),
+                        [0.95, 0.975, 0.995]])
+    p = p[p != 0.5]
+    got = np.array([NormalDist().inv_cdf(float(x)) for x in p])
+    assert np.all(np.abs(got - ndtri(p)) <= 2e-15 * np.abs(ndtri(p)))
+    assert NormalDist().inv_cdf(0.5) == ndtri(0.5) == 0.0
 
 
 def test_wald_poisson_bound_identity():

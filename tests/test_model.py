@@ -4,9 +4,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from helpers import intensity_surface
 
+import ppcf.model
 from ppcf.errors import NonpositiveIntensityError
 from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf  # noqa: F401
 from ppcf.model import (
@@ -14,6 +16,8 @@ from ppcf.model import (
     Link,
     LogisticScheme,
     ModelSpec,
+    _cholesky_solve,
+    _newton_maximize,
     build_logistic_scheme,
     build_quadrature,
     fit_parametric_baseline_full,
@@ -432,6 +436,56 @@ def test_golden_grid_scan_brackets_newton_solution(small_model, small_pattern):
     vals = [evaluate(np.array([t]))[0] for t in grid]
     best = grid[int(np.argmax(vals))]
     assert abs(best - theta) <= 1e-4
+
+
+def test_newton_direction_matches_cho_solve(small_model, small_pattern):
+    # random symmetric positive definite systems of k = 1..4 over six decades of
+    # scale, and the negated Hessian of a profile fit
+    rng = np.random.default_rng(8)
+    systems = []
+    for k in (1, 2, 3, 4):
+        for _ in range(25):
+            m = rng.normal(size=(k, k))
+            systems.append((10.0 ** rng.uniform(-2, 4) * (m @ m.T + k * np.eye(k)),
+                            rng.normal(size=k)))
+    quad = build_quadrature(small_pattern, 16)
+    curve = FixedCurve(lambda Z: math.log(150.0) + 0.3 * Z[:, 0], k=1)
+    _, s, h = pseudo_likelihood(small_model, curve, quad, 1.0)(np.array([0.1]))
+    systems.append((-h, s))
+    for a, b in systems:
+        want = cho_solve(cho_factor(a), b)
+        assert np.abs(_cholesky_solve(a, b) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_newton_takes_the_gradient_path_at_a_non_positive_definite_hessian(monkeypatch):
+    # a concave quadratic whose Hessian is reported indefinite at the start point
+    # only: the Cholesky factor raises LinAlgError there, the first step ascends
+    # the gradient and Newton steps finish the fit
+    center = np.array([0.3, -0.2])
+
+    def evaluate(theta):
+        d = theta - center
+        h = np.diag([1.0, -1.0]) if not theta.any() else -2.0 * np.eye(2)
+        return -float(d @ d), -2.0 * d, h
+
+    outcomes = []
+    solve = ppcf.model._cholesky_solve
+
+    def spy(a, b):
+        try:
+            x = solve(a, b)
+        except np.linalg.LinAlgError:
+            outcomes.append("raised")
+            raise
+        outcomes.append("solved")
+        return x
+
+    monkeypatch.setattr(ppcf.model, "_cholesky_solve", spy)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(-np.diag([1.0, -1.0]), np.ones(2))
+    theta = _newton_maximize(evaluate, np.zeros(2), 1.0)
+    assert outcomes[0] == "raised" and set(outcomes[1:]) == {"solved"}
+    assert np.abs(theta - center).max() <= 1e-8
 
 
 # -- logistic approximation -------------------------------------------------------

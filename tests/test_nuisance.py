@@ -186,6 +186,50 @@ def test_gaussian_rows_precision_at_small_bandwidth(q, h):
     _assert_near_rows(K, factors, 4.0 * np.finfo(float).eps * u2)
 
 
+def _gaussian_exponents(kernel, operand, Zs):
+    """The shifted exponents of Gaussian ``KernelSpec.rows``, before any clamp or ``exp``."""
+    left = np.column_stack([Zs / kernel.bandwidth, np.ones(len(Zs)), np.zeros(len(Zs))])
+    K = left @ operand
+    left[:, -1] = -K.max(axis=1)
+    return np.matmul(left, operand, out=K)
+
+
+def test_gaussian_rows_clamp_far_exponents_leaving_reads_unchanged(monkeypatch):
+    # at h = 0.15, queries three standard deviations wide put over 5% of the shifted
+    # exponents below _EXP_FLOOR, where exp leaves its vector path: the read clamps
+    # them there, and stays bit for bit the unclamped formula's
+    nf = _fit_q(2, 2)
+    nf = NuisanceFit(nf.spec, nf.quad, KernelSpec(2, 0.15))
+    Z = nf._mu + nf._sd * np.random.default_rng(2).normal(scale=3.0, size=(300, 2))
+    Zs, floor = nf.standardize(Z), ppcf.nuisance._EXP_FLOOR
+    assert np.mean(_gaussian_exponents(nf.kernel, nf._operand, Zs) < floor) > 0.05
+    assert nf._exp_floor(Zs) == floor
+    assert nf.kernel.rows(nf._operand, Zs, floor).min() == np.exp(floor)
+    theta = np.array([0.2])
+    got = nf.exact(theta, Z, 2)
+    monkeypatch.setattr(KernelSpec, "rows", lambda self, operand, Zs, floor=None:
+                        np.exp(_gaussian_exponents(self, operand, Zs)))
+    want = nf.exact(theta, Z, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_gaussian_reads_at_the_fits_bandwidth_take_no_clamp(monkeypatch):
+    # h = 0.6 and standard normal queries: the read's bound on the exponents stays
+    # above _EXP_FLOOR, so no chunk of its rows takes a clamp pass
+    nf = _fit_q(2, 2)
+    Z = nf._mu + nf._sd * np.random.default_rng(2).normal(size=(300, 2))
+    floors = []
+    rows = KernelSpec.rows
+
+    def spy(self, operand, Zs, floor=None):
+        floors.append(floor)
+        return rows(self, operand, Zs, floor)
+
+    monkeypatch.setattr(KernelSpec, "rows", spy)
+    nf.exact(np.array([0.2]), Z, 2)
+    assert len(floors) > 2 and set(floors) == {None}
+
+
 @pytest.mark.parametrize("link", ["log-linear", "general"])
 def test_kernel_rows_span_the_nodes_once(link, monkeypatch):
     # every chunk of kernel rows of _rows runs over the m quadrature nodes alone,
@@ -196,9 +240,9 @@ def test_kernel_rows_span_the_nodes_once(link, monkeypatch):
     seen = []
     rows = KernelSpec.rows
 
-    def spy(self, operand, Z):
+    def spy(self, operand, Z, floor=None):
         seen.append(operand)
-        return rows(self, operand, Z)
+        return rows(self, operand, Z, floor)
 
     monkeypatch.setattr(KernelSpec, "rows", spy)
     nf = NuisanceFit(spec, nf.quad, nf.kernel)
@@ -221,10 +265,10 @@ def test_kernel_rows_build_no_q_axis(q, monkeypatch):
     shapes, extra = [], []
     rows = KernelSpec.rows
 
-    def spy(self, A, Z):
+    def spy(self, A, Z, floor=None):
         tracemalloc.start()
         try:
-            K = rows(self, A, Z)
+            K = rows(self, A, Z, floor)
             small = 2 * (A.nbytes + Z.nbytes) + 4096
             extra.append(tracemalloc.get_traced_memory()[1] - 2 * K.nbytes - small)
         finally:
