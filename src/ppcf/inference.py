@@ -23,9 +23,9 @@ The double sum is truncated at the radius r_trunc where |g - 1| < 1e-6 (capped
 at half the shorter window side) and evaluated exactly, with the same kernel
 g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
 
-* lattice-lattice: one circular FFT correlation of period 2g (g the lattice
-  side) of the kernel image over integer lattice offsets with all k columns of a
-  at once; offsets run only to g - 1, so no product wraps around;
+* lattice-lattice: a circular FFT correlation of period 2g (g the lattice side)
+  of the kernel image over integer lattice offsets with one column of a at a
+  time; offsets run only to g - 1, so no product wraps around;
 * lattice-data: the data nodes are binned into 16 x 16 spatial tiles, and each
   tile meets only the box of lattice rows and columns within r_trunc of its
   points (inclusive bounds); every pair outside the box lies beyond r_trunc;
@@ -33,11 +33,16 @@ g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
 
 Several PCF models share one pass: each block's geometry (tile boxes at the
 largest r_trunc, distances, one cut-off mask per distinct r_trunc, the FFT of
-the lattice images) is built once, and each model evaluates its own kernel on
-it, 0 beyond its own r_trunc, so every sum stays exact.  A model with r_trunc 0
-(Poisson, or sigma2 = 0) gets zeros and does no pair work.  No temporary of the
-two direct blocks holds more than 2^16 pair values (512 kB), whatever the
-number of data nodes or models.
+each column's lattice image) is built once, and each model evaluates its own
+kernel on it, 0 beyond its own r_trunc, so every sum stays exact.  A model with
+r_trunc 0 (Poisson, or sigma2 = 0) gets zeros and does no pair work.
+
+Memory is bounded per block.  No temporary of the two direct blocks holds more
+than 2^16 pair values (512 kB), whatever the number of data nodes or models.
+The lattice block holds each model's kernel transform and the transforms of one
+padded (2g x 2g) column image at a time, whatever k.  The K-function of the
+minimum-contrast fit keeps two arrays of one value per point pair (distance and
+contribution), and at most three at once while it sorts them.
 """
 
 from __future__ import annotations
@@ -126,17 +131,26 @@ def semi_sandwich_terms(spec: ModelSpec, theta_hat, eta_hat, nu_hat, quad: Quadr
     return (*sandwich_terms(quad, lam, grads), lam)
 
 
-def _pair_distances(r2, radii):
+def _workspace(models, size):
+    """Buffers of ``size`` values for :func:`_kernels`: a float one for the kernel and
+    a bool cut-off mask per distinct radius of ``models``."""
+    return np.empty(size), {radius: np.empty(size, dtype=bool)
+                            for radius in {r for _, _, r in models}}
+
+
+def _pair_distances(r2, masks):
     """In place: squared distances r2 -> distances r, with the cut-off mask of each
-    distinct radius in ``radii``: 1.0 where r <= radius, 0.0 beyond."""
+    radius of ``masks`` (radius -> bool buffer of at least r2.size values) written
+    into its buffer: True where r <= radius."""
     r = np.sqrt(r2, out=r2)
-    return r, {radius: (r <= radius).astype(float) for radius in set(radii)}
+    return r, {radius: np.less_equal(r, radius, out=buf[:r.size].reshape(r.shape))
+               for radius, buf in masks.items()}
 
 
 def _pcf_minus_one(pcf: PcfModel, neg_inv_phi, r, within, out):
     """g(r) - 1 of ``pcf`` at distances r into ``out`` (the expression of
     ``PcfModel.pcf``, with -r/phi as r * neg_inv_phi), times the cut-off mask
-    ``within``; g - 1 >= 0 is finite, so pairs beyond get exactly 0."""
+    ``within`` (1 or 0); g - 1 >= 0 is finite, so pairs beyond get exactly 0."""
     np.multiply(r, neg_inv_phi, out=out)
     np.exp(out, out=out)
     out *= pcf.sigma2
@@ -146,29 +160,38 @@ def _pcf_minus_one(pcf: PcfModel, neg_inv_phi, r, within, out):
     return out
 
 
-def _kernels(models, r2, buf):
+def _kernels(models, r2, work):
     """Every model's kernel on one block of squared distances r2, which become the
-    distances in place: yields (model position, kernel), each kernel in ``buf``."""
-    r, within = _pair_distances(r2, [radius for _, _, radius in models])
+    distances in place: yields (model position, kernel), each kernel in the
+    :func:`_workspace` ``work``."""
+    buf, masks = work
+    r, within = _pair_distances(r2, masks)
     out = buf[:r.size].reshape(r.shape)
     for i, (pcf, neg_inv_phi, radius) in enumerate(models):
         yield i, _pcf_minus_one(pcf, neg_inv_phi, r, within[radius], out)
 
 
 def _lattice_sum(models, quad, A_grid):
-    """Lattice-lattice block: one circular FFT correlation of period 2g over all k
-    columns per model, on one transform of the lattice images.  Lattice offsets
-    run to g - 1, so no product wraps."""
+    """Lattice-lattice block: circular FFT correlations of period 2g, one a-vector
+    column at a time.  Each model's kernel image is transformed once; each
+    column's image is transformed once and fills row a of every model's (k, k)
+    sum.  Lattice offsets run to g - 1, so no product wraps."""
     g = quad.grid_n
+    k = A_grid.shape[1]
     offs = np.fft.fftfreq(2 * g, 1.0 / (2 * g))        # 0, 1, .., g - 1, -g, .., -1
     r2 = (offs * (quad.window.height / g))[:, None] ** 2 \
         + (offs * (quad.window.width / g))[None, :] ** 2
+    work = _workspace(models, r2.size)
+    f_kerns = [np.fft.rfft2(kern) for _, kern in _kernels(models, r2, work)]
+    del r2, work
     imgs = A_grid.T.reshape(-1, g, g)
     shape = (2 * g, 2 * g)
-    f_imgs = np.fft.rfft2(imgs, shape)
-    return [np.einsum("aij,bij->ab",
-                      np.fft.irfft2(f_imgs * np.fft.rfft2(kern), shape)[:, :g, :g], imgs)
-            for _, kern in _kernels(models, r2, np.empty(r2.size))]
+    outs = [np.empty((k, k)) for _ in models]
+    for a in range(k):
+        f_img = np.fft.rfft2(imgs[a], shape)
+        for out, f_kern in zip(outs, f_kerns):
+            out[a] = np.einsum("ij,bij->b", np.fft.irfft2(f_img * f_kern, shape)[:g, :g], imgs)
+    return outs
 
 
 def _lattice_data_sum(models, quad, A_grid, A_data):
@@ -188,7 +211,7 @@ def _lattice_data_sum(models, quad, A_grid, A_data):
     order = np.argsort(tile, kind="stable")
     A_img = A_grid.reshape(g, g, k)
     geo = np.empty(_PAIR_BLOCK)
-    buf = np.empty(_PAIR_BLOCK)
+    work = _workspace(models, _PAIR_BLOCK)
     outs = [np.zeros((k, k)) for _ in models]
     for idx in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
         px, py = pts[idx, 0], pts[idx, 1]
@@ -213,7 +236,7 @@ def _lattice_data_sum(models, quad, A_grid, A_data):
                 np.add(np.square(ys[y0:y1] - pts[sel, 1, None])[:, :, None],
                        np.square(xs[c0:c1] - pts[sel, 0, None])[:, None, :], out=r2)
                 a_sel = A_data[sel].T
-                for i, kern in _kernels(models, r2, buf):
+                for i, kern in _kernels(models, r2, work):
                     outs[i] += a_sel @ (kern.reshape(sel.size, -1) @ a_box)
     return outs
 
@@ -223,16 +246,19 @@ def _data_sum(models, pts, A_data):
     symmetric, so each off-diagonal block pair is evaluated once."""
     n = pts.shape[0]
     b = math.isqrt(_PAIR_BLOCK)
-    buf = np.empty(_PAIR_BLOCK)
+    geo = np.empty((2, _PAIR_BLOCK))       # squared distances and their y-terms
+    work = _workspace(models, _PAIR_BLOCK)
     outs = [np.zeros((A_data.shape[1],) * 2) for _ in models]
     for i0 in range(0, n, b):
         p_i, a_i = pts[i0:i0 + b], A_data[i0:i0 + b].T
         for j0 in range(i0, n, b):
             p_j = pts[j0:j0 + b]
-            r2 = np.square(p_i[:, 0, None] - p_j[None, :, 0])
-            r2 += np.square(p_i[:, 1, None] - p_j[None, :, 1])
+            shape = (p_i.shape[0], p_j.shape[0])
+            r2, dy2 = (row[:shape[0] * shape[1]].reshape(shape) for row in geo)
+            np.square(np.subtract(p_i[:, 0, None], p_j[None, :, 0], out=r2), out=r2)
+            r2 += np.square(np.subtract(p_i[:, 1, None], p_j[None, :, 1], out=dy2), out=dy2)
             a_j = A_data[j0:j0 + b]
-            for i, kern in _kernels(models, r2, buf):
+            for i, kern in _kernels(models, r2, work):
                 blk = a_i @ (kern @ a_j)
                 outs[i] += blk if j0 == i0 else blk + blk.T
     return outs
@@ -408,12 +434,44 @@ def _nelder_mead(fun, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarra
     return sim[0]
 
 
+def _k_hat(pattern: PointPattern, lam, r_grid):
+    """Inhomogeneous K-function of ``pattern`` at the increasing radii ``r_grid``, with
+    translation edge correction and the intensity ``lam`` at its points, or None if
+    no pair lies within the last radius.
+
+    Each pair within the last radius (``_close_pairs``) adds 2 / (lam_i lam_j e_ij)
+    to K at every radius from its distance on, e_ij the translation weight.  Only
+    the pairs' distances and contributions are kept, two arrays of one value per
+    pair: the contributions are summed in the order of ``argsort`` of the
+    distances, whatever the pair order, and read at each radius.
+    """
+    w = pattern.window
+    dists, contribs = [], []
+    for rows, cols, within, dx, dy in _close_pairs(pattern.points, r_grid[-1]):
+        trans = (w.width - np.abs(dx)) * (w.height - np.abs(dy))
+        contribs.append(2.0 / ((lam[rows, None] * lam[cols])[within] * trans))
+        dists.append(np.hypot(dx, dy))
+    if not dists:
+        return None
+    d = np.concatenate(dists)
+    del dists
+    contrib = np.concatenate(contribs)
+    del contribs
+    order = np.argsort(d)
+    counts = np.searchsorted(d, r_grid, side="right", sorter=order)
+    del d
+    cum = contrib[order]
+    del contrib, order
+    np.cumsum(cum, out=cum)
+    return np.where(counts > 0, cum[counts - 1], 0.0)
+
+
 def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
     """Fit (sigma2, phi) of the LGCP-exponential PCF by minimum contrast.
 
-    The inhomogeneous K-function is estimated with translation edge correction
-    and the intensity plug-in ``lam_hat``, the fitted intensity at the pattern's
-    points, over the point pairs within r_max (``_close_pairs``), then
+    The inhomogeneous K-function is estimated at 64 radii up to r_max (``_k_hat``)
+    with translation edge correction and the intensity plug-in ``lam_hat``, the
+    fitted intensity at the pattern's points, then
     |K-hat^(1/4) - K-model^(1/4)|^2 is integrated over r and minimized by a coarse
     grid scan plus Nelder-Mead (``_nelder_mead``).
     A degenerate fit falls back to the Poisson family with a warning.
@@ -430,20 +488,10 @@ def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
         raise ValueError(f"intensity plug-in needs one value per point, got shape {lam.shape}")
     if np.any(lam <= 0):
         raise ValueError("intensity plug-in must be positive at the data points")
-    blocks = [(dx, dy, (lam[rows, None] * lam[cols])[within])
-              for rows, cols, within, dx, dy in _close_pairs(pattern.points, r_max)]
-    if not blocks:
+    k_hat = _k_hat(pattern, lam, r_grid)
+    if k_hat is None:
         warnings.warn("no point pairs within r_max; returning Poisson PCF")
         return PcfModel("poisson")
-    dx, dy, lam_pairs = (np.concatenate(b) for b in zip(*blocks))
-    d = np.hypot(dx, dy)
-    trans = (w.width - np.abs(dx)) * (w.height - np.abs(dy))
-    contrib = 2.0 / (lam_pairs * trans)
-    # the order of the cumulative sum is the order of d, whatever the pair order
-    order = np.argsort(d)
-    d_sorted = d[order]
-    cum = np.concatenate([[0.0], np.cumsum(contrib[order])])
-    k_hat = cum[np.searchsorted(d_sorted, r_grid, side="right")]
 
     k_hat_q = k_hat ** 0.25
     k_model = _k_model(r_grid)

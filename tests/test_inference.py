@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -16,6 +17,7 @@ from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
     PcfModel,
     _close_pairs,
+    _k_hat,
     _k_model,
     _nelder_mead,
     estimate_pcf,
@@ -322,6 +324,57 @@ def test_pcf_pair_geometry_built_once_for_every_model(monkeypatch):
     assert len(single) > 2 and calls == single
 
 
+def lattice_block_batched(quad: QuadratureScheme, a_vectors: np.ndarray,
+                          pcf: PcfModel) -> np.ndarray:
+    """The lattice-lattice double sum as one batched FFT correlation of period 2g over
+    all k columns of a at once, symmetrised."""
+    g = quad.grid_n
+    offs = np.fft.fftfreq(2 * g, 1.0 / (2 * g))
+    r = np.sqrt((offs * (quad.window.height / g))[:, None] ** 2
+                + (offs * (quad.window.width / g))[None, :] ** 2)
+    kern = np.where(r <= pcf.truncation_radius(quad.window), pcf.pcf(r) - 1.0, 0.0)
+    imgs = a_vectors[:g * g].T.reshape(-1, g, g)
+    shape = (2 * g, 2 * g)
+    conv = np.fft.irfft2(np.fft.rfft2(imgs, shape) * np.fft.rfft2(kern), shape)[:, :g, :g]
+    total = np.einsum("aij,bij->ab", conv, imgs)
+    return 0.5 * (total + total.T)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_pcf_correction_lattice_block_is_the_batched_fft(k):
+    # a lattice-only scheme: the whole sum is the lattice block, one column at a time
+    window, _ = _offset_window_points()
+    quad = build_quadrature(PointPattern(window, np.empty((0, 2))), 32)
+    models = _mixed_models(window)[2:] + [PcfModel("lgcp-exponential", sigma2=0.3, phi=0.1)]
+    a = np.random.default_rng(k).normal(size=(quad.m(), k))
+    for pcf, fast in zip(models, pcf_correction(quad, a, *models)):
+        assert np.allclose(fast, lattice_block_batched(quad, a, pcf), rtol=1e-14, atol=0)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced while ``fn(*args)`` runs)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lattice_block_memory_does_not_grow_with_columns():
+    # one column's image is transformed at a time, so six columns peak no higher than
+    # one by more than a padded image's transform, 2g x (g + 1) complex values
+    window = make_window(0.0, 0.0, 2.0, 2.0)
+    g = 64
+    quad = build_quadrature(PointPattern(window, np.empty((0, 2))), g)
+    pcf = PcfModel("lgcp-exponential", sigma2=0.5, phi=0.2)
+    a = np.random.default_rng(2).normal(size=(quad.m(), 6))
+    pcf_correction(quad, a[:, :1], pcf)                  # NumPy's FFT plan caches
+    peaks = {k: _traced_peak(pcf_correction, quad, np.ascontiguousarray(a[:, :k]), pcf)[1]
+             for k in (1, 6)}
+    assert peaks[6] - peaks[1] <= 16 * 2 * g * (g + 1), peaks
+
+
 def test_loewner_order_for_clustering_pcf(fitted_instance):
     S, Sigma = _sandwich(fitted_instance, np.array([0.3]),
                          PcfModel("lgcp-exponential", sigma2=0.3, phi=0.1))
@@ -390,6 +443,64 @@ def test_estimate_pcf_recovers_lgcp_parameters():
             phi.append(model.phi if model.family != "poisson" else 0.0)
     assert 0.1 <= np.median(sig2) <= 0.3
     assert 0.1 <= np.median(phi) <= 0.3
+
+
+def _k_hat_concatenated(pattern, lam, r_grid):
+    """K-hat with every pair array concatenated first: the pairs' dx, dy and
+    intensity products, then distances, weights and contributions over all pairs,
+    cumulated in ``argsort`` order of the distances."""
+    w = pattern.window
+    blocks = [(dx, dy, (lam[rows, None] * lam[cols])[within])
+              for rows, cols, within, dx, dy in _close_pairs(pattern.points, r_grid[-1])]
+    if not blocks:
+        return None
+    dx, dy, lam_pairs = (np.concatenate(b) for b in zip(*blocks))
+    d = np.hypot(dx, dy)
+    trans = (w.width - np.abs(dx)) * (w.height - np.abs(dy))
+    contrib = 2.0 / (lam_pairs * trans)
+    order = np.argsort(d)
+    cum = np.concatenate([[0.0], np.cumsum(contrib[order])])
+    return cum[np.searchsorted(d[order], r_grid, side="right")]
+
+
+def _w2_lgcp_pattern(seed):
+    """A W2-sized LGCP pattern (1.5k-1.7k points for seeds 1 and 2) and an
+    inhomogeneous plug-in."""
+    w2 = make_window(0, 0, 2, 2)
+    pattern = simulate_lgcp(constant_surface(w2, 400.0), GrfSpec(0.3, 0.2), 128, 128,
+                            seed=seed)
+    return pattern, 400.0 * np.exp(0.3 * (pattern.points[:, 0] - 1.0))
+
+
+def test_k_hat_streamed_is_the_concatenated_bit_for_bit(monkeypatch):
+    fits = {}
+    for seed in (1, 2):
+        pattern, lam = _w2_lgcp_pattern(seed)
+        r_grid = np.linspace(0.0, 0.5, 65)[1:]
+        k_hat = _k_hat(pattern, lam, r_grid)
+        assert np.array_equal(k_hat, _k_hat_concatenated(pattern, lam, r_grid))
+        assert k_hat[0] > 0.0
+        for name, fn in [("streamed", _k_hat), ("concatenated", _k_hat_concatenated)]:
+            monkeypatch.setattr(ppcf.inference, "_k_hat", fn)
+            fits[name] = estimate_pcf(pattern, lam)
+        assert fits["streamed"] == fits["concatenated"]
+        assert fits["streamed"].family == "lgcp-exponential"
+    few = PointPattern(W1, np.array([[0.1, 0.1], [0.2, 0.2], [0.9, 0.9]]))
+    assert _k_hat(few, np.ones(3), np.array([0.01, 0.05])) is None
+    small = np.array([0.1, 0.15, 0.2])
+    assert np.array_equal(_k_hat(few, np.ones(3), small),
+                          _k_hat_concatenated(few, np.ones(3), small))
+
+
+def test_estimate_pcf_memory_per_pair():
+    # the K-function holds at most three values per pair at once (distance,
+    # contribution and argsort order; the sorted contributions come after the
+    # distances are freed), so 5 x 8 bytes per pair bounds the whole fit
+    pattern, lam = _w2_lgcp_pattern(1)
+    pairs = sum(dx.size for *_, dx, _ in _close_pairs(pattern.points, 0.5))
+    assert pairs > 100_000
+    _, peak = _traced_peak(estimate_pcf, pattern, lam)
+    assert peak <= 5 * 8 * pairs, (peak, pairs)
 
 
 def _pair_keys(pts, r):
