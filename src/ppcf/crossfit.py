@@ -13,6 +13,7 @@ the whole pattern then serves as both training and fitting data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -46,6 +47,9 @@ class CrossFitConfig:
     skip_thinning: bool = False
 
     def __post_init__(self):
+        for name in ("n_folds", "grid_n", "kernel_order"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
         if self.grid_n < 4:

@@ -163,10 +163,10 @@ class GridField:
 
 @functools.lru_cache(maxsize=4)
 def _circulant_sqrt_eigs(window: Window, nx: int, ny: int, spec: GrfSpec) -> np.ndarray:
-    """Square roots of the eigenvalues of the smallest non-negative circulant
-    embedding of the lattice covariance (plus jitter at lag 0), read-only: the
-    torus starts at 2 ny x 2 nx nodes and both periods double until the smallest
-    eigenvalue is at least -1e-8 times the largest."""
+    """Square roots of the eigenvalues of the smallest non-negative circulant embedding
+    of the lattice covariance (plus jitter at lag 0), read-only and on the m x (n/2 + 1)
+    half spectrum a draw reads: the m x n torus starts at 2 ny x 2 nx nodes and both
+    periods double until the smallest eigenvalue is at least -1e-8 times the largest."""
     dx = window.width / (nx - 1)
     dy = window.height / (ny - 1)
     m, n = 2 * ny, 2 * nx
@@ -187,7 +187,7 @@ def _circulant_sqrt_eigs(window: Window, nx: int, ny: int, spec: GrfSpec) -> np.
                 f"at {n} x {m} torus nodes (min eigenvalue {lam.min():.3e})"
             )
         m, n = 2 * m, 2 * n
-    sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
+    sqrt_lam = np.sqrt(np.clip(lam[:, :n // 2 + 1], 0.0, None))
     sqrt_lam.setflags(write=False)
     return sqrt_lam
 
@@ -205,9 +205,9 @@ def simulate_grf(window: Window, nx: int, ny: int, spec: GrfSpec, seed: int) -> 
         values = np.full((ny, nx), spec.mean)
         return GridField(window, nx, ny, values)
     sqrt_lam = _circulant_sqrt_eigs(window, nx, ny, spec)
-    m, n = sqrt_lam.shape
+    m, n = sqrt_lam.shape[0], 2 * (sqrt_lam.shape[1] - 1)
     spectrum = rfft2(rng.standard_normal((m, n)))    # the half spectrum
-    spectrum *= sqrt_lam[:, :n // 2 + 1]
+    spectrum *= sqrt_lam
     fluct = irfft2(spectrum, s=(m, n))[:ny, :nx]
     sd = np.sqrt(spec.variance)
     fluct = np.clip(fluct, -_CLAMP_SD * sd, _CLAMP_SD * sd)

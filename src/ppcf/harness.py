@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -98,6 +99,9 @@ class Scenario:
             raise ValueError(f"nuisance must be one of {sorted(NUISANCE_FNS)}")
         if self.pcf_mode not in ("none", "known", "estimated"):
             raise ValueError("pcf_mode must be none, known or estimated")
+        for name in ("reps", "base_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.base_seed < 0:
@@ -170,15 +174,14 @@ def scenario_truth_surface(spec: ModelSpec, theta, eta_fn) -> IntensitySurface:
     return IntensitySurface(spec.window, spec.intensity(theta, eta_fn), sup)
 
 
-def _variants_for(s: Scenario) -> List[str]:
-    if s.process == "poisson":
-        # the true PCF of a Poisson process is g = 1, so "known" means "none"
-        return ["estimated"] if s.pcf_mode == "estimated" else ["none"]
-    if s.pcf_mode == "known":
-        return ["known"]
+def _variants_for(s: Scenario) -> Dict[str, Optional[PcfModel]]:
+    """The PCF of each variance variant of ``s``, primary first; None is estimated.
+    The true PCF of a Poisson process is g = 1, so there "known" means "none"."""
+    known = {} if s.process == "poisson" else {
+        "known": PcfModel(LGCP_GRF.variance, LGCP_GRF.corr_range)}
     if s.pcf_mode == "estimated":
-        return ["estimated", "known"]
-    return ["none"]
+        return {"estimated": None, **known}
+    return known if s.pcf_mode == "known" and known else {"none": PcfModel()}
 
 
 def _variant_summary(se_reports: Dict[str, FitReport]) -> Dict[str, Dict]:
@@ -204,12 +207,8 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         spec, eta_full, pattern, seeds = simulate_scenario_inputs(s, rep)
         if pattern.count() == 0:
             raise InsufficientPointsError("empty pattern")
-        pcfs = {"none": PcfModel("poisson"), "known": PcfModel(
-            "lgcp-exponential", sigma2=LGCP_GRF.variance, phi=LGCP_GRF.corr_range),
-            "estimated": None}
-        reports, record, _, _ = _fit_pattern(
-            spec, pattern, s.crossfit, seeds[2] ^ 0x9E3779B9,
-            {v: pcfs[v] for v in _variants_for(s)}, s.estimators, eta_full)
+        reports, record, _, _ = _fit_pattern(spec, pattern, s.crossfit, seeds[2] ^ 0x9E3779B9,
+                                             _variants_for(s), s.estimators, eta_full)
         return {"rep": rep, "ok": True, **record, "estimators": {
             name: {"theta": float(next(iter(by_pcf.values())).theta_hat[0]),
                    "variants": _variant_summary(by_pcf)}
@@ -313,7 +312,7 @@ def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, T
 
     rows: Dict[str, TableRow] = {}
     variants = _variants_for(s)
-    primary = variants[0]
+    primary = next(iter(variants))
     good = [r for r in records if r["ok"]]
     for est in s.estimators:
         if len(good) < max(1, s.reps // 2):
@@ -489,19 +488,18 @@ def resolve_fit_options(config_path=None, given: Optional[Dict] = None
     defaults = {_FIELD_KEYS[f.name]: f.default for f in fields(CrossFitConfig)}
     opts = merge_options({**defaults, **_FIT_DEFAULTS}, config_path, given)
     cfg = _with_options(CrossFitConfig(), opts)
+    if not isinstance(opts["seed"], numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {opts['seed']!r}")
     if opts["seed"] < 0:
         raise ValueError(f"seed must be >= 0, got {opts['seed']}")
     if not all(0.0 < lvl < 1.0 for lvl in opts["levels"]):
         raise ValueError(f"levels must lie in (0, 1), got {opts['levels']}")
-    pcf = None
-    if opts["pcf"] == "none":
-        pcf = PcfModel("poisson")
-    elif opts["pcf"] == "known":
+    pcf = None if opts["pcf"] == "estimated" else PcfModel()
+    if opts["pcf"] == "known":
         if opts["pcf_sigma2"] is None or opts["pcf_phi"] is None:
             raise ValueError("pcf=known requires pcf_sigma2 and pcf_phi")
-        pcf = PcfModel("lgcp-exponential", sigma2=float(opts["pcf_sigma2"]),
-                       phi=float(opts["pcf_phi"]))
-    elif opts["pcf"] != "estimated":
+        pcf = PcfModel(float(opts["pcf_sigma2"]), float(opts["pcf_phi"]))
+    elif opts["pcf"] not in ("none", "estimated"):
         raise ValueError(f"unknown pcf mode {opts['pcf']!r}")
     return opts, cfg, pcf
 

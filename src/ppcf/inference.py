@@ -13,8 +13,8 @@ The least favorable direction nu is the theta-derivative of a kernel curve
 fitted on the full pattern, read from that curve's own evaluation
 (:func:`lfd_values`), so it is flat wherever the clamped curve is.
 
-The pair correlation g is Poisson (g = 1) or LGCP-exponential
-(g(r) = exp(sigma2 * exp(-r/phi))), fitted by minimum contrast on the
+The pair correlation is the LGCP-exponential g(r) = exp(sigma2 exp(-r/phi)),
+whose sigma2 = 0 member (g = 1) is Poisson, fitted by minimum contrast on the
 inhomogeneous K-function when not known.  The harness stacks the a-vectors of
 all its estimators column-wise and passes every PCF variant to one call of
 :func:`pcf_correction`, so the pair geometry is built once per replication.
@@ -31,11 +31,11 @@ g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
   points (inclusive bounds); every pair outside the box lies beyond r_trunc;
 * data-data: square blocks of data nodes, each unordered block pair once.
 
-Several PCF models share one pass: each block's geometry (tile boxes at the
-largest r_trunc, distances, one cut-off mask per distinct r_trunc, the FFT of
-each column's lattice image) is built once, and each model evaluates its own
-kernel on it, 0 beyond its own r_trunc, so every sum stays exact.  A model with
-r_trunc 0 (Poisson, or sigma2 = 0) gets zeros and does no pair work.
+Several (pcf, r_trunc) models share one pass: each block's geometry (tile boxes
+at the largest r_trunc, distances, one cut-off mask per distinct r_trunc, the
+FFT of each column's lattice image) is built once, and each model evaluates its
+own kernel on it (``PcfModel.minus_one``), 0 beyond its own r_trunc, so every
+sum stays exact.  A Poisson model (r_trunc 0) gets zeros and does no pair work.
 
 Memory is bounded per block.  No temporary of the two direct blocks holds more
 than 2^16 pair values (512 kB), whatever the number of data nodes or models.
@@ -69,28 +69,39 @@ _CELL_POINTS = 16          # mean points per cell below which the pair search of
 
 @dataclass(frozen=True)
 class PcfModel:
-    """Parametric pair correlation: Poisson (g = 1) or exponential-covariance LGCP."""
+    """The LGCP-exponential pair correlation g(r) = exp(sigma2 exp(-r / phi)); at
+    sigma2 = 0 it is the Poisson process (g = 1), so ``PcfModel()`` is Poisson."""
 
-    family: str = "poisson"
     sigma2: float = 0.0
     phi: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("poisson", "lgcp-exponential"):
-            raise ValueError(f"unknown PCF family {self.family!r}")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
-        if self.phi <= 0:
-            raise ValueError("phi must be > 0")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
+        if not (math.isfinite(self.phi) and self.phi > 0):
+            raise ValueError(f"phi must be finite and > 0, got {self.phi}")
+
+    @property
+    def family(self) -> str:
+        """The name records and fit outputs carry: poisson exactly when sigma2 = 0."""
+        return "poisson" if self.sigma2 == 0.0 else "lgcp-exponential"
 
     def pcf(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.family == "poisson":
-            return np.ones_like(r)
-        return np.exp(self.sigma2 * np.exp(-r / self.phi))
+        return np.exp(self.sigma2 * np.exp(-np.asarray(r, dtype=float) / self.phi))
+
+    def minus_one(self, r, within, out):
+        """g(r) - 1 at distances r into ``out``, times the cut-off mask ``within`` (1 or
+        0); g - 1 >= 0 is finite, so pairs beyond get exactly 0."""
+        np.multiply(r, -1.0 / self.phi, out=out)
+        np.exp(out, out=out)
+        out *= self.sigma2
+        np.exp(out, out=out)
+        out -= 1.0
+        out *= within
+        return out
 
     def truncation_radius(self, window) -> float:
-        if self.family == "poisson" or self.sigma2 <= 0:
+        if self.sigma2 == 0.0:
             return 0.0
         r = self.phi * math.log(self.sigma2 / _PCF_TRUNC_TOL)
         return min(r, 0.5 * min(window.width, window.height))
@@ -135,7 +146,7 @@ def _workspace(models, size):
     """Buffers of ``size`` values for :func:`_kernels`: a float one for the kernel and
     a bool cut-off mask per distinct radius of ``models``."""
     return np.empty(size), {radius: np.empty(size, dtype=bool)
-                            for radius in {r for _, _, r in models}}
+                            for radius in {r for _, r in models}}
 
 
 def _pair_distances(r2, masks):
@@ -147,19 +158,6 @@ def _pair_distances(r2, masks):
                for radius, buf in masks.items()}
 
 
-def _pcf_minus_one(pcf: PcfModel, neg_inv_phi, r, within, out):
-    """g(r) - 1 of ``pcf`` at distances r into ``out`` (the expression of
-    ``PcfModel.pcf``, with -r/phi as r * neg_inv_phi), times the cut-off mask
-    ``within`` (1 or 0); g - 1 >= 0 is finite, so pairs beyond get exactly 0."""
-    np.multiply(r, neg_inv_phi, out=out)
-    np.exp(out, out=out)
-    out *= pcf.sigma2
-    np.exp(out, out=out)
-    out -= 1.0
-    out *= within
-    return out
-
-
 def _kernels(models, r2, work):
     """Every model's kernel on one block of squared distances r2, which become the
     distances in place: yields (model position, kernel), each kernel in the
@@ -167,8 +165,8 @@ def _kernels(models, r2, work):
     buf, masks = work
     r, within = _pair_distances(r2, masks)
     out = buf[:r.size].reshape(r.shape)
-    for i, (pcf, neg_inv_phi, radius) in enumerate(models):
-        yield i, _pcf_minus_one(pcf, neg_inv_phi, r, within[radius], out)
+    for i, (pcf, radius) in enumerate(models):
+        yield i, pcf.minus_one(r, within[radius], out)
 
 
 def _lattice_sum(models, quad, A_grid):
@@ -200,7 +198,7 @@ def _lattice_data_sum(models, quad, A_grid, A_data):
     largest truncation radius of the tile."""
     g = quad.grid_n
     k = A_grid.shape[1]
-    r_max = max(radius for _, _, radius in models)
+    r_max = max(radius for _, radius in models)
     xs = quad.nodes[:g, 0]
     ys = quad.nodes[:g * g:g, 1]
     pts = quad.nodes[g * g:]
@@ -283,7 +281,7 @@ def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
     live = [i for i, radius in enumerate(radii) if radius > 0.0]
     if not live:
         return out
-    models = [(pcfs[i], -1.0 / pcfs[i].phi, radii[i]) for i in live]
+    models = [(pcfs[i], radii[i]) for i in live]
     n_grid = quad.grid_n ** 2
     A_grid = a_vectors[:n_grid]
     A_data = a_vectors[n_grid:]
@@ -309,11 +307,10 @@ def _k_model(r, n_steps: int = 513):
     s = np.linspace(0.0, float(r.max()), n_steps)
     ds = np.diff(s)
     two_pi_s = 2.0 * math.pi * s
-    poisson = math.pi * r ** 2
 
     def k(model: PcfModel):
-        if model.family == "poisson" or model.sigma2 == 0.0:
-            return poisson
+        if model.sigma2 == 0.0:
+            return math.pi * r ** 2
         f = two_pi_s * model.pcf(s)
         cum = np.concatenate([[0.0], np.cumsum(ds * (f[1:] + f[:-1]) / 2.0)])
         return np.interp(r, s, cum)
@@ -474,7 +471,7 @@ def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
     fitted intensity at the pattern's points, then
     |K-hat^(1/4) - K-model^(1/4)|^2 is integrated over r and minimized by a coarse
     grid scan plus Nelder-Mead (``_nelder_mead``).
-    A degenerate fit falls back to the Poisson family with a warning.
+    A degenerate fit falls back to Poisson, ``PcfModel()``, with a warning.
     """
     n = pattern.count()
     if n < 10:
@@ -491,7 +488,7 @@ def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
     k_hat = _k_hat(pattern, lam, r_grid)
     if k_hat is None:
         warnings.warn("no point pairs within r_max; returning Poisson PCF")
-        return PcfModel("poisson")
+        return PcfModel()
 
     k_hat_q = k_hat ** 0.25
     k_model = _k_model(r_grid)
@@ -503,7 +500,7 @@ def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
         phi = math.exp(log_phi)
         if phi <= 0 or phi > 100 * r_max:
             return 1e300
-        diff = k_hat_q - k_model(PcfModel("lgcp-exponential", sigma2, phi)) ** 0.25
+        diff = k_hat_q - k_model(PcfModel(sigma2, phi)) ** 0.25
         return float(np.trapezoid(diff ** 2, r_grid))
 
     best = None
@@ -518,8 +515,8 @@ def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
     if (not np.isfinite(sigma2_hat)) or sigma2_hat <= 1e-6 or not np.isfinite(phi_hat) \
             or phi_hat <= 0 or phi_hat > 10 * r_max:
         warnings.warn("degenerate PCF fit; returning Poisson family")
-        return PcfModel("poisson")
-    return PcfModel("lgcp-exponential", sigma2=sigma2_hat, phi=phi_hat)
+        return PcfModel()
+    return PcfModel(sigma2_hat, phi_hat)
 
 
 # -- Wald report ----------------------------------------------------------------
@@ -564,4 +561,4 @@ def wald_report(theta_hat, S_hat, Sigma_hat, area: float, levels=(0.9, 0.95),
     diag.setdefault("min_eigenvalue_S", float(eigs.min()))
     diag.setdefault("area", float(area))
     return FitReport(theta_hat=theta_hat, S_hat=S_hat, Sigma_hat=Sigma_hat, se=se,
-                     ci=ci, pcf=pcf or PcfModel("poisson"), diagnostics=diag)
+                     ci=ci, pcf=pcf or PcfModel(), diagnostics=diag)

@@ -33,7 +33,7 @@ def k_function(model, r, n_steps: int = 2048):
     """K(r) = 2 pi int_0^r s g(s) ds of a PcfModel on its own grid of ``n_steps``
     s-values from 0 to max r; exactly pi r^2 in the Poisson case."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if model.family == "poisson" or model.sigma2 == 0.0:
+    if model.sigma2 == 0.0:
         out = math.pi * r ** 2
         return out if out.size > 1 else float(out[0])
     s = np.linspace(0.0, float(r.max()), n_steps)

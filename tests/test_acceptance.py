@@ -249,7 +249,7 @@ def test_criterion_09_sigma_equals_s_for_poisson_pcf():
     nu = lambda Z: lfd_values(nf, theta, Z)
     S, a, _ = semi_sandwich_terms(spec, theta, eta, nu, quad)
     # the production path: stacked PCF double sum per variant, then Wald reports
-    pcfs = {"poisson": PcfModel("poisson"), "zero": PcfModel("lgcp-exponential", 0.0, 0.2)}
+    pcfs = {"poisson": PcfModel(), "zero": PcfModel(0.0, 0.2)}
     reports = _wald_reports({"semi": (theta, S, a)}, pcfs, quad, spec.k)["semi"]
     worst = 0.0
     for rep in reports.values():
@@ -267,7 +267,7 @@ def test_criterion_10_truncated_double_sum_oracle():
     a = np.full((quad.m(), 1), 0.0)
     a[:, 0] = quad.weights * 50.0               # y = 1, lambda = 50, nu = 0
     # moderate sigma2 keeps the truncated tail nonzero but inside tolerance
-    pcf = PcfModel("lgcp-exponential", sigma2=2.0, phi=0.02)
+    pcf = PcfModel(sigma2=2.0, phi=0.02)
     (fast,) = pcf_correction(quad, a, pcf)
     brute = pcf_double_sum_brute(quad, a, pcf, truncated=False)
     rel = float(np.max(np.abs(fast - brute)) / np.max(np.abs(brute)))

@@ -123,7 +123,7 @@ def test_pcf_is_one_yaml_key(monkeypatch, tmp_path):
     monkeypatch.delenv("PPCF_SEED", raising=False)
     config = tmp_path / "fit.yaml"
     config.write_text("pcf: known\npcf_sigma2: 0.2\npcf_phi: 0.05\n")
-    assert resolve_fit_options(config)[2] == PcfModel("lgcp-exponential", 0.2, 0.05)
+    assert resolve_fit_options(config)[2] == PcfModel(0.2, 0.05)
     assert _scenario(monkeypatch, [], "process: poisson\npcf: known\n", tmp_path).pcf_mode \
         == "known"
     assert _scenario(monkeypatch, ["--pcf", "none"], "process: lgcp\npcf: known\n",
@@ -153,9 +153,12 @@ def no_replication(monkeypatch):
     ("approx: exact", "unknown approximation"),
     ("estimators: []", "estimators must be"),
     ("base_seed: -5", "base_seed must be >= 0"),
+    ("base_seed: 1.5", "base_seed must be an integer"),
+    ("reps: 1.5", "reps must be an integer"),
     # the grid comes from the window: grid_n is no scenario key
     ("grid_n: 2", "unknown config keys"),
-], ids=["kernel_order", "bandwidth", "folds", "approx", "estimators", "base_seed", "grid_n"])
+], ids=["kernel_order", "bandwidth", "folds", "approx", "estimators", "base_seed",
+        "base_seed_float", "reps_float", "grid_n"])
 def test_scenario_rejects_bad_options_before_simulating(no_replication, tmp_path, yaml_text,
                                                         message, parallelism):
     # the parent process raises before it simulates a replication or starts a pool

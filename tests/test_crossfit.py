@@ -39,6 +39,11 @@ def test_config_validation():
     for c0 in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="bandwidth_c0 must be finite and > 0"):
             CrossFitConfig(bandwidth_c0=c0)
+    for name in ("n_folds", "grid_n", "kernel_order"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            CrossFitConfig(**{name: 4.0})
+    cfg = CrossFitConfig(n_folds=np.int64(3), grid_n=np.int32(16), kernel_order=np.int64(4))
+    assert (cfg.n_folds, cfg.grid_n, cfg.kernel_order) == (3, 16, 4)
 
 
 def test_cross_fit_empty_pattern_rejected():

@@ -113,13 +113,14 @@ def test_grf_clamped_to_six_sd():
     ((0, 0, 2, 2), 256, 256, 0.5, (1024, 1024)),
 ])
 def test_circulant_embedding_reproduces_lattice_covariance(window, nx, ny, corr_range, torus):
-    # the torus covariance, read off its eigenvalues, is C at every lattice lag
-    # plus the jitter at lag 0
+    # the torus covariance, read off the half spectrum of its eigenvalues, is C at
+    # every lattice lag plus the jitter at lag 0
     w = make_window(*window)
     spec = GrfSpec(2.0, corr_range)
     sqrt_lam = ppcf.fields._circulant_sqrt_eigs(w, nx, ny, spec)
-    assert sqrt_lam.shape == torus
-    cov = np.fft.ifft2(sqrt_lam ** 2).real[:ny, :nx]
+    assert sqrt_lam.shape == (torus[0], torus[1] // 2 + 1)
+    assert sqrt_lam.flags.c_contiguous and not sqrt_lam.flags.writeable
+    cov = np.fft.irfft2(sqrt_lam ** 2, s=torus)[:ny, :nx]
     lags = np.hypot(np.arange(ny)[:, None] * w.height / (ny - 1),
                     np.arange(nx)[None, :] * w.width / (nx - 1))
     want = spec.covariance(lags)
@@ -132,7 +133,8 @@ def test_harness_lattices_keep_the_minimal_embedding():
     for w in harness.WINDOWS.values():
         n = int(round(harness.LATTICE_PER_UNIT * w.width))
         for spec in (harness.COVARIATE_GRF, harness.LGCP_GRF):
-            assert ppcf.fields._circulant_sqrt_eigs(w, n, n, spec).shape == (2 * n, 2 * n)
+            # the half spectrum of the torus
+            assert ppcf.fields._circulant_sqrt_eigs(w, n, n, spec).shape == (2 * n, n + 1)
 
 
 def test_grf_enlarged_embedding_samples():
@@ -147,10 +149,13 @@ def test_grf_enlarged_embedding_samples():
     (256, 256, 0.2),      # the enlarged torus above
 ])
 def test_grf_real_fft_draw_equals_the_complex_filter(nx, ny, corr_range):
-    # the same noise filtered by the full complex transform
+    # the same noise filtered by the full complex transform, with the full spectrum
+    # rebuilt from the cached half by its evenness, lam[i, j] = lam[-i, -j]
     w = make_window(0, 0, 1, 1)
     spec = GrfSpec(1.5, corr_range, mean=0.5)
-    sqrt_lam = ppcf.fields._circulant_sqrt_eigs(w, nx, ny, spec)
+    half = ppcf.fields._circulant_sqrt_eigs(w, nx, ny, spec)
+    m = half.shape[0]
+    sqrt_lam = np.hstack([half, half[-np.arange(m) % m, -2:0:-1]])
     noise = np.random.default_rng(7).standard_normal(sqrt_lam.shape)
     fluct = np.fft.ifft2(sqrt_lam * np.fft.fft2(noise)).real[:ny, :nx]
     sd = math.sqrt(spec.variance)

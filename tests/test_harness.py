@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import warnings
 from dataclasses import replace
@@ -69,6 +70,10 @@ def test_scenario_validation():
             Scenario(estimators=estimators)
     with pytest.raises(ValueError, match="base_seed must be >= 0"):
         Scenario(base_seed=-5)
+    for name in ("reps", "base_seed"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Scenario(**{name: 1.5})
+    assert Scenario(reps=np.int64(3), base_seed=np.uint32(5)).reps == 3
 
 
 def test_scenario_holds_the_harness_crossfit():
@@ -232,7 +237,7 @@ def test_stacked_wald_reports_match_separate_estimators():
     for name, p in (("semi", 1), ("para", 3), ("oracle", 1)):
         S, a = sandwich_terms(quad, np.full(quad.m(), 50.0), rng.normal(size=(quad.m(), p)))
         fits[name] = (rng.normal(size=p), S, a)
-    pcfs = {"known": PcfModel("lgcp-exponential", sigma2=0.2, phi=0.05)}
+    pcfs = {"known": PcfModel(sigma2=0.2, phi=0.05)}
     stacked = _wald_reports(fits, pcfs, quad, 1)
     for name, fit in fits.items():
         alone = _wald_reports({name: fit}, pcfs, quad, 1)[name]["known"]
@@ -269,6 +274,16 @@ def test_fit_file_roundtrip_bit_exact(tmp_path):
     ({"grid_n": 2}, "grid_n must be >= 4"),
     ({"bandwidth_c0": 0.0}, "bandwidth_c0 must be finite and > 0"),
     ({"seed": -1}, "seed must be >= 0"),
+    ({"pcf": "known", "pcf_sigma2": math.nan, "pcf_phi": 0.1}, "sigma2 must be finite and >= 0"),
+    ({"pcf": "known", "pcf_sigma2": math.inf, "pcf_phi": 0.1}, "sigma2 must be finite and >= 0"),
+    ({"pcf": "known", "pcf_sigma2": -0.1, "pcf_phi": 0.1}, "sigma2 must be finite and >= 0"),
+    ({"pcf": "known", "pcf_sigma2": 0.2, "pcf_phi": math.inf}, "phi must be finite and > 0"),
+    ({"pcf": "known", "pcf_sigma2": 0.2, "pcf_phi": math.nan}, "phi must be finite and > 0"),
+    ({"pcf": "known", "pcf_sigma2": 0.2, "pcf_phi": 0.0}, "phi must be finite and > 0"),
+    ({"grid_n": 32.5}, "grid_n must be an integer"),
+    ({"folds": 2.5}, "n_folds must be an integer"),
+    ({"kernel_order": 2.0}, "kernel_order must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
 ])
 def test_fit_file_rejects_bad_options_before_reading(monkeypatch, tmp_path, options, message):
     # no file is read and no fold is fitted: the input paths do not even exist
@@ -395,7 +410,7 @@ FALLBACK = "degenerate PCF fit; returning Poisson family"
 
 def _poisson_fallback(pattern, lam):
     warnings.warn(FALLBACK)
-    return PcfModel("poisson")
+    return PcfModel()
 
 
 def test_pcf_fallback_is_recorded_by_replications(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -214,10 +215,10 @@ def test_sensitivity_extensive_in_area():
 
 def test_covariance_equals_sensitivity_for_poisson(fitted_instance):
     theta = np.array([0.3])
-    S, Sigma = _sandwich(fitted_instance, theta, PcfModel("poisson"))
+    S, Sigma = _sandwich(fitted_instance, theta, PcfModel())
     assert np.allclose(Sigma, S, rtol=1e-12, atol=0)
     _, Sigma0 = _sandwich(fitted_instance, theta,
-                          PcfModel("lgcp-exponential", sigma2=0.0, phi=0.2))
+                          PcfModel(sigma2=0.0, phi=0.2))
     assert np.allclose(Sigma0, S, rtol=1e-12, atol=0)
 
 
@@ -226,7 +227,7 @@ def test_pcf_correction_matches_brute_force_truncated():
     pattern = PointPattern(W1, rng.uniform(0, 1, size=(30, 2)))
     quad = build_quadrature(pattern, 8)
     a = rng.normal(size=(quad.m(), 2))
-    pcf = PcfModel("lgcp-exponential", sigma2=0.4, phi=0.07)
+    pcf = PcfModel(sigma2=0.4, phi=0.07)
     (fast,) = pcf_correction(quad, a, pcf)
     brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
     assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
@@ -253,7 +254,7 @@ def _offset_window_points():
 def test_pcf_correction_pruned_sum_edge_cases(k, n_data, phi):
     window, points = _offset_window_points()
     quad = build_quadrature(PointPattern(window, points[:n_data]), 12)
-    pcf = PcfModel("lgcp-exponential", sigma2=0.8, phi=phi)
+    pcf = PcfModel(sigma2=0.8, phi=phi)
     assert pcf.truncation_radius(window) < 0.2 * window.height     # pruning active
     a = np.random.default_rng(n_data + k).normal(size=(quad.m(), k))
     (fast,) = pcf_correction(quad, a, pcf)
@@ -265,7 +266,7 @@ def test_pcf_correction_keeps_pairs_at_exactly_r_trunc():
     # r_trunc hits its cap of half the window side, 4.0; each data node lies
     # exactly 4.0 from lattice centres in the outermost row or column of its box
     window = make_window(0.0, 0.0, 8.0, 8.0)
-    pcf = PcfModel("lgcp-exponential", sigma2=1.0, phi=2.0)
+    pcf = PcfModel(sigma2=1.0, phi=2.0)
     assert pcf.truncation_radius(window) == 4.0
     quad = build_quadrature(PointPattern(window, np.array([[4.5, 0.5], [3.5, 7.5]])), 8)
     a = np.random.default_rng(3).normal(size=(quad.m(), 2))
@@ -276,10 +277,10 @@ def test_pcf_correction_keeps_pairs_at_exactly_r_trunc():
 
 def _mixed_models(window):
     """Poisson, sigma2 = 0, a short range under the radius cap and a capped radius."""
-    models = [PcfModel("poisson"),
-              PcfModel("lgcp-exponential", sigma2=0.0, phi=0.2),
-              PcfModel("lgcp-exponential", sigma2=0.8, phi=0.005),
-              PcfModel("lgcp-exponential", sigma2=0.8, phi=2.0)]
+    models = [PcfModel(),
+              PcfModel(sigma2=0.0, phi=0.2),
+              PcfModel(sigma2=0.8, phi=0.005),
+              PcfModel(sigma2=0.8, phi=2.0)]
     cap = 0.5 * min(window.width, window.height)
     radii = [m.truncation_radius(window) for m in models]
     assert radii[:2] == [0.0, 0.0] and 0.0 < radii[2] < cap and radii[3] == cap
@@ -319,8 +320,8 @@ def test_pcf_pair_geometry_built_once_for_every_model(monkeypatch):
     single = list(calls)
     calls.clear()
     # the capped radius is the largest, so all three share its pair blocks
-    pcf_correction(quad, a, capped, PcfModel("lgcp-exponential", sigma2=0.8, phi=0.005),
-                   PcfModel("lgcp-exponential", sigma2=0.3, phi=0.03))
+    pcf_correction(quad, a, capped, PcfModel(sigma2=0.8, phi=0.005),
+                   PcfModel(sigma2=0.3, phi=0.03))
     assert len(single) > 2 and calls == single
 
 
@@ -345,7 +346,7 @@ def test_pcf_correction_lattice_block_is_the_batched_fft(k):
     # a lattice-only scheme: the whole sum is the lattice block, one column at a time
     window, _ = _offset_window_points()
     quad = build_quadrature(PointPattern(window, np.empty((0, 2))), 32)
-    models = _mixed_models(window)[2:] + [PcfModel("lgcp-exponential", sigma2=0.3, phi=0.1)]
+    models = _mixed_models(window)[2:] + [PcfModel(sigma2=0.3, phi=0.1)]
     a = np.random.default_rng(k).normal(size=(quad.m(), k))
     for pcf, fast in zip(models, pcf_correction(quad, a, *models)):
         assert np.allclose(fast, lattice_block_batched(quad, a, pcf), rtol=1e-14, atol=0)
@@ -367,7 +368,7 @@ def test_lattice_block_memory_does_not_grow_with_columns():
     window = make_window(0.0, 0.0, 2.0, 2.0)
     g = 64
     quad = build_quadrature(PointPattern(window, np.empty((0, 2))), g)
-    pcf = PcfModel("lgcp-exponential", sigma2=0.5, phi=0.2)
+    pcf = PcfModel(sigma2=0.5, phi=0.2)
     a = np.random.default_rng(2).normal(size=(quad.m(), 6))
     pcf_correction(quad, a[:, :1], pcf)                  # NumPy's FFT plan caches
     peaks = {k: _traced_peak(pcf_correction, quad, np.ascontiguousarray(a[:, :k]), pcf)[1]
@@ -377,7 +378,7 @@ def test_lattice_block_memory_does_not_grow_with_columns():
 
 def test_loewner_order_for_clustering_pcf(fitted_instance):
     S, Sigma = _sandwich(fitted_instance, np.array([0.3]),
-                         PcfModel("lgcp-exponential", sigma2=0.3, phi=0.1))
+                         PcfModel(sigma2=0.3, phi=0.1))
     eigs = np.linalg.eigvalsh(Sigma - S)
     assert eigs.min() >= -1e-8 * np.trace(S)
 
@@ -386,10 +387,20 @@ def test_loewner_order_for_clustering_pcf(fitted_instance):
 
 
 def test_k_model_poisson_is_pi_r_squared():
-    model = PcfModel("lgcp-exponential", sigma2=0.0, phi=0.3)
+    # sigma2 = 0 is the Poisson process, whatever phi: g = 1, no truncation radius,
+    # K = pi r^2 exactly, a zero PCF correction and the family name of the records
+    assert [f.name for f in dataclasses.fields(PcfModel)] == ["sigma2", "phi"]
+    assert PcfModel(0.2, 0.2).family == "lgcp-exponential"
     r = np.linspace(0.01, 0.4, 7)
-    assert np.allclose(_k_model(r)(model), math.pi * r ** 2, rtol=1e-12)
-    assert np.allclose(PcfModel("poisson").pcf(r), 1.0)
+    quad = build_quadrature(PointPattern(W1, np.array([[0.3, 0.4], [0.31, 0.42]])), 8)
+    a = np.random.default_rng(2).normal(size=(quad.m(), 2))
+    for model in [PcfModel()] + [PcfModel(0.0, phi) for phi in (1e-3, 0.3, 1.0, 50.0)]:
+        assert model.family == "poisson"
+        assert np.array_equal(model.pcf(r), np.ones_like(r))
+        assert model.truncation_radius(W1) == 0.0
+        assert np.array_equal(_k_model(r)(model), math.pi * r ** 2)
+        (corr,) = pcf_correction(quad, a, model)
+        assert np.array_equal(corr, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
@@ -400,9 +411,9 @@ def test_contrast_k_model_is_the_k_function_bit_for_bit(side):
     k_model = _k_model(r_grid)
     for sigma2, phi in [(0.0, 0.1), (1e-7, 0.2), (0.2, 0.2), (np.float64(1.37), 0.011),
                         (0.5, 25.0)]:
-        model = PcfModel("lgcp-exponential", sigma2, phi)
+        model = PcfModel(sigma2, phi)
         assert np.array_equal(k_model(model), k_function(model, r_grid, n_steps=513))
-    assert np.array_equal(k_model(PcfModel("poisson")), math.pi * r_grid ** 2)
+    assert np.array_equal(k_model(PcfModel()), math.pi * r_grid ** 2)
 
 
 def test_estimate_pcf_requires_points():
@@ -683,7 +694,7 @@ def test_wald_poisson_bound_identity():
 
 def test_sandwich_symmetric_psd(fitted_instance):
     S, Sigma = _sandwich(fitted_instance, np.array([0.3]),
-                         PcfModel("lgcp-exponential", sigma2=0.2, phi=0.2))
+                         PcfModel(sigma2=0.2, phi=0.2))
     s_inv = np.linalg.inv(S)
     cov = s_inv @ Sigma @ s_inv
     assert np.allclose(cov, cov.T, atol=1e-12)

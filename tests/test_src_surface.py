@@ -121,8 +121,8 @@ def test_benchmark_tracer_observes_pcf_correction_of_several_models():
     window = make_window(0.0, 0.0, 1.0, 1.0)
     quad = build_quadrature(PointPattern(window, np.array([[0.3, 0.4], [0.7, 0.2]])), 8)
     a = np.ones((quad.m(), 2))
-    poisson = ppcf.inference.PcfModel("poisson")
-    lgcp = ppcf.inference.PcfModel("lgcp-exponential", sigma2=0.5, phi=0.05)
+    poisson = ppcf.inference.PcfModel()
+    lgcp = ppcf.inference.PcfModel(sigma2=0.5, phi=0.05)
     tracer = spans.Tracer()
     patched = spans.install(tracer)
     try:
