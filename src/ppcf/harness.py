@@ -492,8 +492,11 @@ def resolve_fit_options(config_path=None, given: Optional[Dict] = None
         raise ValueError(f"seed must be an integer, got {opts['seed']!r}")
     if opts["seed"] < 0:
         raise ValueError(f"seed must be >= 0, got {opts['seed']}")
-    if not all(0.0 < lvl < 1.0 for lvl in opts["levels"]):
-        raise ValueError(f"levels must lie in (0, 1), got {opts['levels']}")
+    levels = opts["levels"]
+    if not (isinstance(levels, (list, tuple)) and all(
+            isinstance(lvl, numbers.Real) and not isinstance(lvl, bool) and 0.0 < lvl < 1.0
+            for lvl in levels)):
+        raise ValueError(f"levels must lie in (0, 1), a list of numbers, got {levels!r}")
     pcf = None if opts["pcf"] == "estimated" else PcfModel()
     if opts["pcf"] == "known":
         if opts["pcf_sigma2"] is None or opts["pcf_phi"] is None:
@@ -577,6 +580,8 @@ def _write_fit_outputs(report: FitReport, spec: ModelSpec, pattern: PointPattern
 
 def emit_scenario_files(s: Scenario, rep: int, out_dir) -> Dict[str, str]:
     """Simulate one replication and write its pattern and covariate grids."""
+    if not isinstance(rep, numbers.Integral) or rep < 0:
+        raise ValueError(f"rep must be an integer >= 0, got {rep!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec, _, pattern, _ = simulate_scenario_inputs(s, rep)

@@ -29,13 +29,16 @@ g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
 * lattice-data: the data nodes are binned into 16 x 16 spatial tiles, and each
   tile meets only the box of lattice rows and columns within r_trunc of its
   points (inclusive bounds); every pair outside the box lies beyond r_trunc;
-* data-data: square blocks of data nodes, each unordered block pair once.
+* data-data: the blocks of one sorted sweep (:func:`_sweep`), which skips pairs
+  more than r_trunc apart along its axis; the K-function of the minimum-contrast
+  fit takes its point pairs from the same sweep (:func:`_close_pairs`).
 
 Several (pcf, r_trunc) models share one pass: each block's geometry (tile boxes
-at the largest r_trunc, distances, one cut-off mask per distinct r_trunc, the
-FFT of each column's lattice image) is built once, and each model evaluates its
-own kernel on it (``PcfModel.minus_one``), 0 beyond its own r_trunc, so every
-sum stays exact.  A Poisson model (r_trunc 0) gets zeros and does no pair work.
+and sweep at the largest r_trunc, distances, one cut-off mask per distinct
+r_trunc, the FFT of each column's lattice image) is built once, and each model
+evaluates its own kernel on it (``PcfModel.minus_one``), 0 beyond its own
+r_trunc, so every sum stays exact.  A Poisson model (r_trunc 0) gets zeros and
+does no pair work.
 
 Memory is bounded per block.  No temporary of the two direct blocks holds more
 than 2^16 pair values (512 kB), whatever the number of data nodes or models.
@@ -63,8 +66,7 @@ from .process import PointPattern
 _PCF_TRUNC_TOL = 1e-6
 _PAIR_BLOCK = 2 ** 16      # node pairs per kernel temporary (512 kB of float64)
 _TILES = 16                # data tiles per window side in the lattice-data block
-_CELL_POINTS = 16          # mean points per cell below which the pair search of
-                           # estimate_pcf takes cells of side r, not r / 2
+_SWEEP_ROWS = 64           # sorted points per row block of a data-pair sweep
 
 
 @dataclass(frozen=True)
@@ -239,26 +241,50 @@ def _lattice_data_sum(models, quad, A_grid, A_data):
     return outs
 
 
-def _data_sum(models, pts, A_data):
-    """Data-data block per model in square blocks of nodes; the kernel is
-    symmetric, so each off-diagonal block pair is evaluated once."""
+def _sweep(pts, r):
+    """Blocks that hold every unordered pair of ``pts`` (n, 2) within r once: yields
+    (order, s0, s1, c0, c1), s0 <= c0, where the rows order[s0:s1] meet the columns
+    order[c0:c1] and ``order`` sorts the points along the longer side of their box.
+    A block is ``_SWEEP_ROWS`` sorted rows meeting, in chunks of at most
+    ``_PAIR_BLOCK`` pairs, the sorted points from its first row to the last within r
+    of its last row (r with a relative margin of 1e-9, far above rounding).  So a
+    pair within r has both points among one block's rows (the columns under s1, met
+    in both orders and with themselves), or its row before its column."""
     n = pts.shape[0]
-    b = math.isqrt(_PAIR_BLOCK)
+    if n == 0:
+        return
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    order = np.argsort(pts[:, axis], kind="stable")
+    key = pts[order, axis]
+    reach = np.searchsorted(key, key + r * (1.0 + 1e-9), side="right").tolist()
+    for s0 in range(0, n, _SWEEP_ROWS):
+        s1 = min(s0 + _SWEEP_ROWS, n)
+        end = reach[s1 - 1]
+        step = _PAIR_BLOCK // (s1 - s0)
+        for c0 in range(s0, end, step):
+            yield order, s0, s1, c0, min(c0 + step, end)
+
+
+def _data_sum(models, pts, A_data):
+    """Data-data block per model over the :func:`_sweep` blocks at the largest
+    truncation radius, so pairs beyond every radius are not evaluated.  A block's
+    own rows meet each other in both orders; a later column meets its row in one,
+    so it counts twice and the caller's symmetrisation supplies the transpose."""
+    r_max = max(radius for _, radius in models)
     geo = np.empty((2, _PAIR_BLOCK))       # squared distances and their y-terms
     work = _workspace(models, _PAIR_BLOCK)
     outs = [np.zeros((A_data.shape[1],) * 2) for _ in models]
-    for i0 in range(0, n, b):
-        p_i, a_i = pts[i0:i0 + b], A_data[i0:i0 + b].T
-        for j0 in range(i0, n, b):
-            p_j = pts[j0:j0 + b]
-            shape = (p_i.shape[0], p_j.shape[0])
-            r2, dy2 = (row[:shape[0] * shape[1]].reshape(shape) for row in geo)
-            np.square(np.subtract(p_i[:, 0, None], p_j[None, :, 0], out=r2), out=r2)
-            r2 += np.square(np.subtract(p_i[:, 1, None], p_j[None, :, 1], out=dy2), out=dy2)
-            a_j = A_data[j0:j0 + b]
-            for i, kern in _kernels(models, r2, work):
-                blk = a_i @ (kern @ a_j)
-                outs[i] += blk if j0 == i0 else blk + blk.T
+    for order, s0, s1, c0, c1 in _sweep(pts, r_max):
+        rows, cols = order[s0:s1], order[c0:c1]
+        p_i, p_j = pts[rows], pts[cols]
+        shape = (rows.size, cols.size)
+        r2, dy2 = (row[:shape[0] * shape[1]].reshape(shape) for row in geo)
+        np.square(np.subtract(p_i[:, 0, None], p_j[None, :, 0], out=r2), out=r2)
+        r2 += np.square(np.subtract(p_i[:, 1, None], p_j[None, :, 1], out=dy2), out=dy2)
+        a_i, a_j = A_data[rows].T, A_data[cols]
+        a_j[max(s1 - c0, 0):] *= 2.0
+        for i, kern in _kernels(models, r2, work):
+            outs[i] += a_i @ (kern @ a_j)
     return outs
 
 
@@ -270,10 +296,12 @@ def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
     ``a_vectors`` is (m, k).  The lattice block of the scheme is handled by FFT
     cross-correlation (exact, including the diagonal); the lattice-data block
     by direct sums over each tile of data nodes and the lattice box within the
-    largest truncation radius of it, and the data-data block by direct sums,
-    both in blocks of at most ``_PAIR_BLOCK`` pairs.  The pair geometry of each
-    block is built once for all models; each model zeroes the pairs beyond its
-    own radius, and a model of radius 0 gets zeros without any pair work.
+    largest truncation radius of it, and the data-data block by direct sums over
+    the :func:`_sweep` blocks at that radius, both in blocks of at most
+    ``_PAIR_BLOCK`` pairs; the symmetrised total supplies the data-data transposes.
+    The pair geometry of each block is built once for all models; each model zeroes
+    the pairs beyond its own radius, and a model of radius 0 gets zeros without any
+    pair work.
     """
     k = a_vectors.shape[1]
     radii = [pcf.truncation_radius(quad.window) for pcf in pcfs]
@@ -320,59 +348,25 @@ def _k_model(r, n_steps: int = 513):
 
 def _close_pairs(pts, r):
     """Every unordered pair of the points ``pts`` (n, 2) with dx*dx + dy*dy <= r*r (the
-    test of SciPy's ``cKDTree.query_pairs``), in blocks: yields (rows, cols, within,
-    dx, dy) for each block with a pair, where ``rows`` and ``cols`` index ``pts``,
-    ``within`` (len(rows), len(cols)) marks the block's pairs and dx, dy are the row
-    point minus the column point at them, in row-major order.  Each pair is in one
-    block.
-
-    A cell list: the points are sorted by cells of sides at least r / k (at most 256
-    cells per axis), so a pair within r is at most k cells apart along each axis;
-    k = 2, unless cells of side r / 2 would hold under ``_CELL_POINTS`` points on
-    average, where k = 1 and fewer, larger blocks cost less (W1 patterns of about
-    450 points, against 1,400-1,650 on W2).  Each cell's points meet one contiguous
-    run of sorted points per cell row: their own cell's later points and the k cells
-    to its right, then the 2k + 1 cells from k columns left to k right in each of the
-    k rows above.  The sides have a relative margin of 1e-9, far above the rounding
-    of the cell coordinates, so a pair exactly r apart cannot land k + 1 cells
-    apart."""
-    n = pts.shape[0]
-    if n < 2:
-        return
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
-    for k in (2, 1):
-        side = r / k * (1.0 + 1e-9)
-        ncx, ncy = (int(min(max(extent // side, 1), 256)) for extent in span)
-        if n >= _CELL_POINTS * ncx * ncy:
-            break
-    sx, sy = max(span[0] / ncx, side), max(span[1] / ncy, side)
-    cell = np.minimum(((pts[:, 1] - lo[1]) / sy).astype(np.intp), ncy - 1) * ncx \
-        + np.minimum(((pts[:, 0] - lo[0]) / sx).astype(np.intp), ncx - 1)
-    order = np.argsort(cell, kind="stable")
-    x, y = pts[order, 0], pts[order, 1]
-    starts = np.zeros(ncx * ncy + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cell, minlength=ncx * ncy), out=starts[1:])
-    starts = starts.tolist()
+    test of SciPy's ``cKDTree.query_pairs``), in the blocks of :func:`_sweep`: yields
+    (rows, cols, within, dx, dy) for each block with a pair, where ``rows`` and
+    ``cols`` index ``pts``, ``within`` (len(rows), len(cols)) marks the block's pairs
+    and dx, dy are the row point minus the column point at them, in row-major order.
+    Each pair is in one block, once."""
+    x, y = pts[:, 0], pts[:, 1]
     r2 = r * r
-    for c in np.unique(cell).tolist():
-        s0, s1 = starts[c], starts[c + 1]
-        row, col = divmod(c, ncx)
-        xi, yi = x[s0:s1, None], y[s0:s1, None]
-        for b in range(min(k, ncy - 1 - row) + 1):
-            first = (row + b) * ncx
-            t0 = starts[first + (col if b == 0 else max(col - k, 0))]
-            t1 = starts[first + min(col + k, ncx - 1) + 1]
-            dx = xi - x[t0:t1]
-            dy = yi - y[t0:t1]
-            within = dx * dx
-            within += dy * dy
-            within = within <= r2
-            if b == 0:      # the run starts at this cell: keep each pair once
-                within = np.triu(within, 1)
-            dx = dx[within]
-            if dx.size:
-                yield order[s0:s1], order[t0:t1], within, dx, dy[within]
+    for order, s0, s1, c0, c1 in _sweep(pts, r):
+        rows, cols = order[s0:s1], order[c0:c1]
+        dx = x[rows, None] - x[cols]
+        dy = y[rows, None] - y[cols]
+        within = dx * dx
+        within += dy * dy
+        within = within <= r2
+        if c0 < s1:         # the block's own rows: keep each pair once
+            within = np.triu(within, s0 - c0 + 1)
+        dx = dx[within]
+        if dx.size:
+            yield rows, cols, within, dx, dy[within]
 
 
 def _nelder_mead(fun, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
@@ -439,8 +433,8 @@ def _k_hat(pattern: PointPattern, lam, r_grid):
     Each pair within the last radius (``_close_pairs``) adds 2 / (lam_i lam_j e_ij)
     to K at every radius from its distance on, e_ij the translation weight.  Only
     the pairs' distances and contributions are kept, two arrays of one value per
-    pair: the contributions are summed in the order of ``argsort`` of the
-    distances, whatever the pair order, and read at each radius.
+    pair, summed in ``argsort`` order of the distances and read at each radius: the
+    sweep's pair order moves K-hat only where two distances tie exactly.
     """
     w = pattern.window
     dists, contribs = [], []

@@ -126,8 +126,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.order not in _KERNELS:
             raise ValueError(f"no kernel of order {self.order}")
-        if not (self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be > 0 and finite, got {self.bandwidth}")
 
     def k1(self, t, out=None):
         """Univariate kernel value, written into ``out`` if given (which may be t)."""

@@ -188,6 +188,16 @@ def test_nonpositive_parallelism_makes_no_directory(no_replication, tmp_path, ar
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("seed", [["--seed", "0"], []], ids=["seed0", "default-seed"])
+def test_simulate_rejects_a_negative_rep_before_making_the_directory(no_replication, monkeypatch,
+                                                                    tmp_path, seed):
+    monkeypatch.delenv("PPCF_SEED", raising=False)
+    out_dir = tmp_path / "sim"
+    with pytest.raises(ValueError, match="rep must be an integer >= 0"):
+        cli_main(["simulate", "--rep", "-1", "--out-dir", str(out_dir)] + seed)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("name", ["fit", ""], ids=["file", "directory"])
 def test_fit_out_into_a_new_nested_directory(monkeypatch, tmp_path, fit_files, name):
     # the directory is made before the fit, so the fit is not lost at the write; a

@@ -39,6 +39,9 @@ def test_config_validation():
     for c0 in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="bandwidth_c0 must be finite and > 0"):
             CrossFitConfig(bandwidth_c0=c0)
+    for h in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="bandwidth must be > 0 and finite"):
+            CrossFitConfig(bandwidth=h)
     for name in ("n_folds", "grid_n", "kernel_order"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             CrossFitConfig(**{name: 4.0})

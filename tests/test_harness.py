@@ -284,6 +284,11 @@ def test_fit_file_roundtrip_bit_exact(tmp_path):
     ({"folds": 2.5}, "n_folds must be an integer"),
     ({"kernel_order": 2.0}, "kernel_order must be an integer"),
     ({"seed": 1.5}, "seed must be an integer"),
+    ({"levels": 0.9}, "levels must lie in"),
+    ({"levels": ["a"]}, "levels must lie in"),
+    ({"levels": [True]}, "levels must lie in"),
+    ({"bandwidth": math.inf}, "bandwidth must be > 0 and finite"),
+    ({"bandwidth": -math.inf}, "bandwidth must be > 0 and finite"),
 ])
 def test_fit_file_rejects_bad_options_before_reading(monkeypatch, tmp_path, options, message):
     # no file is read and no fold is fitted: the input paths do not even exist

@@ -325,6 +325,35 @@ def test_pcf_pair_geometry_built_once_for_every_model(monkeypatch):
     assert len(single) > 2 and calls == single
 
 
+@pytest.mark.parametrize("side", [(8.0, 1.0), (1.0, 8.0)], ids=["wide", "tall"])
+def test_data_sum_skips_pairs_beyond_the_radius_on_long_windows(monkeypatch, side):
+    # the radius hits its cap of half the short side, and the data-data block
+    # evaluates under half of the n (n + 1) / 2 data pairs; a search along the
+    # short side, or square blocks over every pair, would evaluate more than that
+    window = make_window(0.0, 0.0, *side)
+    rng = np.random.default_rng(4)
+    n = 400
+    points = np.column_stack([rng.uniform(0.0, side[0], n), rng.uniform(0.0, side[1], n)])
+    pcf = PcfModel(sigma2=0.5, phi=2.0)
+    radius = pcf.truncation_radius(window)
+    assert radius == 0.5
+    quad = build_quadrature(PointPattern(window, points), 8)
+    a = rng.normal(size=(quad.m(), 2))
+    (fast,) = pcf_correction(quad, a, pcf)
+    brute = pcf_double_sum_brute(quad, a, pcf, truncated=True)
+    assert np.allclose(fast, brute, rtol=1e-9, atol=1e-12)
+    sizes = []
+    kernels = ppcf.inference._kernels
+
+    def spy(models, r2, work):
+        sizes.append(r2.size)
+        return kernels(models, r2, work)
+
+    monkeypatch.setattr(ppcf.inference, "_kernels", spy)
+    ppcf.inference._data_sum([(pcf, radius)], points, a[quad.grid_n ** 2:])
+    assert 0 < sum(sizes) < n * (n + 1) / 4, sum(sizes)
+
+
 def lattice_block_batched(quad: QuadratureScheme, a_vectors: np.ndarray,
                           pcf: PcfModel) -> np.ndarray:
     """The lattice-lattice double sum as one batched FFT correlation of period 2g over
@@ -560,6 +589,7 @@ def _pair_cases():
     centers = rng.uniform(0, 2, (8, 2))
     yield "clustered", (centers[rng.integers(0, 8, 500)]
                         + rng.normal(scale=0.03, size=(500, 2))), 0.5
+    yield "tall-strip", np.column_stack([rng.uniform(0, 0.01, 300), rng.uniform(-5, 5, 300)]), 0.3
 
 
 @pytest.mark.parametrize("case", list(_pair_cases()), ids=lambda c: c[0])
@@ -584,6 +614,15 @@ def test_close_pairs_keeps_pairs_r_apart_at_cell_edges(filler):
                             rng.uniform(0.0, span, filler)])
         pts = np.column_stack([x, np.zeros_like(x)])
         assert np.array_equal(_pair_keys(pts, r), _query_keys(pts, r))
+
+
+def test_close_pairs_blocks_stay_bounded_on_a_dense_cluster():
+    # every pair of 1,200 points in a 0.001-wide square lies within r, so all of them
+    # share one neighbourhood; the blocks still hold at most _PAIR_BLOCK pairs each
+    pts = np.random.default_rng(6).uniform(0.0, 0.001, (1200, 2))
+    sizes = [within.size for _, _, within, _, _ in _close_pairs(pts, 0.5)]
+    assert max(sizes) <= ppcf.inference._PAIR_BLOCK
+    assert np.array_equal(_pair_keys(pts, 0.5), _query_keys(pts, 0.5))
 
 
 def test_close_pairs_matches_query_pairs_on_lgcp_patterns():
