@@ -248,6 +248,8 @@ def read_grid_file(path) -> GridField:
             coords = [float(p) for p in parts[2:]]
         except ValueError as exc:
             raise ParseError(path, 1, str(exc)) from None
+        if nx < 2 or ny < 2:
+            raise ParseError(path, 1, f"lattice resolution must be >= 2, got {nx} x {ny}")
         window = make_window(*coords)
         lines, line_no = [], 1
         for line_no, line in enumerate(fh, start=2):

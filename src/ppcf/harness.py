@@ -6,8 +6,8 @@ estimates the asymptotic variance under the requested pair-correlation mode,
 and aggregates replications into table rows (bias x100, rMSE, mean SE,
 CP90/CP95).  Replication r uses seed ``base_seed + r``; records are reduced in
 replication order, so results are independent of the worker count.  Replications
-and :func:`fit_file` share one fit path, and both record per-fold convergence and
-errors, nuisance clip counts and the PCF fit's warnings.
+and :func:`fit_file` share one fit path, :func:`fit_pattern`, whose :class:`PatternFit`
+records per-fold convergence and errors, nuisance clip counts and the PCF fit's warnings.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .crossfit import CrossFitConfig, cross_fit
+from .crossfit import CrossFitConfig, EtaAggregate, cross_fit
 from .errors import FitError, InsufficientPointsError, ScenarioInfeasibleError, WindowMismatchError
 from .fields import GrfSpec, Window, field_product, read_grid_file, simulate_grf, write_grid_file
 from .inference import (
@@ -184,20 +184,29 @@ def _variants_for(s: Scenario) -> Dict[str, Optional[PcfModel]]:
     return known if s.pcf_mode == "known" and known else {"none": PcfModel()}
 
 
-def _variant_summary(se_reports: Dict[str, FitReport]) -> Dict[str, Dict]:
-    out = {}
-    for name, rep in se_reports.items():
-        lo90, hi90 = rep.ci[0.9][0]
-        lo95, hi95 = rep.ci[0.95][0]
-        out[name] = {
-            "se": float(rep.se[0]),
-            "hit90": bool(lo90 <= THETA_STAR <= hi90),
-            "hit95": bool(lo95 <= THETA_STAR <= hi95),
-            "pcf_sigma2": rep.pcf.sigma2,
-            "pcf_phi": rep.pcf.phi,
-            "pcf_family": rep.pcf.family,
-        }
-    return out
+@dataclass(frozen=True)
+class PatternFit:
+    """One pattern's fit: the Wald reports per estimator and PCF variant (target
+    coordinates only), the semi curve (None without semi), the PCF fit's caught
+    warnings, and the diagnostics, JSON values that every report carries."""
+
+    reports: Dict[str, Dict[str, FitReport]]
+    curve: Optional[EtaAggregate]
+    pcf_warnings: List[warnings.WarningMessage]
+    diagnostics: Dict
+
+    def record(self, theta_star: float) -> Dict:
+        """The replication record: the diagnostics, then per estimator the coordinate-0 theta
+        and, per variant, its SE, whether each interval covers ``theta_star``, and its PCF."""
+        def variant(rep: FitReport) -> Dict:
+            hits = {f"hit{round(100 * level)}": bool(arr[0, 0] <= theta_star <= arr[0, 1])
+                    for level, arr in rep.ci.items()}
+            return {"se": float(rep.se[0]), **hits, "pcf_sigma2": rep.pcf.sigma2,
+                    "pcf_phi": rep.pcf.phi, "pcf_family": rep.pcf.family}
+        return {**self.diagnostics, "estimators": {
+            name: {"theta": float(next(iter(by_pcf.values())).theta_hat[0]),
+                   "variants": {vname: variant(rep) for vname, rep in by_pcf.items()}}
+            for name, by_pcf in self.reports.items()}}
 
 
 def run_replication(s: Scenario, rep: int) -> Dict:
@@ -207,28 +216,25 @@ def run_replication(s: Scenario, rep: int) -> Dict:
         spec, eta_full, pattern, seeds = simulate_scenario_inputs(s, rep)
         if pattern.count() == 0:
             raise InsufficientPointsError("empty pattern")
-        reports, record, _, _ = _fit_pattern(spec, pattern, s.crossfit, seeds[2] ^ 0x9E3779B9,
-                                             _variants_for(s), s.estimators, eta_full)
-        return {"rep": rep, "ok": True, **record, "estimators": {
-            name: {"theta": float(next(iter(by_pcf.values())).theta_hat[0]),
-                   "variants": _variant_summary(by_pcf)}
-            for name, by_pcf in reports.items()}}
+        fit = fit_pattern(spec, pattern, s.crossfit, seeds[2] ^ 0x9E3779B9, _variants_for(s),
+                          s.estimators, eta_full)
+        return {"rep": rep, "ok": True, **fit.record(THETA_STAR)}
     except FitError as exc:
         return {"rep": rep, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _fit_pattern(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig, seed: int,
-                 pcfs: Dict[str, Optional[PcfModel]], estimators=("semi",), eta_true=None,
-                 levels=(0.9, 0.95)):
+def fit_pattern(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig, seed: int,
+                pcfs: Dict[str, Optional[PcfModel]], estimators=("semi",), eta_true=None,
+                levels=(0.9, 0.95)) -> PatternFit:
     """Fit the requested estimators on one pattern and report them under each PCF.
 
     ``semi`` cross-fits theta with thinning ``seed`` and takes its least favorable
     direction from the curve fitted on the full pattern; ``para`` fits eta as linear,
     ``oracle`` takes ``eta_true`` as known.  A PCF given as None is estimated from the
     first estimator's intensity at the data nodes, its warnings caught, not shown.
-    Returns (reports per estimator and PCF name, record, semi curve or None, caught
-    warnings); the record holds JSON values only and is every report's diagnostics.
     """
+    if "oracle" in estimators and eta_true is None:
+        raise ValueError("the oracle estimator needs eta_true")
     quad = build_quadrature(pattern, cfg.grid_n)
     # per estimator: (coefficients, S over all coords, a vectors, intensity at the nodes)
     fits: Dict[str, Tuple] = {}
@@ -240,9 +246,9 @@ def _fit_pattern(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig, se
         fits["semi"] = (theta, *semi_sandwich_terms(spec, theta, eta_hat,
                                                     lambda Z: lfd_values(nf, theta, Z), quad))
         del nf  # the full-pattern curve serves the LFD only; free it before the PCF sums
-    for name, form in (("para", "linear"), ("oracle", ("oracle", eta_true))):
+    for name, eta in (("para", None), ("oracle", eta_true)):
         if name in estimators:
-            pf = fit_parametric_baseline_full(spec, quad, form)
+            pf = fit_parametric_baseline_full(spec, quad, eta)
             fits[name] = (pf.coef, *sandwich_terms(quad, pf.lambda_nodes, pf.design),
                           pf.lambda_nodes)
     caught = []
@@ -252,13 +258,13 @@ def _fit_pattern(spec: ModelSpec, pattern: PointPattern, cfg: CrossFitConfig, se
             lam = next(iter(fits.values()))[3]
             estimated = estimate_pcf(pattern, lam[quad.is_data])
         pcfs = {v: estimated if pcf is None else pcf for v, pcf in pcfs.items()}
-    record = {"fold_convergence": [f.converged for f in folds], "n_points": pattern.count(),
-              "clip_counts": [f.nuisance.diagnostics["clip_count"] for f in folds
-                              if f.nuisance is not None],
-              "fold_errors": [f.error for f in folds],
-              "pcf_warnings": [str(w.message) for w in caught]}
-    reports = _wald_reports(fits, pcfs, quad, spec.k, levels=levels, diagnostics=record)
-    return reports, record, eta_hat, caught
+    diagnostics = {"fold_convergence": [f.converged for f in folds], "n_points": pattern.count(),
+                   "clip_counts": [f.nuisance.diagnostics["clip_count"] for f in folds
+                                   if f.nuisance is not None],
+                   "fold_errors": [f.error for f in folds],
+                   "pcf_warnings": [str(w.message) for w in caught]}
+    return PatternFit(_wald_reports(fits, pcfs, quad, spec.k, levels=levels,
+                                    diagnostics=diagnostics), eta_hat, caught, diagnostics)
 
 
 def _wald_reports(fits: Dict[str, Tuple], pcfs: Dict[str, PcfModel], quad, k: int,
@@ -395,8 +401,7 @@ def run_table(table_id: int, out_path, reps: int = 200, parallelism: int = 1,
                 entry["estimator"] = _EST_LABEL[est]
             entry.update(row_columns(rows[est], starred=table_id == 3))
             rows_out.append(entry)
-        for rec in records:
-            sidecar.append({"table": table_id, **meta, **rec})
+        sidecar += [{"table": table_id, **meta, **rec} for rec in records]
     write_run(rows_out, sidecar, out_path)
     return rows_out
 
@@ -413,13 +418,11 @@ def write_run(rows: List[Dict], records: List[Dict], out_path) -> None:
 def _write_csv(rows: List[Dict], path) -> None:
     if not rows:
         raise ValueError("no rows to write")
-    fieldnames = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                             for k, v in row.items()})
+        writer.writerows({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
+                         for row in rows)
 
 
 # -- file-based fitting -----------------------------------------------------------
@@ -431,7 +434,10 @@ def merge_options(defaults: Dict, config_path=None, given: Optional[Dict] = None
     merged = dict(defaults)
     if config_path is not None:
         with open(config_path) as fh:
-            loaded = yaml.safe_load(fh) or {}
+            loaded = yaml.safe_load(fh)
+        loaded = {} if loaded is None else loaded  # an empty file
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config_path}: expected a YAML mapping of options, got {loaded!r}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -537,30 +543,28 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
         raise InsufficientPointsError("pattern file contains no points")
 
     spec = ModelSpec(y_fields, z_fields)
-    reports, _, eta_hat, caught = _fit_pattern(spec, pattern, run_cfg, opts["seed"],
-                                               {"fit": pcf}, levels=tuple(opts["levels"]))
-    for w in caught:  # shown as the PCF fit raised them
+    fit = fit_pattern(spec, pattern, run_cfg, opts["seed"], {"fit": pcf},
+                      levels=tuple(opts["levels"]))
+    for w in fit.pcf_warnings:  # shown as the PCF fit raised them
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    report = reports["semi"]["fit"]
+    report = fit.reports["semi"]["fit"]
     if out_prefix is not None:
-        _write_fit_outputs(report, spec, pattern, eta_hat, str(out_prefix))
+        _write_fit_outputs(report, spec, pattern, fit.curve, str(out_prefix))
     return report
 
 
 def _write_fit_outputs(report: FitReport, spec: ModelSpec, pattern: PointPattern,
                        eta_fn, out_prefix: str) -> None:
-    k = report.theta_hat.shape[0]
     row = {}
-    for i in range(k):
+    for i in range(report.theta_hat.shape[0]):
         row[f"theta_{i}"] = float(report.theta_hat[i])
         row[f"se_{i}"] = float(report.se[i])
         for level, arr in report.ci.items():
             pct = int(round(level * 100))
             row[f"ci{pct}_lo_{i}"] = float(arr[i, 0])
             row[f"ci{pct}_hi_{i}"] = float(arr[i, 1])
-    row["pcf_family"] = report.pcf.family
-    row["pcf_sigma2"] = float(report.pcf.sigma2)
-    row["pcf_phi"] = float(report.pcf.phi)
+    row.update(pcf_family=report.pcf.family, pcf_sigma2=float(report.pcf.sigma2),
+               pcf_phi=float(report.pcf.phi))
     _write_csv([row], out_prefix + "_summary.csv")
     with open(out_prefix + "_summary.jsonl", "w") as fh:
         fh.write(json.dumps({
@@ -585,16 +589,10 @@ def emit_scenario_files(s: Scenario, rep: int, out_dir) -> Dict[str, str]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec, _, pattern, _ = simulate_scenario_inputs(s, rep)
-    paths = {}
-    pattern_path = out_dir / "pattern.txt"
-    write_pattern_file(pattern, pattern_path)
-    paths["pattern"] = str(pattern_path)
-    for i, f in enumerate(spec.target_fields):
-        p = out_dir / f"y{i}.txt"
-        write_grid_file(f, p)
-        paths[f"y{i}"] = str(p)
-    for i, f in enumerate(spec.nuisance_fields):
-        p = out_dir / f"z{i}.txt"
-        write_grid_file(f, p)
-        paths[f"z{i}"] = str(p)
+    paths = {"pattern": str(out_dir / "pattern.txt")}
+    write_pattern_file(pattern, paths["pattern"])
+    for prefix, grids in (("y", spec.target_fields), ("z", spec.nuisance_fields)):
+        for i, f in enumerate(grids):
+            paths[f"{prefix}{i}"] = str(out_dir / f"{prefix}{i}.txt")
+            write_grid_file(f, paths[f"{prefix}{i}"])
     return paths

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -447,11 +447,11 @@ class ParametricFit:
 
 
 def fit_parametric_baseline_full(spec: ModelSpec, quad: QuadratureScheme,
-                                 nuisance_form) -> ParametricFit:
+                                 eta: Optional[Callable] = None) -> ParametricFit:
     """Fully parametric reference fits: eta misspecified as linear, or known a priori.
 
-    ``nuisance_form`` is ``"linear"`` (fits eta = b0 + beta . z jointly with theta)
-    or ``("oracle", f)`` with f a known z -> eta function (fits theta only).
+    With ``eta`` None, eta = b0 + beta . z is fitted jointly with theta; a callable
+    ``eta`` is the known z -> eta function, and theta alone is fitted.
     lambda = exp(X coef + offset) maximizes the quadrature node loss, with
     dlog = X.
     """
@@ -461,17 +461,15 @@ def fit_parametric_baseline_full(spec: ModelSpec, quad: QuadratureScheme,
     m = Y.shape[0]
     n = int(quad.is_data.sum())
     area = quad.window.area()
-    if nuisance_form == "linear":
+    if eta is None:
         X = np.column_stack([Y, np.ones(m), Z])
         offset = np.zeros(m)
         init = np.zeros(X.shape[1])
         init[spec.k] = math.log(max(n, 1) / area)
-    elif isinstance(nuisance_form, tuple) and nuisance_form[0] == "oracle":
-        X = Y
-        offset = np.asarray(nuisance_form[1](Z), dtype=float)
-        init = np.zeros(spec.k)
     else:
-        raise ValueError(f"unknown nuisance_form {nuisance_form!r}")
+        X = Y
+        offset = np.asarray(eta(Z), dtype=float)
+        init = np.zeros(spec.k)
 
     def intensity(coef):
         return np.exp(X @ coef + offset)

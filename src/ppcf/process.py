@@ -177,6 +177,8 @@ def read_pattern_file(path) -> PointPattern:
             n = int(parts[4])
         except ValueError as exc:
             raise ParseError(path, 1, str(exc)) from None
+        if n < 0:
+            raise ParseError(path, 1, f"point count must be >= 0, got {n}")
         window = make_window(*coords)
         pts = np.empty((n, 2))
         marks_list = []

@@ -168,6 +168,33 @@ def test_scenario_rejects_bad_options_before_simulating(no_replication, tmp_path
         cli_main(["scenario", "--config", str(config), "--parallelism", parallelism])
 
 
+@pytest.mark.parametrize("command", [["fit", "missing.txt", "--y-grid", "missing.txt",
+                                      "--z-grid", "missing.txt"], ["scenario"]],
+                         ids=["fit", "scenario"])
+@pytest.mark.parametrize("yaml_text", ["5\n", "- folds: 2\n", "abc\n"],
+                         ids=["number", "list", "string"])
+def test_config_that_is_no_mapping_fails_before_any_work(no_replication, monkeypatch, tmp_path,
+                                                         command, yaml_text):
+    # the error names the file, before ``fit`` reads an input or makes its output
+    # directory and before ``scenario`` simulates a replication
+    def fail(*args, **kwargs):
+        raise AssertionError("an input file was read before the options were checked")
+
+    monkeypatch.setattr(ppcf.harness, "read_pattern_file", fail)
+    monkeypatch.setattr(ppcf.harness, "read_grid_file", fail)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml_text)
+    with pytest.raises(ValueError, match=re.escape(f"{config}: expected a YAML mapping")):
+        cli_main(command + ["--config", str(config), "--out", str(tmp_path / "o" / "out")])
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_config_is_no_options(tmp_path):
+    config = tmp_path / "empty.yaml"
+    config.write_text("")
+    assert resolve_fit_options(config) == resolve_fit_options()
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--table", "2", "--parallelism", "0"],
     ["scenario", "--parallelism", "-1"],

@@ -283,7 +283,9 @@ def test_grid_file_bad_token_names_its_line(tmp_path, line_no):
 @pytest.mark.parametrize("header, message", [
     ("3 2 0.0 0.0 1.0", "expected 'nx ny x_min y_min x_max y_max'"),
     ("3 2.5 0.0 0.0 1.0 1.0", "invalid literal"),
-], ids=["fields", "number"])
+    ("3 -2 0.0 0.0 1.0 1.0", "lattice resolution must be >= 2, got 3 x -2"),
+    ("-3 2 0.0 0.0 1.0 1.0", "lattice resolution must be >= 2, got -3 x 2"),
+], ids=["fields", "number", "negative_ny", "negative_nx"])
 def test_grid_file_bad_header_names_line_one(tmp_path, header, message):
     path = tmp_path / "grid.txt"
     path.write_text(header + "\n0.5 1.5 2.5\n3.5 4.5 5.5\n")

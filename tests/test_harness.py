@@ -17,20 +17,23 @@ from ppcf.errors import (
     NonConvergenceError,
     WindowMismatchError,
 )
-from ppcf.fields import GridField, make_window, read_grid_file, write_grid_file
+from ppcf.fields import GridField, make_window, read_grid_file, simulate_grf, write_grid_file
 from ppcf.harness import (
+    COVARIATE_GRF,
     HARNESS_BANDWIDTH_C0,
+    LATTICE_PER_UNIT,
     Scenario,
     _wald_reports,
     emit_scenario_files,
     fit_file,
+    fit_pattern,
     run_replication,
     run_scenario_records,
     run_table,
     simulate_scenario_inputs,
 )
 from ppcf.inference import PcfModel, sandwich_terms
-from ppcf.model import build_quadrature
+from ppcf.model import ModelSpec, build_quadrature
 from ppcf.nuisance import KernelSpec
 from ppcf.process import PointPattern, read_pattern_file, write_pattern_file
 
@@ -500,3 +503,80 @@ def test_fit_file_agrees_with_run_replication(tmp_path, process, pcf):
     assert float(report.theta_hat[0]) == rec["estimators"]["semi"]["theta"]
     assert float(report.se[0]) == summary["se"]
     assert report.diagnostics["fold_convergence"] == rec["fold_convergence"]
+
+
+def test_two_targets_end_to_end(tmp_path):
+    # k = 2: fit_pattern reports both target coordinates, and fit_file on the same
+    # files writes both to its summary with the same theta and SE
+    s = Scenario(window="W1", reps=1, base_seed=555)
+    paths = emit_scenario_files(s, 0, tmp_path)
+    n_lat = int(round(LATTICE_PER_UNIT * s.the_window().width))
+    write_grid_file(simulate_grf(s.the_window(), n_lat, n_lat, COVARIATE_GRF, 77),
+                    tmp_path / "y1.txt")
+    y_paths = [paths["y0"], str(tmp_path / "y1.txt")]
+    spec = ModelSpec([read_grid_file(p) for p in y_paths], [read_grid_file(paths["z0"])])
+    fit = fit_pattern(spec, read_pattern_file(paths["pattern"]), CrossFitConfig(grid_n=32), 5,
+                      {"fit": PcfModel()})
+    report = fit.reports["semi"]["fit"]
+    assert report.theta_hat.shape == report.se.shape == (2,)
+    assert all(arr.shape == (2, 2) for arr in report.ci.values())
+
+    prefix = tmp_path / "fit"
+    from_file = fit_file(paths["pattern"], y_paths, [paths["z0"]], out_prefix=str(prefix),
+                         overrides={"grid_n": 32, "seed": 5})
+    assert np.array_equal(from_file.theta_hat, report.theta_hat)
+    assert np.array_equal(from_file.se, report.se)
+    (row,) = read_table_csv(f"{prefix}_summary.csv")
+    assert list(row) == [f"{col}_{i}" for i in range(2) for col in
+                         ("theta", "se", "ci90_lo", "ci90_hi", "ci95_lo", "ci95_hi")] + [
+                             "pcf_family", "pcf_sigma2", "pcf_phi"]
+    assert [row["theta_0"], row["theta_1"]] == report.theta_hat.tolist()
+    assert [row["se_0"], row["se_1"]] == report.se.tolist()
+
+
+def test_oracle_without_its_curve_is_rejected():
+    # with no known eta the oracle would silently be the linear parametric fit
+    spec, _, pattern, _ = simulate_scenario_inputs(Scenario(reps=1, base_seed=555), 0)
+    with pytest.raises(ValueError, match="oracle estimator needs eta_true"):
+        fit_pattern(spec, pattern, CrossFitConfig(grid_n=32), 0, {"none": PcfModel()},
+                    estimators=("oracle",))
+
+
+DIAGNOSTICS = ["fold_convergence", "n_points", "clip_counts", "fold_errors", "pcf_warnings"]
+
+
+def test_replication_record_layout_is_pinned():
+    # the sidecar's bytes follow the key order of the records, so it is pinned here
+    s = Scenario(window="W1", process="lgcp", pcf_mode="estimated", reps=1, base_seed=808,
+                 estimators=("semi", "para", "oracle"))
+    rec = json.loads(json.dumps(run_replication(s, 0)))
+    assert list(rec) == ["rep", "ok", *DIAGNOSTICS, "estimators"]
+    assert list(rec["estimators"]) == ["semi", "para", "oracle"]
+    for entry in rec["estimators"].values():
+        assert list(entry) == ["theta", "variants"]
+        assert list(entry["variants"]) == ["estimated", "known"]
+        for variant in entry["variants"].values():
+            assert list(variant) == ["se", "hit90", "hit95", "pcf_sigma2", "pcf_phi",
+                                     "pcf_family"]
+
+
+def test_record_has_a_hit_per_interval_level():
+    s = Scenario(reps=1, base_seed=555)
+    spec, _, pattern, _ = simulate_scenario_inputs(s, 0)
+    fit = fit_pattern(spec, pattern, s.crossfit, 0, {"none": PcfModel()}, levels=(0.8, 0.99))
+    hi80, hi99 = (arr[0, 1] for arr in fit.reports["semi"]["none"].ci.values())
+    variant = fit.record(hi80)["estimators"]["semi"]["variants"]["none"]
+    assert list(variant) == ["se", "hit80", "hit99", "pcf_sigma2", "pcf_phi", "pcf_family"]
+    assert variant["hit80"] and variant["hit99"]
+    assert not fit.record(hi99 + 1.0)["estimators"]["semi"]["variants"]["none"]["hit99"]
+
+
+def test_fit_summary_layout_is_pinned(tmp_path):
+    paths = emit_scenario_files(Scenario(window="W1", reps=1, base_seed=555), 0, tmp_path)
+    fit_file(paths["pattern"], [paths["y0"]], [paths["z0"]], overrides={"grid_n": 32},
+             out_prefix=str(tmp_path / "fit"))
+    summary = json.loads((tmp_path / "fit_summary.jsonl").read_text())
+    assert list(summary) == ["theta", "se", "ci", "pcf", "diagnostics"]
+    assert list(summary["ci"]) == ["0.9", "0.95"]
+    assert list(summary["pcf"]) == ["family", "sigma2", "phi"]
+    assert list(summary["diagnostics"]) == [*DIAGNOSTICS, "min_eigenvalue_S", "area"]

@@ -574,8 +574,8 @@ def _pair_cases():
     yield "two-beyond", np.array([[0.3, 0.4], [0.6, 0.81]]), 0.5
     yield "duplicates", np.repeat(rng.uniform(0, 1, (60, 2)), 3, axis=0), 0.2
     yield "all-equal", np.full((5, 2), 0.25), 0.1
-    # exactly r apart across cell edges: spacing r = 0.25 is exact in binary,
-    # spacing 0.1 is r up to rounding either side
+    # neighbours exactly r apart, each at the end of a sweep row's reach: spacing
+    # r = 0.25 is exact in binary, spacing 0.1 is r up to rounding either side
     yield "lattice-exact", 0.25 * lattice, 0.25
     yield "lattice-rounded", 0.1 * lattice, 0.1
     yield "lattice-sqrt2", 0.1 * lattice, math.hypot(0.1, 0.1)
@@ -600,9 +600,10 @@ def test_close_pairs_is_the_query_pairs_set(case):
 
 @pytest.mark.parametrize("filler", [0, 240])
 def test_close_pairs_keeps_pairs_r_apart_at_cell_edges(filler):
-    # pairs (x, x + r) within rounding of multiples of r / 2, the cell edges of both
-    # cell sides; without filler the cells have side r, with 240 uniform filler
-    # points side r / 2.  Without the sides' margin, some pairs land k + 1 cells apart
+    # pairs (x, x + r) up to rounding on the sweep axis: each column ends its row's
+    # reach, which keeps it only through the reach's relative margin on r.  Without
+    # filler all points are one block's rows; 240 uniform filler points make several
+    # blocks of _SWEEP_ROWS rows, so pairs also meet across blocks, row before column
     rng = np.random.default_rng(0)
     for _ in range(200):
         r = float(rng.uniform(0.05, 0.5))
@@ -617,8 +618,9 @@ def test_close_pairs_keeps_pairs_r_apart_at_cell_edges(filler):
 
 
 def test_close_pairs_blocks_stay_bounded_on_a_dense_cluster():
-    # every pair of 1,200 points in a 0.001-wide square lies within r, so all of them
-    # share one neighbourhood; the blocks still hold at most _PAIR_BLOCK pairs each
+    # every pair of 1,200 points in a 0.001-wide square lies within r, so every row's
+    # reach runs to the last point; the sweep's chunks still hold at most _PAIR_BLOCK
+    # pairs each
     pts = np.random.default_rng(6).uniform(0.0, 0.001, (1200, 2))
     sizes = [within.size for _, _, within, _, _ in _close_pairs(pts, 0.5)]
     assert max(sizes) <= ppcf.inference._PAIR_BLOCK
@@ -630,7 +632,7 @@ def test_close_pairs_matches_query_pairs_on_lgcp_patterns():
     base = constant_surface(w2, 400.0)
     for seed in range(3):
         pts = simulate_lgcp(base, GrfSpec(1.0, 0.1), 64, 64, seed=seed).points
-        assert len(pts) > 16 * 49       # dense enough for cells of side r / 2
+        assert len(pts) > 16 * 49       # many sweep blocks of _SWEEP_ROWS rows each
         assert np.array_equal(_pair_keys(pts, 0.5), _query_keys(pts, 0.5))
 
 

@@ -538,7 +538,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pat = simulate_poisson(surface, seed=90_000 + s)
         quad = build_quadrature(pat, 32)
-        theta_para = fit_parametric_baseline_full(spec, quad, "linear").theta[0]
+        theta_para = fit_parametric_baseline_full(spec, quad).theta[0]
         res = cross_fit(spec, pat, CrossFitConfig(grid_n=32, bandwidth_c0=0.45), s)
         diffs.append(theta_para - res.theta_hat[0])
     diffs = np.array(diffs)
@@ -551,7 +551,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
 def test_baseline_oracle_exact_offset(small_model, small_pattern):
     eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0]
     quad = build_quadrature(small_pattern, 24)
-    theta = fit_parametric_baseline_full(small_model, quad, ("oracle", eta)).theta
+    theta = fit_parametric_baseline_full(small_model, quad, eta).theta
     assert theta.shape == (1,)
     assert abs(theta[0] - 0.3) < 0.25
 
@@ -561,6 +561,6 @@ def test_baseline_oracle_matches_profile_with_fixed_curve(small_model, small_pat
     # curve maximize the same quadrature objective
     eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0] - 0.05 * Z[:, 0] ** 2
     quad = build_quadrature(small_pattern, 24)
-    oracle = fit_parametric_baseline_full(small_model, quad, ("oracle", eta))
+    oracle = fit_parametric_baseline_full(small_model, quad, eta)
     profile = profile_maximize(small_model, FixedCurve(eta, k=1), quad, 1.0, np.zeros(1))
     assert np.allclose(oracle.theta, profile, rtol=0, atol=1e-8)

@@ -264,7 +264,9 @@ def test_pattern_file_parse_error_carries_line(tmp_path):
     ("0 0 1 1 1\n0.5 0.5\n\n0.1 0.2\n", 4, "more than the declared 1 points"),
     ("0 0 1 1 3\n0.5 0.5\n\n0.1 0.2\n", 1, "declared 3 points but found 2"),
     ("0 0 1 1 2\n0.5 0.5 1\n0.1 0.2\n", 1, "fold column present on some lines"),
-], ids=["header_fields", "header_number", "point_fields", "too_many", "too_few", "some_folds"])
+    ("0 0 1 1 -1\n0.5 0.5\n", 1, "point count must be >= 0, got -1"),
+], ids=["header_fields", "header_number", "point_fields", "too_many", "too_few", "some_folds",
+        "negative_count"])
 def test_pattern_file_malformed_input_names_its_line(tmp_path, text, line_no, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
