@@ -48,7 +48,8 @@ class CrossFitConfig:
 
     def __post_init__(self):
         for name in ("n_folds", "grid_n", "kernel_order"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not isinstance(getattr(self, name), numbers.Integral) \
+                    or isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")

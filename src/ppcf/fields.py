@@ -17,6 +17,7 @@ work and memory.  A draw is deterministic given the seed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -250,6 +251,8 @@ def read_grid_file(path) -> GridField:
             raise ParseError(path, 1, str(exc)) from None
         if nx < 2 or ny < 2:
             raise ParseError(path, 1, f"lattice resolution must be >= 2, got {nx} x {ny}")
+        if not all(map(math.isfinite, coords)):
+            raise ParseError(path, 1, f"window bounds must be finite, got {coords}")
         window = make_window(*coords)
         lines, line_no = [], 1
         for line_no, line in enumerate(fh, start=2):

@@ -68,6 +68,14 @@ NUISANCE_FNS = {
 }
 
 
+def _integer(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def _number(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One cell of the simulation studies.
@@ -100,7 +108,7 @@ class Scenario:
         if self.pcf_mode not in ("none", "known", "estimated"):
             raise ValueError("pcf_mode must be none, known or estimated")
         for name in ("reps", "base_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
@@ -428,9 +436,25 @@ def _write_csv(rows: List[Dict], path) -> None:
 # -- file-based fitting -----------------------------------------------------------
 
 
+# the kind of every option value but the integers, which the classes the options
+# build check, and levels, checked with its range
+_OPTION_KINDS = {
+    "bandwidth_c0": ("a number", _number),
+    **dict.fromkeys(("bandwidth", "pcf_sigma2", "pcf_phi"),
+                    ("a number or null", lambda val: val is None or _number(val))),
+    "skip_thinning": ("true or false", lambda val: isinstance(val, bool)),
+    **dict.fromkeys(("approx", "window", "process", "covariates", "nuisance"),
+                    ("a string", lambda val: isinstance(val, str))),
+    "pcf": ("a string or null", lambda val: val is None or isinstance(val, str)),
+    "estimators": ("a list of strings", lambda val: isinstance(val, (list, tuple))
+                   and all(isinstance(name, str) for name in val)),
+}
+
+
 def merge_options(defaults: Dict, config_path=None, given: Optional[Dict] = None) -> Dict:
     """Options by precedence: ``defaults`` < the YAML mapping at ``config_path`` <
-    the non-None values of ``given``.  The YAML may set only keys of ``defaults``."""
+    the non-None values of ``given``.  The YAML may set only keys of ``defaults``,
+    and a value of the wrong kind (``_OPTION_KINDS``) is a ValueError naming its key."""
     merged = dict(defaults)
     if config_path is not None:
         with open(config_path) as fh:
@@ -443,6 +467,9 @@ def merge_options(defaults: Dict, config_path=None, given: Optional[Dict] = None
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
     merged.update({key: val for key, val in (given or {}).items() if val is not None})
+    for key, (kind, ok) in _OPTION_KINDS.items():
+        if key in merged and not ok(merged[key]):
+            raise ValueError(f"{key} must be {kind}, got {merged[key]!r}")
     return merged
 
 
@@ -494,14 +521,13 @@ def resolve_fit_options(config_path=None, given: Optional[Dict] = None
     defaults = {_FIELD_KEYS[f.name]: f.default for f in fields(CrossFitConfig)}
     opts = merge_options({**defaults, **_FIT_DEFAULTS}, config_path, given)
     cfg = _with_options(CrossFitConfig(), opts)
-    if not isinstance(opts["seed"], numbers.Integral):
+    if not _integer(opts["seed"]):
         raise ValueError(f"seed must be an integer, got {opts['seed']!r}")
     if opts["seed"] < 0:
         raise ValueError(f"seed must be >= 0, got {opts['seed']}")
     levels = opts["levels"]
-    if not (isinstance(levels, (list, tuple)) and all(
-            isinstance(lvl, numbers.Real) and not isinstance(lvl, bool) and 0.0 < lvl < 1.0
-            for lvl in levels)):
+    if not (isinstance(levels, (list, tuple))
+            and all(_number(lvl) and 0.0 < lvl < 1.0 for lvl in levels)):
         raise ValueError(f"levels must lie in (0, 1), a list of numbers, got {levels!r}")
     pcf = None if opts["pcf"] == "estimated" else PcfModel()
     if opts["pcf"] == "known":

@@ -44,8 +44,8 @@ Memory is bounded per block.  No temporary of the two direct blocks holds more
 than 2^16 pair values (512 kB), whatever the number of data nodes or models.
 The lattice block holds each model's kernel transform and the transforms of one
 padded (2g x 2g) column image at a time, whatever k.  The K-function of the
-minimum-contrast fit keeps two arrays of one value per point pair (distance and
-contribution), and at most three at once while it sorts them.
+minimum-contrast fit holds one sweep block of point pairs and one sum per radius
+interval, whatever the number of pairs.
 """
 
 from __future__ import annotations
@@ -430,41 +430,31 @@ def _k_hat(pattern: PointPattern, lam, r_grid):
     translation edge correction and the intensity ``lam`` at its points, or None if
     no pair lies within the last radius.
 
-    Each pair within the last radius (``_close_pairs``) adds 2 / (lam_i lam_j e_ij)
-    to K at every radius from its distance on, e_ij the translation weight.  Only
-    the pairs' distances and contributions are kept, two arrays of one value per
-    pair, summed in ``argsort`` order of the distances and read at each radius: the
-    sweep's pair order moves K-hat only where two distances tie exactly.
+    Each pair within the last radius (``_close_pairs``) adds 2 / (lam_i lam_j e_ij),
+    e_ij the translation weight, to the interval of the first radius at or above its
+    distance; K-hat is the cumulative sum over the intervals, so a pair at distance r
+    counts in K(r).  One extra interval takes a distance rounded past the last radius.
+    Memory is one block of pairs and len(r_grid) + 1 sums.
     """
     w = pattern.window
-    dists, contribs = [], []
+    sums = None
     for rows, cols, within, dx, dy in _close_pairs(pattern.points, r_grid[-1]):
         trans = (w.width - np.abs(dx)) * (w.height - np.abs(dy))
-        contribs.append(2.0 / ((lam[rows, None] * lam[cols])[within] * trans))
-        dists.append(np.hypot(dx, dy))
-    if not dists:
-        return None
-    d = np.concatenate(dists)
-    del dists
-    contrib = np.concatenate(contribs)
-    del contribs
-    order = np.argsort(d)
-    counts = np.searchsorted(d, r_grid, side="right", sorter=order)
-    del d
-    cum = contrib[order]
-    del contrib, order
-    np.cumsum(cum, out=cum)
-    return np.where(counts > 0, cum[counts - 1], 0.0)
+        contrib = 2.0 / ((lam[rows, None] * lam[cols])[within] * trans)
+        idx = np.searchsorted(r_grid, np.hypot(dx, dy), side="left")
+        block = np.bincount(idx, contrib, minlength=r_grid.size + 1)
+        sums = block if sums is None else sums + block
+    return None if sums is None else np.cumsum(sums[:-1])
 
 
 def estimate_pcf(pattern: PointPattern, lam_hat) -> PcfModel:
     """Fit (sigma2, phi) of the LGCP-exponential PCF by minimum contrast.
 
-    The inhomogeneous K-function is estimated at 64 radii up to r_max (``_k_hat``)
-    with translation edge correction and the intensity plug-in ``lam_hat``, the
-    fitted intensity at the pattern's points, then
-    |K-hat^(1/4) - K-model^(1/4)|^2 is integrated over r and minimized by a coarse
-    grid scan plus Nelder-Mead (``_nelder_mead``).
+    The inhomogeneous K-function is estimated at 64 radii up to r_max (``_k_hat``,
+    summed per radius interval in bounded memory) with translation edge correction
+    and the intensity plug-in ``lam_hat``, the fitted intensity at the pattern's
+    points, then |K-hat^(1/4) - K-model^(1/4)|^2 is integrated over r and minimized
+    by a coarse grid scan plus Nelder-Mead (``_nelder_mead``).
     A degenerate fit falls back to Poisson, ``PcfModel()``, with a warning.
     """
     n = pattern.count()

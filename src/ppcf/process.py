@@ -7,6 +7,7 @@ acceptance step re-checks the bound and raises rather than silently clipping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -179,6 +180,8 @@ def read_pattern_file(path) -> PointPattern:
             raise ParseError(path, 1, str(exc)) from None
         if n < 0:
             raise ParseError(path, 1, f"point count must be >= 0, got {n}")
+        if not all(map(math.isfinite, coords)):
+            raise ParseError(path, 1, f"window bounds must be finite, got {coords}")
         window = make_window(*coords)
         pts = np.empty((n, 2))
         marks_list = []
@@ -192,12 +195,14 @@ def read_pattern_file(path) -> PointPattern:
             if row >= n:
                 raise ParseError(path, line_no, f"more than the declared {n} points")
             try:
-                pts[row, 0] = float(toks[0])
-                pts[row, 1] = float(toks[1])
+                x, y = float(toks[0]), float(toks[1])
                 if len(toks) == 3:
                     marks_list.append(int(toks[2]))
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(path, line_no, f"point coordinates must be finite, got {line!r}")
+            pts[row] = x, y
             row += 1
     if row != n:
         raise ParseError(path, 1, f"declared {n} points but found {row}")

@@ -168,9 +168,10 @@ def test_scenario_rejects_bad_options_before_simulating(no_replication, tmp_path
         cli_main(["scenario", "--config", str(config), "--parallelism", parallelism])
 
 
-@pytest.mark.parametrize("command", [["fit", "missing.txt", "--y-grid", "missing.txt",
-                                      "--z-grid", "missing.txt"], ["scenario"]],
-                         ids=["fit", "scenario"])
+FIT_COMMAND = ["fit", "missing.txt", "--y-grid", "missing.txt", "--z-grid", "missing.txt"]
+
+
+@pytest.mark.parametrize("command", [FIT_COMMAND, ["scenario"]], ids=["fit", "scenario"])
 @pytest.mark.parametrize("yaml_text", ["5\n", "- folds: 2\n", "abc\n"],
                          ids=["number", "list", "string"])
 def test_config_that_is_no_mapping_fails_before_any_work(no_replication, monkeypatch, tmp_path,
@@ -185,6 +186,43 @@ def test_config_that_is_no_mapping_fails_before_any_work(no_replication, monkeyp
     config = tmp_path / "bad.yaml"
     config.write_text(yaml_text)
     with pytest.raises(ValueError, match=re.escape(f"{config}: expected a YAML mapping")):
+        cli_main(command + ["--config", str(config), "--out", str(tmp_path / "o" / "out")])
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, yaml_text, message", [
+    (FIT_COMMAND, "seed: true", "seed must be an integer, got True"),
+    (FIT_COMMAND, "folds: true", "n_folds must be an integer, got True"),
+    (FIT_COMMAND, "skip_thinning: 'false'", "skip_thinning must be true or false, got 'false'"),
+    (FIT_COMMAND, "bandwidth: '0.3'", "bandwidth must be a number or null, got '0.3'"),
+    (FIT_COMMAND, "bandwidth_c0: abc", "bandwidth_c0 must be a number, got 'abc'"),
+    (FIT_COMMAND, "pcf: known\npcf_sigma2: true\npcf_phi: 0.2",
+     "pcf_sigma2 must be a number or null, got True"),
+    (FIT_COMMAND, "approx: [quadrature]", "approx must be a string"),
+    (["scenario"], "reps: true", "reps must be an integer, got True"),
+    (["scenario"], "base_seed: false", "base_seed must be an integer, got False"),
+    (["scenario"], "skip_thinning: 'false'", "skip_thinning must be true or false"),
+    (["scenario"], "bandwidth: '0.3'", "bandwidth must be a number or null"),
+    (["scenario"], "window: [W1]", "window must be a string, got \\['W1'\\]"),
+    (["scenario"], "nuisance: {a: 1}", "nuisance must be a string"),
+    (["scenario"], "estimators: [semi, 1]", "estimators must be a list of strings"),
+], ids=["fit_seed_bool", "fit_folds_bool", "fit_skip_thinning_str", "fit_bandwidth_str",
+        "fit_bandwidth_c0_str", "fit_pcf_sigma2_bool", "fit_approx_list", "scenario_reps_bool",
+        "scenario_base_seed_bool", "scenario_skip_thinning_str", "scenario_bandwidth_str",
+        "scenario_window_list", "scenario_nuisance_map", "scenario_estimators_int"])
+def test_config_value_of_the_wrong_type_fails_before_any_work(no_replication, monkeypatch,
+                                                              tmp_path, command, yaml_text,
+                                                              message):
+    # a bool is no integer and a string no number or flag: the error names the key,
+    # before ``fit`` reads an input and before ``scenario`` simulates a replication
+    def fail(*args, **kwargs):
+        raise AssertionError("an input file was read before the options were checked")
+
+    monkeypatch.setattr(ppcf.harness, "read_pattern_file", fail)
+    monkeypatch.setattr(ppcf.harness, "read_grid_file", fail)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml_text + "\n")
+    with pytest.raises(ValueError, match=message):
         cli_main(command + ["--config", str(config), "--out", str(tmp_path / "o" / "out")])
     assert not (tmp_path / "o").exists()
 

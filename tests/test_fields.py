@@ -285,7 +285,9 @@ def test_grid_file_bad_token_names_its_line(tmp_path, line_no):
     ("3 2.5 0.0 0.0 1.0 1.0", "invalid literal"),
     ("3 -2 0.0 0.0 1.0 1.0", "lattice resolution must be >= 2, got 3 x -2"),
     ("-3 2 0.0 0.0 1.0 1.0", "lattice resolution must be >= 2, got -3 x 2"),
-], ids=["fields", "number", "negative_ny", "negative_nx"])
+    ("3 2 0.0 0.0 inf 1.0", "window bounds must be finite"),
+    ("3 2 nan 0.0 1.0 1.0", "window bounds must be finite"),
+], ids=["fields", "number", "negative_ny", "negative_nx", "inf_window", "nan_window"])
 def test_grid_file_bad_header_names_line_one(tmp_path, header, message):
     path = tmp_path / "grid.txt"
     path.write_text(header + "\n0.5 1.5 2.5\n3.5 4.5 5.5\n")

@@ -503,44 +503,75 @@ def _k_hat_concatenated(pattern, lam, r_grid):
     return cum[np.searchsorted(d[order], r_grid, side="right")]
 
 
-def _w2_lgcp_pattern(seed):
-    """A W2-sized LGCP pattern (1.5k-1.7k points for seeds 1 and 2) and an
-    inhomogeneous plug-in."""
+def _w2_lgcp_pattern(seed, rate=400.0):
+    """A W2-sized LGCP pattern (1.5k-1.7k points for seeds 1 and 2 at rate 400) and
+    an inhomogeneous plug-in."""
     w2 = make_window(0, 0, 2, 2)
-    pattern = simulate_lgcp(constant_surface(w2, 400.0), GrfSpec(0.3, 0.2), 128, 128,
+    pattern = simulate_lgcp(constant_surface(w2, rate), GrfSpec(0.3, 0.2), 128, 128,
                             seed=seed)
-    return pattern, 400.0 * np.exp(0.3 * (pattern.points[:, 0] - 1.0))
+    return pattern, rate * np.exp(0.3 * (pattern.points[:, 0] - 1.0))
 
 
-def test_k_hat_streamed_is_the_concatenated_bit_for_bit(monkeypatch):
+def test_k_hat_matches_the_concatenated_sort(monkeypatch):
+    # the per-interval sums add in another order than the argsort cumulation, so
+    # K-hat moves by rounding only, and the minimum-contrast fit not at all
     fits = {}
     for seed in (1, 2):
         pattern, lam = _w2_lgcp_pattern(seed)
         r_grid = np.linspace(0.0, 0.5, 65)[1:]
         k_hat = _k_hat(pattern, lam, r_grid)
-        assert np.array_equal(k_hat, _k_hat_concatenated(pattern, lam, r_grid))
+        np.testing.assert_allclose(k_hat, _k_hat_concatenated(pattern, lam, r_grid),
+                                   rtol=1e-12, atol=0)
         assert k_hat[0] > 0.0
-        for name, fn in [("streamed", _k_hat), ("concatenated", _k_hat_concatenated)]:
+        for name, fn in [("binned", _k_hat), ("concatenated", _k_hat_concatenated)]:
             monkeypatch.setattr(ppcf.inference, "_k_hat", fn)
             fits[name] = estimate_pcf(pattern, lam)
-        assert fits["streamed"] == fits["concatenated"]
-        assert fits["streamed"].family == "lgcp-exponential"
+        assert fits["binned"] == fits["concatenated"]
+        assert fits["binned"].family == "lgcp-exponential"
     few = PointPattern(W1, np.array([[0.1, 0.1], [0.2, 0.2], [0.9, 0.9]]))
     assert _k_hat(few, np.ones(3), np.array([0.01, 0.05])) is None
     small = np.array([0.1, 0.15, 0.2])
-    assert np.array_equal(_k_hat(few, np.ones(3), small),
-                          _k_hat_concatenated(few, np.ones(3), small))
+    np.testing.assert_allclose(_k_hat(few, np.ones(3), small),
+                               _k_hat_concatenated(few, np.ones(3), small), rtol=1e-12, atol=0)
 
 
-def test_estimate_pcf_memory_per_pair():
-    # the K-function holds at most three values per pair at once (distance,
-    # contribution and argsort order; the sorted contributions come after the
-    # distances are freed), so 5 x 8 bytes per pair bounds the whole fit
-    pattern, lam = _w2_lgcp_pattern(1)
+def _k_hat_all_pairs(pattern, lam, r_grid):
+    """K-hat over all n^2 ordered pairs i != j: each adds 1 / (lam_i lam_j e_ij) at
+    every radius at or above its distance."""
+    w = pattern.window
+    dx = pattern.points[:, 0, None] - pattern.points[:, 0]
+    dy = pattern.points[:, 1, None] - pattern.points[:, 1]
+    d = np.hypot(dx, dy)
+    contrib = 1.0 / (lam[:, None] * lam * (w.width - np.abs(dx)) * (w.height - np.abs(dy)))
+    np.fill_diagonal(d, np.inf)
+    return np.array([contrib[d <= r].sum() for r in r_grid])
+
+
+def test_k_hat_is_the_all_pairs_sum_and_counts_a_pair_at_r_in_k_of_r():
+    # the radii are multiples of 2^-8, and 3-4-5 offsets of 2^-6 put pairs at
+    # exactly 5 / 64 = r_grid[19] and at 1 / 4 = r_grid[63] (the pair test's edge)
+    r_grid = np.linspace(0.0, 0.25, 65)[1:]
+    exact = np.array([[0.5, 0.5], [0.5 + 3 / 64, 0.5 + 4 / 64], [0.75, 0.5]])
+    k_two = _k_hat(PointPattern(W1, exact[:2]), np.ones(2), r_grid)
+    assert np.all(k_two[:19] == 0.0) and np.all(k_two[19:] == k_two[19]) and k_two[19] > 0.0
+    k_exact = _k_hat(PointPattern(W1, exact), np.ones(3), r_grid)
+    assert k_exact[63] > k_exact[62]
+    rng = np.random.default_rng(5)
+    for pts in (exact, np.vstack([exact, rng.uniform(0, 1, (150, 2))])):
+        pattern = PointPattern(W1, pts)
+        lam = rng.uniform(50.0, 200.0, len(pts))
+        np.testing.assert_allclose(_k_hat(pattern, lam, r_grid),
+                                   _k_hat_all_pairs(pattern, lam, r_grid), rtol=1e-12, atol=0)
+
+
+def test_estimate_pcf_memory_does_not_grow_with_pairs():
+    # the K-function holds one sweep block of pairs and 65 interval sums, so the
+    # fit's traced peak stays a few MB at millions of pairs
+    pattern, lam = _w2_lgcp_pattern(1, rate=1600.0)
     pairs = sum(dx.size for *_, dx, _ in _close_pairs(pattern.points, 0.5))
-    assert pairs > 100_000
+    assert pairs > 2_500_000
     _, peak = _traced_peak(estimate_pcf, pattern, lam)
-    assert peak <= 5 * 8 * pairs, (peak, pairs)
+    assert peak < 8 * 2 ** 20, (peak, pairs)
 
 
 def _pair_keys(pts, r):
