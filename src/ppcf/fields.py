@@ -10,8 +10,10 @@ its first row, and both periods are doubled until those eigenvalues are
 non-negative, which makes the draw exact (Wood & Chan 1994; Dietrich & Newsam
 1997).  A draw filters real white noise on the torus by the square roots of the
 eigenvalues; as they are even, the filter runs on the half spectrum of one real
-FFT (``rfft2``/``irfft2``), the same draw as the complex transform at half its
-work and memory.  A draw is deterministic given the seed.
+FFT, the same draw as the complex transform at half its work and memory.  The
+half spectrum is the one torus-size array a draw holds: it takes the row FFTs of
+the noise, and the column FFTs and the filter run in place in it.  A draw is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 # NumPy loads these submodules on first use; importing them here loads them with
 # ppcf, before any pool worker forks, not in every worker's first replication
-from numpy.fft import fft2, irfft2, rfft2
+from numpy.fft import fft, fft2, ifft, irfft, rfft
 from numpy.random import default_rng
 
 from .errors import (
@@ -73,9 +75,11 @@ class Window:
 
 
 def make_window(x_min: float, y_min: float, x_max: float, y_max: float) -> Window:
-    if not (x_max > x_min and y_max > y_min):
+    if not (x_max > x_min and y_max > y_min
+            and all(map(math.isfinite, (x_min, y_min, x_max, y_max)))):
         raise DegenerateWindowError(
-            f"window sides must be positive, got x: [{x_min}, {x_max}], y: [{y_min}, {y_max}]"
+            f"window sides must be finite and positive, got x: [{x_min}, {x_max}], "
+            f"y: [{y_min}, {y_max}]"
         )
     return Window(float(x_min), float(y_min), float(x_max), float(y_max))
 
@@ -89,10 +93,12 @@ class GrfSpec:
     mean: float = 0.0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-        if self.corr_range <= 0:
-            raise ValueError(f"corr_range must be > 0, got {self.corr_range}")
+        if not (math.isfinite(self.variance) and self.variance >= 0):
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        if not (math.isfinite(self.corr_range) and self.corr_range > 0):
+            raise ValueError(f"corr_range must be finite and > 0, got {self.corr_range}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
 
     def covariance(self, r):
         return self.variance * np.exp(-np.asarray(r, dtype=float) / self.corr_range)
@@ -197,7 +203,9 @@ def simulate_grf(window: Window, nx: int, ny: int, spec: GrfSpec, seed: int) -> 
     """Draw one lattice sample of the stationary Gaussian field described by ``spec``.
 
     Deterministic given ``(window, nx, ny, spec, seed)``.  Fluctuations are clamped
-    to +/- 6 standard deviations so the covariate stays bounded.
+    to +/- 6 standard deviations so the covariate stays bounded.  The draw is
+    ``rfft2``/``irfft2``'s bit for bit: the same row and column FFTs, with the
+    column ones in place and the inverse row FFTs on only the ``ny`` rows kept.
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"lattice resolution must be >= 2, got {nx} x {ny}")
@@ -207,9 +215,11 @@ def simulate_grf(window: Window, nx: int, ny: int, spec: GrfSpec, seed: int) -> 
         return GridField(window, nx, ny, values)
     sqrt_lam = _circulant_sqrt_eigs(window, nx, ny, spec)
     m, n = sqrt_lam.shape[0], 2 * (sqrt_lam.shape[1] - 1)
-    spectrum = rfft2(rng.standard_normal((m, n)))    # the half spectrum
+    spectrum = rfft(rng.standard_normal((m, n)), axis=1)     # the half spectrum
+    fft(spectrum, axis=0, out=spectrum)
     spectrum *= sqrt_lam
-    fluct = irfft2(spectrum, s=(m, n))[:ny, :nx]
+    ifft(spectrum, axis=0, out=spectrum)
+    fluct = irfft(spectrum[:ny], n=n, axis=1)[:, :nx]
     sd = np.sqrt(spec.variance)
     fluct = np.clip(fluct, -_CLAMP_SD * sd, _CLAMP_SD * sd)
     return GridField(window, nx, ny, spec.mean + fluct)

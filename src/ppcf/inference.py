@@ -26,14 +26,15 @@ g(r) - 1 (0 beyond r_trunc) in three blocks of node pairs:
 * lattice-lattice: a circular FFT correlation of period 2g (g the lattice side)
   of the kernel image over integer lattice offsets with one column of a at a
   time; offsets run only to g - 1, so no product wraps around;
-* lattice-data: the data nodes are binned into 16 x 16 spatial tiles, and each
-  tile meets only the box of lattice rows and columns within r_trunc of its
-  points (inclusive bounds); every pair outside the box lies beyond r_trunc;
+* lattice-data: the data nodes are binned into t x t spatial tiles of about 32
+  nodes each, and each tile meets the lattice in bands of 16 rows, each band's
+  columns clipped to the disc of r_trunc around the tile (inclusive bounds, with
+  a relative margin); every pair left out lies beyond r_trunc;
 * data-data: the blocks of one sorted sweep (:func:`_sweep`), which skips pairs
   more than r_trunc apart along its axis; the K-function of the minimum-contrast
   fit takes its point pairs from the same sweep (:func:`_close_pairs`).
 
-Several (pcf, r_trunc) models share one pass: each block's geometry (tile boxes
+Several (pcf, r_trunc) models share one pass: each block's geometry (tile bands
 and sweep at the largest r_trunc, distances, one cut-off mask per distinct
 r_trunc, the FFT of each column's lattice image) is built once, and each model
 evaluates its own kernel on it (``PcfModel.minus_one``), 0 beyond its own
@@ -65,7 +66,8 @@ from .process import PointPattern
 
 _PCF_TRUNC_TOL = 1e-6
 _PAIR_BLOCK = 2 ** 16      # node pairs per kernel temporary (512 kB of float64)
-_TILES = 16                # data tiles per window side in the lattice-data block
+_TILE_POINTS = 32          # data nodes per spatial tile of the lattice-data block
+_BAND_ROWS = 16            # lattice rows per band of the lattice-data block
 _SWEEP_ROWS = 64           # sorted points per row block of a data-pair sweep
 
 
@@ -195,49 +197,64 @@ def _lattice_sum(models, quad, A_grid):
 
 
 def _lattice_data_sum(models, quad, A_grid, A_data):
-    """sum over data i and lattice j of a_i a_j^T [g(d_ij) - 1] per model, per
-    spatial tile of data nodes over the lattice rows and columns within the
-    largest truncation radius of the tile."""
+    """sum over data i and lattice j of a_i a_j^T [g(d_ij) - 1] per model, per spatial
+    tile of data nodes (t x t tiles, t from the data count) over the lattice in bands
+    of ``_BAND_ROWS`` rows, each band's columns clipped to the disc of the largest
+    truncation radius around the tile's box (inclusive bounds, with the relative
+    margin of :func:`_sweep`), so a pair left out lies beyond every radius.  A band's
+    squared distances are one batched product [dy^2, 1] @ [1; dx^2]: both products
+    are exact, so each sum is rounded once, as by an add.  One kernel product takes
+    all of a tile's points, or as many as keep it within ``_PAIR_BLOCK`` pairs."""
     g = quad.grid_n
     k = A_grid.shape[1]
-    r_max = max(radius for _, radius in models)
+    reach = max(radius for _, radius in models) * (1.0 + 1e-9)
     xs = quad.nodes[:g, 0]
     ys = quad.nodes[:g * g:g, 1]
     pts = quad.nodes[g * g:]
     w = quad.window
-    tx = np.clip(((pts[:, 0] - w.x_min) / w.width * _TILES).astype(int), 0, _TILES - 1)
-    ty = np.clip(((pts[:, 1] - w.y_min) / w.height * _TILES).astype(int), 0, _TILES - 1)
-    tile = ty * _TILES + tx
+    t = max(1, math.isqrt(pts.shape[0] // _TILE_POINTS))
+    tx = np.clip(((pts[:, 0] - w.x_min) / w.width * t).astype(int), 0, t - 1)
+    ty = np.clip(((pts[:, 1] - w.y_min) / w.height * t).astype(int), 0, t - 1)
+    tile = ty * t + tx
     order = np.argsort(tile, kind="stable")
+    tiles = np.split(order, np.flatnonzero(np.diff(tile[order])) + 1)
     A_img = A_grid.reshape(g, g, k)
-    geo = np.empty(_PAIR_BLOCK)
-    work = _workspace(models, _PAIR_BLOCK)
+    # the largest product: a tile's points (up to the step below) by a band's nodes
+    size = min(max(_PAIR_BLOCK, _BAND_ROWS * g), max(map(len, tiles)) * _BAND_ROWS * g)
+    geo = np.empty(size)
+    work = _workspace(models, size)
     outs = [np.zeros((k, k)) for _ in models]
-    for idx in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
+    for idx in tiles:
         px, py = pts[idx, 0], pts[idx, 1]
-        # inclusive bounds in the arithmetic of the distances below: a lattice
-        # column left out has |x_c - x_p| > r_max for every point p of the
-        # tile, hence r > r_max and a zero kernel for every model
-        c0 = np.searchsorted(xs - px.min(), -r_max, side="left")
-        c1 = np.searchsorted(xs - px.max(), r_max, side="right")
-        r0 = np.searchsorted(ys - py.min(), -r_max, side="left")
-        r1 = np.searchsorted(ys - py.max(), r_max, side="right")
-        if c1 <= c0 or r1 <= r0:
+        x_lo, x_hi, y_lo, y_hi = px.min(), px.max(), py.min(), py.max()
+        r0 = np.searchsorted(ys, y_lo - reach, side="left")
+        r1 = np.searchsorted(ys, y_hi + reach, side="right")
+        c0 = np.searchsorted(xs, x_lo - reach, side="left")
+        c1 = np.searchsorted(xs, x_hi + reach, side="right")
+        if r1 <= r0 or c1 <= c0:
             continue
-        nx = c1 - c0
-        rows = max(1, _PAIR_BLOCK // nx)
-        for y0 in range(r0, r1, rows):
-            y1 = min(y0 + rows, r1)
-            a_box = A_img[y0:y1, c0:c1].reshape(-1, k)
-            step = max(1, _PAIR_BLOCK // a_box.shape[0])
-            for p0 in range(0, idx.size, step):
-                sel = idx[p0:p0 + step]
-                r2 = geo[:sel.size * a_box.shape[0]].reshape(sel.size, y1 - y0, nx)
-                np.add(np.square(ys[y0:y1] - pts[sel, 1, None])[:, :, None],
-                       np.square(xs[c0:c1] - pts[sel, 0, None])[:, None, :], out=r2)
-                a_sel = A_data[sel].T
+        step = max(1, _PAIR_BLOCK // (_BAND_ROWS * max(r1 - r0, c1 - c0)))
+        for p0 in range(0, idx.size, step):
+            sel = idx[p0:p0 + step]
+            left = np.ones((sel.size, r1 - r0, 2))          # [dy^2, 1] per row
+            np.square(ys[r0:r1] - pts[sel, 1, None], out=left[:, :, 0])
+            right = np.ones((sel.size, 2, c1 - c0))         # [1; dx^2] per column
+            np.square(xs[c0:c1] - pts[sel, 0, None], out=right[:, 1])
+            a_sel = A_data[sel].T
+            for y0 in range(r0, r1, _BAND_ROWS):
+                y1 = min(y0 + _BAND_ROWS, r1)
+                gap = max(ys[y0] - y_hi, y_lo - ys[y1 - 1], 0.0)
+                half = math.sqrt(max(reach * reach - gap * gap, 0.0))
+                b0 = np.searchsorted(xs, x_lo - half, side="left")
+                b1 = np.searchsorted(xs, x_hi + half, side="right")
+                if b1 <= b0:
+                    continue
+                r2 = np.matmul(left[:, y0 - r0:y1 - r0], right[:, :, b0 - c0:b1 - c0],
+                               out=geo[:sel.size * (y1 - y0) * (b1 - b0)].reshape(
+                                   sel.size, y1 - y0, b1 - b0))
+                a_band = A_img[y0:y1, b0:b1].reshape(-1, k)
                 for i, kern in _kernels(models, r2, work):
-                    outs[i] += a_sel @ (kern.reshape(sel.size, -1) @ a_box)
+                    outs[i] += a_sel @ (kern.reshape(sel.size, -1) @ a_band)
     return outs
 
 
@@ -295,7 +312,7 @@ def pcf_correction(quad: QuadratureScheme, a_vectors: np.ndarray,
 
     ``a_vectors`` is (m, k).  The lattice block of the scheme is handled by FFT
     cross-correlation (exact, including the diagonal); the lattice-data block
-    by direct sums over each tile of data nodes and the lattice box within the
+    by direct sums over each tile of data nodes and the lattice bands within the
     largest truncation radius of it, and the data-data block by direct sums over
     the :func:`_sweep` blocks at that radius, both in blocks of at most
     ``_PAIR_BLOCK`` pairs; the symmetrised total supplies the data-data transposes.
@@ -425,23 +442,36 @@ def _nelder_mead(fun, x0, xatol: float, fatol: float, maxiter: int) -> np.ndarra
     return sim[0]
 
 
+def _interval_index(d, r_grid):
+    """``searchsorted(r_grid, d, side="left")`` for distances d >= 0 and evenly spaced
+    increasing radii ``r_grid``, without a search: the index read off the spacing is
+    at most one step off, and one comparison with the radius on each side corrects it."""
+    n = r_grid.size
+    edges = np.concatenate([[-np.inf], r_grid, [np.inf]])
+    scale = (n - 1) / (r_grid[-1] - r_grid[0]) if n > 1 else 0.0
+    idx = np.clip((d - r_grid[0]) * scale + 1.0, 0.0, n).astype(np.intp)
+    idx -= edges[idx] >= d
+    idx += edges[idx + 1] < d
+    return idx
+
+
 def _k_hat(pattern: PointPattern, lam, r_grid):
-    """Inhomogeneous K-function of ``pattern`` at the increasing radii ``r_grid``, with
-    translation edge correction and the intensity ``lam`` at its points, or None if
-    no pair lies within the last radius.
+    """Inhomogeneous K-function of ``pattern`` at the evenly spaced increasing radii
+    ``r_grid``, with translation edge correction and the intensity ``lam`` at its
+    points, or None if no pair lies within the last radius.
 
     Each pair within the last radius (``_close_pairs``) adds 2 / (lam_i lam_j e_ij),
     e_ij the translation weight, to the interval of the first radius at or above its
-    distance; K-hat is the cumulative sum over the intervals, so a pair at distance r
-    counts in K(r).  One extra interval takes a distance rounded past the last radius.
-    Memory is one block of pairs and len(r_grid) + 1 sums.
+    distance (``_interval_index``); K-hat is the cumulative sum over the intervals, so
+    a pair at distance r counts in K(r).  One extra interval takes a distance rounded
+    past the last radius.  Memory is one block of pairs and len(r_grid) + 1 sums.
     """
     w = pattern.window
     sums = None
     for rows, cols, within, dx, dy in _close_pairs(pattern.points, r_grid[-1]):
         trans = (w.width - np.abs(dx)) * (w.height - np.abs(dy))
         contrib = 2.0 / ((lam[rows, None] * lam[cols])[within] * trans)
-        idx = np.searchsorted(r_grid, np.hypot(dx, dy), side="left")
+        idx = _interval_index(np.hypot(dx, dy), r_grid)
         block = np.bincount(idx, contrib, minlength=r_grid.size + 1)
         sums = block if sums is None else sums + block
     return None if sums is None else np.cumsum(sums[:-1])

@@ -43,10 +43,23 @@ def test_make_window_areas():
     assert make_window(0, 0, 1, 0.5).area() == 0.5
 
 
-@pytest.mark.parametrize("coords", [(0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 2, 1, 1)])
+@pytest.mark.parametrize("coords", [(0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 2, 1, 1),
+                                    (0, 0, math.inf, 1), (0, -math.inf, 1, 1),
+                                    (math.nan, 0, 1, 1), (0, 0, 1, math.nan)])
 def test_make_window_degenerate(coords):
     with pytest.raises(DegenerateWindowError):
         make_window(*coords)
+
+
+@pytest.mark.parametrize("params", [
+    dict(variance=math.nan), dict(variance=math.inf),
+    dict(corr_range=math.nan), dict(corr_range=math.inf),
+    dict(mean=math.nan), dict(mean=-math.inf),
+], ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items()))
+def test_grf_spec_rejects_non_finite_parameters(params):
+    # a nan variance or range used to pass and then double the torus to its bound
+    with pytest.raises(ValueError, match=next(iter(params))):
+        GrfSpec(**{"variance": 1.0, "corr_range": 0.1, **params})
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,6 +175,30 @@ def test_grf_real_fft_draw_equals_the_complex_filter(nx, ny, corr_range):
     want = spec.mean + np.clip(fluct, -6.0 * sd, 6.0 * sd)
     got = simulate_grf(w, nx, ny, spec, seed=7).values
     assert np.max(np.abs(got - want)) <= 1e-13 * sd
+
+
+def _draw_rfft2(window, nx, ny, spec, seed):
+    """The draw with one 2-D real FFT pair over the whole torus, ``rfft2``/``irfft2``."""
+    sqrt_lam = ppcf.fields._circulant_sqrt_eigs(window, nx, ny, spec)
+    m, n = sqrt_lam.shape[0], 2 * (sqrt_lam.shape[1] - 1)
+    spectrum = np.fft.rfft2(np.random.default_rng(seed).standard_normal((m, n)))
+    spectrum *= sqrt_lam
+    fluct = np.fft.irfft2(spectrum, s=(m, n))[:ny, :nx]
+    sd = np.sqrt(spec.variance)
+    return spec.mean + np.clip(fluct, -6.0 * sd, 6.0 * sd)
+
+
+@pytest.mark.parametrize("window, nx, ny, spec", [
+    ((0, 0, 1, 1), 40, 24, GrfSpec(1.5, 0.05, mean=0.5)),       # minimal torus
+    ((0, 0, 1, 1), 256, 256, GrfSpec(1.5, 0.2, mean=0.5)),      # enlarged, 1024 x 1024
+    ((0, 0, 2, 2), 256, 256, harness.COVARIATE_GRF),            # the W2 lattices
+    ((0, 0, 2, 2), 256, 256, harness.LGCP_GRF),
+])
+def test_grf_in_place_draw_is_the_rfft2_draw_bit_for_bit(window, nx, ny, spec):
+    w = make_window(*window)
+    for seed in (3, 11):
+        assert np.array_equal(simulate_grf(w, nx, ny, spec, seed).values,
+                              _draw_rfft2(w, nx, ny, spec, seed))
 
 
 def test_circulant_embedding_bounded(monkeypatch):

@@ -18,6 +18,7 @@ from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
 from ppcf.inference import (
     PcfModel,
     _close_pairs,
+    _interval_index,
     _k_hat,
     _k_model,
     _nelder_mead,
@@ -250,7 +251,9 @@ def _offset_window_points():
 
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("n_data", [0, 1, 60])
-@pytest.mark.parametrize("phi", [0.02, 0.005])       # r_trunc 0.27 and 0.068 (cells 0.25 x 0.125)
+# r_trunc 0.27, 0.068 and 0.014 (cells 0.25 x 0.125): at 0.014 a data node off the
+# lattice rows and columns meets no lattice node
+@pytest.mark.parametrize("phi", [0.02, 0.005, 0.001])
 def test_pcf_correction_pruned_sum_edge_cases(k, n_data, phi):
     window, points = _offset_window_points()
     quad = build_quadrature(PointPattern(window, points[:n_data]), 12)
@@ -403,6 +406,87 @@ def test_lattice_block_memory_does_not_grow_with_columns():
     peaks = {k: _traced_peak(pcf_correction, quad, np.ascontiguousarray(a[:, :k]), pcf)[1]
              for k in (1, 6)}
     assert peaks[6] - peaks[1] <= 16 * 2 * g * (g + 1), peaks
+
+
+def lattice_data_all_pairs(models, quad, a_vectors, chunk=64):
+    """The lattice-data block over every (data, lattice) pair, ``chunk`` data nodes
+    at a time: per model, sum a_i a_j^T [g(d_ij) - 1] with g - 1 zeroed beyond its
+    truncation radius."""
+    n_grid = quad.grid_n ** 2
+    lattice, A_grid = quad.nodes[:n_grid], a_vectors[:n_grid]
+    outs = [np.zeros((a_vectors.shape[1],) * 2) for _ in models]
+    for p0 in range(n_grid, quad.m(), chunk):
+        pts, a_pts = quad.nodes[p0:p0 + chunk], a_vectors[p0:p0 + chunk]
+        d = np.hypot(pts[:, 0, None] - lattice[:, 0], pts[:, 1, None] - lattice[:, 1])
+        for out, (pcf, radius) in zip(outs, models):
+            out += a_pts.T @ (np.where(d <= radius, pcf.pcf(d) - 1.0, 0.0) @ A_grid)
+    return outs
+
+
+def _lattice_data_block(models, quad, a_vectors):
+    """``_lattice_data_sum`` on the (pcf, radius) pairs of ``models``."""
+    n_grid = quad.grid_n ** 2
+    models = [(pcf, pcf.truncation_radius(quad.window)) for pcf in models]
+    return ppcf.inference._lattice_data_sum(models, quad, a_vectors[:n_grid],
+                                            a_vectors[n_grid:]), models
+
+
+def test_lattice_data_block_is_the_all_pairs_sum_on_a_w2_quadrature():
+    # grid 128 and 1,431 clustered points, as in a W2 replication; one model at the
+    # capped radius 1.0 and one at 0.26
+    pattern, _ = _w2_lgcp_pattern(2, rate=330.0)
+    quad = build_quadrature(pattern, 128)
+    pcfs = [PcfModel(sigma2=0.2, phi=0.2), PcfModel(sigma2=0.5, phi=0.02)]
+    a = np.random.default_rng(8).normal(size=(quad.m(), 3))
+    fast, models = _lattice_data_block(pcfs, quad, a)
+    assert models[0][1] == 1.0 and 0.2 < models[1][1] < 0.3
+    for got, want in zip(fast, lattice_data_all_pairs(models, quad, a)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_lattice_data_block_keeps_a_pair_at_r_trunc_on_a_band_edge():
+    # grid 20 on a 10 x 10 window puts nodes at 0.25 + 0.5 i, and r_trunc hits its cap
+    # of 5.0; the lattice rows 0-15 make one band and rows 16-19 the next.  From the
+    # one data node (5.25, 5.25), the second band's nearest row, y = 8.25, is 3 away,
+    # so that band's columns are clipped to within 4 of x = 5.25, and its nodes
+    # (1.25, 8.25) and (9.25, 8.25), on the clipped edges, lie exactly 5.0 away
+    window = make_window(0.0, 0.0, 10.0, 10.0)
+    quad = build_quadrature(PointPattern(window, np.array([[5.25, 5.25]])), 20)
+    assert ppcf.inference._BAND_ROWS == 16
+    ys = quad.nodes[:400:20, 1]
+    assert ys[16] == 8.25 and quad.nodes[16 * 20 + 2, 0] == 1.25
+    edge = quad.nodes[[16 * 20 + 2, 16 * 20 + 18]]
+    assert np.array_equal(np.hypot(*(edge - [5.25, 5.25]).T), [5.0, 5.0])
+    a = np.random.default_rng(12).normal(size=(quad.m(), 2))
+    fast, models = _lattice_data_block([PcfModel(sigma2=1.0, phi=2.0)], quad, a)
+    assert models[0][1] == 5.0
+    np.testing.assert_allclose(fast[0], lattice_data_all_pairs(models, quad, a)[0],
+                               rtol=1e-12, atol=0)
+
+
+def test_lattice_data_block_splits_a_crowded_tile_in_bounded_products(monkeypatch):
+    # 300 of 340 data nodes crowd into one tile: more than one kernel product takes
+    # at a 128 lattice, so the tile's points are split, and no kernel temporary holds
+    # more than _PAIR_BLOCK pair values
+    window = make_window(0.0, 0.0, 2.0, 2.0)
+    rng = np.random.default_rng(21)
+    points = np.vstack([rng.uniform(0.6, 0.62, (300, 2)), rng.uniform(0.0, 2.0, (40, 2))])
+    quad = build_quadrature(PointPattern(window, points), 128)
+    a = rng.normal(size=(quad.m(), 2))
+    shapes = []
+    kernels = ppcf.inference._kernels
+
+    def spy(models, r2, work):
+        shapes.append(r2.shape)
+        return kernels(models, r2, work)
+
+    monkeypatch.setattr(ppcf.inference, "_kernels", spy)
+    pcfs = [PcfModel(sigma2=0.3, phi=0.2), PcfModel(sigma2=0.5, phi=0.01)]
+    fast, models = _lattice_data_block(pcfs, quad, a)
+    assert max(math.prod(shape) for shape in shapes) <= ppcf.inference._PAIR_BLOCK
+    assert 1 < max(shape[0] for shape in shapes) < 300
+    for got, want in zip(fast, lattice_data_all_pairs(models, quad, a)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_loewner_order_for_clustering_pcf(fitted_instance):
@@ -562,6 +646,46 @@ def test_k_hat_is_the_all_pairs_sum_and_counts_a_pair_at_r_in_k_of_r():
         lam = rng.uniform(50.0, 200.0, len(pts))
         np.testing.assert_allclose(_k_hat(pattern, lam, r_grid),
                                    _k_hat_all_pairs(pattern, lam, r_grid), rtol=1e-12, atol=0)
+
+
+def test_interval_index_is_the_left_search():
+    # at each radius, one ulp either side of it, at 0 and one ulp past the last
+    # radius, the index read off the spacing is searchsorted's; the spacing reads
+    # one step high at some radii of every grid, and one step low just past a radius
+    # of the grid up to 0.2
+    rng = np.random.default_rng(3)
+    for r_grid in (np.linspace(0.0, 0.25, 65)[1:], np.linspace(0.0, 0.5, 65)[1:],
+                   np.linspace(0.0, 0.2, 65)[1:], np.array([0.1, 0.15, 0.2]),
+                   np.array([0.01, 0.05]), np.array([0.3])):
+        d = np.concatenate([r_grid, np.nextafter(r_grid, 0.0), np.nextafter(r_grid, 1.0),
+                            [0.0, np.nextafter(r_grid[-1], 1.0)],
+                            rng.uniform(0.0, r_grid[-1], 10_000)])
+        assert np.array_equal(_interval_index(d, r_grid),
+                              np.searchsorted(r_grid, d, side="left"))
+
+
+def _k_hat_searched(pattern, lam, r_grid):
+    """K-hat with each pair's interval found by a binary search of the radii."""
+    w = pattern.window
+    sums = None
+    for rows, cols, within, dx, dy in _close_pairs(pattern.points, r_grid[-1]):
+        trans = (w.width - np.abs(dx)) * (w.height - np.abs(dy))
+        contrib = 2.0 / ((lam[rows, None] * lam[cols])[within] * trans)
+        idx = np.searchsorted(r_grid, np.hypot(dx, dy), side="left")
+        block = np.bincount(idx, contrib, minlength=r_grid.size + 1)
+        sums = block if sums is None else sums + block
+    return None if sums is None else np.cumsum(sums[:-1])
+
+
+def test_k_hat_is_the_searched_k_hat_bit_for_bit():
+    exact = np.array([[0.5, 0.5], [0.5 + 3 / 64, 0.5 + 4 / 64], [0.75, 0.5]])
+    cases = [(PointPattern(W1, exact), np.ones(3), np.linspace(0.0, 0.25, 65)[1:])]
+    for seed in (1, 2):
+        pattern, lam = _w2_lgcp_pattern(seed)
+        cases.append((pattern, lam, np.linspace(0.0, 0.5, 65)[1:]))
+    for pattern, lam, r_grid in cases:
+        assert np.array_equal(_k_hat(pattern, lam, r_grid),
+                              _k_hat_searched(pattern, lam, r_grid))
 
 
 def test_estimate_pcf_memory_does_not_grow_with_pairs():
