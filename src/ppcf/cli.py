@@ -14,7 +14,15 @@ import sys
 import time
 from pathlib import Path
 
+from .crossfit import APPROXIMATIONS
 from .harness import (
+    COVARIATE_DESIGNS,
+    ESTIMATORS,
+    NUISANCE_FNS,
+    PCF_MODES,
+    PROCESSES,
+    TABLES,
+    WINDOWS,
     Scenario,
     check_parallelism,
     emit_scenario_files,
@@ -25,23 +33,25 @@ from .harness import (
     run_table,
     write_run,
 )
+from .nuisance import KERNELS
 
-# every option flag, declared once; absent, it is None ("not given")
+# every option flag, declared once; absent, it is None ("not given").  Its choices
+# are the keys of the table that owns the option's values.
 _OPTION_FLAGS = {
-    "window": dict(choices=("W1", "W2")),
-    "process": dict(choices=("poisson", "lgcp")),
-    "covar": dict(choices=("ind", "dep")),
-    "nuisance": dict(choices=("linear", "poly")),
+    "window": dict(choices=WINDOWS),
+    "process": dict(choices=PROCESSES),
+    "covar": dict(choices=COVARIATE_DESIGNS),
+    "nuisance": dict(choices=NUISANCE_FNS),
     "estimators": dict(type=lambda v: tuple(e.strip() for e in v.split(",") if e.strip()),
-                       help="comma-separated subset of semi,para,oracle"),
+                       help=f"comma-separated subset of {','.join(ESTIMATORS)}"),
     "seed": dict(type=int),
     "reps": dict(type=int),
     "folds": dict(type=int),
     "bandwidth": dict(type=float),
-    "kernel_order": dict(type=int, choices=(2, 4)),
-    "approx": dict(choices=("quadrature", "logistic")),
+    "kernel_order": dict(type=int, choices=KERNELS),
+    "approx": dict(choices=APPROXIMATIONS),
     "skip_thinning": dict(action="store_true"),
-    "pcf": dict(choices=("known", "estimated", "none")),
+    "pcf": dict(choices=PCF_MODES),
     "grid_n": dict(type=int),
 }
 
@@ -80,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", type=str, default=None)
 
     p_tab = sub.add_parser("table", allow_abbrev=False, help="reproduce a simulation table")
-    p_tab.add_argument("--table", type=int, choices=(2, 3, 4), required=True)
+    p_tab.add_argument("--table", type=int, choices=TABLES, required=True)
     _options(p_tab, "reps", seed="base_seed")
     p_tab.add_argument("--parallelism", type=int, default=1)
     p_tab.add_argument("--out", type=str, default=None)
@@ -102,7 +112,10 @@ def _given(args) -> dict:
              if getattr(args, key) is not None}
     env = os.environ.get("PPCF_SEED")
     if env is not None:
-        given[args.option_keys["seed"]] = int(env)
+        try:
+            given[args.option_keys["seed"]] = int(env)
+        except ValueError:
+            raise ValueError(f"PPCF_SEED must be an integer, got {env!r}") from None
     return given
 
 

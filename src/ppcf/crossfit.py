@@ -26,6 +26,16 @@ from .process import PointPattern, fold, fold_complement, v_fold_thin
 
 # logistic dummy points per data point of the fitted fold
 _DUMMY_INTENSITY_FACTOR = 4.0
+# the approximations of the pseudo-likelihood a fold is fitted by
+APPROXIMATIONS = ("quadrature", "logistic")
+
+
+def _check_integer(name: str, value, minimum=None) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, and at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,17 +57,12 @@ class CrossFitConfig:
     skip_thinning: bool = False
 
     def __post_init__(self):
-        for name in ("n_folds", "grid_n", "kernel_order"):
-            if not isinstance(getattr(self, name), numbers.Integral) \
-                    or isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_folds < 2:
-            raise ValueError(f"n_folds must be >= 2, got {self.n_folds}")
-        if self.grid_n < 4:
-            raise ValueError(f"grid_n must be >= 4, got {self.grid_n}")
+        _check_integer("n_folds", self.n_folds, 2)
+        _check_integer("grid_n", self.grid_n, 4)
+        _check_integer("kernel_order", self.kernel_order)
         if not (math.isfinite(self.bandwidth_c0) and self.bandwidth_c0 > 0):
             raise ValueError(f"bandwidth_c0 must be finite and > 0, got {self.bandwidth_c0}")
-        if self.approximation not in ("quadrature", "logistic"):
+        if self.approximation not in APPROXIMATIONS:
             raise ValueError(f"unknown approximation {self.approximation!r}")
         # the kernel's own checks, before any data is read
         KernelSpec(self.kernel_order, 1.0 if self.bandwidth is None else self.bandwidth)

@@ -41,11 +41,6 @@ class NonpositiveIntensityError(FitError, ValueError):
 class NonConvergenceError(FitError, RuntimeError):
     """Optimizer failed to reach the score tolerance."""
 
-    def __init__(self, message, theta=None, score_norm=None):
-        super().__init__(message)
-        self.theta = theta
-        self.score_norm = score_norm
-
 
 class SingularHessianError(FitError, RuntimeError):
     """Newton and gradient fallback both stalled on a singular Hessian."""
@@ -65,10 +60,6 @@ class InsufficientPointsError(FitError, ValueError):
 
 class SingularSensitivityError(FitError, RuntimeError):
     """Estimated sensitivity matrix is numerically singular."""
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
 
 
 class WindowMismatchError(ValueError):

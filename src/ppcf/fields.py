@@ -42,16 +42,27 @@ from .errors import (
 _MAX_TORUS_NODES = 2048 * 2048
 _JITTER = 1e-10
 _CLAMP_SD = 6.0
+_BOUNDS = ("x_min", "y_min", "x_max", "y_max")
 
 
 @dataclass(frozen=True)
 class Window:
-    """Rectangular observation window [x_min, x_max] x [y_min, y_max]."""
+    """Rectangular observation window [x_min, x_max] x [y_min, y_max], its bounds
+    floats; a non-finite bound or a side that is not positive is an error."""
 
     x_min: float
     y_min: float
     x_max: float
     y_max: float
+
+    def __post_init__(self):
+        bounds = tuple(float(getattr(self, name)) for name in _BOUNDS)
+        x_min, y_min, x_max, y_max = bounds
+        if not (x_max > x_min and y_max > y_min and all(map(math.isfinite, bounds))):
+            raise DegenerateWindowError("window bounds must be finite and its sides positive, "
+                                        f"got (x_min, y_min, x_max, y_max) = {bounds}")
+        for name, value in zip(_BOUNDS, bounds):
+            object.__setattr__(self, name, value)
 
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
@@ -72,16 +83,6 @@ class Window:
             & (np.asarray(y) >= self.y_min)
             & (np.asarray(y) <= self.y_max)
         )
-
-
-def make_window(x_min: float, y_min: float, x_max: float, y_max: float) -> Window:
-    if not (x_max > x_min and y_max > y_min
-            and all(map(math.isfinite, (x_min, y_min, x_max, y_max)))):
-        raise DegenerateWindowError(
-            f"window sides must be finite and positive, got x: [{x_min}, {x_max}], "
-            f"y: [{y_min}, {y_max}]"
-        )
-    return Window(float(x_min), float(y_min), float(x_max), float(y_max))
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,24 @@ def write_grid_file(field: GridField, path) -> None:
             fh.write(" ".join(repr(float(v)) for v in flat[start:start + field.nx]) + "\n")
 
 
+def _read_header(fh, path, layout: str):
+    """Parse the header line of the open file ``fh``, whose tokens ``layout`` names: the
+    window bounds ``x_min y_min x_max y_max`` as floats, every other name an integer.
+    Returns the window and the integers in layout order; any fault, a degenerate or
+    non-finite window included, is a ``ParseError`` at line 1."""
+    header = fh.readline()
+    names, parts = layout.split(), header.split()
+    if len(parts) != len(names):
+        raise ParseError(path, 1, f"expected {layout!r}, got {header!r}")
+    try:
+        values = {name: (float if name in _BOUNDS else int)(part)
+                  for name, part in zip(names, parts)}
+        window = Window(*(values.pop(name) for name in _BOUNDS))
+    except ValueError as exc:   # a DegenerateWindowError is one
+        raise ParseError(path, 1, str(exc)) from None
+    return window, list(values.values())
+
+
 def read_grid_file(path) -> GridField:
     """Read the format of ``write_grid_file``; blank lines and any line breaks between
     values are allowed.  Each line of values is parsed by one vectorised call, so a
@@ -250,20 +269,9 @@ def read_grid_file(path) -> GridField:
     held at a time."""
     path = Path(path)
     with open(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 6:
-            raise ParseError(path, 1, f"expected 'nx ny x_min y_min x_max y_max', got {header!r}")
-        try:
-            nx, ny = int(parts[0]), int(parts[1])
-            coords = [float(p) for p in parts[2:]]
-        except ValueError as exc:
-            raise ParseError(path, 1, str(exc)) from None
+        window, (nx, ny) = _read_header(fh, path, "nx ny x_min y_min x_max y_max")
         if nx < 2 or ny < 2:
             raise ParseError(path, 1, f"lattice resolution must be >= 2, got {nx} x {ny}")
-        if not all(map(math.isfinite, coords)):
-            raise ParseError(path, 1, f"window bounds must be finite, got {coords}")
-        window = make_window(*coords)
         lines, line_no = [], 1
         for line_no, line in enumerate(fh, start=2):
             try:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .crossfit import CrossFitConfig, EtaAggregate, cross_fit
+from .crossfit import CrossFitConfig, EtaAggregate, _check_integer, cross_fit
 from .errors import FitError, InsufficientPointsError, ScenarioInfeasibleError, WindowMismatchError
 from .fields import GrfSpec, Window, field_product, read_grid_file, simulate_grf, write_grid_file
 from .inference import (
@@ -62,14 +62,28 @@ WINDOWS = {"W1": Window(0.0, 0.0, 1.0, 1.0), "W2": Window(0.0, 0.0, 2.0, 2.0)}
 GRID_N = {"W1": 64, "W2": 128}
 HARNESS_BANDWIDTH_C0 = 0.45
 
+# The values of each scenario axis, keyed by name; every check and command-line
+# choice reads them here.  The truth's nuisance curve, eta(z) - log BASE_RATE:
 NUISANCE_FNS = {
     "linear": lambda z: 0.3 * z,
     "poly": lambda z: -0.09 * z ** 2,
 }
-
-
-def _integer(val) -> bool:
-    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+# the nuisance field from the target field and an independent draw:
+COVARIATE_DESIGNS = {
+    "ind": lambda y_field, other: other,
+    "dep": lambda y_field, other: field_product(y_field, other),
+}
+# a pattern of mean intensity ``surface`` from a replication's seeds and lattice side:
+PROCESSES = {
+    "poisson": lambda surface, n_lat, seeds: simulate_poisson(surface, seeds[2]),
+    "lgcp": lambda surface, n_lat, seeds: simulate_lgcp(surface, LGCP_GRF, n_lat, n_lat,
+                                                        seeds[3]),
+}
+# the PCF of the variance (see ``_variants_for``), and each estimator's Table 4 label:
+PCF_MODES = ("none", "known", "estimated")
+ESTIMATORS = {"semi": "Semi", "para": "Para", "oracle": "Oracle"}
+_AXES = {"window": WINDOWS, "process": PROCESSES, "covariates": COVARIATE_DESIGNS,
+         "nuisance": NUISANCE_FNS, "pcf_mode": PCF_MODES}
 
 
 def _number(val) -> bool:
@@ -97,26 +111,15 @@ class Scenario:
     crossfit: Optional[CrossFitConfig] = None
 
     def __post_init__(self):
-        if self.window not in WINDOWS:
-            raise ValueError(f"window must be one of {sorted(WINDOWS)}")
-        if self.process not in ("poisson", "lgcp"):
-            raise ValueError("process must be poisson or lgcp")
-        if self.covariates not in ("ind", "dep"):
-            raise ValueError("covariates must be ind or dep")
-        if self.nuisance not in NUISANCE_FNS:
-            raise ValueError(f"nuisance must be one of {sorted(NUISANCE_FNS)}")
-        if self.pcf_mode not in ("none", "known", "estimated"):
-            raise ValueError("pcf_mode must be none, known or estimated")
-        for name in ("reps", "base_seed"):
-            if not _integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        for axis, values in _AXES.items():
+            if getattr(self, axis) not in values:
+                raise ValueError(f"{axis} must be one of {list(values)}, "
+                                 f"got {getattr(self, axis)!r}")
+        _check_integer("reps", self.reps, 1)
+        _check_integer("base_seed", self.base_seed, 0)
         named = set(self.estimators)
-        if not named <= {"semi", "para", "oracle"} or not 0 < len(named) == len(self.estimators):
-            raise ValueError(f"estimators must be distinct names among semi, para and oracle, "
+        if not named <= set(ESTIMATORS) or not 0 < len(named) == len(self.estimators):
+            raise ValueError(f"estimators must be distinct names among {list(ESTIMATORS)}, "
                              f"got {self.estimators}")
         if self.crossfit is None:
             object.__setattr__(self, "crossfit", CrossFitConfig(
@@ -145,10 +148,9 @@ def simulate_scenario_inputs(s: Scenario, rep: int):
     n_lat = int(round(LATTICE_PER_UNIT * w.width))
     ss = np.random.SeedSequence(s.base_seed + rep)
     seeds = [int(c.generate_state(1)[0]) for c in ss.spawn(4)]
-    f1 = simulate_grf(w, n_lat, n_lat, COVARIATE_GRF, seeds[0])
-    f2 = simulate_grf(w, n_lat, n_lat, COVARIATE_GRF, seeds[1])
-    y_field = f1
-    z_field = f2 if s.covariates == "ind" else field_product(f1, f2)
+    y_field = simulate_grf(w, n_lat, n_lat, COVARIATE_GRF, seeds[0])
+    z_field = COVARIATE_DESIGNS[s.covariates](
+        y_field, simulate_grf(w, n_lat, n_lat, COVARIATE_GRF, seeds[1]))
     spec = ModelSpec([y_field], [z_field])
     base_fn = NUISANCE_FNS[s.nuisance]
 
@@ -157,11 +159,7 @@ def simulate_scenario_inputs(s: Scenario, rep: int):
         return math.log(BASE_RATE) + base_fn(Z[:, 0] if Z.ndim > 1 else Z)
 
     surface = scenario_truth_surface(spec, np.array([THETA_STAR]), eta_full)
-    if s.process == "poisson":
-        pattern = simulate_poisson(surface, seeds[2])
-    else:
-        pattern = simulate_lgcp(surface, LGCP_GRF, n_lat, n_lat, seeds[3])
-    return spec, eta_full, pattern, seeds
+    return spec, eta_full, PROCESSES[s.process](surface, n_lat, seeds), seeds
 
 
 def scenario_truth_surface(spec: ModelSpec, theta, eta_fn) -> IntensitySurface:
@@ -310,9 +308,8 @@ def _coverage(records: List[Dict], est: str, variant: str) -> Tuple[float, float
 
 
 def check_parallelism(parallelism: int) -> None:
-    """Raise ValueError unless ``parallelism`` is a worker count, >= 1."""
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    """Raise ValueError unless ``parallelism`` is a worker count: an integer >= 1."""
+    _check_integer("parallelism", parallelism, 1)
 
 
 def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, TableRow], List[Dict]]:
@@ -346,34 +343,27 @@ def run_scenario_records(s: Scenario, parallelism: int = 1) -> Tuple[Dict[str, T
 # -- tables ---------------------------------------------------------------------
 
 
+# each simulation table's cells in table order: the columns that label the cell's
+# rows, and its Scenario fields
+TABLES = {
+    table_id: [({"window": w, "covar": c, "nuisance": n},
+                dict(window=w, covariates=c, nuisance=n, process=process, estimators=("semi",)))
+               for w in ("W1", "W2") for c in ("ind", "dep") for n in ("linear", "poly")]
+    for table_id, process in ((2, "poisson"), (3, "lgcp"))
+}
+TABLES[4] = [({"window": w, "process": p},
+              dict(window=w, covariates="dep", nuisance="poly", process=p,
+                   estimators=("semi", "para", "oracle")))
+             for w in ("W1", "W2") for p in ("poisson", "lgcp")]
+
+
 def _table_scenarios(table_id: int, reps: int, base_seed: int) -> List[Tuple[Dict, Scenario]]:
-    out = []
-    if table_id in (2, 3):
-        process, pcf_mode = ("poisson", "none") if table_id == 2 else ("lgcp", "estimated")
-        for window in ("W1", "W2"):
-            for covar in ("ind", "dep"):
-                for nuis in ("linear", "poly"):
-                    meta = {"window": window, "covar": covar, "nuisance": nuis}
-                    out.append((meta, Scenario(window=window, covariates=covar,
-                                               nuisance=nuis, process=process,
-                                               pcf_mode=pcf_mode, reps=reps,
-                                               base_seed=base_seed,
-                                               estimators=("semi",))))
-    elif table_id == 4:
-        for window in ("W1", "W2"):
-            for process in ("poisson", "lgcp"):
-                meta = {"window": window, "process": process}
-                out.append((meta, Scenario(window=window, covariates="dep",
-                                           nuisance="poly", process=process,
-                                           pcf_mode="none" if process == "poisson" else "estimated",
-                                           reps=reps, base_seed=base_seed,
-                                           estimators=("semi", "para", "oracle"))))
-    else:
-        raise ValueError(f"table_id must be 2, 3 or 4, got {table_id}")
-    return out
-
-
-_EST_LABEL = {"semi": "Semi", "para": "Para", "oracle": "Oracle"}
+    """A table's cells with their row labels; an LGCP cell's PCF is estimated."""
+    if table_id not in TABLES:
+        raise ValueError(f"table_id must be one of {list(TABLES)}, got {table_id}")
+    return [(meta, Scenario(**cell, pcf_mode="none" if cell["process"] == "poisson"
+                            else "estimated", reps=reps, base_seed=base_seed))
+            for meta, cell in TABLES[table_id]]
 
 
 def row_columns(row: TableRow, starred: bool) -> Dict:
@@ -406,7 +396,7 @@ def run_table(table_id: int, out_path, reps: int = 200, parallelism: int = 1,
         for est in scen.estimators:
             entry = dict(meta)
             if table_id == 4:
-                entry["estimator"] = _EST_LABEL[est]
+                entry["estimator"] = ESTIMATORS[est]
             entry.update(row_columns(rows[est], starred=table_id == 3))
             rows_out.append(entry)
         sidecar += [{"table": table_id, **meta, **rec} for rec in records]
@@ -521,21 +511,18 @@ def resolve_fit_options(config_path=None, given: Optional[Dict] = None
     defaults = {_FIELD_KEYS[f.name]: f.default for f in fields(CrossFitConfig)}
     opts = merge_options({**defaults, **_FIT_DEFAULTS}, config_path, given)
     cfg = _with_options(CrossFitConfig(), opts)
-    if not _integer(opts["seed"]):
-        raise ValueError(f"seed must be an integer, got {opts['seed']!r}")
-    if opts["seed"] < 0:
-        raise ValueError(f"seed must be >= 0, got {opts['seed']}")
+    _check_integer("seed", opts["seed"], 0)
     levels = opts["levels"]
     if not (isinstance(levels, (list, tuple))
             and all(_number(lvl) and 0.0 < lvl < 1.0 for lvl in levels)):
         raise ValueError(f"levels must lie in (0, 1), a list of numbers, got {levels!r}")
+    if opts["pcf"] not in PCF_MODES:
+        raise ValueError(f"unknown pcf mode {opts['pcf']!r}")
     pcf = None if opts["pcf"] == "estimated" else PcfModel()
     if opts["pcf"] == "known":
         if opts["pcf_sigma2"] is None or opts["pcf_phi"] is None:
             raise ValueError("pcf=known requires pcf_sigma2 and pcf_phi")
         pcf = PcfModel(float(opts["pcf_sigma2"]), float(opts["pcf_phi"]))
-    elif opts["pcf"] not in ("none", "estimated"):
-        raise ValueError(f"unknown pcf mode {opts['pcf']!r}")
     return opts, cfg, pcf
 
 
@@ -554,12 +541,9 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
     if out_prefix is not None:
         Path(f"{out_prefix}_summary.csv").parent.mkdir(parents=True, exist_ok=True)
     pattern = read_pattern_file(pattern_path)
-    y_fields = [read_grid_file(p) for p in y_grid_paths]
-    z_fields = [read_grid_file(p) for p in z_grid_paths]
-    all_fields = y_fields + z_fields
-    win = all_fields[0].window
-    if any(f.window != win for f in all_fields):
-        raise WindowMismatchError("covariate grids do not share a window")
+    spec = ModelSpec([read_grid_file(p) for p in y_grid_paths],
+                     [read_grid_file(p) for p in z_grid_paths])
+    win = spec.window
     if pattern.window != win:
         inside = win.contains(pattern.points[:, 0], pattern.points[:, 1])
         if not np.all(inside):
@@ -568,7 +552,6 @@ def fit_file(pattern_path, y_grid_paths: Sequence, z_grid_paths: Sequence,
     if pattern.count() == 0:
         raise InsufficientPointsError("pattern file contains no points")
 
-    spec = ModelSpec(y_fields, z_fields)
     fit = fit_pattern(spec, pattern, run_cfg, opts["seed"], {"fit": pcf},
                       levels=tuple(opts["levels"]))
     for w in fit.pcf_warnings:  # shown as the PCF fit raised them
@@ -610,8 +593,7 @@ def _write_fit_outputs(report: FitReport, spec: ModelSpec, pattern: PointPattern
 
 def emit_scenario_files(s: Scenario, rep: int, out_dir) -> Dict[str, str]:
     """Simulate one replication and write its pattern and covariate grids."""
-    if not isinstance(rep, numbers.Integral) or rep < 0:
-        raise ValueError(f"rep must be an integer >= 0, got {rep!r}")
+    _check_integer("rep", rep, 0)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec, _, pattern, _ = simulate_scenario_inputs(s, rep)

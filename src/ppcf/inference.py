@@ -561,8 +561,7 @@ def wald_report(theta_hat, S_hat, Sigma_hat, area: float, levels=(0.9, 0.95),
     floor = max(1e-10 * max(np.trace(S_hat), 0.0) / k, 1e-12 * area)
     if eigs.min() <= floor:
         raise SingularSensitivityError(
-            f"sensitivity matrix numerically singular (min eigenvalue {eigs.min():.3e})",
-            min_eigenvalue=float(eigs.min()))
+            f"sensitivity matrix numerically singular (min eigenvalue {eigs.min():.3e})")
     s_inv = np.linalg.inv(S_hat)
     cov = s_inv @ Sigma_hat @ s_inv
     cov = 0.5 * (cov + cov.T)

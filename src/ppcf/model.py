@@ -42,6 +42,7 @@ from .errors import (
     NonConvergenceError,
     NonpositiveIntensityError,
     SingularHessianError,
+    WindowMismatchError,
 )
 from .fields import GridField, Window
 from .process import PointPattern, constant_surface, simulate_poisson
@@ -72,22 +73,23 @@ LOG_LINEAR = Link(lambda theta, Y: Y @ theta, lambda theta, Y: Y,
                   _exp, _exp, _exp, _exp, _exp, _exp)
 
 
-def _fd_check(fn, dfn, pts, step=1e-6, rtol=1e-4, what=""):
-    for x in pts:
-        num = (fn(x + step) - fn(x - step)) / (2 * step)
-        ana = dfn(x)
-        scale = max(abs(num), abs(ana), 1.0)
-        if abs(num - ana) > rtol * scale:
-            raise ValueError(f"analytic {what} disagrees with finite differences "
-                             f"({ana} vs {num})")
+def _fd_check(fn, dfn, x0, what, step=1e-6):
+    """Raise ValueError unless ``dfn(x0)``, the derivative of ``fn`` with its last axis
+    over the coordinates of the vector ``x0``, matches central differences of ``fn``."""
+    num = np.stack([(fn(x0 + e) - fn(x0 - e)) / (2 * step) for e in step * np.eye(x0.size)],
+                   axis=-1)
+    ana = np.asarray(dfn(x0), dtype=float)
+    if not np.allclose(num, ana, rtol=1e-4, atol=1e-6):
+        raise ValueError(f"analytic {what} disagrees with finite differences ({ana} vs {num})")
 
 
 class ModelSpec:
     """Semiparametric intensity model over lattice covariate fields.
 
     ``target_fields`` (length k) feed tau_theta; ``nuisance_fields`` (length q)
-    feed the nonparametric curve.  All fields must share one window.  A ``link``
-    other than ``LOG_LINEAR`` is checked against finite differences here.
+    feed the nonparametric curve.  All fields must share one window, else a
+    WindowMismatchError.  A ``link`` other than ``LOG_LINEAR`` is checked against
+    finite differences here.
     """
 
     def __init__(self, target_fields: Sequence[GridField],
@@ -97,7 +99,7 @@ class ModelSpec:
         fields = list(target_fields) + list(nuisance_fields)
         window = fields[0].window
         if any(f.window != window for f in fields):
-            raise ValueError("all covariate fields must share one window")
+            raise WindowMismatchError("all covariate fields must share one window")
         self.link = link
         self.log_linear = link is LOG_LINEAR     # the closed-form paths
         self.target_fields = tuple(target_fields)
@@ -161,33 +163,26 @@ class ModelSpec:
         return lam
 
     def _validate_derivatives(self):
-        rng = np.random.default_rng(12345)
-        ts = rng.normal(size=5)
-        gs = rng.normal(size=5)
+        """Check the link's analytic derivatives against finite differences: Psi's
+        gradient and Hessian in (t, g) at random points, tau's in theta at random Y."""
         p = self.link
-        for t0, g0 in zip(ts, gs):
-            _fd_check(lambda t: p.psi(t, g0), lambda t: p.dpsi_dt(t, g0), [t0], what="dPsi/dt")
-            _fd_check(lambda g: p.psi(t0, g), lambda g: p.dpsi_dg(t0, g), [g0], what="dPsi/dg")
-            _fd_check(lambda t: p.dpsi_dt(t, g0), lambda t: p.d2psi_dtt(t, g0), [t0],
-                      what="d2Psi/dt2")
-            _fd_check(lambda g: p.dpsi_dt(t0, g), lambda g: p.d2psi_dtg(t0, g), [g0],
-                      what="d2Psi/dtdg")
-            _fd_check(lambda g: p.dpsi_dg(t0, g), lambda g: p.d2psi_dgg(t0, g), [g0],
-                      what="d2Psi/dg2")
+        rng = np.random.default_rng(12345)
+
+        def psi_grad(x):
+            return np.array([p.dpsi_dt(*x), p.dpsi_dg(*x)])
+
+        def psi_hess(x):
+            return np.array([[p.d2psi_dtt(*x), p.d2psi_dtg(*x)],
+                             [p.d2psi_dtg(*x), p.d2psi_dgg(*x)]])
+
+        for x in rng.normal(size=(5, 2)):
+            _fd_check(lambda u: p.psi(*u), psi_grad, x, "gradient of Psi")
+            _fd_check(psi_grad, psi_hess, x, "Hessian of Psi")
         Y = rng.normal(size=(4, self.k))
-        theta0 = rng.normal(size=self.k) * 0.2
-        step = 1e-6
-        g_ana = self.tau_grad(theta0, Y)
-        h_ana = self.tau_hess(theta0, Y)
-        for i in range(self.k):
-            e = np.zeros(self.k)
-            e[i] = step
-            g_num = (self.tau(theta0 + e, Y) - self.tau(theta0 - e, Y)) / (2 * step)
-            if not np.allclose(g_num, g_ana[:, i], rtol=1e-4, atol=1e-6):
-                raise ValueError("tau_grad disagrees with finite differences")
-            h_num = (self.tau_grad(theta0 + e, Y) - self.tau_grad(theta0 - e, Y)) / (2 * step)
-            if not np.allclose(h_num, h_ana[:, :, i], rtol=1e-4, atol=1e-6):
-                raise ValueError("tau_hess disagrees with finite differences")
+        theta = rng.normal(size=self.k) * 0.2
+        _fd_check(lambda th: self.tau(th, Y), lambda th: self.tau_grad(th, Y), theta, "tau_grad")
+        _fd_check(lambda th: self.tau_grad(th, Y), lambda th: self.tau_hess(th, Y), theta,
+                  "tau_hess")
 
 
 # -- node schemes ------------------------------------------------------------
@@ -392,8 +387,7 @@ def _newton_maximize(evaluate, init, area):
             return theta
         if iteration == _MAX_ITER:
             raise NonConvergenceError(
-                f"no convergence after {_MAX_ITER} iterations (|score|={snorm:.3e})",
-                theta=theta, score_norm=snorm)
+                f"no convergence after {_MAX_ITER} iterations (|score|={snorm:.3e})")
         direction = None
         try:
             direction = _cholesky_solve(-h, s)
@@ -440,8 +434,7 @@ def profile_maximize(spec: ModelSpec, eta_curve, scheme, scale: float, init) -> 
 
 @dataclass
 class ParametricFit:
-    theta: np.ndarray          # (k,)
-    coef: np.ndarray           # full coefficient vector
+    coef: np.ndarray           # full coefficient vector, theta first
     design: np.ndarray         # (m, p) node design matrix
     lambda_nodes: np.ndarray   # (m,) fitted intensity at the quadrature nodes
 
@@ -476,5 +469,5 @@ def fit_parametric_baseline_full(spec: ModelSpec, quad: QuadratureScheme,
 
     coef = _newton_maximize(_objective(quad, lambda coef: (intensity(coef), X, None)),
                             init, area)
-    return ParametricFit(theta=coef[: spec.k], coef=coef, design=X, lambda_nodes=intensity(coef))
+    return ParametricFit(coef=coef, design=X, lambda_nodes=intensity(coef))
 

@@ -112,19 +112,19 @@ def _quartic4(t, out):
 
 
 # kernel order -> univariate kernel: Gaussian (order 2), polynomial on [-1, 1] (order 4)
-_KERNELS = {2: _gaussian, 4: _quartic4}
+KERNELS = {2: _gaussian, 4: _quartic4}
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Product kernel of even order with a scalar bandwidth (standardized z units);
-    the order picks the univariate kernel from ``_KERNELS``."""
+    the order picks the univariate kernel from ``KERNELS``."""
 
     order: int
     bandwidth: float
 
     def __post_init__(self):
-        if self.order not in _KERNELS:
+        if self.order not in KERNELS:
             raise ValueError(f"no kernel of order {self.order}")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(f"bandwidth must be > 0 and finite, got {self.bandwidth}")
@@ -134,7 +134,7 @@ class KernelSpec:
         t = np.asarray(t, dtype=float)
         if out is None:
             out = np.empty_like(t)
-        _KERNELS[self.order](t, out)
+        KERNELS[self.order](t, out)
         return out if out.ndim else out[()]
 
     def operand(self, A):

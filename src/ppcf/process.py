@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     UnmarkedPatternError,
 )
-from .fields import GridField, GrfSpec, Window, make_window, simulate_grf
+from .fields import GridField, GrfSpec, Window, _read_header, simulate_grf
 
 
 @dataclass(frozen=True)
@@ -167,22 +167,13 @@ def write_pattern_file(pattern: PointPattern, path) -> None:
 
 
 def read_pattern_file(path) -> PointPattern:
+    """Read the format of ``write_pattern_file``; blank lines are skipped.  A point
+    outside the header's window or a fold label below 1 is a ``ParseError`` at its line."""
     path = Path(path)
     with open(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 5:
-            raise ParseError(path, 1, f"expected 'x_min y_min x_max y_max n', got {header!r}")
-        try:
-            coords = [float(p) for p in parts[:4]]
-            n = int(parts[4])
-        except ValueError as exc:
-            raise ParseError(path, 1, str(exc)) from None
+        window, (n,) = _read_header(fh, path, "x_min y_min x_max y_max n")
         if n < 0:
             raise ParseError(path, 1, f"point count must be >= 0, got {n}")
-        if not all(map(math.isfinite, coords)):
-            raise ParseError(path, 1, f"window bounds must be finite, got {coords}")
-        window = make_window(*coords)
         pts = np.empty((n, 2))
         marks_list = []
         row = 0
@@ -196,12 +187,18 @@ def read_pattern_file(path) -> PointPattern:
                 raise ParseError(path, line_no, f"more than the declared {n} points")
             try:
                 x, y = float(toks[0]), float(toks[1])
-                if len(toks) == 3:
-                    marks_list.append(int(toks[2]))
+                mark = int(toks[2]) if len(toks) == 3 else None
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(path, line_no, f"point coordinates must be finite, got {line!r}")
+            if not (window.x_min <= x <= window.x_max and window.y_min <= y <= window.y_max):
+                fault = ("point coordinates must be finite"
+                         if not (math.isfinite(x) and math.isfinite(y)) else
+                         f"point outside the window {window}")
+                raise ParseError(path, line_no, f"{fault}, got {line!r}")
+            if mark is not None:
+                if mark < 1:
+                    raise ParseError(path, line_no, f"fold labels start at 1, got {line!r}")
+                marks_list.append(mark)
             pts[row] = x, y
             row += 1
     if row != n:

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ppcf.fields import GrfSpec, make_window, simulate_grf
+from ppcf.fields import GrfSpec, Window, simulate_grf
 from ppcf.model import ModelSpec
 from ppcf.process import simulate_poisson
 
 
 @pytest.fixture(scope="session")
 def unit_window():
-    return make_window(0.0, 0.0, 1.0, 1.0)
+    return Window(0.0, 0.0, 1.0, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -13,14 +13,14 @@ from scipy.stats import chi2
 from helpers import intensity_surface
 from mc_cache import run_scenario_cached
 
-from ppcf.fields import GrfSpec, make_window, simulate_grf
+from ppcf.fields import GrfSpec, Window, simulate_grf
 from ppcf.harness import Scenario, _wald_reports
 from ppcf.inference import PcfModel, pcf_correction, semi_sandwich_terms, lfd_values
 from ppcf.model import ModelSpec, build_quadrature, pseudo_likelihood
 from ppcf.nuisance import KernelSpec, NuisanceFit
 from ppcf.process import PointPattern, constant_surface, simulate_poisson, v_fold_thin
 
-W1 = make_window(0, 0, 1, 1)
+W1 = Window(0, 0, 1, 1)
 PAR = 2
 
 

@@ -15,10 +15,24 @@ import pytest
 import ppcf.cli
 import ppcf.harness
 from ppcf.cli import build_parser, main as cli_main
-from ppcf.crossfit import CrossFitConfig
+from ppcf.crossfit import APPROXIMATIONS, CrossFitConfig
 from ppcf.fields import simulate_grf, write_grid_file
-from ppcf.harness import Scenario, emit_scenario_files, resolve_fit_options, run_replication
+from ppcf.harness import (
+    COVARIATE_DESIGNS,
+    NUISANCE_FNS,
+    PCF_MODES,
+    PROCESSES,
+    TABLES,
+    WINDOWS,
+    Scenario,
+    emit_scenario_files,
+    resolve_fit_options,
+    run_replication,
+    run_scenario_records,
+    run_table,
+)
 from ppcf.inference import PcfModel
+from ppcf.nuisance import KERNELS
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -258,7 +272,7 @@ def test_simulate_rejects_a_negative_rep_before_making_the_directory(no_replicat
                                                                     tmp_path, seed):
     monkeypatch.delenv("PPCF_SEED", raising=False)
     out_dir = tmp_path / "sim"
-    with pytest.raises(ValueError, match="rep must be an integer >= 0"):
+    with pytest.raises(ValueError, match="rep must be >= 0, got -1"):
         cli_main(["simulate", "--rep", "-1", "--out-dir", str(out_dir)] + seed)
     assert not out_dir.exists()
 
@@ -352,6 +366,45 @@ def test_flags_a_subcommand_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda out: emit_scenario_files(Scenario(reps=1), True, out), "rep must be an integer"),
+    (lambda out: run_scenario_records(Scenario(reps=1), 1.5), "parallelism must be an integer"),
+    (lambda out: run_table(2, out / "t2.csv", reps=1, parallelism=True),
+     "parallelism must be an integer, got True"),
+], ids=["rep_bool", "parallelism_float", "table_parallelism_bool"])
+def test_non_integer_counts_fail_before_any_work(no_replication, tmp_path, call, message):
+    # a bool is no replication index and 1.5 no worker count: each fails before a
+    # directory is made, a replication simulated or a pool started
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        call(out)
+    assert not out.exists()
+
+
+def test_non_integer_ppcf_seed_fails_before_any_work(no_replication, monkeypatch, tmp_path):
+    monkeypatch.setenv("PPCF_SEED", "abc")
+    out_dir = tmp_path / "sim"
+    with pytest.raises(ValueError, match="PPCF_SEED must be an integer, got 'abc'"):
+        cli_main(["simulate", "--out-dir", str(out_dir)])
+    assert not out_dir.exists()
+
+
+def test_parser_choices_are_the_owners_tables():
+    # a value added to its owner's table (a window, a process, ...) needs no CLI edit
+    owners = {"--window": WINDOWS, "--process": PROCESSES, "--covar": COVARIATE_DESIGNS,
+              "--nuisance": NUISANCE_FNS, "--kernel-order": KERNELS,
+              "--approx": APPROXIMATIONS, "--pcf": PCF_MODES, "--table": TABLES}
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for p in sub.choices.values():
+        for action in p._actions:
+            for flag in set(action.option_strings) & set(owners):
+                assert list(action.choices) == list(owners[flag]), flag
+                seen.add(flag)
+    assert seen == set(owners)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,13 +10,13 @@ from helpers import FIT_ERRORS, intensity_surface
 
 from ppcf.crossfit import CrossFitConfig, cross_fit
 from ppcf.errors import InsufficientPointsError, NonConvergenceError
-from ppcf.fields import GrfSpec, make_window, simulate_grf
+from ppcf.fields import GrfSpec, Window, simulate_grf
 from ppcf.model import LOG_LINEAR, ModelSpec
 from ppcf.process import PointPattern, constant_surface, fold, simulate_poisson
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-W1 = make_window(0, 0, 1, 1)
+W1 = Window(0, 0, 1, 1)
 
 
 def _make_case(seed, rate=300.0, theta=0.3):

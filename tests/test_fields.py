@@ -16,8 +16,8 @@ from ppcf.errors import (
 from ppcf.fields import (
     GridField,
     GrfSpec,
+    Window,
     field_product,
-    make_window,
     read_grid_file,
     simulate_grf,
     write_grid_file,
@@ -38,9 +38,9 @@ def apply_pointwise(a: GridField, f) -> GridField:
 
 
 def test_make_window_areas():
-    assert make_window(0, 0, 1, 1).area() == 1.0
-    assert make_window(0, 0, 2, 2).area() == 4.0
-    assert make_window(0, 0, 1, 0.5).area() == 0.5
+    assert Window(0, 0, 1, 1).area() == 1.0
+    assert Window(0, 0, 2, 2).area() == 4.0
+    assert Window(0, 0, 1, 0.5).area() == 0.5
 
 
 @pytest.mark.parametrize("coords", [(0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 2, 1, 1),
@@ -48,7 +48,7 @@ def test_make_window_areas():
                                     (math.nan, 0, 1, 1), (0, 0, 1, math.nan)])
 def test_make_window_degenerate(coords):
     with pytest.raises(DegenerateWindowError):
-        make_window(*coords)
+        Window(*coords)
 
 
 @pytest.mark.parametrize("params", [
@@ -66,7 +66,7 @@ def test_grf_spec_rejects_non_finite_parameters(params):
 @given(st.integers(2, 12), st.integers(2, 12), st.integers(0, 10_000))
 def test_node_evaluation_exact(nx, ny, seed):
     rng = np.random.default_rng(seed)
-    w = make_window(-1.5, 0.25, 2.5, 3.0)
+    w = Window(-1.5, 0.25, 2.5, 3.0)
     field = GridField(w, nx, ny, rng.normal(size=(ny, nx)))
     gx, gy = np.meshgrid(np.linspace(w.x_min, w.x_max, nx), np.linspace(w.y_min, w.y_max, ny))
     vals = field.evaluate(gx.ravel(), gy.ravel())
@@ -74,7 +74,7 @@ def test_node_evaluation_exact(nx, ny, seed):
 
 
 def test_bilinear_reproduces_affine_surface():
-    w = make_window(0, 0, 2, 1)
+    w = Window(0, 0, 2, 1)
     nx, ny = 7, 5
     gx, gy = np.meshgrid(np.linspace(0, 2, nx), np.linspace(0, 1, ny))
     field = GridField(w, nx, ny, 1.0 + 2.0 * gx - 3.0 * gy)
@@ -84,20 +84,20 @@ def test_bilinear_reproduces_affine_surface():
 
 
 def test_evaluate_outside_window_raises():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     field = GridField(w, 4, 4, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         field.evaluate(1.2, 0.5)
 
 
 def test_zero_variance_field_is_constant():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     f = simulate_grf(w, 16, 16, GrfSpec(0.0, 0.05, mean=3.0), seed=0)
     assert np.array_equal(f.values, np.full((16, 16), 3.0))
 
 
 def test_grf_determinism():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     spec = GrfSpec(1.0, 0.05)
     a = simulate_grf(w, 20, 20, spec, seed=42)
     b = simulate_grf(w, 20, 20, spec, seed=42)
@@ -109,7 +109,7 @@ def test_grf_determinism():
 
 
 def test_grf_clamped_to_six_sd():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     spec = GrfSpec(4.0, 0.05, mean=1.0)
     for seed in range(10):
         f = simulate_grf(w, 40, 40, spec, seed=seed)
@@ -128,7 +128,7 @@ def test_grf_clamped_to_six_sd():
 def test_circulant_embedding_reproduces_lattice_covariance(window, nx, ny, corr_range, torus):
     # the torus covariance, read off the half spectrum of its eigenvalues, is C at
     # every lattice lag plus the jitter at lag 0
-    w = make_window(*window)
+    w = Window(*window)
     spec = GrfSpec(2.0, corr_range)
     sqrt_lam = ppcf.fields._circulant_sqrt_eigs(w, nx, ny, spec)
     assert sqrt_lam.shape == (torus[0], torus[1] // 2 + 1)
@@ -152,7 +152,7 @@ def test_harness_lattices_keep_the_minimal_embedding():
 
 def test_grf_enlarged_embedding_samples():
     # W1 at 256 x 256 and range 0.2 needs a 1024 x 1024 torus
-    f = simulate_grf(make_window(0, 0, 1, 1), 256, 256, GrfSpec(1.0, 0.2), seed=7)
+    f = simulate_grf(Window(0, 0, 1, 1), 256, 256, GrfSpec(1.0, 0.2), seed=7)
     assert f.values.shape == (256, 256) and np.all(np.isfinite(f.values))
     assert f.values.std() > 0
 
@@ -164,7 +164,7 @@ def test_grf_enlarged_embedding_samples():
 def test_grf_real_fft_draw_equals_the_complex_filter(nx, ny, corr_range):
     # the same noise filtered by the full complex transform, with the full spectrum
     # rebuilt from the cached half by its evenness, lam[i, j] = lam[-i, -j]
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     spec = GrfSpec(1.5, corr_range, mean=0.5)
     half = ppcf.fields._circulant_sqrt_eigs(w, nx, ny, spec)
     m = half.shape[0]
@@ -195,7 +195,7 @@ def _draw_rfft2(window, nx, ny, spec, seed):
     ((0, 0, 2, 2), 256, 256, harness.LGCP_GRF),
 ])
 def test_grf_in_place_draw_is_the_rfft2_draw_bit_for_bit(window, nx, ny, spec):
-    w = make_window(*window)
+    w = Window(*window)
     for seed in (3, 11):
         assert np.array_equal(simulate_grf(w, nx, ny, spec, seed).values,
                               _draw_rfft2(w, nx, ny, spec, seed))
@@ -206,13 +206,13 @@ def test_circulant_embedding_bounded(monkeypatch):
     monkeypatch.setattr(ppcf.fields, "_MAX_TORUS_NODES", 48 * 48)
     ppcf.fields._circulant_sqrt_eigs.cache_clear()
     with pytest.raises(DecompositionError, match="not positive definite"):
-        simulate_grf(make_window(0, 0, 1, 1), 24, 24, GrfSpec(1.0, 0.5), seed=0)
+        simulate_grf(Window(0, 0, 1, 1), 24, 24, GrfSpec(1.0, 0.5), seed=0)
 
 
 @pytest.fixture(scope="module")
 def grf_ensemble():
     """500 unit-variance draws on a 64 x 64 lattice."""
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     spec = GrfSpec(1.0, 0.05)
     return [simulate_grf(w, 64, 64, spec, seed=s).values for s in range(500)]
 
@@ -252,7 +252,7 @@ def test_grf_variogram_matches_exponential(grf_ensemble, target):
 
 
 def test_field_product_constants():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     a = GridField(w, 5, 5, np.full((5, 5), 2.0))
     b = GridField(w, 5, 5, np.full((5, 5), 3.0))
     assert np.array_equal(field_product(a, b).values, np.full((5, 5), 6.0))
@@ -262,7 +262,7 @@ def test_field_product_constants():
 
 
 def test_field_product_matches_direct_recomputation():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     spec = GrfSpec(1.0, 0.05)
     a = simulate_grf(w, 32, 32, spec, seed=1)
     b = simulate_grf(w, 32, 32, spec, seed=2)
@@ -270,18 +270,18 @@ def test_field_product_matches_direct_recomputation():
 
 
 def test_field_product_mismatch():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     a = GridField(w, 5, 5, np.zeros((5, 5)))
     b = GridField(w, 6, 5, np.zeros((5, 6)))
     with pytest.raises(LatticeMismatchError):
         field_product(a, b)
-    c = GridField(make_window(0, 0, 2, 2), 5, 5, np.zeros((5, 5)))
+    c = GridField(Window(0, 0, 2, 2), 5, 5, np.zeros((5, 5)))
     with pytest.raises(LatticeMismatchError):
         field_product(a, c)
 
 
 def test_apply_pointwise():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     ones = GridField(w, 4, 4, np.ones((4, 4)))
     assert np.allclose(apply_pointwise(ones, lambda z: 0.3 * z).values, 0.3)
     twos = GridField(w, 4, 4, np.full((4, 4), 2.0))
@@ -291,7 +291,7 @@ def test_apply_pointwise():
 
 
 def test_apply_pointwise_nonfinite():
-    w = make_window(0, 0, 1, 1)
+    w = Window(0, 0, 1, 1)
     f = GridField(w, 4, 4, np.zeros((4, 4)))
     with pytest.warns(RuntimeWarning, match="divide by zero"), \
             pytest.raises(NonFiniteFieldError):
@@ -324,7 +324,9 @@ def test_grid_file_bad_token_names_its_line(tmp_path, line_no):
     ("-3 2 0.0 0.0 1.0 1.0", "lattice resolution must be >= 2, got -3 x 2"),
     ("3 2 0.0 0.0 inf 1.0", "window bounds must be finite"),
     ("3 2 nan 0.0 1.0 1.0", "window bounds must be finite"),
-], ids=["fields", "number", "negative_ny", "negative_nx", "inf_window", "nan_window"])
+    ("3 2 0.0 0.0 0.0 1.0", "window bounds must be finite and its sides positive"),
+], ids=["fields", "number", "negative_ny", "negative_nx", "inf_window", "nan_window",
+        "degenerate_window"])
 def test_grid_file_bad_header_names_line_one(tmp_path, header, message):
     path = tmp_path / "grid.txt"
     path.write_text(header + "\n0.5 1.5 2.5\n3.5 4.5 5.5\n")
@@ -354,7 +356,7 @@ def test_grid_file_blank_lines_and_ragged_breaks_parse(tmp_path):
 def test_grid_file_roundtrip(nx, ny, seed):
     import tempfile
     rng = np.random.default_rng(seed)
-    w = make_window(-0.5, 0.0, 1.5, 2.0)
+    w = Window(-0.5, 0.0, 1.5, 2.0)
     field = GridField(w, nx, ny, rng.normal(size=(ny, nx)) * 1e3)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/grid.txt"

@@ -17,7 +17,7 @@ from ppcf.errors import (
     NonConvergenceError,
     WindowMismatchError,
 )
-from ppcf.fields import GridField, make_window, read_grid_file, simulate_grf, write_grid_file
+from ppcf.fields import GridField, Window, read_grid_file, simulate_grf, write_grid_file
 from ppcf.harness import (
     COVARIATE_GRF,
     HARNESS_BANDWIDTH_C0,
@@ -235,7 +235,7 @@ def test_oracle_estimator_coverage():
 def test_stacked_wald_reports_match_separate_estimators():
     # one double sum over the stacked a-vectors gives each estimator its own block
     rng = np.random.default_rng(8)
-    quad = build_quadrature(PointPattern(make_window(0, 0, 1, 1), rng.uniform(size=(40, 2))), 16)
+    quad = build_quadrature(PointPattern(Window(0, 0, 1, 1), rng.uniform(size=(40, 2))), 16)
     fits = {}
     for name, p in (("semi", 1), ("para", 3), ("oracle", 1)):
         S, a = sandwich_terms(quad, np.full(quad.m(), 50.0), rng.normal(size=(quad.m(), p)))
@@ -333,8 +333,8 @@ def test_fit_file_window_mismatch(tmp_path):
     s = Scenario(window="W1", reps=1, base_seed=555)
     paths = emit_scenario_files(s, 0, tmp_path)
     grid = read_grid_file(paths["z0"])
-    from ppcf.fields import GridField, make_window
-    shrunk = GridField(make_window(0, 0, 0.5, 0.5), grid.nx, grid.ny, grid.values)
+    from ppcf.fields import GridField, Window
+    shrunk = GridField(Window(0, 0, 0.5, 0.5), grid.nx, grid.ny, grid.values)
     bad = tmp_path / "z_bad.txt"
     write_grid_file(shrunk, bad)
     with pytest.raises(WindowMismatchError):
@@ -348,7 +348,7 @@ def test_fit_file_rewindows_a_pattern_inside_the_grids(tmp_path):
     paths = emit_scenario_files(s, 0, tmp_path)
     points = read_pattern_file(paths["pattern"]).points
     wide = tmp_path / "wide.txt"
-    write_pattern_file(PointPattern(make_window(-0.5, -0.5, 1.5, 1.5), points), wide)
+    write_pattern_file(PointPattern(Window(-0.5, -0.5, 1.5, 1.5), points), wide)
     grids = [paths["y0"]], [paths["z0"]]
     options = {"grid_n": 32, "seed": 3}
     for pattern, prefix in ((paths["pattern"], "same"), (wide, "wide")):
@@ -358,7 +358,7 @@ def test_fit_file_rewindows_a_pattern_inside_the_grids(tmp_path):
                 == (tmp_path / f"same{suffix}").read_bytes())
     # one point outside the grids' window
     outside = np.vstack([points, [[1.25, 0.5]]])
-    write_pattern_file(PointPattern(make_window(-0.5, -0.5, 1.5, 1.5), outside), wide)
+    write_pattern_file(PointPattern(Window(-0.5, -0.5, 1.5, 1.5), outside), wide)
     with pytest.raises(WindowMismatchError, match="outside the grid window"):
         fit_file(wide, *grids, overrides=options)
 

@@ -14,7 +14,7 @@ from helpers import intensity_surface, k_function
 
 import ppcf.inference
 from ppcf.errors import InsufficientPointsError, SingularSensitivityError
-from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
+from ppcf.fields import GridField, GrfSpec, Window, simulate_grf
 from ppcf.inference import (
     PcfModel,
     _close_pairs,
@@ -34,7 +34,7 @@ from ppcf.process import PointPattern, constant_surface, simulate_lgcp, simulate
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-W1 = make_window(0, 0, 1, 1)
+W1 = Window(0, 0, 1, 1)
 
 
 def pcf_double_sum_brute(quad: QuadratureScheme, a_vectors: np.ndarray,
@@ -136,7 +136,7 @@ def test_lfd_is_the_curves_own_dtheta(case, fitted_instance):
             nf.eta_range = (top - 20.0, top)
     else:
         from test_model import make_general_spec
-        window = make_window(0, 0, 4, 4)
+        window = Window(0, 0, 4, 4)
         if case == "general":
             spec = make_general_spec(window)
         else:
@@ -191,7 +191,7 @@ def test_sensitivity_linear_x_integral():
 
 def test_sensitivity_extensive_in_area():
     # a field tiled 2x2 doubles each side: S scales with the window area
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     rng = np.random.default_rng(4)
     base_vals = rng.normal(size=(65, 65))
     tiled = np.zeros((129, 129))
@@ -237,7 +237,7 @@ def test_pcf_correction_matches_brute_force_truncated():
 def _offset_window_points():
     """Corners, edge points and lattice centres of an offset, non-square window
     (grid 12), then 60 random points."""
-    window = make_window(-1.0, 2.0, 2.0, 3.5)
+    window = Window(-1.0, 2.0, 2.0, 3.5)
     lattice = build_quadrature(PointPattern(window, np.empty((0, 2))), 12).nodes
     special = np.vstack([
         [[-1.0, 2.0], [2.0, 2.0], [-1.0, 3.5], [2.0, 3.5]],     # corners
@@ -268,7 +268,7 @@ def test_pcf_correction_pruned_sum_edge_cases(k, n_data, phi):
 def test_pcf_correction_keeps_pairs_at_exactly_r_trunc():
     # r_trunc hits its cap of half the window side, 4.0; each data node lies
     # exactly 4.0 from lattice centres in the outermost row or column of its box
-    window = make_window(0.0, 0.0, 8.0, 8.0)
+    window = Window(0.0, 0.0, 8.0, 8.0)
     pcf = PcfModel(sigma2=1.0, phi=2.0)
     assert pcf.truncation_radius(window) == 4.0
     quad = build_quadrature(PointPattern(window, np.array([[4.5, 0.5], [3.5, 7.5]])), 8)
@@ -333,7 +333,7 @@ def test_data_sum_skips_pairs_beyond_the_radius_on_long_windows(monkeypatch, sid
     # the radius hits its cap of half the short side, and the data-data block
     # evaluates under half of the n (n + 1) / 2 data pairs; a search along the
     # short side, or square blocks over every pair, would evaluate more than that
-    window = make_window(0.0, 0.0, *side)
+    window = Window(0.0, 0.0, *side)
     rng = np.random.default_rng(4)
     n = 400
     points = np.column_stack([rng.uniform(0.0, side[0], n), rng.uniform(0.0, side[1], n)])
@@ -397,7 +397,7 @@ def _traced_peak(fn, *args):
 def test_lattice_block_memory_does_not_grow_with_columns():
     # one column's image is transformed at a time, so six columns peak no higher than
     # one by more than a padded image's transform, 2g x (g + 1) complex values
-    window = make_window(0.0, 0.0, 2.0, 2.0)
+    window = Window(0.0, 0.0, 2.0, 2.0)
     g = 64
     quad = build_quadrature(PointPattern(window, np.empty((0, 2))), g)
     pcf = PcfModel(sigma2=0.5, phi=0.2)
@@ -450,7 +450,7 @@ def test_lattice_data_block_keeps_a_pair_at_r_trunc_on_a_band_edge():
     # one data node (5.25, 5.25), the second band's nearest row, y = 8.25, is 3 away,
     # so that band's columns are clipped to within 4 of x = 5.25, and its nodes
     # (1.25, 8.25) and (9.25, 8.25), on the clipped edges, lie exactly 5.0 away
-    window = make_window(0.0, 0.0, 10.0, 10.0)
+    window = Window(0.0, 0.0, 10.0, 10.0)
     quad = build_quadrature(PointPattern(window, np.array([[5.25, 5.25]])), 20)
     assert ppcf.inference._BAND_ROWS == 16
     ys = quad.nodes[:400:20, 1]
@@ -468,7 +468,7 @@ def test_lattice_data_block_splits_a_crowded_tile_in_bounded_products(monkeypatc
     # 300 of 340 data nodes crowd into one tile: more than one kernel product takes
     # at a 128 lattice, so the tile's points are split, and no kernel temporary holds
     # more than _PAIR_BLOCK pair values
-    window = make_window(0.0, 0.0, 2.0, 2.0)
+    window = Window(0.0, 0.0, 2.0, 2.0)
     rng = np.random.default_rng(21)
     points = np.vstack([rng.uniform(0.6, 0.62, (300, 2)), rng.uniform(0.0, 2.0, (40, 2))])
     quad = build_quadrature(PointPattern(window, points), 128)
@@ -554,7 +554,7 @@ def test_estimate_pcf_poisson_null():
 
 
 def test_estimate_pcf_recovers_lgcp_parameters():
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     base = constant_surface(w2, 400.0)
     spec = GrfSpec(0.2, 0.2)
     sig2, phi = [], []
@@ -590,7 +590,7 @@ def _k_hat_concatenated(pattern, lam, r_grid):
 def _w2_lgcp_pattern(seed, rate=400.0):
     """A W2-sized LGCP pattern (1.5k-1.7k points for seeds 1 and 2 at rate 400) and
     an inhomogeneous plug-in."""
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     pattern = simulate_lgcp(constant_surface(w2, rate), GrfSpec(0.3, 0.2), 128, 128,
                             seed=seed)
     return pattern, rate * np.exp(0.3 * (pattern.points[:, 0] - 1.0))
@@ -783,7 +783,7 @@ def test_close_pairs_blocks_stay_bounded_on_a_dense_cluster():
 
 
 def test_close_pairs_matches_query_pairs_on_lgcp_patterns():
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     base = constant_surface(w2, 400.0)
     for seed in range(3):
         pts = simulate_lgcp(base, GrfSpec(1.0, 0.1), 64, 64, seed=seed).points
@@ -843,7 +843,7 @@ def test_nelder_mead_is_scipys_bit_for_bit(problem):
 
 def test_estimate_pcf_contrast_minimum_is_scipys_bit_for_bit(monkeypatch):
     # the whole fit, with the in-package minimizer and with SciPy's on the same contrast
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     fits, counts = {}, {}
     for seed in range(3):
         pattern = simulate_lgcp(constant_surface(w2, 400.0), GrfSpec(0.3, 0.15), 64, 64,

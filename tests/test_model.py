@@ -10,7 +10,7 @@ from helpers import intensity_surface
 
 import ppcf.model
 from ppcf.errors import NonpositiveIntensityError
-from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf  # noqa: F401
+from ppcf.fields import GridField, GrfSpec, Window, simulate_grf  # noqa: F401
 from ppcf.model import (
     LOG_LINEAR,
     Link,
@@ -28,7 +28,7 @@ from ppcf.process import PointPattern, constant_surface, fold, simulate_poisson,
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-W1 = make_window(0, 0, 1, 1)
+W1 = Window(0, 0, 1, 1)
 
 
 class FixedCurve:
@@ -103,7 +103,7 @@ def test_quadrature_cellmates_share_weight():
 @given(st.integers(4, 24), st.integers(0, 300), st.integers(0, 10_000))
 def test_quadrature_weights_sum_to_area(grid_n, n_pts, seed):
     rng = np.random.default_rng(seed)
-    w = make_window(0, 0, 2, 1.5)
+    w = Window(0, 0, 2, 1.5)
     pat = PointPattern(w, rng.uniform([0, 0], [2, 1.5], size=(n_pts, 2)))
     quad = build_quadrature(pat, grid_n)
     assert abs(quad.weights.sum() - w.area()) <= 1e-9 * w.area()
@@ -116,7 +116,7 @@ def test_scheme_covariates_equal_a_direct_read(small_pattern):
     spec = ModelSpec([simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=101)],
                      [simulate_grf(W1, 48, 48, GrfSpec(1.0, 0.2), seed=202)])
     marked = v_fold_thin(small_pattern, 2, seed=3)
-    sub = make_window(0.25, 0.1, 0.75, 0.9)
+    sub = Window(0.25, 0.1, 0.75, 0.9)
     inside = sub.contains(small_pattern.points[:, 0], small_pattern.points[:, 1])
     schemes = [
         build_quadrature(small_pattern, 32),                      # fills the memo
@@ -390,7 +390,7 @@ def test_profile_fit_evaluates_each_theta_once(curve, small_model, small_pattern
 
 
 def test_profile_recovers_truth_with_oracle_curve_w2():
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     spec_grf = GrfSpec(1.0, 0.05)
     estimates = []
     for s in range(200):
@@ -538,7 +538,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
         surface = intensity_surface(spec, np.array([0.3]), eta)
         pat = simulate_poisson(surface, seed=90_000 + s)
         quad = build_quadrature(pat, 32)
-        theta_para = fit_parametric_baseline_full(spec, quad).theta[0]
+        theta_para = fit_parametric_baseline_full(spec, quad).coef[0]
         res = cross_fit(spec, pat, CrossFitConfig(grid_n=32, bandwidth_c0=0.45), s)
         diffs.append(theta_para - res.theta_hat[0])
     diffs = np.array(diffs)
@@ -551,7 +551,7 @@ def test_baseline_linear_agrees_with_crossfit_when_truth_linear():
 def test_baseline_oracle_exact_offset(small_model, small_pattern):
     eta = lambda Z: math.log(150.0) + 0.3 * Z[:, 0]
     quad = build_quadrature(small_pattern, 24)
-    theta = fit_parametric_baseline_full(small_model, quad, eta).theta
+    theta = fit_parametric_baseline_full(small_model, quad, eta).coef[:small_model.k]
     assert theta.shape == (1,)
     assert abs(theta[0] - 0.3) < 0.25
 
@@ -563,4 +563,4 @@ def test_baseline_oracle_matches_profile_with_fixed_curve(small_model, small_pat
     quad = build_quadrature(small_pattern, 24)
     oracle = fit_parametric_baseline_full(small_model, quad, eta)
     profile = profile_maximize(small_model, FixedCurve(eta, k=1), quad, 1.0, np.zeros(1))
-    assert np.allclose(oracle.theta, profile, rtol=0, atol=1e-8)
+    assert np.allclose(oracle.coef[:1], profile, rtol=0, atol=1e-8)

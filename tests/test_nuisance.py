@@ -9,7 +9,7 @@ from helpers import intensity_surface
 
 import ppcf.nuisance
 from ppcf.errors import InsufficientPointsError, ZeroDenominatorError, ZeroMassError
-from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
+from ppcf.fields import GridField, GrfSpec, Window, simulate_grf
 from ppcf.harness import Scenario, simulate_scenario_inputs
 from ppcf.model import LOG_LINEAR, ModelSpec, build_quadrature, profile_maximize
 from ppcf.nuisance import KernelSpec, NuisanceFit, default_bandwidth
@@ -17,7 +17,7 @@ from ppcf.process import PointPattern, constant_surface, simulate_poisson
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-W1 = make_window(0, 0, 1, 1)
+W1 = Window(0, 0, 1, 1)
 _GOLDEN_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -698,7 +698,7 @@ def test_empty_quadrature_data_raises(fitted):
 
 def test_general_link_newton_matches_golden_section():
     from test_model import make_general_spec
-    window = make_window(0, 0, 4, 4)
+    window = Window(0, 0, 4, 4)
     spec = make_general_spec(window)
     pattern = simulate_poisson(constant_surface(window, 4.0), seed=21)
     quad = build_quadrature(pattern, 16)
@@ -765,7 +765,7 @@ def _sup_error_after_centering(window, lattice, grid_n, seed, h):
 
 
 def test_sup_error_decreases_with_window_growth():
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     sup1, sup2 = [], []
     for r in range(40):
         sup1.append(_sup_error_after_centering(W1, 128, 48, 3000 + 7 * r, 0.45))
@@ -776,7 +776,7 @@ def test_sup_error_decreases_with_window_growth():
 
 def test_eta_dtheta_consistent_with_lfd_oracle():
     # oracle nu* from the true fields on a fine lattice, kernel-smoothed in z
-    w2 = make_window(0, 0, 2, 2)
+    w2 = Window(0, 0, 2, 2)
     theta = np.array([0.3])
 
     def one(window, lattice, grid_n, seed):

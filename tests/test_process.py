@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppcf.errors import BoundViolationError, ParseError, UnmarkedPatternError
-from ppcf.fields import GridField, GrfSpec, make_window, simulate_grf
+from ppcf.fields import GridField, GrfSpec, Window, simulate_grf
 from ppcf.process import (
     IntensitySurface,
     PointPattern,
@@ -22,7 +22,7 @@ from ppcf.process import (
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-W1 = make_window(0, 0, 1, 1)
+W1 = Window(0, 0, 1, 1)
 
 
 def campbell_sum(pattern: PointPattern, f) -> float:
@@ -269,8 +269,12 @@ def test_pattern_file_parse_error_carries_line(tmp_path):
     ("0 nan 1 1 1\n0.5 0.5\n", 1, "window bounds must be finite"),
     ("0 0 1 1 2\n0.5 0.5\n\nnan 0.2\n", 4, "point coordinates must be finite"),
     ("0 0 1 1 2\n0.5 -inf 1\n0.1 0.2 0\n", 2, "point coordinates must be finite"),
+    ("0 0 1 0 1\n0.5 0.5\n", 1, "window bounds must be finite and its sides positive"),
+    ("0 0 1 1 2\n0.5 0.5 1\n\n0.1 0.2 0\n", 4, "fold labels start at 1"),
+    ("0 0 1 1 2\n0.5 0.5\n1.0 1.5\n", 3, "point outside the window"),
 ], ids=["header_fields", "header_number", "point_fields", "too_many", "too_few", "some_folds",
-        "negative_count", "inf_window", "nan_window", "nan_point", "inf_point"])
+        "negative_count", "inf_window", "nan_window", "nan_point", "inf_point",
+        "degenerate_window", "fold_zero", "outside_window"])
 def test_pattern_file_malformed_input_names_its_line(tmp_path, text, line_no, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)

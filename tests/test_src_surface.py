@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import ppcf.inference
-from ppcf.fields import make_window
+from ppcf.fields import Window
 from ppcf.model import build_quadrature
 from ppcf.process import PointPattern
 
@@ -118,7 +118,7 @@ def test_benchmark_tracer_observes_pcf_correction_of_several_models():
     # the tracer's observer reads the third positional argument of pcf_correction
     # as a PcfModel; a signature it cannot read breaks every traced benchmark run
     spans = _load_spans()
-    window = make_window(0.0, 0.0, 1.0, 1.0)
+    window = Window(0.0, 0.0, 1.0, 1.0)
     quad = build_quadrature(PointPattern(window, np.array([[0.3, 0.4], [0.7, 0.2]])), 8)
     a = np.ones((quad.m(), 2))
     poisson = ppcf.inference.PcfModel()
